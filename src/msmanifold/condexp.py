@@ -2,11 +2,14 @@
 integrals and least-squares Monte Carlo regression for everything else."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import combinations_with_replacement, product
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 from .errors import (AdaptednessViolation, ConfigError, IllConditionedDesign,
                      Underdetermined)
@@ -15,6 +18,28 @@ from .stochastic import map_chunks, sample_chunks
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
+ALIAS_CORR = 1.0 - 1e-10    # correlation at which a column duplicates others
+
+
+def _on_primary_graph(z: np.ndarray, keep: np.ndarray, basis: "RegressionBasis") -> np.ndarray:
+    """Which standardized columns z[:, 1:] (raw basis columns ``keep``) are
+    linear coordinates whose multiple correlation with the intercept and
+    the primary features reaches ALIAS_CORR."""
+    n_poly = len(basis._exponent_rows())
+    linear = (keep >= n_poly) & (keep < n_poly + len(basis.linear_idx))
+    if not linear.any():
+        return linear
+    features = z[:, np.concatenate(([0], 1 + np.flatnonzero(keep < n_poly)))]
+    cols = z[:, 1 + np.flatnonzero(linear)]
+    resid = cols - features @ np.linalg.lstsq(features, cols, rcond=None)[0]
+    unexplained = np.einsum("nk,nk->k", resid, resid) / z.shape[0]
+    linear[linear] = unexplained <= 1.0 - ALIAS_CORR ** 2
+    return linear
+
+
+def _varies(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Which columns vary beyond rounding across the ensemble."""
+    return sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
 
 
 def _hermite_column(x: np.ndarray, k: int) -> np.ndarray:
@@ -63,12 +88,17 @@ class RegressionBasis:
         return (len(self._exponent_rows()) + len(self.linear_idx)
                 + (self.n_wiener if self.include_wiener else 0))
 
-    def design(self, state: np.ndarray, wiener: Optional[np.ndarray] = None) -> np.ndarray:
+    def design(self, state: np.ndarray, wiener: Optional[np.ndarray] = None,
+               shift=None, scale=None) -> np.ndarray:
+        """Feature columns, (n_samples, size). With shift and scale the
+        primary coordinates enter as (x - shift) / scale."""
         state = np.asarray(state, dtype=float)
         if state.ndim != 2:
             raise ConfigError("conditioning state must be (n_samples, n_coords)")
         n = state.shape[0]
         prim = state[:, list(self.primary_idx)] if self.primary_idx else np.empty((n, 0))
+        if shift is not None:
+            prim = (prim - shift) / scale
         cols = []
         for row in self._exponent_rows():
             if self.kind == "polynomial":
@@ -92,6 +122,49 @@ class RegressionBasis:
                 raise ConfigError(f"wiener values shape {wiener.shape} != ({n}, {self.n_wiener})")
             cols.extend(wiener[:, j] for j in range(self.n_wiener))
         return np.stack(cols, axis=1)
+
+    @cached_property
+    def _shift_terms(self) -> tuple:
+        """Constant parts of raw_map: binomials, the 1-D changes of basis
+        between powers and Hermite polynomials (None for the polynomial
+        kind), and per term the (row, col) of T with the per-coordinate
+        degrees gamma <= beta whose 1-D factors multiply into it."""
+        k, d = len(self.primary_idx), self.degree
+        counts = [tuple(np.bincount(row, minlength=k)) if row else (0,) * k
+                  for row in self._exponent_rows()]
+        index = {c: i for i, c in enumerate(counts)}
+        terms = [(index[gamma], col, gamma, beta) for col, beta in enumerate(counts)
+                 for gamma in product(*(range(b + 1) for b in beta))]
+        rows, cols, gammas, betas = zip(*terms)
+        shape = (len(terms), k)
+        binom = np.array([[math.comb(l, j) for l in range(d + 1)] for j in range(d + 1)],
+                         dtype=float)
+        convert = None         # (powers -> Hermite, Hermite -> powers) for that kind
+        if self.kind == "tensor-hermite":
+            unit = np.eye(d + 1)
+            convert = tuple(np.stack([np.pad(conv(unit[j]), (0, d - j)) for j in range(d + 1)],
+                                     axis=1)
+                            for conv in (hermite_e.poly2herme, hermite_e.herme2poly))
+        return (np.array(rows), np.array(cols), np.array(gammas, dtype=int).reshape(shape),
+                np.array(betas, dtype=int).reshape(shape), binom, convert)
+
+    def raw_map(self, shift, scale) -> np.ndarray:
+        """T with design(s, shift=shift, scale=scale) == design(s) @ T: maps
+        coefficients on the shifted basis to the raw basis."""
+        rows, cols, gammas, betas, binom, convert = self._shift_terms
+        shift = np.asarray(shift, dtype=float)[:, None, None]
+        scale = np.asarray(scale, dtype=float)[:, None, None]
+        powers = np.arange(self.degree + 1)
+        # c[i, j, l]: coefficient of x^j in ((x - shift_i) / scale_i)^l
+        c = binom * (-shift) ** np.maximum(powers[None, :] - powers[:, None], 0) / scale ** powers
+        if convert is not None:
+            to_hermite, to_powers = convert
+            c = to_hermite @ c @ to_powers
+        n_poly = len(self._exponent_rows())
+        t = np.eye(self.size)
+        t[:n_poly, :n_poly] = 0.0
+        t[rows, cols] = np.prod(c[np.arange(gammas.shape[1]), gammas, betas], axis=1)
+        return t
 
 
 def default_basis(p: SpectralProblem, degree: int = 2,
@@ -146,10 +219,19 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
         raise Underdetermined(f"{n} samples for basis size {b_size} (need > {3 * b_size})")
 
     state = np.asarray(state_at_t, dtype=float)
+    # Centre and scale the varying primary coordinates before forming
+    # monomials: raw powers of a coordinate that barely varies about a
+    # nonzero mean are nearly collinear, and the polynomial span is the same.
+    prim = state[:, list(basis.primary_idx)]
+    shift, spread = prim.mean(axis=0), prim.std(axis=0)
+    varies = _varies(shift, spread)
+    shift = np.where(varies, shift, 0.0)
+    scale = np.where(varies, spread, 1.0)
     phi = np.empty((n, b_size))
 
     def fill(a, b):
-        phi[a:b] = basis.design(state[a:b], None if wiener_at_t is None else wiener_at_t[a:b])
+        phi[a:b] = basis.design(state[a:b], None if wiener_at_t is None else wiener_at_t[a:b],
+                                shift, scale)
 
     map_chunks(fill, n)
 
@@ -160,7 +242,7 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     # measures true collinearity, not scale disparity.
     mean = phi.mean(axis=0)
     sd = phi.std(axis=0)
-    keep = np.where(sd > 1e-12 * np.maximum(np.abs(mean), 1.0))[0]
+    keep = np.flatnonzero(_varies(mean, sd))
     nk = keep.size
     z = np.empty((n, nk + 1))
     z[:, 0] = 1.0
@@ -186,16 +268,20 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     n_aliased = 0
     if cond > COND_LIMIT and nk > 1:
         # A state ensemble pinned to a lower-dimensional set (anchored
-        # samples sitting exactly on a linear graph, say) collapses
-        # distinct basis features onto one another.  Duplicate columns
-        # carry no extra conditioning information: keep the first of each
-        # aliased group, zero the rest, and refuse only designs that stay
-        # ambiguous after the fold.
+        # samples sitting exactly on a graph, say) collapses distinct basis
+        # features onto one another.  Duplicate columns, and linear
+        # coordinates that are functions of the primary features, carry no
+        # extra conditioning information: keep the first of each aliased
+        # group, zero the rest, and refuse only designs that stay ambiguous
+        # after the fold.  Early in a backward window the state is driven by
+        # fewer noise channels than it has coordinates, so the stable
+        # coordinates sit on such a graph over the unstable ones.
         norms = np.sqrt(np.clip(np.diag(gram)[1:], 1e-300, None))
         corr = gram[1:, 1:] / np.outer(norms, norms)
+        on_graph = _on_primary_graph(z, keep, basis)
         kept: list = []
         for k in range(nk):
-            if not any(abs(corr[k, j]) >= 1.0 - 1e-10 for j in kept):
+            if not on_graph[k] and not any(abs(corr[k, j]) >= ALIAS_CORR for j in kept):
                 kept.append(k)
         if len(kept) < nk:
             n_aliased = nk - len(kept)
@@ -215,11 +301,13 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     gram_inv_std = np.linalg.inv(gram_r)
     normal_resid = float(np.linalg.norm(gram_r @ bcoef - rhs) / max(1.0, np.linalg.norm(rhs)))
 
-    # map back to the raw basis: T takes standardized coefficients to raw ones
+    # map back to the raw basis: T takes standardized coefficients to
+    # centred-basis ones, raw_map those to raw ones
     t_map = np.zeros((b_size, nk + 1))
     t_map[0, 0] = 1.0
     t_map[0, 1:] = -mean[keep] / sd[keep]
     t_map[keep, 1:] += np.diag(1.0 / sd[keep])
+    t_map = basis.raw_map(shift, scale) @ t_map
     coef = t_map @ bcoef
     gram_inv = t_map @ gram_inv_std @ t_map.T
 

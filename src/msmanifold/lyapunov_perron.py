@@ -18,7 +18,8 @@ from .condexp import (RegressionBasis, condexp_anchor, condexp_ito_zero,
 from .errors import (ConfigError, ConsistencyFailure, GapViolation,
                      MaxIterExceeded, NonfiniteState, TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_delta, gap_eta
-from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble,
+from .resolvent import linear_scan
+from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _node_ms,
                          forcing_modes, integrate_mild, ms_norm, sample_wiener,
                          solver_boundary_columns)
 
@@ -180,37 +181,123 @@ def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
     return np.array(arr, dtype=float), bool(arr.shape[0] == 1 or np.all(arr == arr[0:1]))
 
 
+# Time blocks hold _BLOCK_ROWS sample rows, and never fewer than
+# _MIN_BLOCK_NODES nodes. The maps keep drift, diffusion and scan buffers for
+# about two blocks at a time, so the rows bound their memory; the node floor
+# spreads each block's fixed cost (interpreter work, and the strided gather
+# of every sample's nodes) over enough nodes on large ensembles. The length
+# depends on n_samples alone, so outputs do not depend on the worker count.
+_BLOCK_ROWS = 1 << 14
+_MIN_BLOCK_NODES = 8
+
+
+def _block_len(n_samples: int) -> int:
+    """Grid nodes per time block."""
+    return max(_MIN_BLOCK_NODES, _BLOCK_ROWS // n_samples)
+
+
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
-                     wiener_vals, agg: dict) -> np.ndarray:
-    """E[target|F_t] with exact short-circuits: a deterministic target is its
-    own conditional expectation; a deterministic conditioning state reduces
-    the regression to the plain mean."""
-    if target.shape[1] == 0:
-        return target
-    if target.shape[0] == 1 or np.all(target == target[0:1]):
-        return target
-    if np.all(state == state[0:1]):
-        agg["mean_fits"] = agg.get("mean_fits", 0) + 1
-        return np.broadcast_to(target.mean(axis=0), target.shape)
-    est = condexp_lsmc(target, state, basis, wiener_vals)
-    agg["n_regressions"] = agg.get("n_regressions", 0) + 1
-    agg["max_cond"] = max(agg.get("max_cond", 0.0), est.diagnostics["cond"])
-    r2 = est.diagnostics["r2"]
-    agg["min_r2"] = min(agg.get("min_r2", 1.0), min(r2) if r2 else 1.0)
-    return est.fitted if est.fitted.ndim == 2 else est.fitted[:, None]
+                     wiener, a: int, agg: dict) -> np.ndarray:
+    """E[target_j|F_{t_j}] in place for the nodes j = a, a+1, ... of a
+    node-major block: target (L, n, k), state (L, n, m). Exact
+    short-circuits, tested as node masks: a deterministic target is its own
+    conditional expectation; a deterministic conditioning state reduces the
+    regression to the plain mean. The remaining nodes are regressed one by
+    one."""
+    varies = ~np.all(target == target[:, :1], axis=(1, 2))
+    mean_nodes = varies & np.all(state == state[:, :1], axis=(1, 2))
+    if mean_nodes.any():
+        agg["mean_fits"] = agg.get("mean_fits", 0) + int(mean_nodes.sum())
+        target[mean_nodes] = target[mean_nodes].mean(axis=1, keepdims=True)
+    for i in np.flatnonzero(varies & ~mean_nodes):
+        est = condexp_lsmc(target[i], state[i], basis, _wiener_values_at(wiener, a + i, basis))
+        agg["n_regressions"] = agg.get("n_regressions", 0) + 1
+        agg["max_cond"] = max(agg.get("max_cond", 0.0), est.diagnostics["cond"])
+        r2 = est.diagnostics["r2"]
+        agg["min_r2"] = min(agg.get("min_r2", 1.0), min(r2) if r2 else 1.0)
+        target[i] = est.fitted
+    return target
 
 
-def _drift_modes(p: SpectralProblem, v: np.ndarray, cols) -> np.ndarray:
-    return forcing_modes(p.nonlinearity.fn(v), cols, p.n_modes)
+def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, idx, cols, dt: float,
+                    wiener: Optional[WienerEnsemble], reverse: bool = False):
+    """Time blocks of vals, last first when reverse, as node-major copies v
+    (L, n, m), with the half-step drift and the Ito increment leaving each
+    node, (L, n, k) in the modes idx. Drift and diffusion see a block as one
+    (L * n, m) batch. No increment leaves the last grid node, and none is
+    drawn without ``wiener``. Yields (a, v, half, ito), a the first node."""
+    n, n_nodes, m = vals.shape
+    length = _block_len(n)
+    starts = range(0, n_nodes, length)
+    for a in (reversed(starts) if reverse else starts):
+        v = np.ascontiguousarray(vals[:, a:a + length].swapaxes(0, 1))
+        L = len(v)
+        flat = v.reshape(L * n, m)
+        half = 0.5 * dt * forcing_modes(p.nonlinearity.fn(flat), cols, m)[:, idx]
+        half = half.reshape(L, n, len(idx))
+        ito = np.zeros_like(half)
+        if wiener is not None:
+            steps = min(L, n_nodes - 1 - a)
+            amp = p.noise.diffusion(flat[:steps * n])[:, idx].reshape(steps, n, len(idx))
+            ito[:steps] = amp * wiener.increments[:, a:a + steps, idx].swapaxes(0, 1)
+        yield a, v, half, ito
+
+
+# Both sides scan the trapezoid rule y_j = decay * (y_{j-1} + h_{j-1}) + h_j
+# (y_{j+1}, h_{j+1} on the unstable side), h the half-step drift, as
+# z = y + h: z_j = decay * z_{j-1} + 2 h_j needs no drift from a neighbouring
+# block. Only the drift is subtracted again, never a noise increment, so the
+# integrals over a deterministic state stay exactly deterministic. Blocks are
+# node-major, (L, n, .), so a sweep step works on contiguous rows.
+
+def _unstable_integrals(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
+                        wiener: Optional[WienerEnsemble] = None):
+    """Per-sample integrals from each node to the window end, over reverse
+    time blocks. Yields (a, v, drift, ito): the first node, the node-major
+    block v of vals and, each (L, n, k), the trapezoid convolution of the
+    unstable drift and the Ito sum of the unstable noise (zero without
+    ``wiener``) over [t_j, t_end]."""
+    u_idx = p.unstable_modes
+    k = len(u_idx)
+    decay = np.exp(-p.eigenvalues[u_idx] * dt)
+    carry = None
+    for a, v, half, ito in _forcing_blocks(p, vals, u_idx, cols, dt, wiener, reverse=True):
+        z = np.concatenate((half + half, ito), axis=2)
+        if carry is None:
+            z[-1, :, :k] = half[-1]     # the window end: an empty integral
+        linear_scan(z, np.concatenate((decay, decay)), carry, reverse=True)
+        carry = z[0].copy()
+        z[..., :k] -= half
+        yield a, v, z[..., :k], z[..., k:]
+
+
+def _stable_integrals(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
+                      wiener: Optional[WienerEnsemble] = None, start=0.0):
+    """Stable block from the window start on, over forward time blocks.
+    Yields (a, y), y (L, n, k) at node j = a, a+1, ...: T(t_j - t_0) start
+    plus the trapezoid convolution of the stable drift and the Ito
+    quadrature of the stable noise over [t_0, t_j]."""
+    s_idx = p.stable_modes
+    decay = np.exp(p.eigenvalues[s_idx] * dt)
+    carry = None
+    for a, _, half, ito in _forcing_blocks(p, vals, s_idx, cols, dt, wiener):
+        z = half + half
+        z[1:] += decay * ito[:-1]       # the increment leaving node j reaches j + 1
+        if carry is None:
+            z[0] = half[0] + start
+        else:
+            z[0] += decay * ito_prev
+        linear_scan(z, decay, carry)
+        carry, ito_prev = z[-1].copy(), ito[-1].copy()
+        yield a, z - half
 
 
 def _weighted_gap(a: np.ndarray, b: np.ndarray, times: np.ndarray,
                   tau: float, rate: float) -> float:
-    worst = 0.0
-    for j in range(a.shape[1]):
-        d = a[:, j, :] - b[:, j, :]
-        msj = np.sqrt(np.mean(np.einsum("nm,nm->n", d, d)))
-        worst = max(worst, float(np.exp(-rate * (times[j] - tau)) * msj))
+    worst, k = 0.0, _block_len(a.shape[0])
+    for lo in range(0, a.shape[1], k):
+        ms = _node_ms(a[:, lo:lo + k] - b[:, lo:lo + k])
+        worst = max(worst, float(np.max(np.exp(-rate * (times[lo:lo + k] - tau)) * ms)))
     return worst
 
 
@@ -224,6 +311,16 @@ def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str,
         val = gap.eta if side == "unstable" else gap.delta
         raise GapViolation(f"{side} gap condition fails: {name} = {val:.4f} >= 1")
     return gap
+
+
+def _driving_noise(p: SpectralProblem, wiener, grid: TimeGrid):
+    """The Wiener ensemble a map integrates against; None for zero noise."""
+    if p.noise.is_zero:
+        return None
+    if wiener is None:
+        raise ConfigError("nonzero noise requires the driving Wiener ensemble")
+    wiener.check_grid(grid)
+    return wiener
 
 
 def _wiener_values_at(wiener, node: int, basis: RegressionBasis):
@@ -252,60 +349,31 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     m = p.n_modes
     u_idx, s_idx = _block_indices(p)
     xu, x_det = _normalize_anchor(x, u_idx, m, n)
-    has_noise = not p.noise.is_zero
-    if has_noise:
-        if wiener is None:
-            raise ConfigError("nonzero noise requires the driving Wiener ensemble")
-        wiener.check_grid(grid)
+    noise = _driving_noise(p, wiener, grid)
     basis = cfg.basis_for(p) if basis is None else basis
     cols = solver_boundary_columns(p)
     dt, N = grid.dt, grid.n_steps
-    lam_u, lam_s = p.eigenvalues[u_idx], p.eigenvalues[s_idx]
-    decay_u = np.exp(-lam_u * dt)
-    decay_s = np.exp(lam_s * dt)
+    pull = np.exp(np.outer((np.arange(N + 1) - N) * dt, p.eigenvalues[u_idx]))
     vals = xi.values
     out = np.zeros((n, grid.n_nodes, m))
     agg: dict = {}
 
+    for a, v, drift, ito_u in _unstable_integrals(p, vals, cols, dt, noise):
+        hi = min(len(v), N - a)  # the anchor node N is set below
+        fit = _conditional_fit(drift[:hi], v[:hi], basis, wiener, a, agg)
+        if x_det:  # condexp_anchor short-circuit, inlined
+            out[:, a:a + hi, u_idx] = (xu * pull[a:a + hi, None] - fit).swapaxes(0, 1)
+            continue
+        for i in range(hi):
+            anchor_fit = condexp_anchor(xu * pull[a + i], v[i], basis,
+                                        _wiener_values_at(wiener, a + i, basis)).fitted
+            out[:, a + i, u_idx] = anchor_fit - fit[i]
     # anchor node: the map returns x itself at tau (E[x|F_tau] = x)
     out[:, N, u_idx] = xu
+    _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
 
-    drift = np.zeros((n, len(u_idx)))
-    ito_u = np.zeros((n, len(u_idx)))
-    g_next = _drift_modes(p, vals[:, N, :], cols)[:, u_idx]
-    for j in range(N - 1, -1, -1):
-        v_j = vals[:, j, :]
-        g_j = _drift_modes(p, v_j, cols)[:, u_idx]
-        drift = decay_u * (drift + 0.5 * dt * g_next) + 0.5 * dt * g_j
-        if has_noise and len(u_idx):
-            amp_u = p.noise.diffusion(v_j)[:, u_idx]
-            ito_u = decay_u * ito_u + amp_u * wiener.increments[:, j, u_idx]
-        g_next = g_j
-        if len(u_idx):
-            pull = np.exp(lam_u * ((j - N) * dt))
-            wv = _wiener_values_at(wiener, j, basis)
-            if x_det:
-                anchor_fit = xu * pull  # condexp_anchor short-circuit, inlined
-            else:
-                anchor_fit = condexp_anchor(xu * pull, v_j, basis, wv).fitted
-            out[:, j, u_idx] = anchor_fit - _conditional_fit(drift, v_j, basis, wv, agg)
-
-    window = (grid.t_start, grid.t_end)
-    _, ito_diag = condexp_ito_zero(ito_u, window)
-
-    conv = np.zeros((n, len(s_idx)))
-    ito_s = np.zeros((n, len(s_idx)))
-    h_prev = _drift_modes(p, vals[:, 0, :], cols)[:, s_idx]
-    amp_prev = p.noise.diffusion(vals[:, 0, :])[:, s_idx] if has_noise and len(s_idx) else None
-    for j in range(1, N + 1):
-        v_j = vals[:, j, :]
-        h_j = _drift_modes(p, v_j, cols)[:, s_idx]
-        conv = decay_s * (conv + 0.5 * dt * h_prev) + 0.5 * dt * h_j
-        if amp_prev is not None:
-            ito_s = decay_s * (ito_s + amp_prev * wiener.increments[:, j - 1, s_idx])
-            amp_prev = p.noise.diffusion(v_j)[:, s_idx]
-        h_prev = h_j
-        out[:, j, s_idx] = conv + ito_s
+    for a, y in _stable_integrals(p, vals, cols, dt, noise):
+        out[:, a:a + len(y), s_idx] = y.swapaxes(0, 1)
 
     if not np.isfinite(out).all():
         raise NonfiniteState("backward map produced non-finite values")
@@ -400,26 +468,10 @@ def _stable_integrals_at_end(p: SpectralProblem, ens: ProcessEnsemble,
                              wiener: Optional[WienerEnsemble]) -> np.ndarray:
     """Fresh evaluation of the truncated stable convolution + Ito integral at
     the window end, straight from the given process (dual-route check)."""
-    _, s_idx = _block_indices(p)
-    grid = ens.grid
-    cols = solver_boundary_columns(p)
-    dt, N = grid.dt, grid.n_steps
-    decay_s = np.exp(p.eigenvalues[s_idx] * dt)
-    n = ens.n_samples
-    conv = np.zeros((n, len(s_idx)))
-    ito_s = np.zeros((n, len(s_idx)))
-    has_noise = wiener is not None and not p.noise.is_zero and len(s_idx)
-    h_prev = _drift_modes(p, ens.values[:, 0, :], cols)[:, s_idx]
-    amp_prev = p.noise.diffusion(ens.values[:, 0, :])[:, s_idx] if has_noise else None
-    for j in range(1, N + 1):
-        v_j = ens.values[:, j, :]
-        h_j = _drift_modes(p, v_j, cols)[:, s_idx]
-        conv = decay_s * (conv + 0.5 * dt * h_prev) + 0.5 * dt * h_j
-        if has_noise:
-            ito_s = decay_s * (ito_s + amp_prev * wiener.increments[:, j - 1, s_idx])
-            amp_prev = p.noise.diffusion(v_j)[:, s_idx]
-        h_prev = h_j
-    return conv + ito_s
+    for _, y in _stable_integrals(p, ens.values, solver_boundary_columns(p),
+                                  ens.grid.dt, wiener):
+        pass
+    return y[-1]
 
 
 def unstable_graph(p: SpectralProblem, x, cfg: LPConfig) -> ManifoldGraph:
@@ -462,55 +514,25 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     m = p.n_modes
     u_idx, s_idx = _block_indices(p)
     xs, _ = _normalize_anchor(x, s_idx, m, n)
-    has_noise = not p.noise.is_zero
-    if has_noise:
-        if wiener is None:
-            raise ConfigError("nonzero noise requires the driving Wiener ensemble")
-        wiener.check_grid(grid)
+    noise = _driving_noise(p, wiener, grid)
     basis = cfg.basis_for(p) if basis is None else basis
     cols = solver_boundary_columns(p)
     dt, N = grid.dt, grid.n_steps
-    lam_u, lam_s = p.eigenvalues[u_idx], p.eigenvalues[s_idx]
-    decay_u = np.exp(-lam_u * dt)
-    decay_s = np.exp(lam_s * dt)
     vals = xi.values
     out = np.zeros((n, grid.n_nodes, m))
     agg: dict = {}
 
-    out[:, 0, s_idx] = xs
-    conv = np.zeros((n, len(s_idx)))
-    ito_s = np.zeros((n, len(s_idx)))
-    h_prev = _drift_modes(p, vals[:, 0, :], cols)[:, s_idx]
-    amp_prev = p.noise.diffusion(vals[:, 0, :])[:, s_idx] if has_noise and len(s_idx) else None
-    for j in range(1, N + 1):
-        v_j = vals[:, j, :]
-        h_j = _drift_modes(p, v_j, cols)[:, s_idx]
-        conv = decay_s * (conv + 0.5 * dt * h_prev) + 0.5 * dt * h_j
-        if amp_prev is not None:
-            ito_s = decay_s * (ito_s + amp_prev * wiener.increments[:, j - 1, s_idx])
-            amp_prev = p.noise.diffusion(v_j)[:, s_idx]
-        h_prev = h_j
-        if len(s_idx):
-            out[:, j, s_idx] = xs * np.exp(lam_s * (j * dt)) + conv + ito_s
+    for a, y in _stable_integrals(p, vals, cols, dt, noise, start=xs):
+        out[:, a:a + len(y), s_idx] = y.swapaxes(0, 1)
 
-    drift = np.zeros((n, len(u_idx)))
-    ito_u = np.zeros((n, len(u_idx)))
-    g_next = _drift_modes(p, vals[:, N, :], cols)[:, u_idx]
     # out[:, N, u_idx] stays 0: the drift integral beyond tau + T_fwd is the
     # reported truncation tail
-    for j in range(N - 1, -1, -1):
-        v_j = vals[:, j, :]
-        g_j = _drift_modes(p, v_j, cols)[:, u_idx]
-        drift = decay_u * (drift + 0.5 * dt * g_next) + 0.5 * dt * g_j
-        if has_noise and len(u_idx):
-            amp_u = p.noise.diffusion(v_j)[:, u_idx]
-            ito_u = decay_u * ito_u + amp_u * wiener.increments[:, j, u_idx]
-        g_next = g_j
-        if len(u_idx):
-            wv = _wiener_values_at(wiener, j, basis)
-            out[:, j, u_idx] = -_conditional_fit(drift, v_j, basis, wv, agg)
+    for a, v, drift, ito_u in _unstable_integrals(p, vals, cols, dt, noise):
+        hi = min(len(v), N - a)
+        fit = _conditional_fit(drift[:hi], v[:hi], basis, wiener, a, agg)
+        out[:, a:a + hi, u_idx] = -fit.swapaxes(0, 1)
 
-    _, ito_diag = condexp_ito_zero(ito_u, (grid.t_start, grid.t_end))
+    _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
     if not np.isfinite(out).all():
         raise NonfiniteState("forward map produced non-finite values")
     return ProcessEnsemble(grid=grid, values=out, direction="forward",
@@ -583,20 +605,10 @@ def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
 def _unstable_drift_at_start(p: SpectralProblem, ens: ProcessEnsemble,
                              basis: RegressionBasis, wiener, agg: dict) -> np.ndarray:
     """Fresh regression of the forward drift integral at tau (dual route)."""
-    u_idx, _ = _block_indices(p)
-    grid = ens.grid
-    cols = solver_boundary_columns(p)
-    dt, N = grid.dt, grid.n_steps
-    decay_u = np.exp(-p.eigenvalues[u_idx] * dt)
-    n = ens.n_samples
-    drift = np.zeros((n, len(u_idx)))
-    g_next = _drift_modes(p, ens.values[:, N, :], cols)[:, u_idx]
-    for j in range(N - 1, -1, -1):
-        g_j = _drift_modes(p, ens.values[:, j, :], cols)[:, u_idx]
-        drift = decay_u * (drift + 0.5 * dt * g_next) + 0.5 * dt * g_j
-        g_next = g_j
-    wv = _wiener_values_at(wiener, 0, basis)
-    return -_conditional_fit(drift, ens.values[:, 0, :], basis, wv, agg)
+    for _, v, drift, _ in _unstable_integrals(p, ens.values, solver_boundary_columns(p),
+                                              ens.grid.dt):
+        pass
+    return -_conditional_fit(drift[:1], v[:1], basis, wiener, 0, agg)[0]
 
 
 def stable_graph(p: SpectralProblem, x, cfg: LPConfig) -> ManifoldGraph:

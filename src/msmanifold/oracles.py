@@ -3,8 +3,9 @@
 Everything here produces expected values by routes that do not touch the
 fixed-point solver module: closed forms, dense quadrature, and small
 matrix algebra.  The integrator and resolvent helpers needed by the
-refinement sweeps are imported lazily inside `refinement_study` so the
-reference oracles stay on problem data and numpy alone.
+refinement sweeps and by boundary-valued forcing (mapped into modes in
+the lambda -> infinity limit) are imported lazily, so the module itself
+stays on problem data and numpy alone.
 """
 
 from __future__ import annotations
@@ -135,22 +136,11 @@ def linear_manifold_oracle(a_u, a_s, b, tol: float = 1e-13,
 
 
 def _oracle_forcing(p: SpectralProblem, states: np.ndarray) -> np.ndarray:
-    """Mode forcing at every node, mapping boundary pairs through the
-    frozen regularizer columns."""
-    out = np.empty_like(states)
-    for j in range(states.shape[0]):
-        val = p.nonlinearity(states[j])
-        if p.nonlinearity.returns_boundary:
-            f, a, bnd = val
-            cols = p.boundary_regularizer
-            if cols is None:
-                raise ConfigError("boundary nonlinearity without regularizer")
-            out[j] = (np.asarray(f, dtype=float)
-                      + float(np.atleast_1d(a)[0]) * cols[:, 0]
-                      + float(np.atleast_1d(bnd)[0]) * cols[:, 1])
-        else:
-            out[j] = np.asarray(val, dtype=float)
-    return out
+    """Mode forcing at every node: one evaluation on the whole path, with
+    boundary data mapped into modes in the lambda -> infinity limit."""
+    from .resolvent import forcing_to_modes
+
+    return np.asarray(forcing_to_modes(p, p.nonlinearity(states)), dtype=float)
 
 
 def _kernel_sum(rates: np.ndarray, times: np.ndarray, f: np.ndarray,

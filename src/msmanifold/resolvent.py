@@ -345,6 +345,29 @@ def forcing_to_modes(p: SpectralProblem, value, ladder: Sequence[float] = DEFAUL
     return limit
 
 
+# Elements per node from which a node-by-node sweep beats doubling passes.
+_SWEEP_ELEMENTS = 128
+
+
+def linear_scan(x: np.ndarray, decay, carry=None, reverse: bool = False) -> np.ndarray:
+    """y_j = decay * y_{j-1} + x_j in place along axis 0 of x (y_{j+1} when
+    reverse), from ``carry`` (zero when None) just outside the first node.
+    Wide nodes are swept one by one; narrow ones take doubling passes
+    (Hillis-Steele) whose coefficients are powers of ``decay``."""
+    y = x[::-1] if reverse else x
+    if carry is not None:
+        y[0] += decay * carry
+    if x.size >= _SWEEP_ELEMENTS * len(y):
+        for j in range(1, len(y)):
+            y[j] += decay * y[j - 1]
+    else:
+        shift = 1
+        while shift < len(y):
+            y[shift:] += np.power(decay, shift) * y[:-shift]
+            shift *= 2
+    return x
+
+
 def _grid_dt_nsteps(grid) -> tuple:
     if hasattr(grid, "dt") and hasattr(grid, "n_steps"):
         return float(grid.dt), int(grid.n_steps)
@@ -371,13 +394,11 @@ def convolve_diamond(p: SpectralProblem, forcing, grid, block: str = "full",
         raise ConfigError("forcing must be sampled on the grid nodes")
     mask = p.block_mask(block)
     decay = np.where(mask, np.exp(p.eigenvalues * dt), 0.0)
-    g = g * mask
-    out = np.zeros_like(g)
-    half = 0.5 * dt
-    for j in range(n_steps):
-        out[..., j + 1, :] = decay * (out[..., j, :] + half * g[..., j, :]) \
-            + half * g[..., j + 1, :]
-    return out
+    half = 0.5 * dt * mask * g
+    out = half + half
+    out[..., 0, :] = half[..., 0, :]
+    linear_scan(np.moveaxis(out, -2, 0), decay)
+    return out - half
 
 
 def c_kappa(eps: float, rho_eps: float, vartheta: float, kappa: float) -> float:

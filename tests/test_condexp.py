@@ -180,6 +180,42 @@ def test_lsmc_detects_true_collinearity():
         condexp_lsmc(x, state, basis)
 
 
+def test_lsmc_fits_ensembles_with_small_spread_about_a_nonzero_mean():
+    # raw monomials of coordinates at 0.8 +- 1e-4 are nearly collinear;
+    # centred and scaled coordinates span the same polynomials
+    rng = np.random.default_rng(22)
+    state = 0.8 + 1e-4 * rng.standard_normal((1024, 2))
+    basis = RegressionBasis(degree=4, primary_idx=(0, 1))
+    target = state[:, 0] + state[:, 1] ** 2
+    est = condexp_lsmc(target, state, basis)
+    assert est.diagnostics["cond"] < 1e3
+    assert np.max(np.abs(est.fitted - target)) < 1e-9
+
+
+def test_lsmc_folds_linear_coordinates_on_a_graph():
+    # samples on a graph s = h(u) over a 2-D primary block: s carries no
+    # information beyond u, though no single column duplicates it
+    rng = np.random.default_rng(24)
+    u = rng.standard_normal((600, 2))
+    s = 0.3 * u[:, 0] - 0.2 * u[:, 1] + 0.1 * u[:, 0] * u[:, 1]
+    state = np.column_stack([u, s])
+    basis = RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=(2,))
+    target = 1.0 + u[:, 0] - u[:, 1] ** 2
+    est = condexp_lsmc(target, state, basis)
+    assert est.diagnostics["n_aliased"] == 1
+    assert est.coef[-1] == 0.0
+    assert np.max(np.abs(est.fitted - target)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
+def test_raw_map_takes_shifted_columns_to_raw_ones(kind):
+    basis = RegressionBasis(kind=kind, degree=3, primary_idx=(0, 2), linear_idx=(1,))
+    state = np.random.default_rng(26).standard_normal((40, 3))
+    shift, scale = np.array([0.4, -0.2]), np.array([1.7, 0.3])
+    shifted = basis.design(state, shift=shift, scale=scale)
+    assert np.max(np.abs(shifted - basis.design(state) @ basis.raw_map(shift, scale))) < 1e-11
+
+
 def test_lsmc_rejects_underdetermined_designs():
     u = np.random.default_rng(14).standard_normal((10, 1))
     with pytest.raises(Underdetermined):

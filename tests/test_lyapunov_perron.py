@@ -10,8 +10,11 @@ from msmanifold.errors import (
     MaxIterExceeded,
     TruncationTooShort,
 )
+import msmanifold.lyapunov_perron as lp
 from msmanifold import (
     LPConfig,
+    ProcessEnsemble,
+    TimeGrid,
     build_problem,
     callable_nonlinearity,
     diagonal_linear_noise,
@@ -20,9 +23,12 @@ from msmanifold import (
     linear_nonlinearity,
     lipschitz_bound,
     lipschitz_certify,
+    lp_backward_map,
     lp_backward_solve,
+    lp_forward_map,
     lp_forward_solve,
     ms_norm,
+    sample_wiener,
     stable_graph,
     unstable_graph,
     zero_noise,
@@ -223,6 +229,58 @@ def test_include_wiener_basis_smoke():
                    n_samples=128, seed=3, include_wiener=True)
     g = unstable_graph(p, [0.2], cfg)
     assert g.trace.converged
+
+
+# ------------------------------------------------------------ time blocks
+
+def counted_drift(p):
+    calls = []
+    fn = p.nonlinearity.fn
+
+    def counting(v):
+        calls.append(v.shape)
+        return fn(v)
+
+    return replace(p, nonlinearity=replace(p.nonlinearity, fn=counting)), calls
+
+
+def test_maps_evaluate_drift_once_per_time_block(monkeypatch):
+    p, calls = counted_drift(one_way())
+    cfg = LPConfig(c_zeta=1.0, dt=1e-2, t_back=6.0, t_fwd=6.0, n_samples=2)
+    vals = np.random.default_rng(0).standard_normal((2, 601, 2))
+
+    def no_regression(*args, **kwargs):
+        raise AssertionError("zero noise and a fixed anchor need no regression")
+
+    # deterministic state, target and anchor: the masks fill whole blocks
+    monkeypatch.setattr(lp, "condexp_lsmc", no_regression)
+    monkeypatch.setattr(lp, "condexp_anchor", no_regression)
+    same = np.broadcast_to(vals[:1], vals.shape)
+    lp_backward_map(p, ProcessEnsemble(TimeGrid(-6.0, 1e-2, 600), same), [0.3], cfg)
+    assert len(calls) <= 4, len(calls)
+    calls.clear()
+    lp_forward_map(p, ProcessEnsemble(TimeGrid(0.0, 1e-2, 600), same), [0.3], cfg)
+    assert len(calls) <= 4, len(calls)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_maps_do_not_depend_on_the_block_length(monkeypatch, side):
+    # two-way coupling and noise: every node is a regression, and the
+    # recurrences carry scan values and Ito increments across blocks
+    B = np.array([[0.0, 0.05], [0.05, 0.0]])
+    p = build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
+                      zeta=-0.5, nonlinearity=linear_nonlinearity(B),
+                      noise=diagonal_linear_noise([0.1, 0.1]))
+    n = 64
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
+    grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, 100)
+    wiener = sample_wiener(3, grid, p.noise, n)
+    xi = ProcessEnsemble(grid, 0.1 + 0.05 * np.random.default_rng(1).standard_normal((n, 101, 2)))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    whole = step(p, xi, [0.3], cfg, wiener).values
+    monkeypatch.setattr(lp, "_BLOCK_ROWS", 10 * n)   # the last block holds one node
+    blocked = step(p, xi, [0.3], cfg, wiener).values
+    assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 # ---------------------------------------------------- gates and certificates

@@ -10,6 +10,7 @@ import msmanifold.oracles
 from msmanifold.errors import ConfigError, MaxIterExceeded, NoSeparation
 from msmanifold import (
     LPConfig,
+    build_example_problem,
     build_problem,
     callable_nonlinearity,
     deterministic_lp_oracle,
@@ -136,6 +137,24 @@ def test_quadrature_oracle_mixing_nonlinearity():
     assert abs(base[0] - fine[0]) < 5e-6
     g = unstable_graph(p, [0.5], replace(cfg, dt=2e-3))
     assert abs(g.h_value[0, 0] - fine[0]) < 1e-8
+
+
+def test_quadrature_oracle_on_boundary_flux_problem():
+    # boundary-valued forcing reaches the modes through the regularizer;
+    # the same linear drift in mode space gives the Sylvester slope
+    m = 4
+    p = build_example_problem(m=m, g0=0.02 * np.eye(m), g1=0.05 * np.ones(m),
+                              g2=0.05 * np.ones(m))
+    cols = p.boundary_regularizer
+    drift = (0.02 * np.eye(m) + np.outer(cols[:, 0], 0.05 * np.ones(m))
+             + np.outer(cols[:, 1], 0.05 * np.ones(m)))
+    lam = p.eigenvalues
+    slope = linear_manifold_oracle(np.diag(lam[:1]), np.diag(lam[1:]), drift)
+    x, dt = 0.1, 4e-3
+    h = deterministic_lp_oracle(p, [x], LPConfig(c_zeta=0.5, t_back=2.0, dt=dt,
+                                                 tol=1e-10, max_iter=60))
+    assert np.all(np.isfinite(h))
+    assert np.max(np.abs(h - x * slope[:, 0])) <= 0.01 * dt * x
 
 
 def test_quadrature_oracle_guards():

@@ -29,7 +29,7 @@ from msmanifold import (
     zero_nonlinearity,
 )
 from msmanifold.example_pde import EXAMPLE_LADDER, OPERATOR_SHIFT, example_eigenvalues
-from msmanifold.resolvent import hille_yosida_data
+from msmanifold.resolvent import hille_yosida_data, linear_scan
 
 PI = math.pi
 
@@ -244,6 +244,46 @@ def test_convolve_diamond_matches_cumulative_semigroup_quadrature():
     quad = np.zeros_like(vals)
     quad[1:] = np.cumsum(0.5 * dt * (vals[1:] + vals[:-1]), axis=0)
     assert np.max(np.abs(out - quad)) < 1e-12
+
+
+def _naive_scan(x, decay, reverse):
+    y = np.array(x)
+    order = range(len(y) - 2, -1, -1) if reverse else range(1, len(y))
+    for j in order:
+        y[j] = decay * y[j + 1 if reverse else j - 1] + y[j]
+    return y
+
+
+# stiff (the pde_flux m=8 stable mode 7 at dt=1e-3: lambda*dt = -0.48),
+# mild and near-1 decays
+SCAN_DECAYS = np.exp(np.array([-0.48, -0.05, -1e-4, -1e-9]))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n, length, block", [
+    (2, 6001, 1000),      # narrow nodes: doubling passes
+    (2, 1, 1),
+    (10000, 7, 3),        # wide nodes: node-by-node sweep
+    (10000, 1, 1),
+])
+def test_linear_scan_matches_sequential_loop(n, length, block, reverse):
+    x = np.random.default_rng(n + length).standard_normal((length, n, SCAN_DECAYS.size))
+    ref = _naive_scan(x, SCAN_DECAYS, reverse)
+    # blocks whose length does not divide the window, carried in scan order
+    starts = range(0, length, block)
+    y = np.empty_like(x)
+    carry = None
+    for a in (reversed(starts) if reverse else starts):
+        b = min(a + block, length)
+        y[a:b] = linear_scan(x[a:b].copy(), SCAN_DECAYS, carry, reverse)
+        carry = y[a] if reverse else y[b - 1]
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_linear_scan_zero_width_and_length():
+    for shape in ((5, 3, 0), (0, 3, 2)):
+        x = np.zeros(shape)
+        assert linear_scan(x, np.ones(shape[-1])) is x
 
 
 def test_convolve_diamond_respects_delta_bound(example_problem):
