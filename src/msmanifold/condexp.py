@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -14,27 +14,10 @@ from numpy.polynomial import hermite_e
 from .errors import (AdaptednessViolation, ConfigError, IllConditionedDesign,
                      Underdetermined)
 from .problem import SpectralProblem
-from .stochastic import map_chunks, sample_chunks
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
 ALIAS_CORR = 1.0 - 1e-10    # correlation at which a column duplicates others
-
-
-def _on_primary_graph(z: np.ndarray, keep: np.ndarray, basis: "RegressionBasis") -> np.ndarray:
-    """Which standardized columns z[:, 1:] (raw basis columns ``keep``) are
-    linear coordinates whose multiple correlation with the intercept and
-    the primary features reaches ALIAS_CORR."""
-    n_poly = len(basis._exponent_rows())
-    linear = (keep >= n_poly) & (keep < n_poly + len(basis.linear_idx))
-    if not linear.any():
-        return linear
-    features = z[:, np.concatenate(([0], 1 + np.flatnonzero(keep < n_poly)))]
-    cols = z[:, 1 + np.flatnonzero(linear)]
-    resid = cols - features @ np.linalg.lstsq(features, cols, rcond=None)[0]
-    unexplained = np.einsum("nk,nk->k", resid, resid) / z.shape[0]
-    linear[linear] = unexplained <= 1.0 - ALIAS_CORR ** 2
-    return linear
 
 
 def _varies(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -88,40 +71,47 @@ class RegressionBasis:
         return (len(self._exponent_rows()) + len(self.linear_idx)
                 + (self.n_wiener if self.include_wiener else 0))
 
-    def design(self, state: np.ndarray, wiener: Optional[np.ndarray] = None,
-               shift=None, scale=None) -> np.ndarray:
-        """Feature columns, (n_samples, size). With shift and scale the
-        primary coordinates enter as (x - shift) / scale."""
+    def columns(self, state: np.ndarray, wiener: Optional[np.ndarray] = None,
+                shift=None, scale=None) -> list:
+        """The size feature columns of a state (..., n_samples, n_coords),
+        each (..., n_samples). With shift and scale, shaped (..., n_primary),
+        the primary coordinates enter as (x - shift) / scale."""
         state = np.asarray(state, dtype=float)
-        if state.ndim != 2:
-            raise ConfigError("conditioning state must be (n_samples, n_coords)")
-        n = state.shape[0]
-        prim = state[:, list(self.primary_idx)] if self.primary_idx else np.empty((n, 0))
+        if state.ndim < 2:
+            raise ConfigError("conditioning state must be (..., n_samples, n_coords)")
+        coords = np.swapaxes(state, -1, -2)    # (..., n_coords, n_samples)
+        prim = coords[..., list(self.primary_idx), :]     # a copy: indexed by a list
         if shift is not None:
-            prim = (prim - shift) / scale
+            prim -= np.asarray(shift)[..., None]
+            prim /= np.asarray(scale)[..., None]
+        one = np.ones(state.shape[:-1])
         cols = []
         for row in self._exponent_rows():
+            c = one
             if self.kind == "polynomial":
-                c = np.ones(n)
                 for i in row:
-                    c = c * prim[:, i]
+                    c = c * prim[..., i, :]
             else:
-                counts = np.bincount(row, minlength=prim.shape[1]) if row else np.zeros(prim.shape[1], int)
-                c = np.ones(n)
-                for i, k in enumerate(counts):
+                for i, k in enumerate(np.bincount(np.array(row, dtype=int),
+                                                  minlength=len(self.primary_idx))):
                     if k:
-                        c = c * _hermite_column(prim[:, i], int(k))
+                        c = c * _hermite_column(prim[..., i, :], int(k))
             cols.append(c)
-        for i in self.linear_idx:
-            cols.append(state[:, i])
+        cols.extend(coords[..., i, :] for i in self.linear_idx)
         if self.include_wiener:
             if wiener is None:
                 raise ConfigError("basis includes Wiener values but none were passed")
             wiener = np.asarray(wiener, dtype=float)
-            if wiener.shape != (n, self.n_wiener):
-                raise ConfigError(f"wiener values shape {wiener.shape} != ({n}, {self.n_wiener})")
-            cols.extend(wiener[:, j] for j in range(self.n_wiener))
-        return np.stack(cols, axis=1)
+            if wiener.shape != state.shape[:-1] + (self.n_wiener,):
+                raise ConfigError(f"wiener values shape {wiener.shape} != "
+                                  f"{state.shape[:-1] + (self.n_wiener,)}")
+            cols.extend(wiener[..., j] for j in range(self.n_wiener))
+        return cols
+
+    def design(self, state: np.ndarray, wiener: Optional[np.ndarray] = None,
+               shift=None, scale=None) -> np.ndarray:
+        """Feature columns, (..., n_samples, size); see ``columns``."""
+        return np.stack(self.columns(state, wiener, shift, scale), axis=-1)
 
     @cached_property
     def _shift_terms(self) -> tuple:
@@ -150,20 +140,21 @@ class RegressionBasis:
 
     def raw_map(self, shift, scale) -> np.ndarray:
         """T with design(s, shift=shift, scale=scale) == design(s) @ T: maps
-        coefficients on the shifted basis to the raw basis."""
+        coefficients on the shifted basis to the raw basis. Shift and scale
+        (..., n_primary) give T (..., size, size)."""
         rows, cols, gammas, betas, binom, convert = self._shift_terms
-        shift = np.asarray(shift, dtype=float)[:, None, None]
-        scale = np.asarray(scale, dtype=float)[:, None, None]
+        shift = np.asarray(shift, dtype=float)[..., None, None]
+        scale = np.asarray(scale, dtype=float)[..., None, None]
         powers = np.arange(self.degree + 1)
-        # c[i, j, l]: coefficient of x^j in ((x - shift_i) / scale_i)^l
+        # c[..., i, j, l]: coefficient of x^j in ((x - shift_i) / scale_i)^l
         c = binom * (-shift) ** np.maximum(powers[None, :] - powers[:, None], 0) / scale ** powers
         if convert is not None:
             to_hermite, to_powers = convert
             c = to_hermite @ c @ to_powers
         n_poly = len(self._exponent_rows())
-        t = np.eye(self.size)
-        t[:n_poly, :n_poly] = 0.0
-        t[rows, cols] = np.prod(c[np.arange(gammas.shape[1]), gammas, betas], axis=1)
+        t = np.zeros(shift.shape[:-3] + (self.size, self.size))
+        t[..., np.arange(n_poly, self.size), np.arange(n_poly, self.size)] = 1.0
+        t[..., rows, cols] = np.prod(c[..., np.arange(gammas.shape[1]), gammas, betas], axis=-1)
         return t
 
 
@@ -178,6 +169,8 @@ def default_basis(p: SpectralProblem, degree: int = 2,
 
 @dataclass(frozen=True, eq=False)
 class CondexpEstimate:
+    """A fit; with a leading node axis every array gains it, and each
+    regression diagnostic holds one value (r2: one row) per node."""
     fitted: np.ndarray              # (n_samples, k)
     coef: np.ndarray                # (basis_size, k)
     basis: Optional[RegressionBasis]
@@ -189,18 +182,71 @@ class CondexpEstimate:
         """Standard errors of the coefficients, shaped like coef."""
         if self.gram_inv is None:
             return np.zeros_like(self.coef)
-        d = np.sqrt(np.clip(np.diag(self.gram_inv), 0.0, None))
-        se = d[:, None] * np.sqrt(self.resid_var)[None, :]
-        return se[:, 0] if self.coef.ndim == 1 else se
+        d = np.sqrt(np.clip(np.diagonal(self.gram_inv, axis1=-2, axis2=-1), 0.0, None))
+        se = d[..., :, None] * np.sqrt(self.resid_var)[..., None, :]
+        return se.reshape(self.coef.shape)
 
 
-def _as_targets(target) -> tuple:
+def _cond(gram: np.ndarray, z: np.ndarray) -> tuple:
+    """Eigenvalues of a Gram stack and the condition numbers of its designs.
+    Gram eigenvalues give cond reliably up to ~1/sqrt(eps); past that the
+    singular values of the design itself are used, taken from the R factor
+    of its QR (the same values, at a fraction of the cost of an SVD of the
+    long design)."""
+    def ratio(hi, lo):
+        out = np.full(lo.shape, np.inf)
+        np.divide(hi, lo, out=out, where=lo > 0.0)
+        return out
+
+    eigs = np.linalg.eigvalsh(gram)
+    cond = np.sqrt(ratio(eigs[:, -1], eigs[:, 0]))
+    slow = np.flatnonzero(cond > 1e7)
+    if slow.size:
+        r = np.linalg.qr(np.swapaxes(z[slow], -1, -2), mode="r")
+        svals = np.linalg.svd(r, compute_uv=False)
+        cond[slow] = ratio(svals[:, 0], svals[:, -1])
+    return eigs, cond
+
+
+def _on_primary_graph(z: np.ndarray, keep: np.ndarray, basis: RegressionBasis) -> np.ndarray:
+    """Which kept linear coordinates (columns of keep) have a multiple
+    correlation with the intercept and the primary features that reaches
+    ALIAS_CORR. One QR of the design's first columns gives every linear
+    column's residual off the features below the features' rows of R."""
+    n = z.shape[-1] - z.shape[-2]
+    n_poly = len(basis._exponent_rows())
+    lin = slice(n_poly, n_poly + len(basis.linear_idx))
+    on_graph = np.zeros_like(keep)
+    if keep[:, lin].any():
+        r = np.linalg.qr(np.swapaxes(z[:, :lin.stop], -1, -2), mode="r")
+        unexplained = np.einsum("lij,lij->lj", r[:, n_poly:, lin], r[:, n_poly:, lin]) / n
+        on_graph[:, lin] = keep[:, lin] & (unexplained <= 1.0 - ALIAS_CORR ** 2)
+    return on_graph
+
+
+def _drop(z: np.ndarray, dropped: np.ndarray) -> None:
+    """Replace the design rows of the dropped (node, column) pairs by
+    orthogonal pads of norm sqrt(n): a dropped column then adds an
+    eigenvalue n, inside the spread of the kept ones (their standardized
+    diagonals are n), so cond, the ridge and the zero weight of the column
+    come out as if it were removed."""
+    n = z.shape[-1] - z.shape[-2]
+    nodes, cols = np.nonzero(dropped)
+    z[nodes, cols, :n] = 0.0
+    z[nodes, cols, n + cols] = math.sqrt(n)
+
+
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    return np.einsum("...n,...n->...", x, x)
+
+
+def _as_targets(target, stacked: bool) -> tuple:
     y = np.asarray(target, dtype=float)
-    squeeze = y.ndim == 1
+    squeeze = y.ndim == 1 + stacked
     if squeeze:
-        y = y[:, None]
-    if y.ndim != 2:
-        raise ConfigError("target must be (n_samples,) or (n_samples, k)")
+        y = y[..., None]
+    if y.ndim != 2 + stacked:
+        raise ConfigError("target must be (..., n_samples) or (..., n_samples, k)")
     return y, squeeze
 
 
@@ -208,126 +254,143 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
                  wiener_at_t: Optional[np.ndarray] = None) -> CondexpEstimate:
     """Project target onto the basis evaluated at the conditioning state.
 
-    Multi-column targets share one normal-equation factorization. Ridge of
-    RIDGE_SCALE * trace(G)/B is always added and reported; the design
-    condition number is checked before the ridge.
+    A state (n_samples, n_coords) is one regression. A state (L, n_samples,
+    n_coords), with target (L, n_samples[, k]) and Wiener values (L,
+    n_samples, d), is L regressions solved as one stacked problem: the
+    single regression is the case L = 1. Multi-column targets share one
+    normal-equation factorization. Ridge of RIDGE_SCALE * trace(G)/B is
+    always added and reported; the design condition number is checked
+    before the ridge. A refused stack names the first refused node.
     """
-    y, squeeze = _as_targets(target)
-    n = y.shape[0]
+    state = np.asarray(state_at_t, dtype=float)
+    if state.ndim not in (2, 3):
+        raise ConfigError("conditioning state must be (n_samples, n_coords) "
+                          "or (n_nodes, n_samples, n_coords)")
+    stacked = state.ndim == 3
+    y, squeeze = _as_targets(target, stacked)
+    if not stacked:
+        state, y = state[None], y[None]
+        wiener_at_t = None if wiener_at_t is None else np.asarray(wiener_at_t)[None]
+    n_nodes, n = y.shape[:2]
     b_size = basis.size
     if n <= 3 * b_size:
         raise Underdetermined(f"{n} samples for basis size {b_size} (need > {3 * b_size})")
 
-    state = np.asarray(state_at_t, dtype=float)
     # Centre and scale the varying primary coordinates before forming
     # monomials: raw powers of a coordinate that barely varies about a
     # nonzero mean are nearly collinear, and the polynomial span is the same.
-    prim = state[:, list(basis.primary_idx)]
-    shift, spread = prim.mean(axis=0), prim.std(axis=0)
+    # Designs are feature-major, (L, B, n), so every reduction runs along
+    # the contiguous sample axis.
+    prim = state[..., list(basis.primary_idx)]
+    shift, spread = prim.mean(axis=-2), prim.std(axis=-2)
     varies = _varies(shift, spread)
     shift = np.where(varies, shift, 0.0)
     scale = np.where(varies, spread, 1.0)
-    phi = np.empty((n, b_size))
+    z = np.zeros((n_nodes, b_size, n + b_size))
+    phi = z[..., :n]
+    np.stack(basis.columns(state, wiener_at_t, shift, scale), axis=-2, out=phi)
 
-    def fill(a, b):
-        phi[a:b] = basis.design(state[a:b], None if wiener_at_t is None else wiener_at_t[a:b],
-                                shift, scale)
+    # Standardize, folding numerically constant columns into the intercept
+    # (row 0): a coordinate that does not vary across the ensemble carries
+    # no conditioning information, and deep in a backward window the
+    # unstable features degenerate exactly this way.  The conditioning check
+    # then measures true collinearity, not scale disparity.  Dropped columns
+    # stay in the stack as pads (see _drop), so nodes with different masks
+    # share one solve.
+    mean = phi.mean(axis=-1)
+    phi -= mean[..., None]
+    sd = np.sqrt(_sum_squares(phi) / n)
+    keep = _varies(mean, sd)
+    keep[:, 0] = False
+    inv_sd = np.divide(1.0, sd, out=np.zeros_like(sd), where=keep)
+    phi *= inv_sd[..., None]
+    phi[:, 0] = 1.0
+    dropped = ~keep
+    dropped[:, 0] = False
+    _drop(z, dropped)
+    n_kept = keep.sum(axis=1)
 
-    map_chunks(fill, n)
-
-    # Standardize, folding numerically constant columns into the intercept:
-    # a coordinate that does not vary across the ensemble carries no
-    # conditioning information, and deep in a backward window the unstable
-    # features degenerate exactly this way.  The conditioning check then
-    # measures true collinearity, not scale disparity.
-    mean = phi.mean(axis=0)
-    sd = phi.std(axis=0)
-    keep = np.flatnonzero(_varies(mean, sd))
-    nk = keep.size
-    z = np.empty((n, nk + 1))
-    z[:, 0] = 1.0
-    z[:, 1:] = (phi[:, keep] - mean[keep]) / sd[keep]
-
-    gram = np.zeros((nk + 1, nk + 1))
-    rhs = np.zeros((nk + 1, y.shape[1]))
-    for a, b in sample_chunks(n):  # fixed chunk order keeps the reduction deterministic
-        gram += z[a:b].T @ z[a:b]
-        rhs += z[a:b].T @ y[a:b]
-
-    # Gram eigenvalues give cond reliably up to ~1/sqrt(eps); past that
-    # fall back to an SVD of the standardized design itself.
-    def _cond(g, design):
-        ev = np.linalg.eigvalsh(g)
-        c = np.inf if ev[0] <= 0.0 else float(np.sqrt(ev[-1] / ev[0]))
-        if c > 1e7:
-            svals = np.linalg.svd(design, compute_uv=False)
-            c = np.inf if svals[-1] <= 0.0 else float(svals[0] / svals[-1])
-        return ev, c
-
+    gram = z @ np.swapaxes(z, -1, -2)
     eigs, cond = _cond(gram, z)
-    n_aliased = 0
-    if cond > COND_LIMIT and nk > 1:
+    n_aliased = np.zeros(n_nodes, dtype=int)
+    fold = np.flatnonzero((cond > COND_LIMIT) & (n_kept > 1))
+    if fold.size:
         # A state ensemble pinned to a lower-dimensional set (anchored
         # samples sitting exactly on a graph, say) collapses distinct basis
         # features onto one another.  Duplicate columns, and linear
         # coordinates that are functions of the primary features, carry no
         # extra conditioning information: keep the first of each aliased
-        # group, zero the rest, and refuse only designs that stay ambiguous
+        # group, drop the rest, and refuse only designs that stay ambiguous
         # after the fold.  Early in a backward window the state is driven by
         # fewer noise channels than it has coordinates, so the stable
         # coordinates sit on such a graph over the unstable ones.
-        norms = np.sqrt(np.clip(np.diag(gram)[1:], 1e-300, None))
-        corr = gram[1:, 1:] / np.outer(norms, norms)
-        on_graph = _on_primary_graph(z, keep, basis)
-        kept: list = []
-        for k in range(nk):
-            if not on_graph[k] and not any(abs(corr[k, j]) >= ALIAS_CORR for j in kept):
-                kept.append(k)
-        if len(kept) < nk:
-            n_aliased = nk - len(kept)
-            sel = np.concatenate(([0], 1 + np.asarray(kept)))
-            gram = gram[np.ix_(sel, sel)]
-            rhs = rhs[sel]
-            z = z[:, sel]
-            keep = keep[kept]
-            nk = len(kept)
-            eigs, cond = _cond(gram, z)
-    if cond > COND_LIMIT:
-        raise IllConditionedDesign(f"design condition number {cond:.3e} > {COND_LIMIT:.1e}")
+        g = gram[fold]
+        norms = np.sqrt(np.clip(np.diagonal(g, axis1=1, axis2=2), 1e-300, None))
+        aliases = np.abs(g / (norms[:, :, None] * norms[:, None, :])) >= ALIAS_CORR
+        candidate = keep[fold] & ~_on_primary_graph(z[fold], keep[fold], basis)
+        chosen = np.zeros_like(candidate)
+        for c in range(1, b_size):   # greedy in column order, over all folded nodes
+            chosen[:, c] = candidate[:, c] & ~np.any(aliases[:, c] & chosen, axis=1)
+        n_aliased[fold] = n_kept[fold] - chosen.sum(axis=1)
+        lost = n_aliased[fold] > 0
+        changed = fold[lost]
+        if changed.size:
+            dropped = np.zeros_like(keep)
+            dropped[changed] = keep[changed] & ~chosen[lost]
+            _drop(z, dropped)
+            keep[changed] = chosen[lost]
+            gram[changed] = z[changed] @ np.swapaxes(z[changed], -1, -2)
+            eigs[changed], cond[changed] = _cond(gram[changed], z[changed])
+    refused = np.flatnonzero(cond > COND_LIMIT)
+    if refused.size:
+        j = int(refused[0])
+        where = f"node {j} of {n_nodes}: " if stacked else ""
+        raise IllConditionedDesign(
+            f"{where}design condition number {cond[j]:.3e} > {COND_LIMIT:.1e}",
+            node=j if stacked else None, cond=float(cond[j]), limit=COND_LIMIT)
 
-    ridge = RIDGE_SCALE * float(np.trace(gram)) / (nk + 1)
-    gram_r = gram + ridge * np.eye(nk + 1)
+    n_kept = keep.sum(axis=1)
+    rhs = phi @ y
+    ridge = RIDGE_SCALE * np.trace(gram, axis1=1, axis2=2) / b_size
+    gram_r = gram + ridge[:, None, None] * np.eye(b_size)
     bcoef = np.linalg.solve(gram_r, rhs)
     gram_inv_std = np.linalg.inv(gram_r)
-    normal_resid = float(np.linalg.norm(gram_r @ bcoef - rhs) / max(1.0, np.linalg.norm(rhs)))
+    normal_resid = (np.linalg.norm(gram_r @ bcoef - rhs, axis=(1, 2))
+                    / np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2))))
 
     # map back to the raw basis: T takes standardized coefficients to
-    # centred-basis ones, raw_map those to raw ones
-    t_map = np.zeros((b_size, nk + 1))
-    t_map[0, 0] = 1.0
-    t_map[0, 1:] = -mean[keep] / sd[keep]
-    t_map[keep, 1:] += np.diag(1.0 / sd[keep])
+    # centred-basis ones (zero rows and columns for dropped columns),
+    # raw_map those to raw ones
+    inv_sd[~keep] = 0.0     # aliased columns
+    t_map = inv_sd[:, None, :] * np.eye(b_size)
+    t_map[:, 0, :] = -mean * inv_sd
+    t_map[:, 0, 0] = 1.0
     t_map = basis.raw_map(shift, scale) @ t_map
     coef = t_map @ bcoef
-    gram_inv = t_map @ gram_inv_std @ t_map.T
+    gram_inv = t_map @ gram_inv_std @ np.swapaxes(t_map, -1, -2)
 
-    fitted = z @ bcoef
-    resid = y - fitted
-    rss = np.einsum("nk,nk->k", resid, resid)
-    tss = np.einsum("nk,nk->k", y - y.mean(axis=0), y - y.mean(axis=0))
+    fitted = np.swapaxes(bcoef, -1, -2) @ phi             # (L, k, n)
+    y = np.swapaxes(y, -1, -2)     # (L, k, n), like fitted
+    rss = _sum_squares(y - fitted)
+    tss = _sum_squares(y - y.mean(axis=-1, keepdims=True))
     r2 = np.where(tss > 0, 1.0 - rss / np.where(tss > 0, tss, 1.0), 1.0)
-    dof = max(n - (nk + 1), 1)
-    est = CondexpEstimate(
-        fitted=fitted[:, 0] if squeeze else fitted,
-        coef=coef[:, 0] if squeeze else coef,
-        basis=basis, gram_inv=gram_inv, resid_var=rss / dof,
-        diagnostics={"n_samples": n, "basis_size": b_size, "cond": cond,
-                     "ridge": ridge, "r2": r2.tolist(),
-                     "rank": int(np.sum(eigs > eigs[-1] * 1e-28)),
-                     "n_folded": int(b_size - 1 - nk - n_aliased),
-                     "n_aliased": n_aliased,
-                     "normal_resid": normal_resid})
-    return est
+    dof = np.maximum(n - (n_kept + 1), 1)
+    diagnostics = {"cond": cond, "ridge": ridge, "r2": r2,
+                   # pads add eigenvalues n, all above the rank cut
+                   "rank": np.sum(eigs > eigs[:, -1:] * 1e-28, axis=1) - (b_size - 1 - n_kept),
+                   "n_folded": b_size - 1 - n_kept - n_aliased,
+                   "n_aliased": n_aliased,
+                   "normal_resid": normal_resid}
+    fitted = np.swapaxes(fitted, -1, -2)
+    if squeeze:
+        fitted, coef = fitted[..., 0], coef[..., 0]
+    resid_var = rss / dof[:, None]
+    if not stacked:
+        fitted, coef, gram_inv, resid_var = fitted[0], coef[0], gram_inv[0], resid_var[0]
+        diagnostics = {key: val[0].tolist() for key, val in diagnostics.items()}
+    return CondexpEstimate(
+        fitted=fitted, coef=coef, basis=basis, gram_inv=gram_inv, resid_var=resid_var,
+        diagnostics={"n_samples": n, "basis_size": b_size, **diagnostics})
 
 
 def condexp_anchor(x, state_at_t, basis: RegressionBasis,

@@ -75,7 +75,15 @@ class AdaptednessViolation(MsManifoldError):
 # -- regression -------------------------------------------------------------
 
 class IllConditionedDesign(MsManifoldError):
-    """Regression design condition number above threshold after ridge."""
+    """Regression design condition number above threshold; reports the
+    node (None for a single regression), the condition number and the
+    limit."""
+
+    def __init__(self, msg, node=None, cond=None, limit=None):
+        super().__init__(msg)
+        self.node = node
+        self.cond = cond
+        self.limit = limit
 
 
 class Underdetermined(MsManifoldError):

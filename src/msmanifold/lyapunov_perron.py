@@ -13,10 +13,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .condexp import (RegressionBasis, condexp_anchor, condexp_ito_zero,
-                      condexp_lsmc)
+from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc
 from .errors import (ConfigError, ConsistencyFailure, GapViolation,
-                     MaxIterExceeded, NonfiniteState, TruncationTooShort)
+                     IllConditionedDesign, MaxIterExceeded, NonfiniteState,
+                     TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_delta, gap_eta
 from .resolvent import linear_scan
 from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _node_ms,
@@ -197,25 +197,34 @@ def _block_len(n_samples: int) -> int:
 
 
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
-                     wiener, a: int, agg: dict) -> np.ndarray:
+                     wvals: Optional[np.ndarray], grid: TimeGrid, a: int,
+                     agg: dict) -> np.ndarray:
     """E[target_j|F_{t_j}] in place for the nodes j = a, a+1, ... of a
-    node-major block: target (L, n, k), state (L, n, m). Exact
-    short-circuits, tested as node masks: a deterministic target is its own
-    conditional expectation; a deterministic conditioning state reduces the
-    regression to the plain mean. The remaining nodes are regressed one by
-    one."""
+    node-major block: target (L, n, k), state (L, n, m), and wvals (L, n, d)
+    the Wiener values when the basis takes them. Exact short-circuits,
+    tested as node masks: a deterministic target is its own conditional
+    expectation; a deterministic conditioning state reduces the regression
+    to the plain mean. The remaining nodes are one stacked regression."""
     varies = ~np.all(target == target[:, :1], axis=(1, 2))
     mean_nodes = varies & np.all(state == state[:, :1], axis=(1, 2))
     if mean_nodes.any():
         agg["mean_fits"] = agg.get("mean_fits", 0) + int(mean_nodes.sum())
         target[mean_nodes] = target[mean_nodes].mean(axis=1, keepdims=True)
-    for i in np.flatnonzero(varies & ~mean_nodes):
-        est = condexp_lsmc(target[i], state[i], basis, _wiener_values_at(wiener, a + i, basis))
-        agg["n_regressions"] = agg.get("n_regressions", 0) + 1
-        agg["max_cond"] = max(agg.get("max_cond", 0.0), est.diagnostics["cond"])
-        r2 = est.diagnostics["r2"]
-        agg["min_r2"] = min(agg.get("min_r2", 1.0), min(r2) if r2 else 1.0)
-        target[i] = est.fitted
+    nodes = np.flatnonzero(varies & ~mean_nodes)
+    if nodes.size == 0:
+        return target
+    sel = slice(None) if nodes.size == len(target) else nodes   # a slice copies nothing
+    try:
+        est = condexp_lsmc(target[sel], state[sel], basis, None if wvals is None else wvals[sel])
+    except IllConditionedDesign as exc:
+        j = a + int(nodes[exc.node])
+        raise IllConditionedDesign(f"grid node {j} (t = {grid.times[j]:.6g}): {exc}",
+                                   node=j, cond=exc.cond, limit=exc.limit) from exc
+    diag = est.diagnostics
+    agg["n_regressions"] = agg.get("n_regressions", 0) + int(nodes.size)
+    agg["max_cond"] = max(agg.get("max_cond", 0.0), float(diag["cond"].max()))
+    agg["min_r2"] = min(agg.get("min_r2", 1.0), float(diag["r2"].min()))
+    target[sel] = est.fitted
     return target
 
 
@@ -323,10 +332,16 @@ def _driving_noise(p: SpectralProblem, wiener, grid: TimeGrid):
     return wiener
 
 
-def _wiener_values_at(wiener, node: int, basis: RegressionBasis):
+def _wiener_values(wiener, basis: RegressionBasis):
+    """W at the grid nodes, (n, N+1, d), when the basis takes Wiener values."""
     if wiener is None or not basis.include_wiener:
         return None
-    return wiener.value_at(node)
+    return wiener.values()
+
+
+def _nodes(wvals: Optional[np.ndarray], a: int, b: int) -> Optional[np.ndarray]:
+    """Node-major slice [a, b) of per-sample node values."""
+    return None if wvals is None else wvals[:, a:b].swapaxes(0, 1)
 
 
 def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
@@ -335,11 +350,12 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
                     gap: Optional[GapReport] = None) -> ProcessEnsemble:
     """One application of the backward map on the window [tau - T_back, tau].
 
-    Unstable block at t: condexp_anchor of the pulled-back anchor minus the
-    regression of the per-sample drift integral over [t, tau]; the Ito term
-    is zero (martingale) and its raw-mean diagnostic lands in meta. Stable
-    block at t: truncated convolution of the stable drift plus per-sample Ito
-    quadrature over [tau - T_back, t].
+    Unstable block at t: the regression of the pulled-back anchor minus the
+    per-sample drift integral over [t, tau] (one target, so each node
+    factorizes its design once); a deterministic anchor passes through
+    unregressed. The Ito term is zero (martingale) and its raw-mean
+    diagnostic lands in meta. Stable block at t: truncated convolution of
+    the stable drift plus per-sample Ito quadrature over [tau - T_back, t].
     """
     gap = _check_gap(p, cfg, "unstable", gap)
     grid = xi.grid
@@ -355,19 +371,18 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     dt, N = grid.dt, grid.n_steps
     pull = np.exp(np.outer((np.arange(N + 1) - N) * dt, p.eigenvalues[u_idx]))
     vals = xi.values
+    wvals = _wiener_values(wiener, basis)
     out = np.zeros((n, grid.n_nodes, m))
     agg: dict = {}
 
     for a, v, drift, ito_u in _unstable_integrals(p, vals, cols, dt, noise):
         hi = min(len(v), N - a)  # the anchor node N is set below
-        fit = _conditional_fit(drift[:hi], v[:hi], basis, wiener, a, agg)
-        if x_det:  # condexp_anchor short-circuit, inlined
-            out[:, a:a + hi, u_idx] = (xu * pull[a:a + hi, None] - fit).swapaxes(0, 1)
-            continue
-        for i in range(hi):
-            anchor_fit = condexp_anchor(xu * pull[a + i], v[i], basis,
-                                        _wiener_values_at(wiener, a + i, basis)).fitted
-            out[:, a + i, u_idx] = anchor_fit - fit[i]
+        pull_j = pull[a:a + hi, None]
+        target = drift[:hi] if x_det else xu * pull_j - drift[:hi]
+        fit = _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg)
+        if x_det:   # E[x|F_t] = x: only the drift integral was regressed
+            fit = xu * pull_j - fit
+        out[:, a:a + hi, u_idx] = fit.swapaxes(0, 1)
     # anchor node: the map returns x itself at tau (E[x|F_tau] = x)
     out[:, N, u_idx] = xu
     _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
@@ -519,6 +534,7 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     cols = solver_boundary_columns(p)
     dt, N = grid.dt, grid.n_steps
     vals = xi.values
+    wvals = _wiener_values(wiener, basis)
     out = np.zeros((n, grid.n_nodes, m))
     agg: dict = {}
 
@@ -529,7 +545,8 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     # reported truncation tail
     for a, v, drift, ito_u in _unstable_integrals(p, vals, cols, dt, noise):
         hi = min(len(v), N - a)
-        fit = _conditional_fit(drift[:hi], v[:hi], basis, wiener, a, agg)
+        fit = _conditional_fit(drift[:hi], v[:hi], basis, _nodes(wvals, a, a + hi),
+                               grid, a, agg)
         out[:, a:a + hi, u_idx] = -fit.swapaxes(0, 1)
 
     _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
@@ -608,7 +625,8 @@ def _unstable_drift_at_start(p: SpectralProblem, ens: ProcessEnsemble,
     for _, v, drift, _ in _unstable_integrals(p, ens.values, solver_boundary_columns(p),
                                               ens.grid.dt):
         pass
-    return -_conditional_fit(drift[:1], v[:1], basis, wiener, 0, agg)[0]
+    return -_conditional_fit(drift[:1], v[:1], basis,
+                             _nodes(_wiener_values(wiener, basis), 0, 1), ens.grid, 0, agg)[0]
 
 
 def stable_graph(p: SpectralProblem, x, cfg: LPConfig) -> ManifoldGraph:

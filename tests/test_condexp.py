@@ -314,3 +314,90 @@ def test_ito_zero_guards():
         condexp_ito_zero(np.ones(10), (0.0, 1.0), adapted=False)
     with pytest.raises(ConfigError):
         condexp_ito_zero(np.ones(10), (1.0, 0.0))
+
+
+# ------------------------------------------------------------ stacked nodes
+
+def mixed_stack(n=400, seed=30, k=2, include_wiener=False, kind="polynomial"):
+    """Five nodes of (u0, u1, s) ensembles whose designs take every path of
+    the solve: a plain node, a numerically constant coordinate (fold), a
+    linear coordinate on a graph over the primary ones (alias), a design
+    conditioned between the eigenvalue and the SVD routes' switch and the
+    refusal limit, and a duplicated primary coordinate (alias)."""
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal((5, n, 3))
+    state[1, :, 0] = 2.0 + 1e-14 * rng.standard_normal(n)
+    u = state[2, :, :2]
+    state[2, :, 2] = 0.3 * u[:, 0] - 0.2 * u[:, 1] + 0.1 * u[:, 0] * u[:, 1]
+    state[3, :, 2] = state[3, :, 0] + 1e-8 * rng.standard_normal(n)
+    state[4, :, 1] = state[4, :, 0]
+    x0, x1 = state[..., 0], state[..., 1]
+    target = np.stack([1.0 + x0 - x1 ** 2, np.sin(x0) * x1], axis=-1)[..., :k]
+    target = target + 0.1 * rng.standard_normal(target.shape)
+    wiener = rng.standard_normal((5, n, 2)) if include_wiener else None
+    basis = RegressionBasis(kind=kind, degree=2, primary_idx=(0, 1), linear_idx=(2,),
+                            include_wiener=include_wiener, n_wiener=2 if include_wiener else 0)
+    return target, state, wiener, basis
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
+@pytest.mark.parametrize("include_wiener", [False, True])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_nodes_equal_one_node_calls(kind, include_wiener, k):
+    target, state, wiener, basis = mixed_stack(k=k, include_wiener=include_wiener, kind=kind)
+    stacked = condexp_lsmc(target, state, basis, wiener)
+    d = stacked.diagnostics
+    assert d["n_folded"].tolist() == [0, 2, 0, 0, 0]     # u0 and u0^2
+    assert d["n_aliased"].tolist() == [0, 1, 1, 0, 3]    # u0*u1 ~ u1; s; u1, u0*u1, u1^2
+    assert 1e7 < d["cond"][3] <= 1e12
+    for j in range(5):
+        one = condexp_lsmc(target[j], state[j], basis, None if wiener is None else wiener[j])
+        scale = np.max(np.abs(one.fitted))
+        assert np.max(np.abs(stacked.fitted[j] - one.fitted)) <= 1e-12 * scale
+        assert stacked.diagnostics["cond"][j] == pytest.approx(one.diagnostics["cond"], rel=1e-9)
+        for key in ("n_folded", "n_aliased", "rank"):
+            assert stacked.diagnostics[key][j] == one.diagnostics[key], (j, key)
+        assert np.allclose(stacked.coef[j], one.coef, rtol=1e-9, atol=1e-12)
+        assert np.allclose(stacked.diagnostics["r2"][j], one.diagnostics["r2"], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_fit_matches_naive_least_squares(kind, k):
+    rng = np.random.default_rng(32)
+    state = rng.standard_normal((4, 500, 3)) * [0.5, 2.0, 1.0] + [0.3, -1.0, 0.0]
+    x0, x1, s = state[..., 0], state[..., 1], state[..., 2]
+    target = np.stack([np.exp(0.3 * x0) * x1 + s, x0 * s], axis=-1)[..., :k]
+    target = target + 0.05 * rng.standard_normal(target.shape)
+    basis = RegressionBasis(kind=kind, degree=2, primary_idx=(0, 1), linear_idx=(2,))
+    est = condexp_lsmc(target, state, basis)
+    assert est.fitted.shape == target.shape
+    for j in range(4):
+        design = basis.design(state[j])
+        naive = design @ np.linalg.lstsq(design, target[j], rcond=None)[0]
+        assert np.linalg.norm(est.fitted[j] - naive) <= 1e-9 * np.linalg.norm(naive)
+        assert np.linalg.norm(design @ est.coef[j] - naive) <= 1e-9 * np.linalg.norm(naive)
+
+
+def test_stacked_one_column_target_squeezes_like_a_single_call():
+    target, state, _, basis = mixed_stack(k=1)
+    est = condexp_lsmc(target[..., 0], state, basis)
+    assert est.fitted.shape == target.shape[:2]
+    assert est.coef.shape == (5, basis.size)
+    assert est.coef_se().shape == est.coef.shape
+    assert est.diagnostics["r2"].shape == (5, 1)
+
+
+def test_stacked_refusal_names_the_node():
+    target, state, _, basis = mixed_stack()
+    state[2, :, 2] = state[2, :, 0] + state[2, :, 1]
+    basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))   # three-way collinear at node 2
+    with pytest.raises(IllConditionedDesign) as info:
+        condexp_lsmc(target, state, basis)
+    exc = info.value
+    assert exc.node == 2
+    assert exc.cond > exc.limit == 1e12
+    assert "node 2 of 5" in str(exc) and "1.0e+12" in str(exc)
+    with pytest.raises(IllConditionedDesign) as single:
+        condexp_lsmc(target[2], state[2], basis)
+    assert single.value.node is None and single.value.cond > 1e12

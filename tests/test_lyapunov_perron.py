@@ -7,6 +7,7 @@ import pytest
 from msmanifold.errors import (
     ConfigError,
     GapViolation,
+    IllConditionedDesign,
     MaxIterExceeded,
     TruncationTooShort,
 )
@@ -14,9 +15,12 @@ import msmanifold.lyapunov_perron as lp
 from msmanifold import (
     LPConfig,
     ProcessEnsemble,
+    RegressionBasis,
     TimeGrid,
     build_problem,
     callable_nonlinearity,
+    condexp_anchor,
+    condexp_lsmc,
     diagonal_linear_noise,
     invariance_residual,
     linear_manifold_oracle,
@@ -254,7 +258,6 @@ def test_maps_evaluate_drift_once_per_time_block(monkeypatch):
 
     # deterministic state, target and anchor: the masks fill whole blocks
     monkeypatch.setattr(lp, "condexp_lsmc", no_regression)
-    monkeypatch.setattr(lp, "condexp_anchor", no_regression)
     same = np.broadcast_to(vals[:1], vals.shape)
     lp_backward_map(p, ProcessEnsemble(TimeGrid(-6.0, 1e-2, 600), same), [0.3], cfg)
     assert len(calls) <= 4, len(calls)
@@ -281,6 +284,92 @@ def test_maps_do_not_depend_on_the_block_length(monkeypatch, side):
     monkeypatch.setattr(lp, "_BLOCK_ROWS", 10 * n)   # the last block holds one node
     blocked = step(p, xi, [0.3], cfg, wiener).values
     assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def two_way_noisy():
+    B = np.array([[0.0, 0.05], [0.05, 0.0]])
+    return build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
+                         zeta=-0.5, nonlinearity=linear_nonlinearity(B),
+                         noise=diagonal_linear_noise([0.1, 0.1]))
+
+
+@pytest.mark.parametrize("include_wiener", [False, True])
+def test_random_anchor_is_one_regression_per_time_block(monkeypatch, include_wiener):
+    # E[x pull - drift | F_t] = E[x pull | F_t] - E[drift | F_t]: one target,
+    # one stacked regression per block, the same map as two regressions
+    p = two_way_noisy()
+    n, N = 64, 100
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, dt=1e-2, n_samples=n, include_wiener=include_wiener)
+    grid = TimeGrid(-1.0, 1e-2, N)
+    wiener = sample_wiener(3, grid, p.noise, n)
+    rng = np.random.default_rng(5)
+    xi = ProcessEnsemble(grid, 0.1 + 0.05 * rng.standard_normal((n, N + 1, 2)))
+    x = 0.3 + 0.1 * rng.standard_normal((n, 1))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return condexp_lsmc(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "condexp_lsmc", counting)
+    monkeypatch.setattr(lp, "_BLOCK_ROWS", 10 * n)   # 10-node blocks, node N alone in the last
+    out = lp_backward_map(p, xi, x, cfg, wiener).values[:, :N, 0]
+    assert len(calls) == 10 and all(c[0] == 10 for c in calls)
+
+    basis = cfg.basis_for(p)
+    pull = np.exp((np.arange(N + 1) - N) * 1e-2 * p.eigenvalues[0])
+    ref = np.zeros_like(out)
+    for a, v, drift, _ in lp._unstable_integrals(p, xi.values, lp.solver_boundary_columns(p),
+                                                 1e-2, wiener):
+        for i in range(min(len(v), N - a)):
+            w = wiener.value_at(a + i) if include_wiener else None
+            ref[:, a + i] = (condexp_anchor(x * pull[a + i], v[i], basis, w).fitted
+                             - condexp_lsmc(drift[i], v[i], basis, w).fitted)[:, 0]
+    assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_stacked_wiener_values_equal_value_at():
+    p = two_way_noisy()
+    wiener = sample_wiener(4, TimeGrid(-0.5, 1e-2, 100), p.noise, 16)
+    basis = RegressionBasis(primary_idx=(0,), include_wiener=True, n_wiener=2)
+    block = lp._nodes(lp._wiener_values(wiener, basis), 45, 55)   # straddles W(0) = 0
+    assert block.shape == (10, 16, 2)
+    for i in range(10):
+        assert np.allclose(block[i], wiener.value_at(45 + i), rtol=0.0, atol=1e-15)
+
+
+def test_conditional_fit_refusal_names_grid_node_and_time():
+    rng = np.random.default_rng(7)
+    state = rng.standard_normal((4, 200, 3))
+    state[2, :, 2] = state[2, :, 0] + state[2, :, 1]
+    target = rng.standard_normal((4, 200, 1))
+    basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))
+    with pytest.raises(IllConditionedDesign) as info:
+        lp._conditional_fit(target, state, basis, None, TimeGrid(-1.0, 1e-2, 100), 5, {})
+    assert info.value.node == 7
+    assert info.value.cond > info.value.limit
+    assert "grid node 7 (t = -0.93)" in str(info.value)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_maps_are_identical_across_worker_counts(monkeypatch, side):
+    # 3000 samples: three sample chunks for the Wiener draw; regressions
+    # use no threads
+    p = two_way_noisy()
+    n = 3000
+    cfg = LPConfig(c_zeta=1.0, t_back=0.2, t_fwd=0.2, dt=1e-2, n_samples=n)
+    grid = TimeGrid(-0.2 if side == "unstable" else 0.0, 1e-2, 20)
+    rng = np.random.default_rng(9)
+    xi = ProcessEnsemble(grid, 0.1 + 0.05 * rng.standard_normal((n, 21, 2)))
+    x = 0.3 + 0.1 * rng.standard_normal((n, 1))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MSMANIFOLD_WORKERS", workers)
+        wiener = sample_wiener(6, grid, p.noise, n)
+        runs.append(step(p, xi, x, cfg, wiener))
+    assert np.array_equal(runs[0].values, runs[1].values)
+    assert runs[0].meta["regression"]["n_regressions"] > 0
 
 
 # ---------------------------------------------------- gates and certificates
