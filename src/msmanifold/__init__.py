@@ -21,8 +21,8 @@ from .oracles import (OracleResult, RefinementStudy, deterministic_lp_oracle,
                       linear_manifold_oracle, moment_oracle, refinement_study)
 from .problem import (GapReport, NoiseModel, NonlinearityModel, SpectralProblem,
                       build_problem, callable_nonlinearity,
-                      diagonal_linear_noise, gap_delta, gap_eta, gap_stable,
-                      gap_unstable, linear_nonlinearity, project,
+                      diagonal_linear_noise, gap_delta, gap_eta, gap_report,
+                      linear_nonlinearity, project,
                       saturated_noise, saturated_polynomial_nonlinearity,
                       semigroup_apply, zero_noise, zero_nonlinearity)
 from .resolvent import (BoundaryTriple, DEFAULT_LADDER, HilleYosidaData,
@@ -40,8 +40,8 @@ __all__ = [
     "errors",
     # problem
     "SpectralProblem", "NonlinearityModel", "NoiseModel", "GapReport",
-    "build_problem", "semigroup_apply", "project", "gap_unstable",
-    "gap_stable", "gap_eta", "gap_delta", "zero_nonlinearity",
+    "build_problem", "semigroup_apply", "project", "gap_report",
+    "gap_eta", "gap_delta", "zero_nonlinearity",
     "linear_nonlinearity", "saturated_polynomial_nonlinearity",
     "callable_nonlinearity", "zero_noise", "diagonal_linear_noise",
     "saturated_noise",

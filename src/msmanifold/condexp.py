@@ -377,7 +377,8 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     dof = np.maximum(n - (n_kept + 1), 1)
     diagnostics = {"cond": cond, "ridge": ridge, "r2": r2,
                    # pads add eigenvalues n, all above the rank cut
-                   "rank": np.sum(eigs > eigs[:, -1:] * 1e-28, axis=1) - (b_size - 1 - n_kept),
+                   "rank": (np.sum(eigs > eigs[:, -1:] * (b_size * np.finfo(float).eps), axis=1)
+                            - (b_size - 1 - n_kept)),
                    "n_folded": b_size - 1 - n_kept - n_aliased,
                    "n_aliased": n_aliased,
                    "normal_resid": normal_resid}

@@ -43,8 +43,7 @@ _PROBLEM_KEYS = {"kind", "eigenvalues", "unstable_modes", "rates",
                  "nonlinearity", "noise", "boundary"}
 _RUN_KEYS = {"side", "anchor", "tau", "t_back", "t_fwd", "dt", "n_samples",
              "seed", "tol", "max_iter", "c_zeta", "gamma", "zeta",
-             "basis_degree", "basis_kind", "include_wiener",
-             "check_residual", "slack", "t0"}
+             "basis_degree", "basis_kind", "include_wiener", "slack", "t0"}
 
 _RUN_DEFAULTS = {
     "side": "unstable",
@@ -62,7 +61,6 @@ _RUN_DEFAULTS = {
     "basis_degree": 2,
     "basis_kind": "polynomial",
     "include_wiener": False,
-    "check_residual": True,
     "slack": 0.25,
     "t0": 1.0,
 }
@@ -372,9 +370,7 @@ def lp_config_from_run(run: dict, force: bool = False):
         seed=run["seed"], tol=run["tol"], max_iter=run["max_iter"],
         gamma=run["gamma"], zeta=run["zeta"], c_zeta_source="config",
         basis_degree=run["basis_degree"], basis_kind=run["basis_kind"],
-        include_wiener=run["include_wiener"],
-        check_residual=run["check_residual"], force=force,
-        slack=run["slack"])
+        include_wiener=run["include_wiener"], force=force, slack=run["slack"])
 
 
 def anchor_from_run(run: dict, p: SpectralProblem) -> np.ndarray:

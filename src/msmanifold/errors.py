@@ -109,7 +109,13 @@ class MaxIterExceeded(MsManifoldError):
 
 
 class ConsistencyFailure(MsManifoldError):
-    """Dual evaluations of the graph value disagree beyond 2*tol."""
+    """The residual map moves the graph value at the anchor node by more
+    than 2*tol; reports that gap and its limit."""
+
+    def __init__(self, msg, gap=None, limit=None):
+        super().__init__(msg)
+        self.gap = gap
+        self.limit = limit
 
 
 # -- oracles ----------------------------------------------------------------

@@ -17,10 +17,10 @@ from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc
 from .errors import (ConfigError, ConsistencyFailure, GapViolation,
                      IllConditionedDesign, MaxIterExceeded, NonfiniteState,
                      TruncationTooShort)
-from .problem import GapReport, SpectralProblem, gap_delta, gap_eta
-from .resolvent import linear_scan
+from .problem import GapReport, SpectralProblem, gap_report
+from .resolvent import forcing_modes, linear_scan
 from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _node_ms,
-                         forcing_modes, integrate_mild, ms_norm, sample_wiener,
+                         integrate_mild, ms_norm, sample_wiener,
                          solver_boundary_columns)
 
 DEFAULT_SLACK = 0.25
@@ -44,7 +44,6 @@ class LPConfig:
     basis_degree: int = 2
     basis_kind: str = "polynomial"
     include_wiener: bool = False
-    check_residual: bool = True
     force: bool = False
     slack: float = DEFAULT_SLACK
 
@@ -89,6 +88,7 @@ class FixedPointTrace:
     tail_bound: float = 0.0
     gap: Optional[GapReport] = None
     regression: dict = field(default_factory=dict)
+    consistency_gap: Optional[float] = None   # reported by ManifoldGraph, so not in as_dict
 
     def as_dict(self) -> dict:
         return {"distances": [float(d) for d in self.distances],
@@ -110,7 +110,8 @@ class ManifoldGraph:
     value_idx: np.ndarray
     process: ProcessEnsemble
     trace: FixedPointTrace
-    consistency_gap: float
+    consistency_gap: float         # ms-norm of the residual map's move of h_value,
+                                   # at most trace.residual
 
     @property
     def n_samples(self) -> int:
@@ -136,16 +137,7 @@ class LipschitzCertificate:
 
 
 def gap_report_for(p: SpectralProblem, cfg: LPConfig) -> GapReport:
-    gamma, _ = cfg.rates(p)
-    ag = p.alpha - gamma
-    L1, L2 = p.nonlinearity.lipschitz_L1, p.noise.lipschitz_L2
-    eta = gap_eta(p.bound_K, L1, L2, ag, cfg.c_zeta)
-    delta = gap_delta(p.bound_K, L1, L2, ag, cfg.c_zeta)
-    return GapReport(eta=eta, delta=delta, c_zeta=cfg.c_zeta,
-                     c_zeta_source=cfg.c_zeta_source,
-                     pass_unstable=eta < 1.0, pass_stable=delta < 1.0,
-                     terms={"K": p.bound_K, "L1": L1, "L2": L2,
-                            "alpha_minus_gamma": ag})
+    return gap_report(p, cfg.c_zeta, cfg.c_zeta_source, gamma=cfg.rates(p)[0])
 
 
 def _block_indices(p: SpectralProblem) -> tuple:
@@ -242,7 +234,7 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, idx, cols, dt: float,
         v = np.ascontiguousarray(vals[:, a:a + length].swapaxes(0, 1))
         L = len(v)
         flat = v.reshape(L * n, m)
-        half = 0.5 * dt * forcing_modes(p.nonlinearity.fn(flat), cols, m)[:, idx]
+        half = 0.5 * dt * forcing_modes(p.nonlinearity.fn(flat), cols)[:, idx]
         half = half.reshape(L, n, len(idx))
         ito = np.zeros_like(half)
         if wiener is not None:
@@ -429,6 +421,15 @@ def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
     return float(tail)
 
 
+def _certify(trace: FixedPointTrace, cur: ProcessEnsemble, again: ProcessEnsemble,
+             node: int, idx: np.ndarray, tau: float, rate: float) -> None:
+    """Both certificates from one residual map ``again`` of the fixed point
+    ``cur``: the weighted residual over the window, and the consistency gap,
+    the ms-norm of the value block idx at the anchor node."""
+    trace.residual = _weighted_gap(cur.values, again.values, cur.grid.times, tau, rate)
+    trace.consistency_gap = ms_norm(cur.values[:, node, idx] - again.values[:, node, idx])
+
+
 def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
     """Iterate the backward map to its fixed point. Returns (ensemble, trace)."""
     cfg.validate(p)
@@ -439,7 +440,7 @@ def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
         raise ConfigError(f"t_back {cfg.t_back} is not a multiple (>= 2) of dt {cfg.dt}")
     grid = TimeGrid(cfg.tau - N * cfg.dt, cfg.dt, N)
     m = p.n_modes
-    u_idx, _ = _block_indices(p)
+    u_idx, s_idx = _block_indices(p)
     xarr = np.asarray(x, dtype=float)
     n = xarr.shape[0] if xarr.ndim == 2 else cfg.n_samples
     xu, _ = _normalize_anchor(x, u_idx, m, n)
@@ -473,41 +474,34 @@ def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
         raise MaxIterExceeded(
             f"no fixed point within {cfg.max_iter} iterations (last distance {trace.distances[-1]:.3e})",
             trace=trace)
-    if cfg.check_residual:
-        again = lp_backward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
-        trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, gamma)
+    again = lp_backward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
+    _certify(trace, cur, again, N, s_idx, cfg.tau, gamma)
     return cur, trace
 
 
-def _stable_integrals_at_end(p: SpectralProblem, ens: ProcessEnsemble,
-                             wiener: Optional[WienerEnsemble]) -> np.ndarray:
-    """Fresh evaluation of the truncated stable convolution + Ito integral at
-    the window end, straight from the given process (dual-route check)."""
-    for _, y in _stable_integrals(p, ens.values, solver_boundary_columns(p),
-                                  ens.grid.dt, wiener):
-        pass
-    return y[-1]
+def _graph(side: str, ens: ProcessEnsemble, trace: FixedPointTrace, tau: float,
+           node: int, anchor_idx: np.ndarray, value_idx: np.ndarray) -> ManifoldGraph:
+    """The graph at the anchor node of a certified fixed point; refused when
+    the residual map moves its value by more than 2*tol."""
+    limit = 2.0 * trace.tol
+    if trace.consistency_gap > limit:
+        raise ConsistencyFailure(
+            f"{side} graph at tau = {tau:.6g}: the residual map moves the value block "
+            f"at anchor node {node} by {trace.consistency_gap:.3e} > 2*tol = {limit:.3e}",
+            gap=trace.consistency_gap, limit=limit)
+    return ManifoldGraph(side=side, tau=tau, anchor=np.array(ens.values[:, node, anchor_idx]),
+                         h_value=np.array(ens.values[:, node, value_idx]),
+                         anchor_idx=anchor_idx, value_idx=value_idx, process=ens,
+                         trace=trace, consistency_gap=trace.consistency_gap)
 
 
 def unstable_graph(p: SpectralProblem, x, cfg: LPConfig) -> ManifoldGraph:
-    """h(x, tau) = stable block of the fixed point at tau, with a dual-route
-    consistency check against the directly recomputed stable integrals."""
+    """h(x, tau) = stable block of the fixed point at tau. Its consistency
+    gap is the stable block of the residual map at tau, measured against
+    h(x, tau); it is bounded by trace.residual."""
     ens, trace = lp_backward_solve(p, x, cfg)
     u_idx, s_idx = _block_indices(p)
-    N = ens.grid.n_steps
-    anchor = np.array(ens.values[:, N, u_idx])
-    h_val = np.array(ens.values[:, N, s_idx])
-    wiener = None
-    if not p.noise.is_zero:
-        wiener = sample_wiener(cfg.seed, ens.grid, p.noise, ens.n_samples)
-    other = _stable_integrals_at_end(p, ens, wiener)
-    gap_val = ms_norm(h_val - other) if len(s_idx) else 0.0
-    if gap_val > 2.0 * cfg.tol:
-        raise ConsistencyFailure(
-            f"graph value disagrees between routes: {gap_val:.3e} > 2*tol")
-    return ManifoldGraph(side="unstable", tau=cfg.tau, anchor=anchor,
-                         h_value=h_val, anchor_idx=u_idx, value_idx=s_idx,
-                         process=ens, trace=trace, consistency_gap=float(gap_val))
+    return _graph("unstable", ens, trace, cfg.tau, ens.grid.n_steps, u_idx, s_idx)
 
 
 def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
@@ -577,7 +571,7 @@ def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
         raise ConfigError(f"t_fwd {cfg.t_fwd} is not a multiple (>= 2) of dt {cfg.dt}")
     grid = TimeGrid(cfg.tau, cfg.dt, N)
     m = p.n_modes
-    _, s_idx = _block_indices(p)
+    u_idx, s_idx = _block_indices(p)
     xarr = np.asarray(x, dtype=float)
     n = xarr.shape[0] if xarr.ndim == 2 else cfg.n_samples
     xs, _ = _normalize_anchor(x, s_idx, m, n)
@@ -613,43 +607,23 @@ def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
     trace.ito_check = cur.meta.get("ito_check", {})
     if not trace.regression:
         trace.regression = cur.meta.get("regression", {})
-    if membership and cfg.check_residual:
+    if membership:
         again = lp_forward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
-        trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, gamma)
+        _certify(trace, cur, again, 0, u_idx, cfg.tau, gamma)
     return cur, trace, membership
-
-
-def _unstable_drift_at_start(p: SpectralProblem, ens: ProcessEnsemble,
-                             basis: RegressionBasis, wiener, agg: dict) -> np.ndarray:
-    """Fresh regression of the forward drift integral at tau (dual route)."""
-    for _, v, drift, _ in _unstable_integrals(p, ens.values, solver_boundary_columns(p),
-                                              ens.grid.dt):
-        pass
-    return -_conditional_fit(drift[:1], v[:1], basis,
-                             _nodes(_wiener_values(wiener, basis), 0, 1), ens.grid, 0, agg)[0]
 
 
 def stable_graph(p: SpectralProblem, x, cfg: LPConfig) -> ManifoldGraph:
     """h(x, tau) = unstable block of the forward fixed point at tau; raises
-    when the anchor is not certified as a member of the stable set."""
+    when the anchor is not certified as a member of the stable set. Its
+    consistency gap is the unstable block of the residual map at tau,
+    measured against h(x, tau); it is bounded by trace.residual."""
     ens, trace, membership = lp_forward_solve(p, x, cfg)
     if not membership:
         raise MaxIterExceeded("anchor is not in the stable set (no converged fixed point)",
                               trace=trace)
     u_idx, s_idx = _block_indices(p)
-    anchor = np.array(ens.values[:, 0, s_idx])
-    h_val = np.array(ens.values[:, 0, u_idx])
-    wiener = None
-    if not p.noise.is_zero:
-        wiener = sample_wiener(cfg.seed, ens.grid, p.noise, ens.n_samples)
-    other = _unstable_drift_at_start(p, ens, cfg.basis_for(p), wiener, {})
-    gap_val = ms_norm(h_val - other) if len(u_idx) else 0.0
-    if gap_val > 2.0 * cfg.tol:
-        raise ConsistencyFailure(
-            f"graph value disagrees between routes: {gap_val:.3e} > 2*tol")
-    return ManifoldGraph(side="stable", tau=cfg.tau, anchor=anchor,
-                         h_value=h_val, anchor_idx=s_idx, value_idx=u_idx,
-                         process=ens, trace=trace, consistency_gap=float(gap_val))
+    return _graph("stable", ens, trace, cfg.tau, 0, s_idx, u_idx)
 
 
 def _graph_for_side(p, x, cfg, side: str) -> ManifoldGraph:

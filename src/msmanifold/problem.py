@@ -36,8 +36,7 @@ __all__ = [
     "build_problem",
     "semigroup_apply",
     "project",
-    "gap_unstable",
-    "gap_stable",
+    "gap_report",
     "gap_eta",
     "gap_delta",
     "zero_nonlinearity",
@@ -362,14 +361,17 @@ def gap_delta(K: float, L1: float, L2: float, alpha_minus_gamma: float,
                 + L1 * c_zeta + L2 * c_zeta)
 
 
-def _gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str) -> GapReport:
+def gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str = "user",
+               gamma: Optional[float] = None) -> GapReport:
+    """Contraction constants of the backward (eta) and forward (delta)
+    Lyapunov-Perron maps at the rate gamma (the problem's own by default)."""
     c_zeta = float(c_zeta)
     if c_zeta <= 0:
         raise ConfigError("C_zeta must be positive")
     K = p.bound_K
     L1 = p.nonlinearity.lipschitz_L1
     L2 = p.noise.lipschitz_L2
-    ag = p.alpha - p.gamma
+    ag = p.alpha - (p.gamma if gamma is None else gamma)
     eta = gap_eta(K, L1, L2, ag, c_zeta)
     delta = gap_delta(K, L1, L2, ag, c_zeta)
     terms = {
@@ -383,15 +385,3 @@ def _gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str) -> GapRep
                      c_zeta_source=c_zeta_source,
                      pass_unstable=bool(eta < 1.0), pass_stable=bool(delta < 1.0),
                      terms=terms)
-
-
-def gap_unstable(p: SpectralProblem, c_zeta: float,
-                 c_zeta_source: str = "user") -> GapReport:
-    """Contraction constant of the backward Lyapunov-Perron map."""
-    return _gap_report(p, c_zeta, c_zeta_source)
-
-
-def gap_stable(p: SpectralProblem, c_zeta: float,
-               c_zeta_source: str = "user") -> GapReport:
-    """Contraction constant of the forward Lyapunov-Perron map."""
-    return _gap_report(p, c_zeta, c_zeta_source)

@@ -39,6 +39,7 @@ __all__ = [
     "convolve_diamond",
     "c_kappa",
     "estimate_delta",
+    "forcing_modes",
     "forcing_to_modes",
     "cosine_basis_matrix",
     "boundary_columns",
@@ -324,6 +325,20 @@ def extend_projection(p: SpectralProblem, g, side: str = "u",
     return _ladder_limit(rungs, rtol)
 
 
+def forcing_modes(value, cols) -> np.ndarray:
+    """Forcing values in modes: a boundary triple maps to f + a cols[:, 0] +
+    b cols[:, 1], given the regularizer's boundary columns cols (m, 2);
+    mode-local values pass through."""
+    if isinstance(value, BoundaryTriple):
+        if cols is None:
+            raise ConfigError("boundary-valued forcing needs a boundary regularizer")
+        out = np.array(value.f, dtype=float, copy=True)
+        out += np.multiply.outer(np.asarray(value.a, dtype=float), cols[:, 0])
+        out += np.multiply.outer(np.asarray(value.b, dtype=float), cols[:, 1])
+        return out
+    return np.asarray(value, dtype=float)
+
+
 def forcing_to_modes(p: SpectralProblem, value, ladder: Sequence[float] = DEFAULT_LADDER,
                      rtol: float = 1e-6) -> np.ndarray:
     """Map a forcing evaluation into X0 modes in the lambda -> infinity limit.
@@ -332,17 +347,11 @@ def forcing_to_modes(p: SpectralProblem, value, ladder: Sequence[float] = DEFAUL
     scaling is the identity on X0). Boundary triples use the problem's
     prebuilt extrapolated regularizer when available, else the ladder.
     """
-    if not isinstance(value, BoundaryTriple):
-        return np.asarray(value)
-    if p.boundary_regularizer is not None:
-        cols = p.boundary_regularizer
-        out = np.asarray(value.f, dtype=float).copy()
-        out += np.multiply.outer(np.asarray(value.a), cols[:, 0])
-        out += np.multiply.outer(np.asarray(value.b), cols[:, 1])
-        return out
-    rungs = [(lam, lambda_regularize(p, lam, value)) for lam in ladder]
-    limit, _ = _ladder_limit(rungs, rtol)
-    return limit
+    if isinstance(value, BoundaryTriple) and p.boundary_regularizer is None:
+        rungs = [(lam, lambda_regularize(p, lam, value)) for lam in ladder]
+        limit, _ = _ladder_limit(rungs, rtol)
+        return limit
+    return forcing_modes(value, p.boundary_regularizer)
 
 
 # Elements per node from which a node-by-node sweep beats doubling passes.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatch, NonfiniteState
 from .problem import NoiseModel, SpectralProblem
-from .resolvent import DEFAULT_LADDER, BoundaryTriple
+from .resolvent import DEFAULT_LADDER, forcing_modes
 
 _CHUNK = 1024          # samples per work unit, fixed so results ignore worker count
 _BLOCK = 1024          # lattice steps per RNG block
@@ -238,17 +238,6 @@ def solver_boundary_columns(p: SpectralProblem):
     return None
 
 
-def forcing_modes(value, cols, m: int) -> np.ndarray:
-    if isinstance(value, BoundaryTriple):
-        if cols is None:
-            raise ConfigError("boundary-valued forcing needs a boundary regularizer")
-        out = np.array(value.f, dtype=float, copy=True)
-        out += np.multiply.outer(np.asarray(value.a, dtype=float), cols[:, 0])
-        out += np.multiply.outer(np.asarray(value.b, dtype=float), cols[:, 1])
-        return out
-    return np.asarray(value, dtype=float)
-
-
 def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
                    wiener: Optional[WienerEnsemble] = None,
                    overflow_limit: float = 1e12) -> ProcessEnsemble:
@@ -285,7 +274,7 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
     def run(a, b):
         u = np.array(out[a:b, 0, :])
         for j in range(grid.n_steps):
-            step = u + dt * forcing_modes(p.nonlinearity.fn(u), cols, m)
+            step = u + dt * forcing_modes(p.nonlinearity.fn(u), cols)
             if use_noise:
                 step += p.noise.diffusion(u) * wiener.increments[a:b, j, :]
             u = lam_exp * step

@@ -359,6 +359,10 @@ def test_stacked_nodes_equal_one_node_calls(kind, include_wiener, k):
             assert stacked.diagnostics[key][j] == one.diagnostics[key], (j, key)
         assert np.allclose(stacked.coef[j], one.coef, rtol=1e-9, atol=1e-12)
         assert np.allclose(stacked.diagnostics["r2"][j], one.diagnostics["r2"], rtol=1e-12)
+    # the two basis kinds span the same space, so they see the same rank
+    other = "tensor-hermite" if kind == "polynomial" else "polynomial"
+    target, state, wiener, basis = mixed_stack(k=k, include_wiener=include_wiener, kind=other)
+    assert d["rank"].tolist() == condexp_lsmc(target, state, basis, wiener).diagnostics["rank"].tolist()
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])

@@ -76,6 +76,13 @@ def test_validate_rejects_unknown_keys_everywhere():
         validate_config(cfg)
 
 
+def test_validate_refuses_the_retired_check_residual_key():
+    # the residual map always runs: both certificates come from it
+    for value in (True, False):
+        with pytest.raises(ConfigError, match="check_residual"):
+            validate_config(minimal_cfg(run={"c_zeta": 1.0, "check_residual": value}))
+
+
 def test_validate_rejects_wrong_schema_and_shapes():
     cfg = minimal_cfg()
     cfg["schema"] = "msmanifold/0"

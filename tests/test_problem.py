@@ -18,8 +18,7 @@ from msmanifold import (
     diagonal_linear_noise,
     gap_delta,
     gap_eta,
-    gap_stable,
-    gap_unstable,
+    gap_report,
     linear_nonlinearity,
     project,
     saturated_polynomial_nonlinearity,
@@ -176,11 +175,11 @@ def test_gap_reports_from_problem_constants():
     b = np.array([[0.0, 0.01], [0.01, 0.0]])
     p = minimal_problem(nonlinearity=linear_nonlinearity(b),
                         noise=diagonal_linear_noise([0.01, 0.01]))
-    rep = gap_unstable(p, 0.5)
+    rep = gap_report(p, 0.5)
     assert rep.eta == pytest.approx(0.02, abs=1e-14)
     assert rep.pass_unstable and rep.eta < 1.0
     assert rep.c_zeta == 0.5
-    rep2 = gap_stable(p, 0.5)
+    rep2 = gap_report(p, 0.5)
     assert rep2.delta == pytest.approx(0.02 + 0.01 / math.sqrt(2.0), abs=1e-14)
     assert rep2.pass_stable
     d = rep2.as_dict()
@@ -191,10 +190,10 @@ def test_gap_fail_flags_track_threshold():
     heavy = linear_nonlinearity(np.array([[0.0, 1.0], [1.0, 0.0]]))
     noisy = diagonal_linear_noise([1.0, 1.0])
     p = minimal_problem(nonlinearity=heavy, noise=noisy, bound_K=2.0)
-    rep = gap_unstable(p, 1.0)
+    rep = gap_report(p, 1.0)
     assert rep.eta == pytest.approx(6.0, abs=1e-12)
     assert not rep.pass_unstable
-    assert not gap_stable(p, 1.0).pass_stable
+    assert not gap_report(p, 1.0).pass_stable
 
 
 def test_gap_eta_monotonicity():
