@@ -31,7 +31,7 @@ from .resolvent import (BoundaryTriple, DEFAULT_LADDER, HilleYosidaData,
                         lambda_regularize, resolvent_boundary, richardson_pair)
 from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble,
                          export_ensemble_binary, export_ensemble_csv,
-                         integrate_mild, ms_norm, n_workers,
+                         integrate_mild, ms_norm,
                          read_ensemble_binary, resample_future, sample_wiener,
                          weighted_norm)
 
@@ -54,7 +54,6 @@ __all__ = [
     "TimeGrid", "WienerEnsemble", "ProcessEnsemble", "sample_wiener",
     "resample_future", "integrate_mild", "ms_norm", "weighted_norm",
     "export_ensemble_csv", "export_ensemble_binary", "read_ensemble_binary",
-    "n_workers",
     # condexp
     "RegressionBasis", "CondexpEstimate", "default_basis", "condexp_lsmc",
     "condexp_anchor", "condexp_ito_zero",

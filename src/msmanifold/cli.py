@@ -31,7 +31,6 @@ from .errors import (ConfigError, ConsistencyFailure, GapViolation,
                      LadderNotConverged, MaxIterExceeded, MsManifoldError,
                      NonfiniteState, TruncationTooShort)
 from .oracles import refinement_study
-from .stochastic import n_workers
 
 EXIT_OK = 0
 EXIT_GAP = 2
@@ -75,7 +74,6 @@ class _Manifest:
             "subcommand": subcommand,
             "config_hash": None if cfg is None else config_hash(cfg),
             "seed": seed,
-            "workers": n_workers(),
             "module_versions": {
                 "msmanifold": __version__,
                 "numpy": np.__version__,

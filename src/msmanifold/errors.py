@@ -101,11 +101,18 @@ class TruncationTooShort(MsManifoldError):
 
 
 class MaxIterExceeded(MsManifoldError):
-    """Fixed-point iteration did not reach tolerance; carries the trace."""
+    """Fixed-point iteration did not reach tolerance; carries the trace and,
+    from the graph solvers, the side, the last distance (None when no
+    iteration finished), the tolerance and the iteration cap."""
 
-    def __init__(self, msg, trace=None):
+    def __init__(self, msg, trace=None, side=None, distance=None, tol=None,
+                 max_iter=None):
         super().__init__(msg)
         self.trace = trace
+        self.side = side
+        self.distance = distance
+        self.tol = tol
+        self.max_iter = max_iter
 
 
 class ConsistencyFailure(MsManifoldError):

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc
-from .errors import (ConfigError, ConsistencyFailure, GapViolation,
+from .errors import (ConfigError, ConsistencyFailure, GapViolation, GridMismatch,
                      IllConditionedDesign, MaxIterExceeded, NonfiniteState,
                      TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_report
@@ -178,7 +178,7 @@ def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
 # about two blocks at a time, so the rows bound their memory; the node floor
 # spreads each block's fixed cost (interpreter work, and the strided gather
 # of every sample's nodes) over enough nodes on large ensembles. The length
-# depends on n_samples alone, so outputs do not depend on the worker count.
+# depends on n_samples alone.
 _BLOCK_ROWS = 1 << 14
 _MIN_BLOCK_NODES = 8
 
@@ -430,24 +430,61 @@ def _certify(trace: FixedPointTrace, cur: ProcessEnsemble, again: ProcessEnsembl
     trace.consistency_gap = ms_norm(cur.values[:, node, idx] - again.values[:, node, idx])
 
 
-def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
-    """Iterate the backward map to its fixed point. Returns (ensemble, trace)."""
+def _solver_grid(cfg: LPConfig, side: str) -> TimeGrid:
+    """The truncation window of a solve: [tau - T_back, tau] for the
+    unstable graph, [tau, tau + T_fwd] for the stable one."""
+    name, horizon = ("t_back", cfg.t_back) if side == "unstable" else ("t_fwd", cfg.t_fwd)
+    N = round(horizon / cfg.dt)
+    if N < 2 or abs(N * cfg.dt - horizon) > 1e-6 * cfg.dt:
+        raise ConfigError(f"{name} {horizon} is not a multiple (>= 2) of dt {cfg.dt}")
+    start = cfg.tau - N * cfg.dt if side == "unstable" else cfg.tau
+    return TimeGrid(start, cfg.dt, N)
+
+
+def _n_samples(x, cfg: LPConfig) -> int:
+    """Ensemble size: the rows of a per-sample anchor, else cfg.n_samples."""
+    xarr = np.asarray(x, dtype=float)
+    return xarr.shape[0] if xarr.ndim == 2 else cfg.n_samples
+
+
+def _solver_noise(p: SpectralProblem, cfg: LPConfig, grid: TimeGrid, n: int,
+                  wiener: Optional[WienerEnsemble]) -> Optional[WienerEnsemble]:
+    """The Wiener ensemble a solve runs on: ``wiener`` when given, else one
+    draw on ``grid``; None for zero noise."""
+    if p.noise.is_zero:
+        return None
+    if wiener is None:
+        return sample_wiener(cfg.seed, grid, p.noise, n)
+    wiener.check_grid(grid)
+    if wiener.n_samples != n:
+        raise GridMismatch(f"Wiener ensemble has {wiener.n_samples} samples, anchor needs {n}")
+    return wiener
+
+
+def _not_converged(side: str, trace: FixedPointTrace, cfg: LPConfig,
+                   what: str) -> MaxIterExceeded:
+    last = trace.distances[-1] if trace.distances else None
+    why = trace.regression.get("aborted") or f"last distance {last:.3e} > tol {cfg.tol:.3e}"
+    return MaxIterExceeded(f"{side} side: {what} within {cfg.max_iter} iterations ({why})",
+                           trace=trace, side=side, distance=last, tol=cfg.tol,
+                           max_iter=cfg.max_iter)
+
+
+def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig,
+                      wiener: Optional[WienerEnsemble] = None) -> tuple:
+    """Iterate the backward map to its fixed point. Returns (ensemble, trace).
+    Runs on ``wiener`` when given (sampled on the solver's window), else
+    draws the noise once."""
     cfg.validate(p)
     gap = _check_gap(p, cfg, "unstable", None)
     gamma, _ = cfg.rates(p)
-    N = round(cfg.t_back / cfg.dt)
-    if N < 2 or abs(N * cfg.dt - cfg.t_back) > 1e-6 * cfg.dt:
-        raise ConfigError(f"t_back {cfg.t_back} is not a multiple (>= 2) of dt {cfg.dt}")
-    grid = TimeGrid(cfg.tau - N * cfg.dt, cfg.dt, N)
+    grid = _solver_grid(cfg, "unstable")
     m = p.n_modes
     u_idx, s_idx = _block_indices(p)
-    xarr = np.asarray(x, dtype=float)
-    n = xarr.shape[0] if xarr.ndim == 2 else cfg.n_samples
+    n = _n_samples(x, cfg)
     xu, _ = _normalize_anchor(x, u_idx, m, n)
     tail = _truncation_check(p, cfg, gap, ms_norm(xu), "unstable")
-    wiener = None
-    if not p.noise.is_zero:
-        wiener = sample_wiener(cfg.seed, grid, p.noise, n)
+    wiener = _solver_noise(p, cfg, grid, n, wiener)
     basis = cfg.basis_for(p)
 
     cur = ProcessEnsemble(grid=grid, values=_initial_backward(p, grid, xu, u_idx),
@@ -471,11 +508,9 @@ def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
     trace.ito_check = cur.meta.get("ito_check", {})
     trace.regression = cur.meta.get("regression", {})
     if not trace.converged:
-        raise MaxIterExceeded(
-            f"no fixed point within {cfg.max_iter} iterations (last distance {trace.distances[-1]:.3e})",
-            trace=trace)
+        raise _not_converged("unstable", trace, cfg, "no fixed point")
     again = lp_backward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
-    _certify(trace, cur, again, N, s_idx, cfg.tau, gamma)
+    _certify(trace, cur, again, grid.n_steps, s_idx, cfg.tau, gamma)
     return cur, trace
 
 
@@ -495,11 +530,12 @@ def _graph(side: str, ens: ProcessEnsemble, trace: FixedPointTrace, tau: float,
                          trace=trace, consistency_gap=trace.consistency_gap)
 
 
-def unstable_graph(p: SpectralProblem, x, cfg: LPConfig) -> ManifoldGraph:
+def unstable_graph(p: SpectralProblem, x, cfg: LPConfig,
+                   wiener: Optional[WienerEnsemble] = None) -> ManifoldGraph:
     """h(x, tau) = stable block of the fixed point at tau. Its consistency
     gap is the stable block of the residual map at tau, measured against
     h(x, tau); it is bounded by trace.residual."""
-    ens, trace = lp_backward_solve(p, x, cfg)
+    ens, trace = lp_backward_solve(p, x, cfg, wiener)
     u_idx, s_idx = _block_indices(p)
     return _graph("unstable", ens, trace, cfg.tau, ens.grid.n_steps, u_idx, s_idx)
 
@@ -560,25 +596,22 @@ def _initial_forward(p, grid, xs, s_idx) -> np.ndarray:
     return out
 
 
-def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
+def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig,
+                     wiener: Optional[WienerEnsemble] = None) -> tuple:
     """Iterate the forward map. Returns (ensemble, trace, membership); a run
-    that fails to converge reports membership False instead of raising."""
+    that fails to converge reports membership False instead of raising.
+    Runs on ``wiener`` when given (sampled on the solver's window), else
+    draws the noise once."""
     cfg.validate(p)
     gap = _check_gap(p, cfg, "stable", None)
     gamma, _ = cfg.rates(p)
-    N = round(cfg.t_fwd / cfg.dt)
-    if N < 2 or abs(N * cfg.dt - cfg.t_fwd) > 1e-6 * cfg.dt:
-        raise ConfigError(f"t_fwd {cfg.t_fwd} is not a multiple (>= 2) of dt {cfg.dt}")
-    grid = TimeGrid(cfg.tau, cfg.dt, N)
+    grid = _solver_grid(cfg, "stable")
     m = p.n_modes
     u_idx, s_idx = _block_indices(p)
-    xarr = np.asarray(x, dtype=float)
-    n = xarr.shape[0] if xarr.ndim == 2 else cfg.n_samples
+    n = _n_samples(x, cfg)
     xs, _ = _normalize_anchor(x, s_idx, m, n)
     tail = _truncation_check(p, cfg, gap, ms_norm(xs), "stable")
-    wiener = None
-    if not p.noise.is_zero:
-        wiener = sample_wiener(cfg.seed, grid, p.noise, n)
+    wiener = _solver_noise(p, cfg, grid, n, wiener)
     basis = cfg.basis_for(p)
 
     cur = ProcessEnsemble(grid=grid, values=_initial_forward(p, grid, xs, s_idx),
@@ -613,21 +646,23 @@ def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig) -> tuple:
     return cur, trace, membership
 
 
-def stable_graph(p: SpectralProblem, x, cfg: LPConfig) -> ManifoldGraph:
+def stable_graph(p: SpectralProblem, x, cfg: LPConfig,
+                 wiener: Optional[WienerEnsemble] = None) -> ManifoldGraph:
     """h(x, tau) = unstable block of the forward fixed point at tau; raises
     when the anchor is not certified as a member of the stable set. Its
     consistency gap is the unstable block of the residual map at tau,
     measured against h(x, tau); it is bounded by trace.residual."""
-    ens, trace, membership = lp_forward_solve(p, x, cfg)
+    ens, trace, membership = lp_forward_solve(p, x, cfg, wiener)
     if not membership:
-        raise MaxIterExceeded("anchor is not in the stable set (no converged fixed point)",
-                              trace=trace)
+        raise _not_converged("stable", trace, cfg,
+                             "anchor is not in the stable set: no fixed point")
     u_idx, s_idx = _block_indices(p)
     return _graph("stable", ens, trace, cfg.tau, 0, s_idx, u_idx)
 
 
-def _graph_for_side(p, x, cfg, side: str) -> ManifoldGraph:
-    return unstable_graph(p, x, cfg) if side == "unstable" else stable_graph(p, x, cfg)
+def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:
+    graph_of = unstable_graph if side == "unstable" else stable_graph
+    return graph_of(p, x, cfg, wiener=wiener)
 
 
 def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
@@ -672,22 +707,33 @@ def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
                         side: str = "unstable") -> float:
     """Evolve a graph point by the mild flow for t0, recompute the graph at
     the shifted anchor time with the same coupled noise, and return the
-    mean-square mismatch of the graph value at the endpoint."""
+    mean-square mismatch of the graph value at the endpoint.
+
+    The noise is drawn once, over the union of both graphs' windows and the
+    flow's, and each of the three gets its own window of that draw."""
     steps = round(t0 / cfg.dt)
     if steps < 1 or abs(steps * cfg.dt - t0) > 1e-6 * cfg.dt:
         raise ConfigError(f"t0 {t0} is not a positive multiple of dt {cfg.dt}")
-    g1 = _graph_for_side(p, x, cfg, side)
-    u0 = g1.point()
-    grid_f = TimeGrid(cfg.tau, cfg.dt, steps)
+    grid = _solver_grid(cfg, side)
+    N = grid.n_steps
+    flow_at = (N, N + steps) if side == "unstable" else (0, steps)
     wiener = None
     if not p.noise.is_zero:
-        wiener = sample_wiener(cfg.seed, grid_f, p.noise, g1.n_samples)
-    flow = integrate_mild(p, u0, grid_f, wiener)
+        union = TimeGrid(grid.t_start, cfg.dt, N + steps)
+        wiener = sample_wiener(cfg.seed, union, p.noise, _n_samples(x, cfg))
+
+    def window(span):
+        return None if wiener is None else wiener.window(*span)
+
+    g1 = _graph_for_side(p, x, cfg, side, window((0, N)))
+    u0 = g1.point()
+    grid_f = TimeGrid(cfg.tau, cfg.dt, steps)
+    flow = integrate_mild(p, u0, grid_f, window(flow_at))
     end = flow.values[:, -1, :]
     cfg2 = replace(cfg, tau=cfg.tau + steps * cfg.dt,
                    n_samples=g1.n_samples)
     anchor2 = end[:, g1.anchor_idx]
-    g2 = _graph_for_side(p, anchor2, cfg2, side)
+    g2 = _graph_for_side(p, anchor2, cfg2, side, window((steps, N + steps)))
     defect = end[:, g1.value_idx] - g2.h_value
     if wiener is not None:
         # The graph is a conditional-mean object: individual paths carry a

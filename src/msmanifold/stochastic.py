@@ -1,15 +1,14 @@
 """Wiener ensembles, the mild-solution integrator, and mean-square norms.
 
 Noise streams are counter-based: every increment is a pure function of
-(seed, sample chunk, absolute lattice step), so output is independent of
-worker count and two runs sharing a dt-lattice see bit-identical increments
-on overlapping windows.
+(seed, sample chunk, absolute lattice step), so two runs sharing a
+dt-lattice see bit-identical increments on overlapping windows, and a
+request that draws one window once can hand views of it to every consumer.
+Sampling and integration run on one thread.
 """
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -19,16 +18,15 @@ from .errors import ConfigError, GridMismatch, NonfiniteState
 from .problem import NoiseModel, SpectralProblem
 from .resolvent import DEFAULT_LADDER, forcing_modes
 
-_CHUNK = 1024          # samples per work unit, fixed so results ignore worker count
+_CHUNK = 1024          # samples per RNG key; the chunk index is part of the key
 _BLOCK = 1024          # lattice steps per RNG block
+_PIECE = 64            # block rows per generator call; bounds a draw's scratch memory
 _LATTICE_RTOL = 1e-6
 
 
 def n_workers() -> int:
-    env = os.environ.get("MSMANIFOLD_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Threads used for sampling and integration: always one."""
+    return 1
 
 
 def sample_chunks(n_samples: int) -> list:
@@ -36,14 +34,8 @@ def sample_chunks(n_samples: int) -> list:
 
 
 def map_chunks(fn: Callable, n_samples: int) -> list:
-    """Run fn(a, b) over fixed sample chunks; results in chunk order."""
-    spans = sample_chunks(n_samples)
-    workers = n_workers()
-    if workers == 1 or len(spans) == 1:
-        return [fn(a, b) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futs = [ex.submit(fn, a, b) for a, b in spans]
-        return [f.result() for f in futs]
+    """Run fn(a, b) over the fixed sample chunks, in order."""
+    return [fn(a, b) for a, b in sample_chunks(n_samples)]
 
 
 def _lattice_step(t: float, dt: float, what: str) -> int:
@@ -102,30 +94,34 @@ class TimeGrid:
                 and self.n_steps == other.n_steps)
 
 
-def _block_normals(seed, chunk_idx: int, block_idx: int, clen: int, d: int) -> np.ndarray:
+def _block_generator(seed, chunk_idx: int, block_idx: int) -> np.random.Generator:
     key = [abs(int(seed)), int(chunk_idx), abs(int(block_idx)),
            0 if block_idx >= 0 else 1, 0 if int(seed) >= 0 else 1]
-    g = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-    return g.standard_normal((_BLOCK, clen, d))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def _fill_standard_increments(out: np.ndarray, seed, step0: int) -> None:
     """Unit-variance increments for absolute steps [step0, step0+N) into
-    out[sample, step, mode]. Always draws whole RNG blocks so any window on
-    the same lattice sees the same numbers."""
+    out[sample, step, mode]. Step s of the samples in chunk c is row
+    s - b*_BLOCK of the RNG block b = s // _BLOCK keyed by (seed, c, b), so
+    any window on the same lattice sees the same numbers. A block's normals
+    come out of its generator row after row, the same in one call or in
+    several, so each block is drawn in pieces of _PIECE rows from its first
+    row up to the window's last step: rows before the window are dropped,
+    and no row after it is drawn."""
     n, n_steps, d = out.shape
+    end = step0 + n_steps
 
     def fill(a, b):
-        chunk_idx = a // _CHUNK
-        clen = b - a
-        lo_block = (step0) // _BLOCK
-        hi_block = (step0 + n_steps - 1) // _BLOCK
-        for blk in range(lo_block, hi_block + 1):
-            raw = _block_normals(seed, chunk_idx, blk, clen, d)
-            s_lo = max(step0, blk * _BLOCK)
-            s_hi = min(step0 + n_steps, (blk + 1) * _BLOCK)
-            rows = raw[s_lo - blk * _BLOCK:s_hi - blk * _BLOCK]
-            out[a:b, s_lo - step0:s_hi - step0, :] = rows.transpose(1, 0, 2)
+        for blk in range(step0 // _BLOCK, (end - 1) // _BLOCK + 1):
+            g = _block_generator(seed, a // _CHUNK, blk)
+            stop = min(end, (blk + 1) * _BLOCK)
+            for r in range(blk * _BLOCK, stop, _PIECE):
+                r_hi = min(r + _PIECE, stop)
+                raw = g.standard_normal((r_hi - r, b - a, d))
+                lo = max(r, step0)
+                if lo < r_hi:
+                    out[a:b, lo - step0:r_hi - step0, :] = raw[lo - r:].transpose(1, 0, 2)
 
     map_chunks(fill, n)
 
@@ -271,22 +267,20 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
     out[:, 0, :] = u0
     use_noise = wiener is not None and not p.noise.is_zero
 
-    def run(a, b):
-        u = np.array(out[a:b, 0, :])
-        for j in range(grid.n_steps):
-            step = u + dt * forcing_modes(p.nonlinearity.fn(u), cols)
-            if use_noise:
-                step += p.noise.diffusion(u) * wiener.increments[a:b, j, :]
-            u = lam_exp * step
-            peak = np.max(np.abs(u))
-            if not np.isfinite(peak) or peak > overflow_limit:
-                bad = int(np.argmax(np.max(np.abs(u), axis=1)))
-                raise NonfiniteState(
-                    f"state magnitude {peak:.3e} exceeded {overflow_limit:.1e}",
-                    step=j + 1, sample=a + bad)
-            out[a:b, j + 1, :] = u
+    u = np.array(u0)
+    for j in range(grid.n_steps):
+        step = u + dt * forcing_modes(p.nonlinearity.fn(u), cols)
+        if use_noise:
+            step += p.noise.diffusion(u) * wiener.increments[:, j, :]
+        u = lam_exp * step
+        peak = np.max(np.abs(u))
+        if not np.isfinite(peak) or peak > overflow_limit:
+            bad = int(np.argmax(np.max(np.abs(u), axis=1)))
+            raise NonfiniteState(
+                f"state magnitude {peak:.3e} exceeded {overflow_limit:.1e}",
+                step=j + 1, sample=bad)
+        out[:, j + 1, :] = u
 
-    map_chunks(run, n)
     return ProcessEnsemble(grid=grid, values=out,
                            adapted_to=None if wiener is None else wiener.seed)
 

@@ -1,15 +1,24 @@
 """The certificates of a graph come from one residual map: the map applied
 once more to the fixed point gives trace.residual over the window and the
-consistency gap at the anchor node."""
+consistency gap at the anchor node. A graph that does not converge is
+refused with its side, last distance and limits, and an invariance request
+draws its noise once."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import msmanifold.lyapunov_perron as lp
-from msmanifold.errors import ConsistencyFailure
+from msmanifold.errors import ConsistencyFailure, MaxIterExceeded
 from msmanifold import (
     LPConfig,
+    RegressionBasis,
+    TimeGrid,
     build_problem,
+    condexp_lsmc,
     diagonal_linear_noise,
+    integrate_mild,
+    invariance_residual,
     linear_nonlinearity,
     lp_backward_map,
     lp_forward_map,
@@ -101,3 +110,49 @@ def test_consistency_failure_names_side_time_node_and_limit(monkeypatch):
     n_steps = round(cfg.t_back / cfg.dt)
     assert "unstable graph at tau = 0" in str(exc)
     assert f"anchor node {n_steps}" in str(exc)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_nonconvergence_names_side_distance_and_limits(side):
+    graph_of = SIDES[side][0]
+    cfg = replace(config(), max_iter=1)
+    with pytest.raises(MaxIterExceeded) as info:
+        graph_of(two_way_noisy(), [0.3], cfg)
+    exc = info.value
+    assert (exc.side, exc.tol, exc.max_iter) == (side, cfg.tol, 1)
+    assert exc.distance == exc.trace.distances[-1] > cfg.tol
+    assert str(exc).startswith(f"{side} side: ")
+    assert f"{exc.distance:.3e}" in str(exc)
+
+
+def three_draw_residual(p, x, cfg, t0, side):
+    """invariance_residual with each graph and the flow drawing its own
+    window of the noise."""
+    graph_of = SIDES[side][0]
+    steps = round(t0 / cfg.dt)
+    g1 = graph_of(p, x, cfg)
+    grid_f = TimeGrid(cfg.tau, cfg.dt, steps)
+    flow = integrate_mild(p, g1.point(), grid_f,
+                          sample_wiener(cfg.seed, grid_f, p.noise, g1.n_samples))
+    end = flow.values[:, -1, :]
+    anchor2 = end[:, g1.anchor_idx]
+    g2 = graph_of(p, anchor2, replace(cfg, tau=cfg.tau + steps * cfg.dt,
+                                      n_samples=g1.n_samples))
+    basis = RegressionBasis(kind=cfg.basis_kind, degree=cfg.basis_degree,
+                            primary_idx=tuple(range(anchor2.shape[1])))
+    return ms_norm(condexp_lsmc(end[:, g1.value_idx] - g2.h_value, anchor2, basis).fitted)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_invariance_draws_once_and_equals_three_draws(monkeypatch, side):
+    p, cfg, t0 = two_way_noisy(), config(), 0.5
+    want = three_draw_residual(p, [0.15], cfg, t0, side)
+    draws = []
+
+    def counting_draw(*args, **kwargs):
+        draws.append(args)
+        return sample_wiener(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "sample_wiener", counting_draw)
+    assert invariance_residual(p, [0.15], cfg, t0, side) == want
+    assert len(draws) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from msmanifold.stochastic import _BLOCK, _CHUNK
 from msmanifold.errors import (
     ConfigError,
     GridMismatch,
@@ -153,6 +154,44 @@ def test_wiener_worker_count_invariance(monkeypatch):
     assert np.array_equal(w1.increments, w4.increments)
 
 
+def reference_increments(seed, step0, n_steps, n, d):
+    """The stream drawn whole: every RNG block of _BLOCK lattice steps per
+    chunk of _CHUNK samples, keyed by (seed, chunk, block)."""
+    out = np.empty((n, n_steps, d))
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        for blk in range(step0 // _BLOCK, (step0 + n_steps - 1) // _BLOCK + 1):
+            key = [abs(seed), a // _CHUNK, abs(blk), int(blk < 0), int(seed < 0)]
+            g = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+            raw = g.standard_normal((_BLOCK, b - a, d)).transpose(1, 0, 2)
+            lo, hi = max(step0, blk * _BLOCK), min(step0 + n_steps, (blk + 1) * _BLOCK)
+            out[a:b, lo - step0:hi - step0] = raw[:, lo - blk * _BLOCK:hi - blk * _BLOCK]
+    return out
+
+
+STREAM_WINDOWS = {
+    "ends_at_block_edge": (7, TimeGrid(-4.5, 2.5e-2, 180), 64, 1),
+    "straddles_zero": (-3, TimeGrid(-0.5, 0.01, 100), 64, 2),
+    "prefix_from_zero": (11, TimeGrid(0.0, 2.5e-2, 20), 64, 1),
+    "three_positive_blocks": (5, TimeGrid(1.0, 1e-3, 1100), 16, 2),
+    "partial_last_chunk": (9, TimeGrid(-0.1, 1e-2, 30), 3000, 1),
+}
+
+
+@pytest.mark.parametrize("window", sorted(STREAM_WINDOWS))
+def test_wiener_stream_matches_whole_block_draws(window):
+    seed, grid, n, d = STREAM_WINDOWS[window]
+    scale = np.sqrt(np.ones(d) * grid.dt)
+    w = sample_wiener(seed, grid, unit_noise(d), n)
+    assert np.array_equal(w.increments,
+                          reference_increments(seed, grid.step0, grid.n_steps, n, d) * scale)
+    node = grid.n_steps // 3
+    fresh = reference_increments(seed + 100, grid.step0, grid.n_steps, n, d) * scale
+    w2 = resample_future(w, node, seed + 100)
+    assert np.array_equal(w2.increments[:, :node], w.increments[:, :node])
+    assert np.array_equal(w2.increments[:, node:], fresh[:, node:])
+
+
 def test_resample_future_preserves_past():
     g = TimeGrid(0.0, 0.01, 40)
     w = sample_wiener(21, g, unit_noise(), 64)
@@ -229,6 +268,17 @@ def test_integrator_overflow_reports_step_and_sample():
         integrate_mild(p, np.array([[1.0]]), g)
     assert exc.value.step is not None and exc.value.step > 0
     assert exc.value.sample == 0
+
+
+def test_integrator_overflow_reports_the_earliest_step():
+    # sample 1500 crosses the limit at step 5, sample 10 only at step 10
+    p = build_problem([30.0], [0], alpha=30.0, beta=-1.0, gamma=1.0, zeta=0.0,
+                      nonlinearity=zero_nonlinearity(1), noise=zero_noise(1))
+    u0 = np.zeros((2048, 1))
+    u0[10], u0[1500] = 1.0, 1e6
+    with pytest.raises(NonfiniteState) as exc:
+        integrate_mild(p, u0, TimeGrid(0.0, 0.1, 20))
+    assert (exc.value.step, exc.value.sample) == (5, 1500)
 
 
 def test_integrator_rejects_mismatched_wiener():
