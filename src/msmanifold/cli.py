@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 gap condition fails, 3 solver did not converge,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,6 +30,7 @@ from .errors import (ConfigError, ConsistencyFailure, GapViolation,
                      LadderNotConverged, MaxIterExceeded, MsManifoldError,
                      NonfiniteState, TruncationTooShort)
 from .oracles import refinement_study
+from .stochastic import _sample_sum
 
 EXIT_OK = 0
 EXIT_GAP = 2
@@ -53,12 +53,18 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, table, labels=None):
+    """The header, then one CRLF line per row of the 2-D float table, each
+    number as %.17g. ``labels``, one str per row, lead their rows as is."""
+    table = np.asarray(table, dtype=float)
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    rows = map(tuple, table.tolist())
+    if labels is not None:
+        fmt = "%s," + fmt
+        rows = ((label, *row) for label, row in zip(labels, rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([fmt % row for row in rows]))
 
 
 def _write_json(path: str, payload: dict):
@@ -156,21 +162,20 @@ def _solve(args, side: str) -> int:
     header = (["sample"]
               + [f"anchor_mode_{k}" for k in anchor_names]
               + [f"graph_mode_{k}" for k in value_names])
-    rows = [[str(i)] + [v for v in graph.anchor[i]] + [v for v in graph.h_value[i]]
-            for i in range(graph.n_samples)]
     graph_csv = os.path.join(args.out, "graph.csv")
-    _write_csv(graph_csv, header, rows)
+    _write_csv(graph_csv, header, np.hstack((graph.anchor, graph.h_value)),
+               labels=map(str, range(graph.n_samples)))
 
+    # Only the written nodes: every stride-th, at most about 2000.
     ens = graph.process
-    stride = max(1, ens.values.shape[1] // 2000)
-    mean_path = ens.values.mean(axis=0)
-    ms_path = np.sqrt(np.mean(np.sum(ens.values ** 2, axis=2), axis=0))
-    times = ens.grid.times
+    stride = max(1, ens.grid.n_nodes // 2000)
+    nodes = ens.values.swapaxes(0, 1)[::stride]
+    mean_path = _sample_sum(nodes) / ens.n_samples
+    ms_path = np.sqrt(_sample_sum(np.sum(nodes ** 2, axis=2)) / ens.n_samples)
     traj_csv = os.path.join(args.out, "trajectory.csv")
     _write_csv(traj_csv,
                ["t"] + [f"mean_mode_{k}" for k in range(p.n_modes)] + ["ms_norm"],
-               [[times[j]] + list(mean_path[j]) + [ms_path[j]]
-                for j in range(0, len(times), stride)])
+               np.column_stack((ens.grid.times[::stride], mean_path, ms_path)))
 
     payload = _trace_payload(cfg, graph.trace, gap, {
         "side": side,
@@ -243,7 +248,7 @@ def _cmd_resolvent_study(args) -> int:
     study = refinement_study(p, lpcfg, "lambda", values=ladder)
     csv_path = os.path.join(args.out, "resolvent_study.csv")
     _write_csv(csv_path, ["lambda", "regularized_norm", "defect"],
-               ((r[0], r[1], r[2]) for r in study.rows))
+               np.reshape(study.rows, (-1, 3)))
     outputs = [csv_path]
     payload = {
         "config_hash": config_hash(cfg),
@@ -255,19 +260,13 @@ def _cmd_resolvent_study(args) -> int:
         payload["ladder_diagnostic"] = p.meta["ladder_diagnostic"]
     if p.boundary_regularizer is not None:
         cols_csv = os.path.join(args.out, "boundary_columns.csv")
-        rows = []
-        for lam in ladder:
-            block = p.meta["boundary_columns"].get(repr(float(lam)))
-            if block is None:
-                continue
-            block = np.asarray(block)
-            for k in range(p.n_modes):
-                rows.append((repr(float(lam)), str(k), block[k, 0], block[k, 1]))
-        for k in range(p.n_modes):
-            rows.append(("extrapolated", str(k),
-                         p.boundary_regularizer[k, 0],
-                         p.boundary_regularizer[k, 1]))
-        _write_csv(cols_csv, ["lambda", "mode", "column_x0", "column_x1"], rows)
+        names = [repr(float(lam)) for lam in ladder]
+        blocks = [(name, p.meta["boundary_columns"].get(name)) for name in names]
+        blocks = [(name, np.asarray(b)) for name, b in blocks if b is not None]
+        blocks.append(("extrapolated", p.boundary_regularizer))
+        _write_csv(cols_csv, ["lambda", "mode", "column_x0", "column_x1"],
+                   np.vstack([b[:, :2] for _, b in blocks]),
+                   labels=[f"{name},{k}" for name, _ in blocks for k in range(p.n_modes)])
         outputs.append(cols_csv)
     json_path = os.path.join(args.out, "resolvent_study.json")
     _write_json(json_path, payload)
@@ -344,7 +343,7 @@ def _cmd_refine(args) -> int:
         x=None if anchor is None else np.asarray(anchor, dtype=float))
     csv_path = os.path.join(args.out, f"refine_{args.parameter}.csv")
     _write_csv(csv_path, [args.parameter, "observable", "error"],
-               ((r[0], r[1], r[2]) for r in study.rows))
+               np.reshape(study.rows, (-1, 3)))
     json_path = os.path.join(args.out, f"refine_{args.parameter}.json")
     _write_json(json_path, {
         "config_hash": config_hash(cfg),

@@ -101,9 +101,9 @@ class TruncationTooShort(MsManifoldError):
 
 
 class MaxIterExceeded(MsManifoldError):
-    """Fixed-point iteration did not reach tolerance; carries the trace and,
-    from the graph solvers, the side, the last distance (None when no
-    iteration finished), the tolerance and the iteration cap."""
+    """Fixed-point iteration did not reach tolerance; carries the last
+    distance (None when no iteration finished), the tolerance it missed and
+    the iteration cap, and, from the graph solvers, the trace and the side."""
 
     def __init__(self, msg, trace=None, side=None, distance=None, tol=None,
                  max_iter=None):

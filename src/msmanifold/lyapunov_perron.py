@@ -176,8 +176,8 @@ def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
 # Time blocks hold _BLOCK_ROWS sample rows, and never fewer than
 # _MIN_BLOCK_NODES nodes. The maps keep drift, diffusion and scan buffers for
 # about two blocks at a time, so the rows bound their memory; the node floor
-# spreads each block's fixed cost (interpreter work, and the strided gather
-# of every sample's nodes) over enough nodes on large ensembles. The length
+# spreads each block's fixed cost (interpreter work and one batched drift
+# and diffusion call) over enough nodes on large ensembles. The length
 # depends on n_samples alone.
 _BLOCK_ROWS = 1 << 14
 _MIN_BLOCK_NODES = 8
@@ -222,25 +222,27 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
 
 def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, idx, cols, dt: float,
                     wiener: Optional[WienerEnsemble], reverse: bool = False):
-    """Time blocks of vals, last first when reverse, as node-major copies v
-    (L, n, m), with the half-step drift and the Ito increment leaving each
-    node, (L, n, k) in the modes idx. Drift and diffusion see a block as one
-    (L * n, m) batch. No increment leaves the last grid node, and none is
-    drawn without ``wiener``. Yields (a, v, half, ito), a the first node."""
-    n, n_nodes, m = vals.shape
+    """Time blocks of vals, last first when reverse, as node-major blocks v
+    (L, n, m), views of node-major storage, with the half-step drift and the
+    Ito increment leaving each node, (L, n, k) in the modes idx; drift and
+    diffusion see a block as one (L * n, m) batch. No increment leaves the
+    last grid node, and none is drawn without ``wiener``. Yields (a, v,
+    half, ito), a the first node."""
+    nodes = vals.swapaxes(0, 1)
+    n_nodes, n, m = nodes.shape
     length = _block_len(n)
     starts = range(0, n_nodes, length)
     for a in (reversed(starts) if reverse else starts):
-        v = np.ascontiguousarray(vals[:, a:a + length].swapaxes(0, 1))
+        flat = nodes[a:a + length].reshape(-1, m)
+        v = flat.reshape(-1, n, m)
         L = len(v)
-        flat = v.reshape(L * n, m)
         half = 0.5 * dt * forcing_modes(p.nonlinearity.fn(flat), cols)[:, idx]
         half = half.reshape(L, n, len(idx))
         ito = np.zeros_like(half)
         if wiener is not None:
             steps = min(L, n_nodes - 1 - a)
             amp = p.noise.diffusion(flat[:steps * n])[:, idx].reshape(steps, n, len(idx))
-            ito[:steps] = amp * wiener.increments[:, a:a + steps, idx].swapaxes(0, 1)
+            ito[:steps] = amp * wiener.increments.swapaxes(0, 1)[a:a + steps, :, idx]
         yield a, v, half, ito
 
 
@@ -295,9 +297,11 @@ def _stable_integrals(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
 
 def _weighted_gap(a: np.ndarray, b: np.ndarray, times: np.ndarray,
                   tau: float, rate: float) -> float:
-    worst, k = 0.0, _block_len(a.shape[0])
-    for lo in range(0, a.shape[1], k):
-        ms = _node_ms(a[:, lo:lo + k] - b[:, lo:lo + k])
+    """sup over the nodes of e^{-rate (t - tau)} ms_norm(a - b), by blocks."""
+    a, b = a.swapaxes(0, 1), b.swapaxes(0, 1)
+    worst, k = 0.0, _block_len(a.shape[1])
+    for lo in range(0, len(a), k):
+        ms = _node_ms(a[lo:lo + k] - b[lo:lo + k])
         worst = max(worst, float(np.max(np.exp(-rate * (times[lo:lo + k] - tau)) * ms)))
     return worst
 
@@ -362,41 +366,40 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     cols = solver_boundary_columns(p)
     dt, N = grid.dt, grid.n_steps
     pull = np.exp(np.outer((np.arange(N + 1) - N) * dt, p.eigenvalues[u_idx]))
-    vals = xi.values
     wvals = _wiener_values(wiener, basis)
-    out = np.zeros((n, grid.n_nodes, m))
+    out = np.zeros((grid.n_nodes, n, m))
     agg: dict = {}
 
-    for a, v, drift, ito_u in _unstable_integrals(p, vals, cols, dt, noise):
+    for a, v, drift, ito_u in _unstable_integrals(p, xi.values, cols, dt, noise):
         hi = min(len(v), N - a)  # the anchor node N is set below
         pull_j = pull[a:a + hi, None]
         target = drift[:hi] if x_det else xu * pull_j - drift[:hi]
         fit = _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg)
         if x_det:   # E[x|F_t] = x: only the drift integral was regressed
             fit = xu * pull_j - fit
-        out[:, a:a + hi, u_idx] = fit.swapaxes(0, 1)
+        out[a:a + hi, :, u_idx] = fit
     # anchor node: the map returns x itself at tau (E[x|F_tau] = x)
-    out[:, N, u_idx] = xu
+    out[N][:, u_idx] = xu
     _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
 
-    for a, y in _stable_integrals(p, vals, cols, dt, noise):
-        out[:, a:a + len(y), s_idx] = y.swapaxes(0, 1)
+    for a, y in _stable_integrals(p, xi.values, cols, dt, noise):
+        out[a:a + len(y), :, s_idx] = y
 
     if not np.isfinite(out).all():
         raise NonfiniteState("backward map produced non-finite values")
-    return ProcessEnsemble(grid=grid, values=out, direction="backward",
+    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction="backward",
                            adapted_to=None if wiener is None else wiener.seed,
                            meta={"ito_check": ito_diag, "regression": agg})
 
 
 def _initial_backward(p, grid, xu, u_idx) -> np.ndarray:
-    n = xu.shape[0]
-    out = np.zeros((n, grid.n_nodes, p.n_modes))
+    """The pulled-back anchor, sample-major view of node-major storage."""
+    out = np.zeros((grid.n_nodes, xu.shape[0], p.n_modes))
     if len(u_idx):
         steps = np.arange(grid.n_nodes) - grid.n_steps
         fac = np.exp(np.outer(steps * grid.dt, p.eigenvalues[u_idx]))
-        out[:, :, u_idx] = xu[:, None, :] * fac[None, :, :]
-    return out
+        out[:, :, u_idx] = xu[None, :, :] * fac[:, None, :]
+    return out.swapaxes(0, 1)
 
 
 def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
@@ -479,10 +482,9 @@ def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig,
     gap = _check_gap(p, cfg, "unstable", None)
     gamma, _ = cfg.rates(p)
     grid = _solver_grid(cfg, "unstable")
-    m = p.n_modes
     u_idx, s_idx = _block_indices(p)
     n = _n_samples(x, cfg)
-    xu, _ = _normalize_anchor(x, u_idx, m, n)
+    xu, _ = _normalize_anchor(x, u_idx, p.n_modes, n)
     tail = _truncation_check(p, cfg, gap, ms_norm(xu), "unstable")
     wiener = _solver_noise(p, cfg, grid, n, wiener)
     basis = cfg.basis_for(p)
@@ -563,37 +565,36 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     basis = cfg.basis_for(p) if basis is None else basis
     cols = solver_boundary_columns(p)
     dt, N = grid.dt, grid.n_steps
-    vals = xi.values
     wvals = _wiener_values(wiener, basis)
-    out = np.zeros((n, grid.n_nodes, m))
+    out = np.zeros((grid.n_nodes, n, m))
     agg: dict = {}
 
-    for a, y in _stable_integrals(p, vals, cols, dt, noise, start=xs):
-        out[:, a:a + len(y), s_idx] = y.swapaxes(0, 1)
+    for a, y in _stable_integrals(p, xi.values, cols, dt, noise, start=xs):
+        out[a:a + len(y), :, s_idx] = y
 
-    # out[:, N, u_idx] stays 0: the drift integral beyond tau + T_fwd is the
+    # out[N, :, u_idx] stays 0: the drift integral beyond tau + T_fwd is the
     # reported truncation tail
-    for a, v, drift, ito_u in _unstable_integrals(p, vals, cols, dt, noise):
+    for a, v, drift, ito_u in _unstable_integrals(p, xi.values, cols, dt, noise):
         hi = min(len(v), N - a)
         fit = _conditional_fit(drift[:hi], v[:hi], basis, _nodes(wvals, a, a + hi),
                                grid, a, agg)
-        out[:, a:a + hi, u_idx] = -fit.swapaxes(0, 1)
+        out[a:a + hi, :, u_idx] = -fit
 
     _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
     if not np.isfinite(out).all():
         raise NonfiniteState("forward map produced non-finite values")
-    return ProcessEnsemble(grid=grid, values=out, direction="forward",
+    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction="forward",
                            adapted_to=None if wiener is None else wiener.seed,
                            meta={"ito_check": ito_diag, "regression": agg})
 
 
 def _initial_forward(p, grid, xs, s_idx) -> np.ndarray:
-    n = xs.shape[0]
-    out = np.zeros((n, grid.n_nodes, p.n_modes))
+    """The pushed-forward anchor, sample-major view of node-major storage."""
+    out = np.zeros((grid.n_nodes, xs.shape[0], p.n_modes))
     if len(s_idx):
         fac = np.exp(np.outer(np.arange(grid.n_nodes) * grid.dt, p.eigenvalues[s_idx]))
-        out[:, :, s_idx] = xs[:, None, :] * fac[None, :, :]
-    return out
+        out[:, :, s_idx] = xs[None, :, :] * fac[:, None, :]
+    return out.swapaxes(0, 1)
 
 
 def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig,
@@ -606,10 +607,9 @@ def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig,
     gap = _check_gap(p, cfg, "stable", None)
     gamma, _ = cfg.rates(p)
     grid = _solver_grid(cfg, "stable")
-    m = p.n_modes
     u_idx, s_idx = _block_indices(p)
     n = _n_samples(x, cfg)
-    xs, _ = _normalize_anchor(x, s_idx, m, n)
+    xs, _ = _normalize_anchor(x, s_idx, p.n_modes, n)
     tail = _truncation_check(p, cfg, gap, ms_norm(xs), "stable")
     wiener = _solver_noise(p, cfg, grid, n, wiener)
     basis = cfg.basis_for(p)

@@ -128,10 +128,14 @@ def linear_manifold_oracle(a_u, a_s, b, tol: float = 1e-13,
         if step * damping <= tol:
             break
     else:
-        raise MaxIterExceeded(f"slope iteration stalled at step {prev:.3e}")
+        last = prev * damping
+        raise MaxIterExceeded(f"slope iteration stalled at damped step {last:.3e} > tol "
+                              f"{tol:.0e} after {max_iter} iterations",
+                              distance=last, tol=tol, max_iter=max_iter)
     res = float(np.max(np.abs(residual(m))))
     if res >= _RESIDUAL_TOL:
-        raise MaxIterExceeded(f"slope residual {res:.3e} >= {_RESIDUAL_TOL:.0e}")
+        raise MaxIterExceeded(f"slope residual {res:.3e} >= {_RESIDUAL_TOL:.0e}",
+                              distance=res, tol=_RESIDUAL_TOL, max_iter=max_iter)
     return m
 
 
@@ -212,8 +216,9 @@ def deterministic_lp_oracle(p: SpectralProblem, x, cfg) -> np.ndarray:
         state = new
         if dist <= cfg.tol:
             return state[-1, s_idx].copy()
-    raise MaxIterExceeded(f"quadrature fixed point stalled at {dist:.3e} "
-                          f"after {cfg.max_iter} iterations")
+    raise MaxIterExceeded(f"quadrature fixed point stalled at {dist:.3e} > tol "
+                          f"{cfg.tol:.0e} after {cfg.max_iter} iterations",
+                          distance=dist, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def moment_oracle(lam: float, s: float, u0: float, t: float) -> float:

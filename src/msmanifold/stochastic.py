@@ -5,6 +5,14 @@ Noise streams are counter-based: every increment is a pure function of
 dt-lattice see bit-identical increments on overlapping windows, and a
 request that draws one window once can hand views of it to every consumer.
 Sampling and integration run on one thread.
+
+Every ensemble built here is stored node-major, (node, sample, coordinate),
+because every consumer works node by node: a time block is a view and one
+node is a contiguous slab. The public sample-major arrays,
+``ProcessEnsemble.values`` (n_samples, n_nodes, m) and
+``WienerEnsemble.increments`` (n_samples, n_steps, d), are swapaxes(0, 1)
+views of that storage; consumers slice ``x.swapaxes(0, 1)[a:b]``. Ensembles
+a caller builds sample-major work through the same code.
 """
 from __future__ import annotations
 
@@ -102,14 +110,15 @@ def _block_generator(seed, chunk_idx: int, block_idx: int) -> np.random.Generato
 
 def _fill_standard_increments(out: np.ndarray, seed, step0: int) -> None:
     """Unit-variance increments for absolute steps [step0, step0+N) into
-    out[sample, step, mode]. Step s of the samples in chunk c is row
-    s - b*_BLOCK of the RNG block b = s // _BLOCK keyed by (seed, c, b), so
-    any window on the same lattice sees the same numbers. A block's normals
-    come out of its generator row after row, the same in one call or in
-    several, so each block is drawn in pieces of _PIECE rows from its first
-    row up to the window's last step: rows before the window are dropped,
-    and no row after it is drawn."""
-    n, n_steps, d = out.shape
+    the node-major out[step, sample, mode]. Step s of the samples in chunk c
+    is row s - b*_BLOCK of the RNG block b = s // _BLOCK keyed by (seed, c,
+    b), so any window on the same lattice sees the same numbers. A block's
+    normals come out of its generator row after row, the same in one call or
+    in several, so each block is drawn in pieces of _PIECE rows, written
+    straight into their node slabs, from its first row up to the window's
+    last step: rows before the window are dropped, and no row after it is
+    drawn."""
+    n_steps, n, d = out.shape
     end = step0 + n_steps
 
     def fill(a, b):
@@ -121,14 +130,18 @@ def _fill_standard_increments(out: np.ndarray, seed, step0: int) -> None:
                 raw = g.standard_normal((r_hi - r, b - a, d))
                 lo = max(r, step0)
                 if lo < r_hi:
-                    out[a:b, lo - step0:r_hi - step0, :] = raw[lo - r:].transpose(1, 0, 2)
+                    out[lo - step0:r_hi - step0, a:b] = raw[lo - r:]
 
     map_chunks(fill, n)
 
 
 @dataclass(frozen=True, eq=False)
 class WienerEnsemble:
-    """Sampled Q-Wiener increments on a grid, anchored at W(0) = 0."""
+    """Sampled Q-Wiener increments on a grid, anchored at W(0) = 0.
+
+    ``increments`` is sample-major, (n_samples, n_steps, d); for an ensemble
+    drawn here it is the swapaxes(0, 1) view of node-major storage, so
+    ``increments.swapaxes(0, 1)[a:b]`` is a block of steps without a copy."""
     grid: TimeGrid
     seed: object
     increments: np.ndarray          # (n_samples, n_steps, d), already q-scaled
@@ -153,15 +166,16 @@ class WienerEnsemble:
                        step0=self.step0 + i0)
 
     def values(self) -> np.ndarray:
-        """W at the grid nodes, (n_samples, n_nodes, d). Anchored so W = 0 at
-        lattice time 0 when the grid covers it, else at the first node."""
+        """W at the grid nodes, (n_samples, n_nodes, d), a view of node-major
+        storage. Anchored so W = 0 at lattice time 0 when the grid covers it,
+        else at the first node."""
         n, n_steps, d = self.increments.shape
-        w = np.zeros((n, n_steps + 1, d))
-        np.cumsum(self.increments, axis=1, out=w[:, 1:, :])
+        w = np.zeros((n_steps + 1, n, d))
+        np.cumsum(self.increments.swapaxes(0, 1), axis=0, out=w[1:])
         if self.step0 <= 0 <= self.step0 + n_steps:
             z = -self.step0
-            w -= w[:, z:z + 1, :]
-        return w
+            w -= w[z:z + 1]
+        return w.swapaxes(0, 1)
 
     def value_at(self, node: int) -> np.ndarray:
         """W(t_node) per sample, (n_samples, d), same anchor as values()."""
@@ -172,7 +186,8 @@ class WienerEnsemble:
         lo, hi = sorted((anchor, node))
         if lo == hi:
             return np.zeros((n, d))
-        seg = self.increments[:, lo:hi, :].sum(axis=1)
+        # summed in step order, so the bits do not depend on the storage
+        seg = np.cumsum(self.increments.swapaxes(0, 1)[lo:hi], axis=0)[-1]
         return seg if node > anchor else -seg
 
 
@@ -186,26 +201,31 @@ def sample_wiener(seed, grid: TimeGrid, noise: NoiseModel, n_samples: int) -> Wi
     if q.shape != (d,):
         raise ConfigError(f"covariance weights shape {q.shape} != ({d},)")
     step0 = grid.step0
-    inc = np.empty((n_samples, grid.n_steps, d))
+    inc = np.empty((grid.n_steps, n_samples, d))
     _fill_standard_increments(inc, seed, step0)
     inc *= np.sqrt(q * grid.dt)
-    return WienerEnsemble(grid=grid, seed=seed, increments=inc, weights=q, step0=step0)
+    return WienerEnsemble(grid=grid, seed=seed, increments=inc.swapaxes(0, 1),
+                          weights=q, step0=step0)
 
 
 def resample_future(w: WienerEnsemble, node: int, new_seed) -> WienerEnsemble:
     """Replace all increments at steps >= node with draws from new_seed."""
     if not (0 <= node <= w.grid.n_steps):
         raise GridMismatch(f"node {node} outside grid")
-    fresh = np.empty_like(w.increments)
-    _fill_standard_increments(fresh, new_seed, w.step0)
-    fresh *= np.sqrt(w.weights * w.grid.dt)
-    inc = w.increments.copy()
-    inc[:, node:, :] = fresh[:, node:, :]
-    return replace(w, increments=inc, seed=("resampled", w.seed, new_seed, node))
+    inc = np.empty((w.grid.n_steps, w.n_samples, w.n_noise_modes))
+    _fill_standard_increments(inc, new_seed, w.step0)
+    inc *= np.sqrt(w.weights * w.grid.dt)
+    inc[:node] = w.increments.swapaxes(0, 1)[:node]
+    return replace(w, increments=inc.swapaxes(0, 1),
+                   seed=("resampled", w.seed, new_seed, node))
 
 
 @dataclass(frozen=True, eq=False)
 class ProcessEnsemble:
+    """Sample paths on a grid. ``values`` is sample-major, (n_samples,
+    n_nodes, m); for an ensemble built by this package it is the
+    swapaxes(0, 1) view of node-major storage, so ``at(node)`` and
+    ``values.swapaxes(0, 1)[a:b]`` are contiguous views."""
     grid: TimeGrid
     values: np.ndarray              # (n_samples, n_nodes, m)
     adapted_to: object = None       # seed of the driving WienerEnsemble
@@ -263,8 +283,8 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
     lam_exp = np.exp(p.eigenvalues * grid.dt)
     cols = solver_boundary_columns(p)
     dt = grid.dt
-    out = np.empty((n, grid.n_nodes, m))
-    out[:, 0, :] = u0
+    out = np.empty((grid.n_nodes, n, m))
+    out[0] = u0
     use_noise = wiener is not None and not p.noise.is_zero
 
     u = np.array(u0)
@@ -279,9 +299,9 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
             raise NonfiniteState(
                 f"state magnitude {peak:.3e} exceeded {overflow_limit:.1e}",
                 step=j + 1, sample=bad)
-        out[:, j + 1, :] = u
+        out[j + 1] = u
 
-    return ProcessEnsemble(grid=grid, values=out,
+    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1),
                            adapted_to=None if wiener is None else wiener.seed)
 
 
@@ -298,8 +318,16 @@ def ms_norm(ens, step: Optional[int] = None) -> float:
     return float(np.sqrt(np.mean(np.einsum("nm,nm->n", v, v))))
 
 
-def _node_ms(values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("njm,njm->j", values, values) / values.shape[0])
+def _sample_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the samples, axis 1, of node-major x (L, n, ...). Added in
+    sample order starting from +0, as a reduction over sample-major storage
+    adds, so the bits do not depend on where x lives in memory."""
+    return np.cumsum(x, axis=1)[:, -1] + 0.0
+
+
+def _node_ms(v: np.ndarray) -> np.ndarray:
+    """ms_norm at each node of a node-major block v (L, n, m)."""
+    return np.sqrt(_sample_sum(np.einsum("jnm,jnm->jn", v, v)) / v.shape[1])
 
 
 def weighted_norm(ens, rate: float, direction: str = "backward") -> float:
@@ -320,7 +348,7 @@ def weighted_norm(ens, rate: float, direction: str = "backward") -> float:
         raise ConfigError(f"unknown direction {direction!r}")
     if not np.any(mask):
         raise ConfigError(f"grid has no nodes on the {direction} side")
-    ms = _node_ms(values[:, mask, :])
+    ms = _node_ms(values.swapaxes(0, 1)[mask])
     return float(np.max(np.exp(-rate * times[mask]) * ms))
 
 

@@ -22,6 +22,7 @@ from msmanifold import (
     condexp_anchor,
     condexp_lsmc,
     diagonal_linear_noise,
+    integrate_mild,
     invariance_residual,
     linear_manifold_oracle,
     linear_nonlinearity,
@@ -370,6 +371,68 @@ def test_maps_are_identical_across_worker_counts(monkeypatch, side):
         runs.append(step(p, xi, x, cfg, wiener))
     assert np.array_equal(runs[0].values, runs[1].values)
     assert runs[0].meta["regression"]["n_regressions"] > 0
+
+
+def is_node_major(values):
+    return values.swapaxes(0, 1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_maps_are_node_major_and_ignore_the_input_layout(side):
+    # the same xi and Wiener values stored sample-major (as a caller builds
+    # them) or node-major (as the package does) give the same bits
+    p = two_way_noisy()
+    n = 64
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n,
+                   include_wiener=True)
+    grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, 100)
+    wiener = sample_wiener(3, grid, p.noise, n)
+    rng = np.random.default_rng(2)
+    vals = 0.1 + 0.05 * rng.standard_normal((n, 101, 2))
+    x = 0.3 + 0.1 * rng.standard_normal((n, 1))
+    node_major = np.ascontiguousarray(vals.swapaxes(0, 1)).swapaxes(0, 1)
+    sample_major = replace(wiener, increments=np.ascontiguousarray(wiener.increments))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    a = step(p, ProcessEnsemble(grid, vals), x, cfg, sample_major).values
+    b = step(p, ProcessEnsemble(grid, node_major), x, cfg, wiener).values
+    assert np.array_equal(a, b)
+    assert is_node_major(a) and is_node_major(b)
+    u_idx, s_idx = lp._block_indices(p)
+    initial = (lp._initial_backward(p, grid, x, u_idx) if side == "unstable"
+               else lp._initial_forward(p, grid, x, s_idx))
+    assert initial.shape == (n, 101, 2) and is_node_major(initial)
+
+
+def test_forcing_blocks_are_views_of_node_major_storage(monkeypatch):
+    p = two_way_noisy()
+    n = 64
+    grid = TimeGrid(-1.0, 1e-2, 100)
+    wiener = sample_wiener(3, grid, p.noise, n)
+    ens = integrate_mild(p, np.full(2, 0.1), grid, wiener)
+    monkeypatch.setattr(lp, "_BLOCK_ROWS", 10 * n)   # 10-node blocks
+    blocks = list(lp._forcing_blocks(p, ens.values, p.unstable_modes,
+                                     lp.solver_boundary_columns(p), 1e-2, wiener))
+    assert len(blocks) == 11
+    for a, v, _, _ in blocks:
+        assert np.shares_memory(v, ens.values)
+        assert np.array_equal(v, ens.values[:, a:a + len(v)].swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_weighted_gap_bits_do_not_depend_on_the_layout(monkeypatch, m):
+    n = 3000
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((2, n, 41, m))
+    times = np.linspace(-4.0, 0.0, 41)
+    monkeypatch.setattr(lp, "_BLOCK_ROWS", 16 * n)   # blocks of 16, 16 and 9 nodes
+    ref = lp._weighted_gap(a, b, times, 0.0, 0.5)
+
+    def node_major(x):
+        return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+
+    assert lp._weighted_gap(node_major(a), node_major(b), times, 0.0, 0.5) == ref
+    worst = max(np.exp(-0.5 * times) * np.sqrt(np.mean(np.sum((a - b) ** 2, axis=2), axis=0)))
+    assert ref == pytest.approx(worst, rel=1e-12)
 
 
 # ---------------------------------------------------- gates and certificates

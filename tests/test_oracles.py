@@ -67,6 +67,27 @@ def test_slope_oracle_block_case():
     assert np.allclose(M, [[0.05, 0.02]], atol=1e-12)
 
 
+def test_slope_oracle_stall_reports_distance_and_limits():
+    b = np.array([[0.0, 0.1], [0.1, 0.0]])
+    with pytest.raises(MaxIterExceeded) as info:
+        linear_manifold_oracle([[1.0]], [[-1.0]], b, tol=1e-13, max_iter=1)
+    exc = info.value
+    assert (exc.tol, exc.max_iter) == (1e-13, 1)
+    assert exc.distance > exc.tol
+    assert f"{exc.distance:.3e}" in str(exc)
+
+
+def test_slope_oracle_residual_refusal_reports_residual_and_limit():
+    # a loose tol stops after one step, before the quadratic feedback settles
+    b = np.array([[0.0, 0.1], [0.1, 0.0]])
+    with pytest.raises(MaxIterExceeded) as info:
+        linear_manifold_oracle([[1.0]], [[-1.0]], b, tol=1.0, max_iter=7)
+    exc = info.value
+    assert (exc.tol, exc.max_iter) == (msmanifold.oracles._RESIDUAL_TOL, 7)
+    assert exc.distance >= exc.tol
+    assert f"{exc.distance:.3e}" in str(exc)
+
+
 def test_slope_oracle_requires_separation():
     with pytest.raises(NoSeparation):
         linear_manifold_oracle([[1.0]], [[1.0]], np.zeros((2, 2)))
@@ -180,6 +201,18 @@ def test_quadrature_oracle_reports_stall():
         deterministic_lp_oracle(p, [0.5], LPConfig(c_zeta=1.0, t_back=2.0,
                                                    dt=1e-2, tol=1e-10,
                                                    max_iter=1))
+
+
+def test_quadrature_oracle_stall_reports_distance_and_limits():
+    # two-way coupling: no finite number of sweeps is exact
+    p = problem((1.0, -1.0), B=[[0.0, 0.05], [0.1, 0.0]])
+    with pytest.raises(MaxIterExceeded) as info:
+        deterministic_lp_oracle(p, [0.3], LPConfig(c_zeta=1.0, t_back=2.0, dt=1e-2,
+                                                   tol=1e-12, max_iter=2))
+    exc = info.value
+    assert (exc.tol, exc.max_iter) == (1e-12, 2)
+    assert exc.distance > exc.tol
+    assert f"{exc.distance:.3e}" in str(exc)
 
 
 # ------------------------------------------------------------ scalar moment

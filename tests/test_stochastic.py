@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from msmanifold.stochastic import _BLOCK, _CHUNK
+from msmanifold.stochastic import _BLOCK, _CHUNK, _node_ms
 from msmanifold.errors import (
     ConfigError,
     GridMismatch,
@@ -198,6 +199,61 @@ def test_resample_future_preserves_past():
     w2 = resample_future(w, 25, new_seed=9001)
     assert np.array_equal(w2.increments[:, :25, :], w.increments[:, :25, :])
     assert not np.array_equal(w2.increments[:, 25:, :], w.increments[:, 25:, :])
+
+
+def is_node_major(x):
+    """x (n, N, d) is the swapaxes(0, 1) view of C-ordered node-major storage,
+    or of a slice of such storage along the node axis."""
+    return x.swapaxes(0, 1).flags.c_contiguous
+
+
+def test_ensembles_are_stored_node_major():
+    # every consumer reads node by node: the public sample-major arrays are
+    # swapped views of node-major storage, and a window is a slice of it
+    p = stable_scalar(slope=0.5)
+    g = TimeGrid(-0.5, 0.01, 50)
+    w = sample_wiener(3, g, unit_noise(), 3000)
+    assert w.increments.shape == (3000, 50, 1) and not w.increments.flags.c_contiguous
+    assert is_node_major(w.increments)
+    win = w.window(10, 40)
+    assert is_node_major(win.increments) and np.shares_memory(win.increments, w.increments)
+    assert is_node_major(resample_future(w, 20, 4).increments)
+    assert w.values().shape == (3000, 51, 1) and is_node_major(w.values())
+    ens = integrate_mild(p, np.array([0.1]), g, w)
+    assert ens.values.shape == (3000, 51, 1) and is_node_major(ens.values)
+    assert ens.at(7).flags.c_contiguous
+
+
+def test_sample_major_wiener_gives_the_same_bits():
+    # an ensemble a caller builds sample-major runs through the same code
+    p = stable_scalar(slope=0.5)
+    g = TimeGrid(-0.5, 0.01, 50)
+    w = sample_wiener(3, g, unit_noise(), 3000)
+    sm = replace(w, increments=np.ascontiguousarray(w.increments))
+    assert sm.increments.flags.c_contiguous
+    assert np.array_equal(sm.values(), w.values())
+    assert np.array_equal(sm.value_at(30), w.value_at(30))
+    assert np.array_equal(resample_future(sm, 20, 4).increments,
+                          resample_future(w, 20, 4).increments)
+    assert np.array_equal(integrate_mild(p, np.array([0.1]), g, sm).values,
+                          integrate_mild(p, np.array([0.1]), g, w).values)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_node_ms_bits_do_not_depend_on_the_layout(m):
+    # squares summed per sample over the modes, then over the samples in
+    # sample order from +0: the order of a reduction over sample-major
+    # storage, which the solver's certificates were computed with
+    n = 3000
+    rng = np.random.default_rng(m)
+    sm = rng.standard_normal((n, 37, m)) * np.exp(3.0 * rng.standard_normal((n, 1, 1)))
+    nm = np.ascontiguousarray(sm.swapaxes(0, 1))
+    ref = np.zeros(37)
+    for i in range(n):
+        ref += np.einsum("jm,jm->j", sm[i], sm[i])
+    ref = np.sqrt(ref / n)
+    assert np.array_equal(_node_ms(sm.swapaxes(0, 1)), ref)
+    assert np.array_equal(_node_ms(nm), ref)
 
 
 # ---------------------------------------------------------------- integrator
