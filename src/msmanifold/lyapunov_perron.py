@@ -4,7 +4,9 @@ The backward map builds the unstable manifold: at each grid time the unstable
 block is a conditional expectation (anchor pull-back minus the conditional
 drift integral; the Ito term is zero by the martingale property) and the
 stable block is a per-sample truncated convolution plus Ito quadrature. The
-forward map mirrors this for the stable invariant set.
+forward map mirrors this for the stable invariant set. Both blocks project
+one forcing, evaluated once per time block in a forward pass that runs the
+stable scan; a reverse pass then scans and regresses the unstable drift.
 """
 from __future__ import annotations
 
@@ -174,11 +176,13 @@ def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
 
 
 # Time blocks hold _BLOCK_ROWS sample rows, and never fewer than
-# _MIN_BLOCK_NODES nodes. The maps keep drift, diffusion and scan buffers for
-# about two blocks at a time, so the rows bound their memory; the node floor
-# spreads each block's fixed cost (interpreter work and one batched drift
-# and diffusion call) over enough nodes on large ensembles. The length
-# depends on n_samples alone.
+# _MIN_BLOCK_NODES nodes. A map holds one block's drift, diffusion, Ito
+# increments and stable scan in its forward pass, and one block's unstable
+# scan and fits in its reverse pass; the unstable drift waits in between in
+# the map's output. So the rows bound the memory a map needs beyond its
+# output; the node floor spreads each block's fixed cost (interpreter work
+# and one batched drift and diffusion call) over enough nodes on large
+# ensembles. The length depends on n_samples alone.
 _BLOCK_ROWS = 1 << 14
 _MIN_BLOCK_NODES = 8
 
@@ -220,79 +224,81 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
     return target
 
 
-def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, idx, cols, dt: float,
-                    wiener: Optional[WienerEnsemble], reverse: bool = False):
-    """Time blocks of vals, last first when reverse, as node-major blocks v
-    (L, n, m), views of node-major storage, with the half-step drift and the
-    Ito increment leaving each node, (L, n, k) in the modes idx; drift and
-    diffusion see a block as one (L * n, m) batch. No increment leaves the
-    last grid node, and none is drawn without ``wiener``. Yields (a, v,
-    half, ito), a the first node."""
+def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
+                    wiener: Optional[WienerEnsemble]):
+    """Forward time blocks of vals as node-major blocks v (L, n, m), views of
+    node-major storage, with the half-step drift and the Ito increment
+    leaving each node, both (L, n, m); drift and diffusion see a block as
+    one (L * n, m) batch. No increment leaves the last grid node, and none
+    is drawn without ``wiener``. Yields (a, v, half, ito), a the first node."""
     nodes = vals.swapaxes(0, 1)
     n_nodes, n, m = nodes.shape
     length = _block_len(n)
-    starts = range(0, n_nodes, length)
-    for a in (reversed(starts) if reverse else starts):
-        flat = nodes[a:a + length].reshape(-1, m)
-        v = flat.reshape(-1, n, m)
-        L = len(v)
-        half = 0.5 * dt * forcing_modes(p.nonlinearity.fn(flat), cols)[:, idx]
-        half = half.reshape(L, n, len(idx))
+    for a in range(0, n_nodes, length):
+        v = np.ascontiguousarray(nodes[a:a + length])
+        flat = v.reshape(-1, m)
+        half = 0.5 * dt * forcing_modes(p.nonlinearity.fn(flat), cols).reshape(v.shape)
         ito = np.zeros_like(half)
         if wiener is not None:
-            steps = min(L, n_nodes - 1 - a)
-            amp = p.noise.diffusion(flat[:steps * n])[:, idx].reshape(steps, n, len(idx))
-            ito[:steps] = amp * wiener.increments.swapaxes(0, 1)[a:a + steps, :, idx]
+            steps = min(len(v), n_nodes - 1 - a)
+            amp = p.noise.diffusion(flat[:steps * n]).reshape(steps, n, m)
+            ito[:steps] = amp * wiener.increments.swapaxes(0, 1)[a:a + steps]
         yield a, v, half, ito
 
 
 # Both sides scan the trapezoid rule y_j = decay * (y_{j-1} + h_{j-1}) + h_j
-# (y_{j+1}, h_{j+1} on the unstable side), h the half-step drift, as
-# z = y + h: z_j = decay * z_{j-1} + 2 h_j needs no drift from a neighbouring
-# block. Only the drift is subtracted again, never a noise increment, so the
-# integrals over a deterministic state stay exactly deterministic. Blocks are
-# node-major, (L, n, .), so a sweep step works on contiguous rows.
+# (y_{j+1}, h_{j+1} on the unstable side), h the half-step drift, as z = y + h:
+# z_j = decay * z_{j-1} + 2 h_j needs no drift from a neighbouring block. Only
+# the drift is subtracted again, never a noise increment, so the integrals over
+# a deterministic state stay exactly deterministic. Blocks are node-major.
 
-def _unstable_integrals(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
-                        wiener: Optional[WienerEnsemble] = None):
-    """Per-sample integrals from each node to the window end, over reverse
-    time blocks. Yields (a, v, drift, ito): the first node, the node-major
-    block v of vals and, each (L, n, k), the trapezoid convolution of the
-    unstable drift and the Ito sum of the unstable noise (zero without
-    ``wiener``) over [t_j, t_end]."""
-    u_idx = p.unstable_modes
-    k = len(u_idx)
-    decay = np.exp(-p.eigenvalues[u_idx] * dt)
-    carry = None
-    for a, v, half, ito in _forcing_blocks(p, vals, u_idx, cols, dt, wiener, reverse=True):
-        z = np.concatenate((half + half, ito), axis=2)
-        if carry is None:
-            z[-1, :, :k] = half[-1]     # the window end: an empty integral
-        linear_scan(z, np.concatenate((decay, decay)), carry, reverse=True)
-        carry = z[0].copy()
-        z[..., :k] -= half
-        yield a, v, z[..., :k], z[..., k:]
-
-
-def _stable_integrals(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
-                      wiener: Optional[WienerEnsemble] = None, start=0.0):
-    """Stable block from the window start on, over forward time blocks.
-    Yields (a, y), y (L, n, k) at node j = a, a+1, ...: T(t_j - t_0) start
-    plus the trapezoid convolution of the stable drift and the Ito
-    quadrature of the stable noise over [t_0, t_j]."""
-    s_idx = p.stable_modes
+def _forward_pass(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
+                  dt: float, wiener: Optional[WienerEnsemble], start) -> np.ndarray:
+    """A map's forward pass over the time blocks of vals into node-major out
+    (N+1, n, m): the stable block, T(t_j - t_0) start plus the trapezoid
+    convolution of the stable drift and the Ito quadrature of the stable
+    noise over [t_0, t_j], and the unstable half-step drift, parked in
+    out[..., u_idx]. Returns the one use of the unstable noise,
+    sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j, (n, k)."""
+    s_idx, u_idx = p.stable_modes, p.unstable_modes
     decay = np.exp(p.eigenvalues[s_idx] * dt)
+    weight = np.exp(-np.outer(np.arange(len(out)) * dt, p.eigenvalues[u_idx]))
+    ito0 = np.zeros((out.shape[1], len(u_idx)))
     carry = None
-    for a, _, half, ito in _forcing_blocks(p, vals, s_idx, cols, dt, wiener):
-        z = half + half
-        z[1:] += decay * ito[:-1]       # the increment leaving node j reaches j + 1
-        if carry is None:
-            z[0] = half[0] + start
-        else:
-            z[0] += decay * ito_prev
+    for a, v, half, ito in _forcing_blocks(p, vals, cols, dt, wiener):
+        rows = slice(a, a + len(v))
+        out[rows, :, u_idx] = half[..., u_idx]
+        ito0 += np.einsum("jnk,jk->nk", ito[..., u_idx], weight[rows])
+        h, dw = half[..., s_idx], ito[..., s_idx]
+        z = h + h
+        z[1:] += decay * dw[:-1]        # the increment leaving node j reaches j + 1
+        z[0] = h[0] + start if carry is None else z[0] + decay * dw_prev
         linear_scan(z, decay, carry)
-        carry, ito_prev = z[-1].copy(), ito[-1].copy()
-        yield a, z - half
+        carry, dw_prev = z[-1], dw[-1]
+        out[rows, :, s_idx] = z - h
+    return ito0
+
+
+def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
+                dt: float, wiener: Optional[WienerEnsemble], start=0.0):
+    """A map's two passes: the forward pass, then a reverse pass that scans
+    the parked drift and yields, last block first, (a, v, drift, ito0): the
+    first node, the node-major block v of vals, the unstable drift's trapezoid
+    convolution over [t_j, t_end], (L, n, k), and the forward pass's Ito sum.
+    The caller overwrites the parked drift with its fits, and the anchor node."""
+    ito0 = _forward_pass(p, vals, out, cols, dt, wiener, start)
+    decay = np.exp(-p.eigenvalues[p.unstable_modes] * dt)
+    length = _block_len(out.shape[1])
+    carry = None
+    for a in reversed(range(0, len(out), length)):
+        h = out[a:a + length, :, p.unstable_modes]
+        z = h + h
+        if carry is None:
+            z[-1] = h[-1]               # the window end: an empty integral
+        linear_scan(z, decay, carry, reverse=True)
+        carry = z[0].copy()
+        z -= h
+        yield a, np.ascontiguousarray(vals[:, a:a + length].swapaxes(0, 1)), z, ito0
 
 
 def _weighted_gap(a: np.ndarray, b: np.ndarray, times: np.ndarray,
@@ -346,12 +352,13 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
                     gap: Optional[GapReport] = None) -> ProcessEnsemble:
     """One application of the backward map on the window [tau - T_back, tau].
 
-    Unstable block at t: the regression of the pulled-back anchor minus the
-    per-sample drift integral over [t, tau] (one target, so each node
-    factorizes its design once); a deterministic anchor passes through
-    unregressed. The Ito term is zero (martingale) and its raw-mean
-    diagnostic lands in meta. Stable block at t: truncated convolution of
-    the stable drift plus per-sample Ito quadrature over [tau - T_back, t].
+    The forward pass over the time blocks gives the stable block at t: the
+    truncated convolution of the stable drift plus per-sample Ito quadrature
+    over [tau - T_back, t]. The reverse pass gives the unstable block at t:
+    the regression of the pulled-back anchor minus the per-sample drift
+    integral over [t, tau] (one target, so each node factorizes its design
+    once); a deterministic anchor passes through unregressed. The Ito term
+    is zero (martingale) and its raw-mean diagnostic lands in meta.
     """
     gap = _check_gap(p, cfg, "unstable", gap)
     grid = xi.grid
@@ -359,7 +366,7 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
         raise ConfigError(f"grid ends at {grid.t_end}, config anchors at {cfg.tau}")
     n = xi.n_samples
     m = p.n_modes
-    u_idx, s_idx = _block_indices(p)
+    u_idx, _ = _block_indices(p)
     xu, x_det = _normalize_anchor(x, u_idx, m, n)
     noise = _driving_noise(p, wiener, grid)
     basis = cfg.basis_for(p) if basis is None else basis
@@ -370,7 +377,7 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     out = np.zeros((grid.n_nodes, n, m))
     agg: dict = {}
 
-    for a, v, drift, ito_u in _unstable_integrals(p, xi.values, cols, dt, noise):
+    for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, dt, noise):
         hi = min(len(v), N - a)  # the anchor node N is set below
         pull_j = pull[a:a + hi, None]
         target = drift[:hi] if x_det else xu * pull_j - drift[:hi]
@@ -380,10 +387,7 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
         out[a:a + hi, :, u_idx] = fit
     # anchor node: the map returns x itself at tau (E[x|F_tau] = x)
     out[N][:, u_idx] = xu
-    _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
-
-    for a, y in _stable_integrals(p, xi.values, cols, dt, noise):
-        out[a:a + len(y), :, s_idx] = y
+    _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
 
     if not np.isfinite(out).all():
         raise NonfiniteState("backward map produced non-finite values")
@@ -548,10 +552,11 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
                    gap: Optional[GapReport] = None) -> ProcessEnsemble:
     """One application of the forward map on [tau, tau + T_fwd].
 
-    Stable block: pushed-forward anchor plus truncated convolution and Ito
-    quadrature over [tau, t]. Unstable block: minus the regression of the
-    per-sample drift integral over [t, tau + T_fwd]; the sigma term is zero
-    by the martingale property (diagnostic in meta).
+    Forward pass, stable block: pushed-forward anchor plus truncated
+    convolution and Ito quadrature over [tau, t]. Reverse pass, unstable
+    block: minus the regression of the per-sample drift integral over
+    [t, tau + T_fwd]; the sigma term is zero by the martingale property
+    (diagnostic in meta).
     """
     gap = _check_gap(p, cfg, "stable", gap)
     grid = xi.grid
@@ -569,18 +574,12 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     out = np.zeros((grid.n_nodes, n, m))
     agg: dict = {}
 
-    for a, y in _stable_integrals(p, xi.values, cols, dt, noise, start=xs):
-        out[a:a + len(y), :, s_idx] = y
-
-    # out[N, :, u_idx] stays 0: the drift integral beyond tau + T_fwd is the
-    # reported truncation tail
-    for a, v, drift, ito_u in _unstable_integrals(p, xi.values, cols, dt, noise):
+    for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, dt, noise, start=xs):
         hi = min(len(v), N - a)
-        fit = _conditional_fit(drift[:hi], v[:hi], basis, _nodes(wvals, a, a + hi),
-                               grid, a, agg)
-        out[a:a + hi, :, u_idx] = -fit
-
-    _, ito_diag = condexp_ito_zero(ito_u[0], (grid.t_start, grid.t_end))
+        out[a:a + hi, :, u_idx] = -_conditional_fit(drift[:hi], v[:hi], basis,
+                                                    _nodes(wvals, a, a + hi), grid, a, agg)
+    out[N][:, u_idx] = 0.0   # beyond tau + T_fwd lies the reported truncation tail
+    _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
     if not np.isfinite(out).all():
         raise NonfiniteState("forward map produced non-finite values")
     return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction="forward",

@@ -98,6 +98,8 @@ def linear_manifold_oracle(a_u, a_s, b, tol: float = 1e-13,
     b = np.atleast_2d(np.asarray(b, dtype=float))
     k = a_u.shape[0]
     ms = a_s.shape[0]
+    if max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
     if b.shape != (k + ms, k + ms):
         raise ConfigError(f"coupling must be {(k + ms, k + ms)}, got {b.shape}")
     b_uu, b_us = b[:k, :k], b[:k, k:]
@@ -194,6 +196,8 @@ def deterministic_lp_oracle(p: SpectralProblem, x, cfg) -> np.ndarray:
     s_idx = np.asarray(p.stable_modes, dtype=int)
     if x.size != u_idx.size:
         raise ConfigError(f"anchor needs {u_idx.size} unstable coordinates")
+    if cfg.max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
     n = int(round(cfg.t_back / cfg.dt))
     if n < 2:
         raise ConfigError("backward window shorter than two steps")

@@ -267,6 +267,54 @@ def test_maps_evaluate_drift_once_per_time_block(monkeypatch):
     assert len(calls) <= 4, len(calls)
 
 
+def test_maps_evaluate_drift_and_diffusion_once_per_time_block(monkeypatch):
+    # noise and a random anchor: both sides of both maps need the forcing,
+    # and every node is a regression
+    p, drifts = counted_drift(two_way_noisy())
+    diffusions = []
+    sigma = p.noise.fn
+
+    def counting(v):
+        diffusions.append(v.shape)
+        return sigma(v)
+
+    p = replace(p, noise=replace(p.noise, fn=counting))
+    n, N = 64, 100
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
+    rng = np.random.default_rng(4)
+    vals = 0.1 + 0.05 * rng.standard_normal((n, N + 1, 2))
+    x = 0.3 + 0.1 * rng.standard_normal((n, 1))
+    monkeypatch.setattr(lp, "_BLOCK_ROWS", 40 * n)   # blocks of 40, 40 and 21 nodes
+    for step, start in ((lp_backward_map, -1.0), (lp_forward_map, 0.0)):
+        grid = TimeGrid(start, 1e-2, N)
+        drifts.clear()
+        diffusions.clear()
+        step(p, ProcessEnsemble(grid, vals), x, cfg, sample_wiener(3, grid, p.noise, n))
+        assert len(drifts) == 3, drifts
+        assert len(diffusions) == 3, diffusions
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_ito_check_is_the_unstable_ito_sum_from_node_zero(side):
+    # the martingale-zero check reads sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j
+    p = two_way_noisy()
+    n, N, dt = 3000, 20, 1e-2
+    cfg = LPConfig(c_zeta=1.0, t_back=0.2, t_fwd=0.2, dt=dt, n_samples=n)
+    grid = TimeGrid(-0.2 if side == "unstable" else 0.0, dt, N)
+    wiener = sample_wiener(6, grid, p.noise, n)
+    rng = np.random.default_rng(9)
+    vals = 0.1 + 0.05 * rng.standard_normal((n, N + 1, 2))
+    x = 0.3 + 0.1 * rng.standard_normal((n, 1))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    chk = step(p, ProcessEnsemble(grid, vals), x, cfg, wiener).meta["ito_check"]
+    total = sum(math.exp(-p.eigenvalues[0] * j * dt)
+                * p.noise.diffusion(vals[:, j])[:, 0] * wiener.increments[:, j, 0]
+                for j in range(N))
+    assert chk["n_samples"] == n and chk["ok"]
+    assert chk["raw_mean"] == pytest.approx(abs(total.mean()), rel=1e-12)
+    assert chk["band"] == pytest.approx(4.0 * total.std() / math.sqrt(n), rel=1e-12)
+
+
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_maps_do_not_depend_on_the_block_length(monkeypatch, side):
     # two-way coupling and noise: every node is a regression, and the
@@ -320,8 +368,8 @@ def test_random_anchor_is_one_regression_per_time_block(monkeypatch, include_wie
     basis = cfg.basis_for(p)
     pull = np.exp((np.arange(N + 1) - N) * 1e-2 * p.eigenvalues[0])
     ref = np.zeros_like(out)
-    for a, v, drift, _ in lp._unstable_integrals(p, xi.values, lp.solver_boundary_columns(p),
-                                                 1e-2, wiener):
+    for a, v, drift, _ in lp._map_blocks(p, xi.values, np.zeros((N + 1, n, 2)),
+                                         lp.solver_boundary_columns(p), 1e-2, wiener):
         for i in range(min(len(v), N - a)):
             w = wiener.value_at(a + i) if include_wiener else None
             ref[:, a + i] = (condexp_anchor(x * pull[a + i], v[i], basis, w).fitted
@@ -410,8 +458,8 @@ def test_forcing_blocks_are_views_of_node_major_storage(monkeypatch):
     wiener = sample_wiener(3, grid, p.noise, n)
     ens = integrate_mild(p, np.full(2, 0.1), grid, wiener)
     monkeypatch.setattr(lp, "_BLOCK_ROWS", 10 * n)   # 10-node blocks
-    blocks = list(lp._forcing_blocks(p, ens.values, p.unstable_modes,
-                                     lp.solver_boundary_columns(p), 1e-2, wiener))
+    blocks = list(lp._forcing_blocks(p, ens.values, lp.solver_boundary_columns(p), 1e-2,
+                                     wiener))
     assert len(blocks) == 11
     for a, v, _, _ in blocks:
         assert np.shares_memory(v, ens.values)

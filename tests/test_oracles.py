@@ -88,6 +88,11 @@ def test_slope_oracle_residual_refusal_reports_residual_and_limit():
     assert f"{exc.distance:.3e}" in str(exc)
 
 
+def test_slope_oracle_refuses_max_iter_below_one():
+    with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+        linear_manifold_oracle([[1.0]], [[-1.0]], [[0.0, 0.0], [0.1, 0.0]], max_iter=0)
+
+
 def test_slope_oracle_requires_separation():
     with pytest.raises(NoSeparation):
         linear_manifold_oracle([[1.0]], [[1.0]], np.zeros((2, 2)))
@@ -186,6 +191,13 @@ def test_quadrature_oracle_guards():
     p = problem((1.0, -1.0))
     with pytest.raises(ConfigError):
         deterministic_lp_oracle(p, [0.1, 0.2], cfg)
+
+
+def test_quadrature_oracle_refuses_max_iter_below_one():
+    p = problem((1.0, -1.0), B=[[0.0, 0.0], [0.1, 0.0]])
+    with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+        deterministic_lp_oracle(p, [0.3], LPConfig(c_zeta=1.0, t_back=2.0, dt=1e-2,
+                                                   max_iter=0))
 
 
 def test_quadrature_oracle_reports_stall():
