@@ -410,8 +410,7 @@ def condexp_anchor(x, state_at_t, basis: RegressionBasis,
     return condexp_lsmc(arr, state_at_t, basis, wiener_at_t)
 
 
-def condexp_ito_zero(increment_sums, window: tuple, adapted: bool = True,
-                     mean_floor: float = 0.0) -> tuple:
+def condexp_ito_zero(increment_sums, window: tuple, adapted: bool = True) -> tuple:
     """E[int_t^T sigma dW | F_t] = 0 for adapted square-integrable integrands.
 
     increment_sums holds the realized integrals per sample (any trailing
@@ -430,6 +429,6 @@ def condexp_ito_zero(increment_sums, window: tuple, adapted: bool = True,
     n = arr.shape[0]
     raw_mean = float(np.max(np.abs(arr.mean(axis=0))))
     sd = float(np.max(arr.std(axis=0)))
-    band = max(4.0 * sd / np.sqrt(n), mean_floor)
+    band = 4.0 * sd / np.sqrt(n)
     return zeros, {"window": (t0, t1), "raw_mean": raw_mean, "band": band,
                    "ok": bool(raw_mean <= band), "n_samples": n}

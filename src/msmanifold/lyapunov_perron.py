@@ -4,9 +4,11 @@ The backward map builds the unstable manifold: at each grid time the unstable
 block is a conditional expectation (anchor pull-back minus the conditional
 drift integral; the Ito term is zero by the martingale property) and the
 stable block is a per-sample truncated convolution plus Ito quadrature. The
-forward map mirrors this for the stable invariant set. Both blocks project
-one forcing, evaluated once per time block in a forward pass that runs the
-stable scan; a reverse pass then scans and regresses the unstable drift.
+forward map mirrors this for the stable invariant set. One map body and one
+fixed-point loop serve both sides, which differ in the window, the anchor
+block and the unstable fit. Both blocks project one forcing, evaluated once
+per time block in a forward pass that runs the stable scan; a reverse pass
+then scans and regresses the unstable drift.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc
+from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc, default_basis
 from .errors import (ConfigError, ConsistencyFailure, GapViolation, GridMismatch,
                      IllConditionedDesign, MaxIterExceeded, NonfiniteState,
                      TruncationTooShort)
@@ -71,11 +73,7 @@ class LPConfig:
                 f"rate ordering violated: beta={p.beta} < zeta={zeta} < gamma={gamma} < alpha={p.alpha}")
 
     def basis_for(self, p: SpectralProblem) -> RegressionBasis:
-        return RegressionBasis(kind=self.basis_kind, degree=self.basis_degree,
-                               primary_idx=tuple(p.unstable_modes),
-                               linear_idx=tuple(p.stable_modes),
-                               include_wiener=self.include_wiener,
-                               n_wiener=p.noise.n_noise_modes if self.include_wiener else 0)
+        return default_basis(p, self.basis_degree, self.include_wiener, self.basis_kind)
 
 
 @dataclass
@@ -152,26 +150,19 @@ def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
     accepted when the complementary block is exactly zero."""
     arr = np.asarray(x, dtype=float)
     k = len(idx)
-    if arr.ndim == 1:
-        if arr.shape[0] == m and m != k:
-            comp = np.delete(arr, idx)
-            if np.any(comp != 0.0):
-                raise ConfigError("anchor has nonzero components outside its block")
-            arr = arr[idx]
-        if arr.shape[0] != k:
-            raise ConfigError(f"anchor length {arr.shape[0]} != block size {k}")
-        return np.tile(arr, (n_samples, 1)), True
-    if arr.ndim != 2:
+    if arr.ndim not in (1, 2):
         raise ConfigError("anchor must be a vector or (n_samples, k) array")
-    if arr.shape[0] != n_samples:
+    if arr.ndim == 2 and arr.shape[0] != n_samples:
         raise ConfigError(f"anchor rows {arr.shape[0]} != n_samples {n_samples}")
-    if arr.shape[1] == m and m != k:
-        comp = np.delete(arr, idx, axis=1)
-        if np.any(comp != 0.0):
+    if arr.shape[-1] == m and m != k:
+        if np.any(np.delete(arr, idx, axis=-1) != 0.0):
             raise ConfigError("anchor has nonzero components outside its block")
-        arr = arr[:, idx]
-    if arr.shape[1] != k:
-        raise ConfigError(f"anchor width {arr.shape[1]} != block size {k}")
+        arr = arr[..., idx]
+    if arr.shape[-1] != k:
+        what = "length" if arr.ndim == 1 else "width"
+        raise ConfigError(f"anchor {what} {arr.shape[-1]} != block size {k}")
+    if arr.ndim == 1:
+        return np.tile(arr, (n_samples, 1)), True
     return np.array(arr, dtype=float), bool(arr.shape[0] == 1 or np.all(arr == arr[0:1]))
 
 
@@ -316,10 +307,9 @@ def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str,
                gap: Optional[GapReport]) -> GapReport:
     if gap is None:
         gap = gap_report_for(p, cfg)
-    ok = gap.pass_unstable if side == "unstable" else gap.pass_stable
+    name, val, ok = (("eta", gap.eta, gap.pass_unstable) if side == "unstable"
+                     else ("delta", gap.delta, gap.pass_stable))
     if not ok and not cfg.force:
-        name = "eta" if side == "unstable" else "delta"
-        val = gap.eta if side == "unstable" else gap.delta
         raise GapViolation(f"{side} gap condition fails: {name} = {val:.4f} >= 1")
     return gap
 
@@ -346,6 +336,80 @@ def _nodes(wvals: Optional[np.ndarray], a: int, b: int) -> Optional[np.ndarray]:
     return None if wvals is None else wvals[:, a:b].swapaxes(0, 1)
 
 
+def _side_layout(p: SpectralProblem, grid: TimeGrid, side: str) -> tuple:
+    """(anchor block, value block, anchor node) of a side's window: its end
+    for the unstable graph, its start for the stable one."""
+    u_idx, s_idx = _block_indices(p)
+    if side == "unstable":
+        return u_idx, s_idx, grid.n_steps
+    return s_idx, u_idx, 0
+
+
+def _semigroup(p: SpectralProblem, grid: TimeGrid, idx: np.ndarray, node: int) -> np.ndarray:
+    """e^{lambda_i (t_j - t_node)} at the window's nodes j, (N+1, len(idx))."""
+    return np.exp(np.outer((np.arange(grid.n_nodes) - node) * grid.dt, p.eigenvalues[idx]))
+
+
+def _initial_guess(p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
+                   side: str) -> np.ndarray:
+    """The anchor moved across the window by the semigroup: pulled back on
+    the unstable side, pushed forward on the stable one. Sample-major view
+    of node-major storage."""
+    idx, _, node = _side_layout(p, grid, side)
+    out = np.zeros((grid.n_nodes, anchor.shape[0], p.n_modes))
+    if len(idx):
+        out[:, :, idx] = anchor[None, :, :] * _semigroup(p, grid, idx, node)[:, None, :]
+    return out.swapaxes(0, 1)
+
+
+def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
+            wiener: Optional[WienerEnsemble], basis: Optional[RegressionBasis],
+            gap: Optional[GapReport]) -> ProcessEnsemble:
+    """One application of the side's map; see lp_backward_map and
+    lp_forward_map. The sides differ in the anchor block and node, in the
+    start of the stable scan (zero, or the anchor) and in the unstable fit."""
+    gap = _check_gap(p, cfg, side, gap)
+    grid = xi.grid
+    unstable = side == "unstable"
+    edge, at = (grid.t_end, "ends") if unstable else (grid.t_start, "starts")
+    if abs(edge - cfg.tau) > 1e-6 * grid.dt:
+        raise ConfigError(f"grid {at} at {edge}, config anchors at {cfg.tau}")
+    n, m = xi.n_samples, p.n_modes
+    u_idx, s_idx = _block_indices(p)
+    anchor, x_det = _normalize_anchor(x, u_idx if unstable else s_idx, m, n)
+    noise = _driving_noise(p, wiener, grid)
+    basis = cfg.basis_for(p) if basis is None else basis
+    cols = solver_boundary_columns(p)
+    N = grid.n_steps
+    pull = _semigroup(p, grid, u_idx, N) if unstable else None
+    wvals = _wiener_values(wiener, basis)
+    out = np.zeros((grid.n_nodes, n, m))
+    agg: dict = {}
+    start = 0.0 if unstable else anchor
+    for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, grid.dt, noise, start):
+        hi = min(len(v), N - a)  # the anchor node N is set below
+        target = drift[:hi]
+        if unstable:
+            pulled = anchor * pull[a:a + hi, None]
+            target = target if x_det else pulled - target
+        fit = _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg)
+        if not unstable:
+            fit = -fit
+        elif x_det:   # E[x|F_t] = x: only the drift integral was regressed
+            fit = pulled - fit
+        out[a:a + hi, :, u_idx] = fit
+    # the backward map returns x itself at tau (E[x|F_tau] = x); beyond
+    # tau + T_fwd lies the forward map's reported truncation tail
+    out[N][:, u_idx] = anchor if unstable else 0.0
+    _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
+    direction = "backward" if unstable else "forward"
+    if not np.isfinite(out).all():
+        raise NonfiniteState(f"{direction} map produced non-finite values")
+    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction=direction,
+                           adapted_to=None if wiener is None else wiener.seed,
+                           meta={"ito_check": ito_diag, "regression": agg})
+
+
 def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
                     wiener: Optional[WienerEnsemble] = None,
                     basis: Optional[RegressionBasis] = None,
@@ -360,50 +424,22 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     once); a deterministic anchor passes through unregressed. The Ito term
     is zero (martingale) and its raw-mean diagnostic lands in meta.
     """
-    gap = _check_gap(p, cfg, "unstable", gap)
-    grid = xi.grid
-    if abs(grid.t_end - cfg.tau) > 1e-6 * grid.dt:
-        raise ConfigError(f"grid ends at {grid.t_end}, config anchors at {cfg.tau}")
-    n = xi.n_samples
-    m = p.n_modes
-    u_idx, _ = _block_indices(p)
-    xu, x_det = _normalize_anchor(x, u_idx, m, n)
-    noise = _driving_noise(p, wiener, grid)
-    basis = cfg.basis_for(p) if basis is None else basis
-    cols = solver_boundary_columns(p)
-    dt, N = grid.dt, grid.n_steps
-    pull = np.exp(np.outer((np.arange(N + 1) - N) * dt, p.eigenvalues[u_idx]))
-    wvals = _wiener_values(wiener, basis)
-    out = np.zeros((grid.n_nodes, n, m))
-    agg: dict = {}
-
-    for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, dt, noise):
-        hi = min(len(v), N - a)  # the anchor node N is set below
-        pull_j = pull[a:a + hi, None]
-        target = drift[:hi] if x_det else xu * pull_j - drift[:hi]
-        fit = _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg)
-        if x_det:   # E[x|F_t] = x: only the drift integral was regressed
-            fit = xu * pull_j - fit
-        out[a:a + hi, :, u_idx] = fit
-    # anchor node: the map returns x itself at tau (E[x|F_tau] = x)
-    out[N][:, u_idx] = xu
-    _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
-
-    if not np.isfinite(out).all():
-        raise NonfiniteState("backward map produced non-finite values")
-    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction="backward",
-                           adapted_to=None if wiener is None else wiener.seed,
-                           meta={"ito_check": ito_diag, "regression": agg})
+    return _lp_map("unstable", p, xi, x, cfg, wiener, basis, gap)
 
 
-def _initial_backward(p, grid, xu, u_idx) -> np.ndarray:
-    """The pulled-back anchor, sample-major view of node-major storage."""
-    out = np.zeros((grid.n_nodes, xu.shape[0], p.n_modes))
-    if len(u_idx):
-        steps = np.arange(grid.n_nodes) - grid.n_steps
-        fac = np.exp(np.outer(steps * grid.dt, p.eigenvalues[u_idx]))
-        out[:, :, u_idx] = xu[None, :, :] * fac[:, None, :]
-    return out.swapaxes(0, 1)
+def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
+                   wiener: Optional[WienerEnsemble] = None,
+                   basis: Optional[RegressionBasis] = None,
+                   gap: Optional[GapReport] = None) -> ProcessEnsemble:
+    """One application of the forward map on [tau, tau + T_fwd].
+
+    Forward pass, stable block: pushed-forward anchor plus truncated
+    convolution and Ito quadrature over [tau, t]. Reverse pass, unstable
+    block: minus the regression of the per-sample drift integral over
+    [t, tau + T_fwd]; the sigma term is zero by the martingale property
+    (diagnostic in meta).
+    """
+    return _lp_map("stable", p, xi, x, cfg, wiener, basis, gap)
 
 
 def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
@@ -415,26 +451,14 @@ def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
     contraction = gap.eta if side == "unstable" else gap.delta
     amp = 1.0 / (1.0 - contraction) if contraction < 1.0 else 1.0
     bound = p.bound_K * xnorm * amp * contraction
-    if side == "unstable":
-        tail = p.bound_K * np.exp((zeta - gamma) * cfg.t_back) * bound
-        horizon, rate = cfg.t_back, gamma - zeta
-    else:
-        tail = p.bound_K * np.exp((gamma - p.alpha) * cfg.t_fwd) * bound
-        horizon, rate = cfg.t_fwd, p.alpha - gamma
+    horizon, rate = ((cfg.t_back, gamma - zeta) if side == "unstable"
+                     else (cfg.t_fwd, p.alpha - gamma))
+    tail = p.bound_K * np.exp(-rate * horizon) * bound
     if tail >= cfg.tol / 10.0 and not cfg.force:
         needed = np.log(10.0 * p.bound_K * bound / cfg.tol) / rate
         raise TruncationTooShort(
             f"truncation tail {tail:.3e} >= tol/10; horizon {horizon} too short, need >= {needed:.3f}")
     return float(tail)
-
-
-def _certify(trace: FixedPointTrace, cur: ProcessEnsemble, again: ProcessEnsemble,
-             node: int, idx: np.ndarray, tau: float, rate: float) -> None:
-    """Both certificates from one residual map ``again`` of the fixed point
-    ``cur``: the weighted residual over the window, and the consistency gap,
-    the ms-norm of the value block idx at the anchor node."""
-    trace.residual = _weighted_gap(cur.values, again.values, cur.grid.times, tau, rate)
-    trace.consistency_gap = ms_norm(cur.values[:, node, idx] - again.values[:, node, idx])
 
 
 def _solver_grid(cfg: LPConfig, side: str) -> TimeGrid:
@@ -477,53 +501,88 @@ def _not_converged(side: str, trace: FixedPointTrace, cfg: LPConfig,
                            max_iter=cfg.max_iter)
 
 
+def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
+              wiener: Optional[WienerEnsemble]) -> tuple:
+    """Iterate the side's map from the initial guess. A fixed point gets
+    both certificates from one more map, the residual map: the weighted
+    residual over the window, and the consistency gap, the ms-norm of the
+    value block at the anchor node. Returns (ensemble, trace). The unstable
+    side lets NonfiniteState propagate; the stable side records it as
+    trace.regression["aborted"] and returns unconverged."""
+    cfg.validate(p)
+    gap = _check_gap(p, cfg, side, None)
+    gamma, _ = cfg.rates(p)
+    grid = _solver_grid(cfg, side)
+    anchor_idx, value_idx, node = _side_layout(p, grid, side)
+    n = _n_samples(x, cfg)
+    anchor, _ = _normalize_anchor(x, anchor_idx, p.n_modes, n)
+    tail = _truncation_check(p, cfg, gap, ms_norm(anchor), side)
+    wiener = _solver_noise(p, cfg, grid, n, wiener)
+    basis = cfg.basis_for(p)
+
+    def step(ens: ProcessEnsemble) -> ProcessEnsemble:
+        # looked up on every call, so a rebound map name is the one iterated
+        lp_map = lp_backward_map if side == "unstable" else lp_forward_map
+        return lp_map(p, ens, x, cfg, wiener, basis=basis, gap=gap)
+
+    cur = ProcessEnsemble(grid=grid, values=_initial_guess(p, grid, anchor, side),
+                          direction="backward" if side == "unstable" else "forward",
+                          adapted_to=None if wiener is None else wiener.seed)
+    trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
+    times = grid.times
+    try:
+        for _ in range(cfg.max_iter):
+            nxt = step(cur)
+            d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, gamma)
+            if trace.distances and trace.distances[-1] > 0:
+                trace.ratios.append(d / trace.distances[-1])
+            trace.distances.append(d)
+            cur = nxt
+            if d <= cfg.tol:
+                trace.converged = True
+                break
+    except NonfiniteState as exc:
+        if side == "unstable":
+            raise
+        trace.regression = {"aborted": str(exc)}
+    trace.iterations = len(trace.distances)
+    trace.ito_check = cur.meta.get("ito_check", {})
+    if not trace.regression:
+        trace.regression = cur.meta.get("regression", {})
+    if trace.converged:
+        again = step(cur)
+        trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, gamma)
+        trace.consistency_gap = ms_norm(cur.values[:, node, value_idx]
+                                        - again.values[:, node, value_idx])
+    return cur, trace
+
+
 def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig,
                       wiener: Optional[WienerEnsemble] = None) -> tuple:
     """Iterate the backward map to its fixed point. Returns (ensemble, trace).
     Runs on ``wiener`` when given (sampled on the solver's window), else
     draws the noise once."""
-    cfg.validate(p)
-    gap = _check_gap(p, cfg, "unstable", None)
-    gamma, _ = cfg.rates(p)
-    grid = _solver_grid(cfg, "unstable")
-    u_idx, s_idx = _block_indices(p)
-    n = _n_samples(x, cfg)
-    xu, _ = _normalize_anchor(x, u_idx, p.n_modes, n)
-    tail = _truncation_check(p, cfg, gap, ms_norm(xu), "unstable")
-    wiener = _solver_noise(p, cfg, grid, n, wiener)
-    basis = cfg.basis_for(p)
-
-    cur = ProcessEnsemble(grid=grid, values=_initial_backward(p, grid, xu, u_idx),
-                          direction="backward",
-                          adapted_to=None if wiener is None else wiener.seed)
-    trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
-    times = grid.times
-    for _ in range(cfg.max_iter):
-        nxt = lp_backward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
-        d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, gamma)
-        if trace.distances:
-            prev = trace.distances[-1]
-            if prev > 0:
-                trace.ratios.append(d / prev)
-        trace.distances.append(d)
-        cur = nxt
-        if d <= cfg.tol:
-            trace.converged = True
-            break
-    trace.iterations = len(trace.distances)
-    trace.ito_check = cur.meta.get("ito_check", {})
-    trace.regression = cur.meta.get("regression", {})
+    ens, trace = _lp_solve("unstable", p, x, cfg, wiener)
     if not trace.converged:
         raise _not_converged("unstable", trace, cfg, "no fixed point")
-    again = lp_backward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
-    _certify(trace, cur, again, grid.n_steps, s_idx, cfg.tau, gamma)
-    return cur, trace
+    return ens, trace
 
 
-def _graph(side: str, ens: ProcessEnsemble, trace: FixedPointTrace, tau: float,
-           node: int, anchor_idx: np.ndarray, value_idx: np.ndarray) -> ManifoldGraph:
+def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig,
+                     wiener: Optional[WienerEnsemble] = None) -> tuple:
+    """Iterate the forward map. Returns (ensemble, trace, membership); a run
+    that fails to converge reports membership False instead of raising.
+    Runs on ``wiener`` when given (sampled on the solver's window), else
+    draws the noise once."""
+    ens, trace = _lp_solve("stable", p, x, cfg, wiener)
+    return ens, trace, trace.converged
+
+
+def _graph(side: str, p: SpectralProblem, ens: ProcessEnsemble, trace: FixedPointTrace,
+           tau: float) -> ManifoldGraph:
     """The graph at the anchor node of a certified fixed point; refused when
     the residual map moves its value by more than 2*tol."""
+    anchor_idx, value_idx, node = _side_layout(p, ens.grid, side)
     limit = 2.0 * trace.tol
     if trace.consistency_gap > limit:
         raise ConsistencyFailure(
@@ -542,107 +601,7 @@ def unstable_graph(p: SpectralProblem, x, cfg: LPConfig,
     gap is the stable block of the residual map at tau, measured against
     h(x, tau); it is bounded by trace.residual."""
     ens, trace = lp_backward_solve(p, x, cfg, wiener)
-    u_idx, s_idx = _block_indices(p)
-    return _graph("unstable", ens, trace, cfg.tau, ens.grid.n_steps, u_idx, s_idx)
-
-
-def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-                   wiener: Optional[WienerEnsemble] = None,
-                   basis: Optional[RegressionBasis] = None,
-                   gap: Optional[GapReport] = None) -> ProcessEnsemble:
-    """One application of the forward map on [tau, tau + T_fwd].
-
-    Forward pass, stable block: pushed-forward anchor plus truncated
-    convolution and Ito quadrature over [tau, t]. Reverse pass, unstable
-    block: minus the regression of the per-sample drift integral over
-    [t, tau + T_fwd]; the sigma term is zero by the martingale property
-    (diagnostic in meta).
-    """
-    gap = _check_gap(p, cfg, "stable", gap)
-    grid = xi.grid
-    if abs(grid.t_start - cfg.tau) > 1e-6 * grid.dt:
-        raise ConfigError(f"grid starts at {grid.t_start}, config anchors at {cfg.tau}")
-    n = xi.n_samples
-    m = p.n_modes
-    u_idx, s_idx = _block_indices(p)
-    xs, _ = _normalize_anchor(x, s_idx, m, n)
-    noise = _driving_noise(p, wiener, grid)
-    basis = cfg.basis_for(p) if basis is None else basis
-    cols = solver_boundary_columns(p)
-    dt, N = grid.dt, grid.n_steps
-    wvals = _wiener_values(wiener, basis)
-    out = np.zeros((grid.n_nodes, n, m))
-    agg: dict = {}
-
-    for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, dt, noise, start=xs):
-        hi = min(len(v), N - a)
-        out[a:a + hi, :, u_idx] = -_conditional_fit(drift[:hi], v[:hi], basis,
-                                                    _nodes(wvals, a, a + hi), grid, a, agg)
-    out[N][:, u_idx] = 0.0   # beyond tau + T_fwd lies the reported truncation tail
-    _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
-    if not np.isfinite(out).all():
-        raise NonfiniteState("forward map produced non-finite values")
-    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction="forward",
-                           adapted_to=None if wiener is None else wiener.seed,
-                           meta={"ito_check": ito_diag, "regression": agg})
-
-
-def _initial_forward(p, grid, xs, s_idx) -> np.ndarray:
-    """The pushed-forward anchor, sample-major view of node-major storage."""
-    out = np.zeros((grid.n_nodes, xs.shape[0], p.n_modes))
-    if len(s_idx):
-        fac = np.exp(np.outer(np.arange(grid.n_nodes) * grid.dt, p.eigenvalues[s_idx]))
-        out[:, :, s_idx] = xs[None, :, :] * fac[:, None, :]
-    return out.swapaxes(0, 1)
-
-
-def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig,
-                     wiener: Optional[WienerEnsemble] = None) -> tuple:
-    """Iterate the forward map. Returns (ensemble, trace, membership); a run
-    that fails to converge reports membership False instead of raising.
-    Runs on ``wiener`` when given (sampled on the solver's window), else
-    draws the noise once."""
-    cfg.validate(p)
-    gap = _check_gap(p, cfg, "stable", None)
-    gamma, _ = cfg.rates(p)
-    grid = _solver_grid(cfg, "stable")
-    u_idx, s_idx = _block_indices(p)
-    n = _n_samples(x, cfg)
-    xs, _ = _normalize_anchor(x, s_idx, p.n_modes, n)
-    tail = _truncation_check(p, cfg, gap, ms_norm(xs), "stable")
-    wiener = _solver_noise(p, cfg, grid, n, wiener)
-    basis = cfg.basis_for(p)
-
-    cur = ProcessEnsemble(grid=grid, values=_initial_forward(p, grid, xs, s_idx),
-                          direction="forward",
-                          adapted_to=None if wiener is None else wiener.seed)
-    trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
-    times = grid.times
-    membership = False
-    try:
-        for _ in range(cfg.max_iter):
-            nxt = lp_forward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
-            d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, gamma)
-            if trace.distances:
-                prev = trace.distances[-1]
-                if prev > 0:
-                    trace.ratios.append(d / prev)
-            trace.distances.append(d)
-            cur = nxt
-            if d <= cfg.tol:
-                trace.converged = True
-                membership = True
-                break
-    except NonfiniteState as exc:
-        trace.regression = {"aborted": str(exc)}
-    trace.iterations = len(trace.distances)
-    trace.ito_check = cur.meta.get("ito_check", {})
-    if not trace.regression:
-        trace.regression = cur.meta.get("regression", {})
-    if membership:
-        again = lp_forward_map(p, cur, x, cfg, wiener, basis=basis, gap=gap)
-        _certify(trace, cur, again, 0, u_idx, cfg.tau, gamma)
-    return cur, trace, membership
+    return _graph("unstable", p, ens, trace, cfg.tau)
 
 
 def stable_graph(p: SpectralProblem, x, cfg: LPConfig,
@@ -655,8 +614,7 @@ def stable_graph(p: SpectralProblem, x, cfg: LPConfig,
     if not membership:
         raise _not_converged("stable", trace, cfg,
                              "anchor is not in the stable set: no fixed point")
-    u_idx, s_idx = _block_indices(p)
-    return _graph("stable", ens, trace, cfg.tau, 0, s_idx, u_idx)
+    return _graph("stable", p, ens, trace, cfg.tau)
 
 
 def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:

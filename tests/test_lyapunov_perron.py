@@ -9,6 +9,7 @@ from msmanifold.errors import (
     GapViolation,
     IllConditionedDesign,
     MaxIterExceeded,
+    NonfiniteState,
     TruncationTooShort,
 )
 import msmanifold.lyapunov_perron as lp
@@ -445,9 +446,7 @@ def test_maps_are_node_major_and_ignore_the_input_layout(side):
     b = step(p, ProcessEnsemble(grid, node_major), x, cfg, wiener).values
     assert np.array_equal(a, b)
     assert is_node_major(a) and is_node_major(b)
-    u_idx, s_idx = lp._block_indices(p)
-    initial = (lp._initial_backward(p, grid, x, u_idx) if side == "unstable"
-               else lp._initial_forward(p, grid, x, s_idx))
+    initial = lp._initial_guess(p, grid, x, side)
     assert initial.shape == (n, 101, 2) and is_node_major(initial)
 
 
@@ -533,6 +532,33 @@ def test_stable_graph_raises_for_nonmember():
                    force=True)
     with pytest.raises(MaxIterExceeded):
         stable_graph(p, [5.0], cfg)
+
+
+def overflowing_problem():
+    # F overflows to inf at every nonzero state; the declared Lipschitz
+    # constant only lets the gates pass
+    def blow_up(v):
+        with np.errstate(over="ignore"):
+            return 1e300 * (1e300 * v)
+
+    F = callable_nonlinearity(blow_up, m=2, lipschitz_L1=0.1)
+    return build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
+                         zeta=-0.5, nonlinearity=F, noise=zero_noise(2))
+
+
+def test_nonfinite_map_raises_on_the_unstable_side_and_aborts_the_stable_one():
+    p = overflowing_problem()
+    cfg = LPConfig(c_zeta=1.0, t_back=2.0, t_fwd=2.0, dt=1e-2, tol=1e-6, force=True)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonfiniteState, match="backward map"):
+            lp_backward_solve(p, [0.3], cfg)
+        _, trace, member = lp_forward_solve(p, [0.3], cfg)
+        assert not member and not trace.converged
+        assert "forward map" in trace.regression["aborted"]
+        with pytest.raises(MaxIterExceeded) as info:
+            stable_graph(p, [0.3], cfg)
+    assert trace.regression["aborted"] in str(info.value)
+    assert info.value.side == "stable" and info.value.distance is None
 
 
 def test_lipschitz_certificate_on_linear_problem():
