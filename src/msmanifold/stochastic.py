@@ -1,10 +1,11 @@
 """Wiener ensembles, the mild-solution integrator, and mean-square norms.
 
 Noise streams are counter-based: every increment is a pure function of
-(seed, sample chunk, absolute lattice step), so two runs sharing a
-dt-lattice see bit-identical increments on overlapping windows, and a
-request that draws one window once can hand views of it to every consumer.
-Sampling and integration run on one thread.
+(seed, sample chunk, absolute lattice step), drawn from a generator keyed by
+the step's 64-step lattice block, so two runs sharing a dt-lattice see
+bit-identical increments on overlapping windows, a window draws only the
+blocks it touches, and a request that draws one window once can hand views
+of it to every consumer. Sampling and integration run on one thread.
 
 Every ensemble built here is stored node-major, (node, sample, coordinate),
 because every consumer works node by node: a time block is a view and one
@@ -27,8 +28,7 @@ from .problem import NoiseModel, SpectralProblem
 from .resolvent import DEFAULT_LADDER, forcing_modes
 
 _CHUNK = 1024          # samples per RNG key; the chunk index is part of the key
-_BLOCK = 1024          # lattice steps per RNG block
-_PIECE = 64            # block rows per generator call; bounds a draw's scratch memory
+_BLOCK = 64            # lattice steps per RNG block, drawn in one generator call
 _LATTICE_RTOL = 1e-6
 
 
@@ -108,29 +108,23 @@ def _block_generator(seed, chunk_idx: int, block_idx: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def _fill_standard_increments(out: np.ndarray, seed, step0: int) -> None:
-    """Unit-variance increments for absolute steps [step0, step0+N) into
-    the node-major out[step, sample, mode]. Step s of the samples in chunk c
-    is row s - b*_BLOCK of the RNG block b = s // _BLOCK keyed by (seed, c,
-    b), so any window on the same lattice sees the same numbers. A block's
-    normals come out of its generator row after row, the same in one call or
-    in several, so each block is drawn in pieces of _PIECE rows, written
-    straight into their node slabs, from its first row up to the window's
-    last step: rows before the window are dropped, and no row after it is
-    drawn."""
+def _fill_standard_increments(out: np.ndarray, seed, step0: int, scale) -> None:
+    """Increments for absolute steps [step0, step0+N), unit normals times
+    scale, into the node-major out[step, sample, mode]. Step s of the
+    samples in chunk c is row s - b*_BLOCK of the 64-step lattice block
+    b = s // _BLOCK, whose generator is keyed by (seed, c, b), so any window
+    on the same lattice sees the same numbers. Each block is one generator
+    call from its first row up to the window's last step: rows before the
+    window are dropped, and no row after it is drawn."""
     n_steps, n, d = out.shape
     end = step0 + n_steps
 
     def fill(a, b):
         for blk in range(step0 // _BLOCK, (end - 1) // _BLOCK + 1):
-            g = _block_generator(seed, a // _CHUNK, blk)
-            stop = min(end, (blk + 1) * _BLOCK)
-            for r in range(blk * _BLOCK, stop, _PIECE):
-                r_hi = min(r + _PIECE, stop)
-                raw = g.standard_normal((r_hi - r, b - a, d))
-                lo = max(r, step0)
-                if lo < r_hi:
-                    out[lo - step0:r_hi - step0, a:b] = raw[lo - r:]
+            r = blk * _BLOCK
+            lo, hi = max(r, step0), min(end, r + _BLOCK)
+            raw = _block_generator(seed, a // _CHUNK, blk).standard_normal((hi - r, b - a, d))
+            np.multiply(raw[lo - r:], scale, out=out[lo - step0:hi - step0, a:b])
 
     map_chunks(fill, n)
 
@@ -202,8 +196,7 @@ def sample_wiener(seed, grid: TimeGrid, noise: NoiseModel, n_samples: int) -> Wi
         raise ConfigError(f"covariance weights shape {q.shape} != ({d},)")
     step0 = grid.step0
     inc = np.empty((grid.n_steps, n_samples, d))
-    _fill_standard_increments(inc, seed, step0)
-    inc *= np.sqrt(q * grid.dt)
+    _fill_standard_increments(inc, seed, step0, np.sqrt(q * grid.dt))
     return WienerEnsemble(grid=grid, seed=seed, increments=inc.swapaxes(0, 1),
                           weights=q, step0=step0)
 
@@ -213,9 +206,9 @@ def resample_future(w: WienerEnsemble, node: int, new_seed) -> WienerEnsemble:
     if not (0 <= node <= w.grid.n_steps):
         raise GridMismatch(f"node {node} outside grid")
     inc = np.empty((w.grid.n_steps, w.n_samples, w.n_noise_modes))
-    _fill_standard_increments(inc, new_seed, w.step0)
-    inc *= np.sqrt(w.weights * w.grid.dt)
     inc[:node] = w.increments.swapaxes(0, 1)[:node]
+    _fill_standard_increments(inc[node:], new_seed, w.step0 + node,
+                              np.sqrt(w.weights * w.grid.dt))
     return replace(w, increments=inc.swapaxes(0, 1),
                    seed=("resampled", w.seed, new_seed, node))
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from msmanifold import stochastic
 from msmanifold.stochastic import _BLOCK, _CHUNK, _node_ms
 from msmanifold.errors import (
     ConfigError,
@@ -176,6 +177,8 @@ STREAM_WINDOWS = {
     "prefix_from_zero": (11, TimeGrid(0.0, 2.5e-2, 20), 64, 1),
     "three_positive_blocks": (5, TimeGrid(1.0, 1e-3, 1100), 16, 2),
     "partial_last_chunk": (9, TimeGrid(-0.1, 1e-2, 30), 3000, 1),
+    "inside_one_block": (13, TimeGrid(0.03, 1e-2, 37), 64, 2),
+    "mid_block_negative_to_positive": (4, TimeGrid(-0.37, 0.01, 50), 64, 1),
 }
 
 
@@ -191,6 +194,52 @@ def test_wiener_stream_matches_whole_block_draws(window):
     w2 = resample_future(w, node, seed + 100)
     assert np.array_equal(w2.increments[:, :node], w.increments[:, :node])
     assert np.array_equal(w2.increments[:, node:], fresh[:, node:])
+
+
+def test_wiener_increments_are_scaled_while_drawn():
+    # one float64 product sqrt(q dt) * normal per element, zero weights too
+    g = TimeGrid(-0.37, 0.01, 50)
+    q = np.array([0.3, 2.0, 0.0])
+    scale = np.sqrt(q * g.dt)
+    w = sample_wiener(6, g, diagonal_linear_noise(np.ones(3), q), 1100)
+    assert np.array_equal(w.increments,
+                          reference_increments(6, g.step0, g.n_steps, 1100, 3) * scale)
+    w2 = resample_future(w, 20, 60)
+    fresh = reference_increments(60, g.step0, g.n_steps, 1100, 3) * scale
+    assert np.array_equal(w2.increments[:, 20:], fresh[:, 20:])
+
+
+def test_wiener_draw_generates_only_the_blocks_of_its_window(monkeypatch):
+    # the union window of an invariance request: steps -180..19, 2048 samples,
+    # and a resampled future from its step 0 on: steps 0..19
+    rows = {}
+    real = stochastic._block_generator
+
+    class Counting:
+        def __init__(self, seed, chunk, blk):
+            self.g, self.key = real(seed, chunk, blk), (chunk, blk)
+
+        def standard_normal(self, size):
+            rows[self.key] = rows.get(self.key, 0) + size[0]
+            return self.g.standard_normal(size)
+
+    def check(n_steps, last):
+        assert {c for c, _ in rows} == {0, 1}
+        for chunk in (0, 1):
+            drawn = {blk: r for (c, blk), r in rows.items() if c == chunk}
+            # at most 63 dropped rows ahead of the window, none after it
+            assert sum(drawn.values()) <= n_steps + 63
+            assert all(blk * _BLOCK + r - 1 <= last for blk, r in drawn.items())
+        rows.clear()
+
+    monkeypatch.setattr(stochastic, "_block_generator", Counting)
+    g = TimeGrid(-4.5, 2.5e-2, 200)
+    w = sample_wiener(7, g, unit_noise(), 2048)
+    check(200, 19)
+    resample_future(w, 180, 8)
+    check(20, 19)
+    assert np.array_equal(w.increments,
+                          reference_increments(7, g.step0, g.n_steps, 2048, 1) * np.sqrt(g.dt))
 
 
 def test_resample_future_preserves_past():
