@@ -9,6 +9,12 @@ fixed-point loop serve both sides, which differ in the window, the anchor
 block and the unstable fit. Both blocks project one forcing, evaluated once
 per time block in a forward pass that runs the stable scan; a reverse pass
 then scans and regresses the unstable drift.
+
+A deterministic anchor, the same on every sample, takes two shortcuts. With
+zero noise every sample path is the same, so the solve runs on one sample
+and copies the path to the requested samples. With noise, the solve starts
+from that zero-noise fixed point instead of the semigroup guess: the
+mean-square graph is a perturbation of it of the order of the noise.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc, default_ba
 from .errors import (ConfigError, ConsistencyFailure, GapViolation, GridMismatch,
                      IllConditionedDesign, MaxIterExceeded, NonfiniteState,
                      TruncationTooShort)
-from .problem import GapReport, SpectralProblem, gap_report
+from .problem import GapReport, SpectralProblem, gap_report, zero_noise
 from .resolvent import forcing_modes, linear_scan
 from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _node_ms,
                          integrate_mild, ms_norm, sample_wiener,
@@ -362,6 +368,39 @@ def _initial_guess(p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
     return out.swapaxes(0, 1)
 
 
+def _spread(values: np.ndarray, n: int) -> np.ndarray:
+    """A one-sample path (1, N+1, m) copied to n samples: sample-major view
+    of node-major storage, as every map output is. np.repeat copies whole
+    node rows, several times faster than a broadcast assignment."""
+    return np.repeat(values.swapaxes(0, 1), n, axis=1).swapaxes(0, 1)
+
+
+def _one_sample_solve(side: str, p: SpectralProblem, anchor: np.ndarray,
+                      cfg: LPConfig) -> tuple:
+    """The zero-noise solve of a deterministic anchor, (n, k) identical rows,
+    on one sample. Zero noise only lowers eta, delta and the truncation tail,
+    so it refuses nothing the noisy solve accepts. Returns (ensemble, trace)."""
+    if not p.noise.is_zero:
+        p = replace(p, noise=zero_noise(p.n_modes, p.noise.n_noise_modes))
+    return _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None)
+
+
+def _first_guess(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
+                 x_det: bool, cfg: LPConfig) -> np.ndarray:
+    """x_0 of a solve, sample-major. A deterministic anchor under nonzero
+    noise starts from the converged zero-noise fixed point, copied to every
+    sample; its path draws no noise, so it is adapted. Random anchors, and a
+    presolve that does not converge, start from the semigroup guess."""
+    if x_det and not p.noise.is_zero:
+        try:
+            ens, trace = _one_sample_solve(side, p, anchor, cfg)
+            if trace.converged:
+                return _spread(ens.values, len(anchor))
+        except NonfiniteState:
+            pass
+    return _initial_guess(p, grid, anchor, side)
+
+
 def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
             wiener: Optional[WienerEnsemble], basis: Optional[RegressionBasis],
             gap: Optional[GapReport]) -> ProcessEnsemble:
@@ -503,20 +542,33 @@ def _not_converged(side: str, trace: FixedPointTrace, cfg: LPConfig,
 
 def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
               wiener: Optional[WienerEnsemble]) -> tuple:
-    """Iterate the side's map from the initial guess. A fixed point gets
+    """Iterate the side's map from the first guess. A fixed point gets
     both certificates from one more map, the residual map: the weighted
     residual over the window, and the consistency gap, the ms-norm of the
     value block at the anchor node. Returns (ensemble, trace). The unstable
     side lets NonfiniteState propagate; the stable side records it as
-    trace.regression["aborted"] and returns unconverged."""
+    trace.regression["aborted"] and returns unconverged.
+
+    A deterministic anchor (_normalize_anchor's flag) under zero noise has
+    identical sample paths: it is solved on one sample, and the path is
+    copied to the n requested samples. Its certificates are the one-sample
+    solve's, which equal the n-sample ones (the ms-norm of n identical rows
+    is the one row's); ito_check still reports n samples. Under nonzero
+    noise the same one-sample solve, with the noise set to zero, gives x_0
+    (see _first_guess)."""
     cfg.validate(p)
     gap = _check_gap(p, cfg, side, None)
     gamma, _ = cfg.rates(p)
     grid = _solver_grid(cfg, side)
     anchor_idx, value_idx, node = _side_layout(p, grid, side)
     n = _n_samples(x, cfg)
-    anchor, _ = _normalize_anchor(x, anchor_idx, p.n_modes, n)
+    anchor, x_det = _normalize_anchor(x, anchor_idx, p.n_modes, n)
     tail = _truncation_check(p, cfg, gap, ms_norm(anchor), side)
+    if x_det and p.noise.is_zero and n > 1:
+        ens, trace = _one_sample_solve(side, p, anchor, cfg)
+        if "n_samples" in trace.ito_check:
+            trace.ito_check["n_samples"] = n
+        return replace(ens, values=_spread(ens.values, n)), trace
     wiener = _solver_noise(p, cfg, grid, n, wiener)
     basis = cfg.basis_for(p)
 
@@ -525,7 +577,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
         lp_map = lp_backward_map if side == "unstable" else lp_forward_map
         return lp_map(p, ens, x, cfg, wiener, basis=basis, gap=gap)
 
-    cur = ProcessEnsemble(grid=grid, values=_initial_guess(p, grid, anchor, side),
+    cur = ProcessEnsemble(grid=grid, values=_first_guess(side, p, grid, anchor, x_det, cfg),
                           direction="backward" if side == "unstable" else "forward",
                           adapted_to=None if wiener is None else wiener.seed)
     trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
@@ -642,7 +694,8 @@ def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
     cache: dict = {}
 
     def graph_of(anchor):
-        key = np.asarray(anchor, dtype=float).tobytes()
+        arr = np.asarray(anchor, dtype=float)
+        key = (arr.shape, arr.tobytes())   # [0.3] and [[0.3]] are different requests
         if key not in cache:
             cache[key] = _graph_for_side(p, anchor, cfg, side)
         return cache[key]

@@ -2,18 +2,23 @@
 once more to the fixed point gives trace.residual over the window and the
 consistency gap at the anchor node. A graph that does not converge is
 refused with its side, last distance and limits, and an invariance request
-draws its noise once."""
+draws its noise once. A deterministic anchor's one-sample zero-noise
+presolve runs its own maps on one sample, apart from the ensemble's: it is
+the whole solve of a zero-noise request, and the first guess of a noisy
+one."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import msmanifold.lyapunov_perron as lp
-from msmanifold.errors import ConsistencyFailure, MaxIterExceeded
+from msmanifold.errors import ConsistencyFailure, MaxIterExceeded, NonfiniteState
 from msmanifold import (
     LPConfig,
+    ProcessEnsemble,
     RegressionBasis,
     TimeGrid,
+    build_example_problem,
     build_problem,
     condexp_lsmc,
     diagonal_linear_noise,
@@ -26,16 +31,17 @@ from msmanifold import (
     sample_wiener,
     stable_graph,
     unstable_graph,
+    zero_noise,
 )
 
 N_SAMPLES = 64
 
 
-def two_way_noisy():
+def two_way_noisy(slope=0.1):
     B = np.array([[0.0, 0.05], [0.05, 0.0]])
     return build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
                          zeta=-0.5, nonlinearity=linear_nonlinearity(B),
-                         noise=diagonal_linear_noise([0.1, 0.1]))
+                         noise=diagonal_linear_noise([slope, slope]))
 
 
 def config():
@@ -53,10 +59,22 @@ SIDES = {"unstable": (unstable_graph, "lp_backward_map", lp_backward_map),
          "stable": (stable_graph, "lp_forward_map", lp_forward_map)}
 
 
+def presolve_maps(side, anchor):
+    """The maps of the zero-noise one-sample solve of a deterministic anchor:
+    its iterations and its residual map; none for a random anchor."""
+    if anchor == "random":
+        return 0
+    p = two_way_noisy()
+    quiet = replace(p, noise=zero_noise(p.n_modes))
+    g = SIDES[side][0](quiet, anchors()[anchor], replace(config(), n_samples=1))
+    return g.trace.iterations + 1
+
+
 @pytest.mark.parametrize("anchor", ["deterministic", "random"])
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_graph_draws_the_noise_once_and_runs_one_residual_map(monkeypatch, side, anchor):
     graph_of, map_name, step = SIDES[side]
+    one_sample = presolve_maps(side, anchor)
     draws, maps = [], []
 
     def counting_draw(*args, **kwargs):
@@ -71,7 +89,10 @@ def test_graph_draws_the_noise_once_and_runs_one_residual_map(monkeypatch, side,
     monkeypatch.setattr(lp, map_name, counting_map)
     g = graph_of(two_way_noisy(), anchors()[anchor], config())
     assert len(draws) == 1
-    assert len(maps) == g.trace.iterations + 1
+    sizes = [args[1].n_samples for args in maps]
+    assert sizes.count(N_SAMPLES) == g.trace.iterations + 1
+    assert sizes.count(1) == one_sample
+    assert len(sizes) == g.trace.iterations + 1 + one_sample
 
 
 @pytest.mark.parametrize("anchor", ["deterministic", "random"])
@@ -96,6 +117,8 @@ def test_consistency_failure_names_side_time_node_and_limit(monkeypatch):
 
     def shifted(*args, **kwargs):
         out = lp_backward_map(*args, **kwargs)
+        if args[1].n_samples != N_SAMPLES:    # the presolve's one-sample maps
+            return out
         calls.append(None)
         if len(calls) == residual_call:
             out.values[:, -1, 1] += shift
@@ -123,6 +146,102 @@ def test_nonconvergence_names_side_distance_and_limits(side):
     assert exc.distance == exc.trace.distances[-1] > cfg.tol
     assert str(exc).startswith(f"{side} side: ")
     assert f"{exc.distance:.3e}" in str(exc)
+
+
+def hand_run(side, p, x, cfg, guess, wiener=None, maps=None):
+    """The public maps iterated from ``guess`` (n, N+1, m) as the solver's
+    loop runs them: until a distance is at most tol, or ``maps`` times.
+    Returns the last iterate."""
+    step = SIDES[side][2]
+    grid = lp._solver_grid(cfg, side)
+    cur = ProcessEnsemble(grid=grid, values=guess)
+    for _ in range(cfg.max_iter if maps is None else maps):
+        nxt = step(p, cur, x, cfg, wiener)
+        d = lp._weighted_gap(cur.values, nxt.values, grid.times, cfg.tau, cfg.rates(p)[0])
+        cur = nxt
+        if maps is None and d <= cfg.tol:
+            break
+    return cur
+
+
+def semigroup_guess(side, p, x, cfg, n):
+    grid = lp._solver_grid(cfg, side)
+    return lp._initial_guess(p, grid, np.tile(np.asarray(x, dtype=float), (n, 1)), side)
+
+
+def flux_problem():
+    m = 4
+    return build_example_problem(m=m, g0=0.02 * np.eye(m), g1=0.05 * np.ones(m),
+                                 g2=0.05 * np.ones(m))
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_zero_noise_request_is_solved_on_one_sample(monkeypatch, side):
+    graph_of, map_name, step = SIDES[side]
+    p, x = flux_problem(), ([0.1] if side == "unstable" else [0.05, -0.02, 0.01])
+    cfg = LPConfig(c_zeta=0.5, t_back=6.0, t_fwd=6.0, dt=1e-2, tol=1e-6,
+                   n_samples=2, max_iter=60)
+    sizes = []
+
+    def counting_map(*args, **kwargs):
+        sizes.append(args[1].n_samples)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(lp, map_name, counting_map)
+    g = graph_of(p, x, cfg)
+    assert sizes == [1] * (g.trace.iterations + 1)
+    assert g.trace.ito_check["n_samples"] == 2
+    # the same maps on two identical samples, by hand
+    want = hand_run(side, p, x, cfg, semigroup_guess(side, p, x, cfg, 2),
+                    maps=g.trace.iterations)
+    node = want.grid.n_steps if side == "unstable" else 0
+    assert np.max(np.abs(g.h_value - want.values[:, node, g.value_idx])) <= 1e-14
+    # the certificates of one sample are those of two identical ones
+    assert np.array_equal(g.h_value[0], g.h_value[1])
+    assert ms_norm(g.h_value) == ms_norm(g.h_value[:1])
+    assert g.process.values.shape == (2, want.grid.n_nodes, p.n_modes)
+
+
+# From the zero-noise fixed point, d_1 is the pathwise Ito response that no
+# deterministic guess carries: about 0.004 * slope on the unstable side, where
+# it enters only the small value block, and 0.1 * slope on the stable side,
+# where it enters the anchor block. The cold start adds the deterministic
+# error, 7.5e-3 on both sides.
+@pytest.mark.parametrize("side, slope, factor", [("unstable", 0.1, 10.0),
+                                                 ("stable", 0.003, 10.0),
+                                                 ("stable", 0.1, 1.0)])
+def test_noisy_solve_starts_from_the_zero_noise_fixed_point(side, slope, factor):
+    graph_of, _, step = SIDES[side]
+    p, cfg, x = two_way_noisy(slope), config(), [0.3]
+    g = graph_of(p, x, cfg)
+    grid = g.process.grid
+    wiener = sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES)
+    cold = ProcessEnsemble(grid=grid, values=semigroup_guess(side, p, x, cfg, N_SAMPLES))
+    cold_d1 = lp._weighted_gap(cold.values, step(p, cold, x, cfg, wiener).values,
+                               grid.times, cfg.tau, cfg.rates(p)[0])
+    assert factor * g.trace.distances[0] <= cold_d1
+
+
+@pytest.mark.parametrize("failure", ["nonfinite", "unconverged"])
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_failed_presolve_falls_back_to_the_cold_start(monkeypatch, side, failure):
+    graph_of = SIDES[side][0]
+    p, cfg, x = two_way_noisy(), config(), [0.3]
+    presolve = lp._one_sample_solve
+
+    def failing(side, p, anchor, cfg):
+        if failure == "nonfinite":
+            raise NonfiniteState("presolve overflowed")
+        ens, trace = presolve(side, p, anchor, replace(cfg, max_iter=1))
+        assert not trace.converged
+        return ens, trace
+
+    monkeypatch.setattr(lp, "_one_sample_solve", failing)
+    g = graph_of(p, x, cfg)
+    grid = g.process.grid
+    cold = hand_run(side, p, x, cfg, semigroup_guess(side, p, x, cfg, N_SAMPLES),
+                    sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES))
+    assert np.array_equal(g.process.values, cold.values)
 
 
 def three_draw_residual(p, x, cfg, t0, side):

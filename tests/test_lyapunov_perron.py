@@ -575,6 +575,18 @@ def test_lipschitz_certificate_on_linear_problem():
     assert cert.passed
 
 
+def test_lipschitz_certificate_tells_anchor_shapes_apart():
+    # [0.3] is an anchor for n_samples rows, [[0.3]] a one-row ensemble,
+    # which a noisy solve refuses; a cache keyed by the bytes alone served
+    # it the graph of [0.3].
+    p = one_way(noise=diagonal_linear_noise([0.1, 0.1]))
+    cfg = cfg_back(t_back=8.0, dt=1e-2, tol=1e-5, n_samples=16)
+    pairs = [([0.3], [0.2]), ([[0.3]], [[0.2]])]
+    assert lipschitz_certify(p, cfg, "unstable", pairs[:1]).passed
+    with pytest.raises(ConfigError, match="n_samples must be >= 2"):
+        lipschitz_certify(p, cfg, "unstable", pairs)
+
+
 def test_invariance_residual_small_on_linear_manifold():
     p = one_way()
     r = invariance_residual(p, [0.3], cfg_back(), t0=0.5, side="unstable")
