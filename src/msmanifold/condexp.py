@@ -25,16 +25,6 @@ def _varies(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
 
 
-def _hermite_column(x: np.ndarray, k: int) -> np.ndarray:
-    """Probabilists' Hermite He_k, by recurrence."""
-    if k == 0:
-        return np.ones_like(x)
-    prev, cur = np.ones_like(x), x.copy()
-    for j in range(1, k):
-        prev, cur = cur, x * cur - j * prev
-    return cur
-
-
 @dataclass(frozen=True, eq=False)
 class RegressionBasis:
     """Polynomial (or tensor-Hermite) features of the conditioning coordinates.
@@ -71,47 +61,85 @@ class RegressionBasis:
         return (len(self._exponent_rows()) + len(self.linear_idx)
                 + (self.n_wiener if self.include_wiener else 0))
 
-    def columns(self, state: np.ndarray, wiener: Optional[np.ndarray] = None,
-                shift=None, scale=None) -> list:
-        """The size feature columns of a state (..., n_samples, n_coords),
-        each (..., n_samples). With shift and scale, shaped (..., n_primary),
-        the primary coordinates enter as (x - shift) / scale."""
-        state = np.asarray(state, dtype=float)
-        if state.ndim < 2:
-            raise ConfigError("conditioning state must be (..., n_samples, n_coords)")
-        coords = np.swapaxes(state, -1, -2)    # (..., n_coords, n_samples)
-        prim = coords[..., list(self.primary_idx), :]     # a copy: indexed by a list
-        if shift is not None:
-            prim -= np.asarray(shift)[..., None]
-            prim /= np.asarray(scale)[..., None]
-        one = np.ones(state.shape[:-1])
-        cols = []
-        for row in self._exponent_rows():
-            c = one
-            if self.kind == "polynomial":
-                for i in row:
-                    c = c * prim[..., i, :]
+    @cached_property
+    def _row_plan(self) -> tuple:
+        """How _write_design forms the monomial rows of degree >= 2, in row
+        order, from earlier rows: (row, prefix, factor) for a product, or
+        (row, x, prev, prev2, k) for He_k = x He_{k-1} - (k-1) He_{k-2}.
+        A polynomial row is its exponent tuple's prefix times its last
+        coordinate; a tensor-Hermite row is the product of its coordinates'
+        He factors, so its prefix drops the last coordinate whole, and a
+        single coordinate's He_k takes the recurrence."""
+        rows = self._exponent_rows()
+        index = {row: r for r, row in enumerate(rows)}
+        plan = []
+        for r, row in enumerate(rows):
+            if len(row) < 2:
+                continue
+            last = row.count(row[-1]) if self.kind == "tensor-hermite" else 1
+            if last < len(row):
+                plan.append((r, index[row[:-last]], index[row[-last:]]))
             else:
-                for i, k in enumerate(np.bincount(np.array(row, dtype=int),
-                                                  minlength=len(self.primary_idx))):
-                    if k:
-                        c = c * _hermite_column(prim[..., i, :], int(k))
-            cols.append(c)
-        cols.extend(coords[..., i, :] for i in self.linear_idx)
+                plan.append((r, index[row[:1]], index[row[:-1]], index[row[:-2]], len(row)))
+        return tuple(plan)
+
+    def _write_design(self, coords: np.ndarray, wiener: Optional[np.ndarray],
+                      out: np.ndarray, shift=None, scale=None) -> None:
+        """Write the size feature rows of a feature-major state coords
+        (..., n_coords, n_samples) into out (..., size, n_samples), each in
+        place: the intercept, the monomials of the primary coordinates (as
+        (x - shift) / scale when shift and scale (..., n_primary) are
+        given), the linear coordinates, then the Wiener values (...,
+        n_samples, n_wiener). Every product is formed in the order of a
+        left-to-right product over the exponent tuple (for tensor-Hermite,
+        over the coordinates), and He_k by its recurrence."""
+        out[..., 0, :] = 1.0
+        if self.degree >= 1:
+            for i, c in enumerate(self.primary_idx):
+                row = out[..., 1 + i, :]
+                if shift is None:
+                    row[...] = coords[..., c, :]
+                else:
+                    np.subtract(coords[..., c, :], np.asarray(shift)[..., i, None], out=row)
+                    row /= np.asarray(scale)[..., i, None]
+        scratch = None
+        for step in self._row_plan:
+            if len(step) == 3:
+                r, prefix, factor = step
+                np.multiply(out[..., prefix, :], out[..., factor, :], out=out[..., r, :])
+                continue
+            r, x, prev, prev2, k = step
+            if scratch is None:
+                scratch = np.empty(out.shape[:-2] + out.shape[-1:])
+            np.multiply(out[..., x, :], out[..., prev, :], out=out[..., r, :])
+            np.multiply(out[..., prev2, :], k - 1, out=scratch)
+            out[..., r, :] -= scratch
+        n_poly = len(self._exponent_rows())
+        for t, c in enumerate(self.linear_idx):
+            out[..., n_poly + t, :] = coords[..., c, :]
         if self.include_wiener:
             if wiener is None:
                 raise ConfigError("basis includes Wiener values but none were passed")
             wiener = np.asarray(wiener, dtype=float)
-            if wiener.shape != state.shape[:-1] + (self.n_wiener,):
-                raise ConfigError(f"wiener values shape {wiener.shape} != "
-                                  f"{state.shape[:-1] + (self.n_wiener,)}")
-            cols.extend(wiener[..., j] for j in range(self.n_wiener))
-        return cols
+            want = coords.shape[:-2] + coords.shape[-1:] + (self.n_wiener,)
+            if wiener.shape != want:
+                raise ConfigError(f"wiener values shape {wiener.shape} != {want}")
+            first = n_poly + len(self.linear_idx)
+            for j in range(self.n_wiener):
+                out[..., first + j, :] = wiener[..., j]
 
     def design(self, state: np.ndarray, wiener: Optional[np.ndarray] = None,
                shift=None, scale=None) -> np.ndarray:
-        """Feature columns, (..., n_samples, size); see ``columns``."""
-        return np.stack(self.columns(state, wiener, shift, scale), axis=-1)
+        """The size feature columns of a state (..., n_samples, n_coords),
+        (..., n_samples, size), a view of feature-major storage; see
+        ``_write_design`` for the rows, the Wiener values and shift and
+        scale."""
+        state = np.asarray(state, dtype=float)
+        if state.ndim < 2:
+            raise ConfigError("conditioning state must be (..., n_samples, n_coords)")
+        out = np.empty(state.shape[:-2] + (self.size, state.shape[-2]))
+        self._write_design(np.swapaxes(state, -1, -2), wiener, out, shift, scale)
+        return np.swapaxes(out, -1, -2)
 
     @cached_property
     def _shift_terms(self) -> tuple:
@@ -279,16 +307,18 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     # Centre and scale the varying primary coordinates before forming
     # monomials: raw powers of a coordinate that barely varies about a
     # nonzero mean are nearly collinear, and the polynomial span is the same.
-    # Designs are feature-major, (L, B, n), so every reduction runs along
-    # the contiguous sample axis.
-    prim = state[..., list(basis.primary_idx)]
-    shift, spread = prim.mean(axis=-2), prim.std(axis=-2)
+    # The state and the designs are feature-major, (L, m, n) and (L, B, n),
+    # so every reduction runs along the contiguous sample axis.
+    coords = np.ascontiguousarray(np.swapaxes(state, -1, -2))
+    shift, spread = np.empty((2, n_nodes, len(basis.primary_idx)))
+    for i, c in enumerate(basis.primary_idx):     # rows of coords, not a copy
+        shift[:, i], spread[:, i] = coords[:, c].mean(axis=-1), coords[:, c].std(axis=-1)
     varies = _varies(shift, spread)
     shift = np.where(varies, shift, 0.0)
     scale = np.where(varies, spread, 1.0)
     z = np.zeros((n_nodes, b_size, n + b_size))
     phi = z[..., :n]
-    np.stack(basis.columns(state, wiener_at_t, shift, scale), axis=-2, out=phi)
+    basis._write_design(coords, wiener_at_t, phi, shift, scale)
 
     # Standardize, folding numerically constant columns into the intercept
     # (row 0): a coordinate that does not vary across the ensemble carries
@@ -370,7 +400,9 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     gram_inv = t_map @ gram_inv_std @ np.swapaxes(t_map, -1, -2)
 
     fitted = np.swapaxes(bcoef, -1, -2) @ phi             # (L, k, n)
-    y = np.swapaxes(y, -1, -2)     # (L, k, n), like fitted
+    # (L, k, n), like fitted; for k = 1 the caller's own array, never
+    # centred in place
+    y = np.ascontiguousarray(np.swapaxes(y, -1, -2))
     rss = _sum_squares(y - fitted)
     tss = _sum_squares(y - y.mean(axis=-1, keepdims=True))
     r2 = np.where(tss > 0, 1.0 - rss / np.where(tss > 0, tss, 1.0), 1.0)

@@ -59,7 +59,10 @@ def _as_component(spec, m: int, scalar: bool):
     """Normalize a forcing component to (fn, lipschitz).
 
     Accepts None (zero), a coefficient matrix/vector (linear), or a
-    batch-aware callable (lipschitz then comes from the caller).
+    batch-aware callable (lipschitz then comes from the caller). A flux
+    coefficient vector is applied as a multiply-add over the modes in mode
+    order, so each row's value is the same bits in any batch (a BLAS
+    matrix-vector product takes a path that depends on the row count).
     """
     if spec is None:
         if scalar:
@@ -71,7 +74,14 @@ def _as_component(spec, m: int, scalar: bool):
     if scalar:
         if arr.shape != (m,):
             raise ConfigError(f"flux coefficients must have shape ({m},)")
-        return (lambda v: v @ arr), float(np.linalg.norm(arr))
+
+        def flux(v):
+            out = v[..., 0] * arr[0]
+            for k in range(1, m):
+                out += v[..., k] * arr[k]
+            return out
+
+        return flux, float(np.linalg.norm(arr))
     if arr.shape != (m, m):
         raise ConfigError(f"interior coefficients must be ({m}, {m})")
     return (lambda v: v @ arr.T), float(np.linalg.norm(arr, 2))

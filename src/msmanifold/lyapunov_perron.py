@@ -189,6 +189,18 @@ def _block_len(n_samples: int) -> int:
     return max(_MIN_BLOCK_NODES, _BLOCK_ROWS // n_samples)
 
 
+def _varying_nodes(x: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """Which of the nodes ``among`` (a mask) of a node-major block x (L, n,
+    k) differ across the samples. A node whose first two samples differ
+    varies; only the others are compared in full with their first sample."""
+    varies = among & np.any(x[:, 1:2] != x[:, :1], axis=(1, 2))
+    rest = np.flatnonzero(among & ~varies)
+    if rest.size:
+        sel = slice(None) if rest.size == len(x) else rest
+        varies[rest] = ~np.all(x[sel] == x[sel, :1], axis=(1, 2))
+    return varies
+
+
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
                      wvals: Optional[np.ndarray], grid: TimeGrid, a: int,
                      agg: dict) -> np.ndarray:
@@ -198,8 +210,8 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
     tested as node masks: a deterministic target is its own conditional
     expectation; a deterministic conditioning state reduces the regression
     to the plain mean. The remaining nodes are one stacked regression."""
-    varies = ~np.all(target == target[:, :1], axis=(1, 2))
-    mean_nodes = varies & np.all(state == state[:, :1], axis=(1, 2))
+    varies = _varying_nodes(target, np.ones(len(target), dtype=bool))
+    mean_nodes = varies & ~_varying_nodes(state, varies)
     if mean_nodes.any():
         agg["mean_fits"] = agg.get("mean_fits", 0) + int(mean_nodes.sum())
         target[mean_nodes] = target[mean_nodes].mean(axis=1, keepdims=True)
@@ -227,19 +239,27 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
     node-major storage, with the half-step drift and the Ito increment
     leaving each node, both (L, n, m); drift and diffusion see a block as
     one (L * n, m) batch. No increment leaves the last grid node, and none
-    is drawn without ``wiener``. Yields (a, v, half, ito), a the first node."""
+    is drawn without ``wiener``. Yields (a, v, half, ito), a the first node.
+
+    The drift is halved in place unless it is read-only or shares memory
+    with v (a drift may return its input, and v may be a view of vals)."""
     nodes = vals.swapaxes(0, 1)
     n_nodes, n, m = nodes.shape
     length = _block_len(n)
     for a in range(0, n_nodes, length):
         v = np.ascontiguousarray(nodes[a:a + length])
         flat = v.reshape(-1, m)
-        half = 0.5 * dt * forcing_modes(p.nonlinearity.fn(flat), cols).reshape(v.shape)
-        ito = np.zeros_like(half)
-        if wiener is not None:
-            steps = min(len(v), n_nodes - 1 - a)
+        half = forcing_modes(p.nonlinearity.fn(flat), cols).reshape(v.shape)
+        if half.flags.writeable and not np.may_share_memory(half, v):
+            half *= 0.5 * dt
+        else:
+            half = 0.5 * dt * half
+        steps = 0 if wiener is None else min(len(v), n_nodes - 1 - a)
+        # zeros only where a node has no increment: the last block, or no noise
+        ito = np.empty_like(half) if steps == len(v) else np.zeros_like(half)
+        if steps:
             amp = p.noise.diffusion(flat[:steps * n]).reshape(steps, n, m)
-            ito[:steps] = amp * wiener.increments.swapaxes(0, 1)[a:a + steps]
+            np.multiply(amp, wiener.increments.swapaxes(0, 1)[a:a + steps], out=ito[:steps])
         yield a, v, half, ito
 
 
@@ -360,11 +380,22 @@ def _initial_guess(p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
                    side: str) -> np.ndarray:
     """The anchor moved across the window by the semigroup: pulled back on
     the unstable side, pushed forward on the stable one. Sample-major view
-    of node-major storage."""
+    of node-major storage.
+
+    Each node is written whole, as the full-width anchor rows (zero
+    outside the block) times the first block mode's semigroup factor; that
+    factor is an exponential, so the zeros stay +0. Any further block mode
+    is then overwritten with its own factor."""
     idx, _, node = _side_layout(p, grid, side)
-    out = np.zeros((grid.n_nodes, anchor.shape[0], p.n_modes))
-    if len(idx):
-        out[:, :, idx] = anchor[None, :, :] * _semigroup(p, grid, idx, node)[:, None, :]
+    n = anchor.shape[0]
+    if not len(idx):
+        return np.zeros((grid.n_nodes, n, p.n_modes)).swapaxes(0, 1)
+    sg = _semigroup(p, grid, idx, node)
+    rows = np.zeros((n, p.n_modes))
+    rows[:, idx] = anchor
+    out = (rows.reshape(1, -1) * sg[:, :1]).reshape(grid.n_nodes, n, p.n_modes)
+    for i in range(1, len(idx)):
+        out[:, :, idx[i]] = anchor[None, :, i] * sg[:, None, i]
     return out.swapaxes(0, 1)
 
 
@@ -377,12 +408,13 @@ def _spread(values: np.ndarray, n: int) -> np.ndarray:
 
 def _one_sample_solve(side: str, p: SpectralProblem, anchor: np.ndarray,
                       cfg: LPConfig) -> tuple:
-    """The zero-noise solve of a deterministic anchor, (n, k) identical rows,
-    on one sample. Zero noise only lowers eta, delta and the truncation tail,
-    so it refuses nothing the noisy solve accepts. Returns (ensemble, trace)."""
+    """The presolve: the zero-noise solve of a deterministic anchor, (n, k)
+    identical rows, on one sample. Zero noise only lowers eta, delta and the
+    truncation tail, so it refuses nothing the noisy solve accepts. Only its
+    path is kept, so it runs no residual map. Returns (ensemble, trace)."""
     if not p.noise.is_zero:
         p = replace(p, noise=zero_noise(p.n_modes, p.noise.n_noise_modes))
-    return _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None)
+    return _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None, certify=False)
 
 
 def _first_guess(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
@@ -541,21 +573,22 @@ def _not_converged(side: str, trace: FixedPointTrace, cfg: LPConfig,
 
 
 def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
-              wiener: Optional[WienerEnsemble]) -> tuple:
+              wiener: Optional[WienerEnsemble], certify: bool = True) -> tuple:
     """Iterate the side's map from the first guess. A fixed point gets
     both certificates from one more map, the residual map: the weighted
     residual over the window, and the consistency gap, the ms-norm of the
-    value block at the anchor node. Returns (ensemble, trace). The unstable
-    side lets NonfiniteState propagate; the stable side records it as
-    trace.regression["aborted"] and returns unconverged.
+    value block at the anchor node; without ``certify`` that map is not
+    run. Returns (ensemble, trace). The unstable side lets NonfiniteState
+    propagate; the stable side records it as trace.regression["aborted"]
+    and returns unconverged.
 
     A deterministic anchor (_normalize_anchor's flag) under zero noise has
     identical sample paths: it is solved on one sample, and the path is
     copied to the n requested samples. Its certificates are the one-sample
     solve's, which equal the n-sample ones (the ms-norm of n identical rows
     is the one row's); ito_check still reports n samples. Under nonzero
-    noise the same one-sample solve, with the noise set to zero, gives x_0
-    (see _first_guess)."""
+    noise the same one-sample solve, with the noise set to zero and no
+    residual map, gives x_0 (see _first_guess)."""
     cfg.validate(p)
     gap = _check_gap(p, cfg, side, None)
     gamma, _ = cfg.rates(p)
@@ -565,7 +598,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     anchor, x_det = _normalize_anchor(x, anchor_idx, p.n_modes, n)
     tail = _truncation_check(p, cfg, gap, ms_norm(anchor), side)
     if x_det and p.noise.is_zero and n > 1:
-        ens, trace = _one_sample_solve(side, p, anchor, cfg)
+        ens, trace = _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None)
         if "n_samples" in trace.ito_check:
             trace.ito_check["n_samples"] = n
         return replace(ens, values=_spread(ens.values, n)), trace
@@ -601,7 +634,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     trace.ito_check = cur.meta.get("ito_check", {})
     if not trace.regression:
         trace.regression = cur.meta.get("regression", {})
-    if trace.converged:
+    if trace.converged and certify:
         again = step(cur)
         trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, gamma)
         trace.consistency_gap = ms_norm(cur.values[:, node, value_idx]

@@ -319,8 +319,18 @@ def _sample_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _node_ms(v: np.ndarray) -> np.ndarray:
-    """ms_norm at each node of a node-major block v (L, n, m)."""
-    return np.sqrt(_sample_sum(np.einsum("jnm,jnm->jn", v, v)) / v.shape[1])
+    """ms_norm at each node of a node-major block v (L, n, m). Per sample
+    the squares are added over the modes in einsum's order: for one or two
+    modes that is at most one add, done here without einsum; from three
+    modes on einsum adds in SIMD lanes, an order only einsum reproduces."""
+    if v.shape[-1] > 2:
+        sq = np.einsum("jnm,jnm->jn", v, v)
+    else:
+        sq = v * v
+        for k in range(1, v.shape[-1]):
+            sq[..., 0] += sq[..., k]
+        sq = sq[..., 0]
+    return np.sqrt(_sample_sum(sq) / v.shape[1])
 
 
 def weighted_norm(ens, rate: float, direction: str = "backward") -> float:

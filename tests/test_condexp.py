@@ -216,6 +216,61 @@ def test_raw_map_takes_shifted_columns_to_raw_ones(kind):
     assert np.max(np.abs(shifted - basis.design(state) @ basis.raw_map(shift, scale))) < 1e-11
 
 
+def stacked_columns(basis, state, wiener=None, shift=None, scale=None):
+    """The design as a stack of separately formed columns, each monomial a
+    left-to-right product over its exponent tuple (tensor-Hermite: over the
+    coordinates' He_k, each by its own recurrence)."""
+    def hermite(x, k):
+        if k == 0:
+            return np.ones_like(x)
+        prev, cur = np.ones_like(x), x.copy()
+        for j in range(1, k):
+            prev, cur = cur, x * cur - j * prev
+        return cur
+
+    coords = np.swapaxes(state, -1, -2)
+    prim = coords[..., list(basis.primary_idx), :]
+    if shift is not None:
+        prim -= np.asarray(shift)[..., None]
+        prim /= np.asarray(scale)[..., None]
+    cols = []
+    for row in basis._exponent_rows():
+        c = np.ones(state.shape[:-1])
+        if basis.kind == "polynomial":
+            for i in row:
+                c = c * prim[..., i, :]
+        else:
+            for i, k in enumerate(np.bincount(np.array(row, dtype=int),
+                                              minlength=len(basis.primary_idx))):
+                if k:
+                    c = c * hermite(prim[..., i, :], int(k))
+        cols.append(c)
+    cols.extend(coords[..., i, :] for i in basis.linear_idx)
+    if basis.include_wiener:
+        cols.extend(wiener[..., j] for j in range(basis.n_wiener))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("include_wiener", [False, True])
+@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
+def test_design_rows_equal_the_stacked_columns(kind, include_wiener, shifted):
+    rng = np.random.default_rng(27)
+    state = rng.standard_normal((3, 200, 4)) * [0.5, 2.0, 1.0, 3.0] + [0.3, -1.0, 0.0, 2.0]
+    wiener = rng.standard_normal((3, 200, 2)) if include_wiener else None
+    shift = rng.standard_normal((3, 3)) if shifted else None
+    scale = rng.uniform(0.5, 2.0, (3, 3)) if shifted else None
+    for degree in (0, 1, 2, 4):
+        basis = RegressionBasis(kind=kind, degree=degree, primary_idx=(3, 0, 2),
+                                linear_idx=(1,), include_wiener=include_wiener,
+                                n_wiener=2 if include_wiener else 0)
+        want = stacked_columns(basis, state, wiener, shift, scale)
+        assert basis.design(state, wiener, shift, scale).tobytes() == want.tobytes()
+        one = (None, None) if shift is None else (shift[1], scale[1])
+        assert np.array_equal(basis.design(state[1], None if wiener is None else wiener[1], *one),
+                              want[1])
+
+
 def test_lsmc_rejects_underdetermined_designs():
     u = np.random.default_rng(14).standard_normal((10, 1))
     with pytest.raises(Underdetermined):

@@ -482,6 +482,84 @@ def test_weighted_gap_bits_do_not_depend_on_the_layout(monkeypatch, m):
     assert ref == pytest.approx(worst, rel=1e-12)
 
 
+def test_screened_masks_equal_the_full_pass():
+    rng = np.random.default_rng(12)
+    for shape in [(9, 50, 1), (9, 50, 2), (9, 50, 4), (9, 1, 2)]:
+        x = rng.standard_normal(shape)
+        x[0] = x[0, :1]                   # deterministic
+        x[3] = x[3, :1]
+        x[5] = x[5, :1]
+        if shape[1] > 2:
+            x[5, 7:, -1] = np.nextafter(x[5, 7:, -1], np.inf)   # first two agree, later ones not
+            x[6, 1] = x[6, 0]             # first two samples agree, the rest vary
+            x[8, 1:, 0] = x[8, 0, 0]      # one coordinate deterministic, another not
+        full = ~np.all(x == x[:, :1], axis=(1, 2))
+        for among in [np.ones(9, dtype=bool), full, ~full, np.arange(9) % 2 == 0]:
+            assert np.array_equal(lp._varying_nodes(x, among), among & full)
+
+
+def all_to_all_problem(m, unstable):
+    eigs = {2: [1.0, -2.0], 4: [1.5, 1.0, -1.0, -2.0]}[m]
+    return build_problem(eigs, unstable, alpha=1.0, beta=-1.0, gamma=0.5, zeta=-0.5,
+                         nonlinearity=linear_nonlinearity(np.full((m, m), 0.03)),
+                         noise=diagonal_linear_noise([0.1] * m))
+
+
+@pytest.mark.parametrize("m, unstable", [(2, [0]), (4, [0, 1])])
+def test_forward_pass_ito_sum_adds_the_nodes_in_order(monkeypatch, m, unstable):
+    # the unstable Ito sum is the weighted increments added node by node,
+    # the order of a sum over the leading axis
+    p = all_to_all_problem(m, unstable)
+    n, dt = 300, 2e-2
+    grid = TimeGrid(-1.0, dt, 50)
+    wiener = sample_wiener(8, grid, p.noise, n)
+    vals = integrate_mild(p, np.full(m, 0.1), grid, wiener).values
+    monkeypatch.setattr(lp, "_BLOCK_ROWS", 16 * n)   # blocks of 16 nodes
+    ito0 = lp._forward_pass(p, vals, np.zeros((51, n, m)), None, dt, wiener, 0.0)
+    weight = np.exp(-np.outer(np.arange(51) * dt, p.eigenvalues[unstable]))
+    want = np.zeros((n, len(unstable)))
+    for a, v, _, ito in lp._forcing_blocks(p, vals, None, dt, wiener):
+        want += (ito[..., unstable] * weight[a:a + len(v), None, :]).sum(axis=0)
+    assert np.array_equal(ito0, want)
+
+
+@pytest.mark.parametrize("returned", ["input", "read-only"])
+def test_forcing_blocks_leave_an_aliased_drift_alone(returned):
+    # a drift that returns its input (or a read-only array) is not halved
+    # in place: the state it aliases stays as it was
+    def drift(v):
+        return v if returned == "input" else np.broadcast_to(v[:1], v.shape)
+
+    p = replace(two_way_noisy(), nonlinearity=callable_nonlinearity(drift, m=2,
+                                                                    lipschitz_L1=0.1))
+    grid = TimeGrid(-1.0, 1e-2, 100)
+    vals = np.ascontiguousarray(0.1 + 0.05 * np.random.default_rng(4).standard_normal(
+        (101, 8, 2))).swapaxes(0, 1)
+    before = vals.copy()
+    for a, v, half, _ in lp._forcing_blocks(p, vals, None, 1e-2, None):
+        assert np.array_equal(half, 0.5 * 1e-2 * drift(v.reshape(-1, 2)).reshape(v.shape))
+    assert np.array_equal(vals, before)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+@pytest.mark.parametrize("m, unstable", [(2, [0]), (4, [0, 1])])
+def test_initial_guess_matches_the_broadcast_formula(side, m, unstable):
+    p = all_to_all_problem(m, unstable)
+    grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, 100)
+    idx = np.asarray(unstable if side == "unstable" else
+                     [i for i in range(m) if i not in unstable])
+    rng = np.random.default_rng(5)
+    anchor = rng.standard_normal((40, len(idx)))
+    anchor[3] = -0.0                      # signed zeros keep their sign
+    node = grid.n_steps if side == "unstable" else 0
+    semigroup = np.exp(np.outer((np.arange(101) - node) * 1e-2, p.eigenvalues[idx]))
+    want = np.zeros((101, 40, m))
+    want[:, :, idx] = anchor[None, :, :] * semigroup[:, None, :]
+    got = lp._initial_guess(p, grid, anchor, side)
+    assert got.swapaxes(0, 1).flags.c_contiguous
+    assert got.swapaxes(0, 1).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------- gates and certificates
 
 def test_truncation_gate_blocks_short_windows():

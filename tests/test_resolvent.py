@@ -28,7 +28,8 @@ from msmanifold import (
     zero_noise,
     zero_nonlinearity,
 )
-from msmanifold.example_pde import EXAMPLE_LADDER, OPERATOR_SHIFT, example_eigenvalues
+from msmanifold.example_pde import (EXAMPLE_LADDER, OPERATOR_SHIFT,
+                                    boundary_flux_nonlinearity, example_eigenvalues)
 from msmanifold.resolvent import hille_yosida_data, linear_scan
 
 PI = math.pi
@@ -175,6 +176,28 @@ def test_boundary_columns_converge_to_endpoint_traces(example_problem):
     assert np.max(np.abs(reg[:, 1] - want1)) < 1e-8
     diag = example_problem.meta["ladder_diagnostic"]
     assert diag["converged"] and diag["cauchy_gap"] < 1e-6
+
+
+@pytest.mark.parametrize("coefficients", ["benchmark", "random"])
+def test_boundary_triple_rows_do_not_depend_on_the_batch(coefficients):
+    # the m = 8 flux example of the benchmark: a state's triple has the same
+    # bits alone and in a 6001- or 12002-row batch (the last row of a
+    # 6001-row batch included)
+    m = 8
+    rng = np.random.default_rng(8)
+    if coefficients == "benchmark":
+        g0, g1, g2 = 0.02 * np.eye(m), 0.05 * np.ones(m), 0.05 * np.ones(m)
+    else:
+        g0, g1, g2 = np.diag(rng.standard_normal(m)), rng.standard_normal(m), rng.standard_normal(m)
+    fn = boundary_flux_nonlinearity(m, g0=g0, g1=g1, g2=g2).fn
+    states = 0.1 * rng.standard_normal((12002, m)) * np.exp(rng.standard_normal((12002, 1)))
+    alone = [fn(states[i:i + 1]) for i in range(12002)]
+    for rows in (6001, 12002):
+        batch = fn(states[:rows])
+        for part in ("f", "a", "b"):
+            got = getattr(batch, part)
+            want = np.concatenate([getattr(t, part) for t in alone[:rows]])
+            assert got.tobytes() == want.tobytes(), (rows, part)
 
 
 def test_default_ladder_too_short_for_boundary_data():
