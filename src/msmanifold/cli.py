@@ -96,19 +96,22 @@ class _Manifest:
         _write_json(os.path.join(out_dir, "manifest.json"), self.data)
 
 
+def _overridden_run(run: dict, args) -> dict:
+    """A copy of the run block with --seed/--samples/--dt applied."""
+    run = dict(run)
+    for key, value in (("seed", args.seed), ("n_samples", args.samples),
+                       ("dt", args.dt)):
+        if value is not None:
+            run[key] = value
+    return run
+
+
 def _prepare(args, need_config: bool = True):
     if need_config and not args.config:
         raise ConfigError("--config is required for this subcommand")
     cfg = load_config(args.config) if args.config else None
     if cfg is not None:
-        run = dict(cfg.get("run") or _RUN_DEFAULTS)
-        if args.seed is not None:
-            run["seed"] = args.seed
-        if args.samples is not None:
-            run["n_samples"] = args.samples
-        if args.dt is not None:
-            run["dt"] = args.dt
-        cfg["run"] = run
+        cfg["run"] = _overridden_run(cfg.get("run") or _RUN_DEFAULTS, args)
         cfg = validate_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     return cfg
@@ -283,7 +286,7 @@ def _cmd_example_pde(args) -> int:
 
     cfg = _prepare(args, need_config=False)
     kwargs = {"m": 4}
-    run = dict(_RUN_DEFAULTS)
+    run = _overridden_run(_RUN_DEFAULTS, args)
     if cfg is not None:
         prob = cfg["problem"]
         if prob["kind"] != "neumann-flux-example":
@@ -308,12 +311,6 @@ def _cmd_example_pde(args) -> int:
 
             kwargs["noise"] = _noise_from(prob["noise"], kwargs["m"])
         run = dict(cfg["run"])
-    if args.seed is not None:
-        run["seed"] = args.seed
-    if args.samples is not None:
-        run["n_samples"] = args.samples
-    if args.dt is not None:
-        run["dt"] = args.dt
 
     p = build_example_problem(**kwargs)
     out_cfg = example_problem_config(p, run=run)

@@ -154,8 +154,10 @@ def _kernel_sum(rates: np.ndarray, times: np.ndarray, f: np.ndarray,
     """Trapezoid quadrature of the diagonal exponential convolution.
 
     lower=True integrates over r <= t_j (stable kernel), lower=False
-    over r >= t_j (unstable kernel); both kernels are bounded by one on
-    their windows, so arbitrarily stiff rates cannot overflow.  Dense
+    over r >= t_j (unstable kernel).  Outside its window a kernel's
+    exponent can overflow on stiff rates, and inf times the zero weight
+    there is NaN, so the exponent is zeroed wherever the weight is: the
+    window's values are untouched, whatever the rates' signs.  Dense
     per-node sums, O(N^2), deliberately unlike the solver recurrences.
     """
     n = times.size
@@ -176,8 +178,10 @@ def _kernel_sum(rates: np.ndarray, times: np.ndarray, f: np.ndarray,
                     continue
                 wmat[r, j:] = dt
                 wmat[r, j] = wmat[r, n - 1] = dt / 2.0
+        window = wmat > 0.0
         for i, lam in enumerate(rates):
-            ker = np.exp(lam * (times[rows][:, None] - times[None, :]))
+            z = lam * (times[rows][:, None] - times[None, :])
+            ker = np.exp(np.where(window, z, 0.0))
             out[j0:j1, i] = (ker * wmat) @ f[:, i]
     return out
 

@@ -111,21 +111,16 @@ class DeltaTable:
         return self.rho_for[key]
 
 
-def _exp_neg(z):
-    # exp of nonpositive arguments only; keeps cosh/sinh ratios overflow-free
-    return np.exp(z)
-
-
 def _boundary_response(r: float, x: np.ndarray, which: str) -> np.ndarray:
     """phi with mu*phi - phi'' = 0 and phi'(0) = -1, phi'(1) = 0 ("left"),
     or phi'(0) = 0, phi'(1) = 1 ("right"); r = sqrt(mu). Written with
     decaying exponentials so it is stable for large r."""
-    denom = r * (1.0 - _exp_neg(-2.0 * r))
+    denom = r * (1.0 - np.exp(-2.0 * r))
     if which == "left":
         # cosh(r(1-x))/(r sinh r)
-        return (_exp_neg(-r * x) + _exp_neg(-r * (2.0 - x))) / denom
+        return (np.exp(-r * x) + np.exp(-r * (2.0 - x))) / denom
     # cosh(r x)/(r sinh r)
-    return (_exp_neg(-r * (1.0 - x)) + _exp_neg(-r * (1.0 + x))) / denom
+    return (np.exp(-r * (1.0 - x)) + np.exp(-r * (1.0 + x))) / denom
 
 
 def _green_matrix(r: float, x: np.ndarray) -> np.ndarray:
@@ -133,9 +128,9 @@ def _green_matrix(r: float, x: np.ndarray) -> np.ndarray:
     in decaying-exponential form; shape (n_x, n_x)."""
     lo = np.minimum.outer(x, x)
     hi = np.maximum.outer(x, x)
-    denom = 2.0 * r * (1.0 - _exp_neg(-2.0 * r))
-    return (_exp_neg(-r * (hi - lo)) + _exp_neg(-r * (2.0 - hi - lo))
-            + _exp_neg(-r * (hi + lo)) + _exp_neg(-r * (2.0 + lo - hi))) / denom
+    denom = 2.0 * r * (1.0 - np.exp(-2.0 * r))
+    return (np.exp(-r * (hi - lo)) + np.exp(-r * (2.0 - hi - lo))
+            + np.exp(-r * (hi + lo)) + np.exp(-r * (2.0 + lo - hi))) / denom
 
 
 def resolvent_boundary(lam: float, d: Optional[BoundaryTriple] = None, *,
@@ -256,11 +251,8 @@ def lambda_regularize(p: SpectralProblem, lam: float, g):
     boundary data through the example BVP columns."""
     scale = _mode_scaling(p, lam)
     if isinstance(g, BoundaryTriple):
-        cols = _boundary_columns_for(p, lam)
-        out = np.asarray(g.f) * scale
-        out = out + np.multiply.outer(np.asarray(g.a), cols[:, 0])
-        out = out + np.multiply.outer(np.asarray(g.b), cols[:, 1])
-        return out
+        scaled = BoundaryTriple(a=g.a, b=g.b, f=g.f * scale)
+        return forcing_modes(scaled, _boundary_columns_for(p, lam))
     return np.asarray(g) * scale
 
 

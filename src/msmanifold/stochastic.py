@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatch, NonfiniteState
 from .problem import NoiseModel, SpectralProblem
-from .resolvent import DEFAULT_LADDER, forcing_modes
+from .resolvent import forcing_modes
 
 _CHUNK = 1024          # samples per RNG key; the chunk index is part of the key
 _BLOCK = 64            # lattice steps per RNG block, drawn in one generator call
@@ -234,17 +234,11 @@ class ProcessEnsemble:
 
 
 def solver_boundary_columns(p: SpectralProblem):
-    """Columns of the top-of-ladder resolvent regularizer, lazily resolved."""
-    ladder = p.meta.get("ladder", DEFAULT_LADDER)
-    top = max(float(l) for l in ladder)
-    by_rung = p.meta.get("boundary_columns")
-    if by_rung is not None:
-        cols = by_rung.get(repr(top))
-        if cols is not None:
-            return np.asarray(cols, dtype=float)
-    if p.boundary_regularizer is not None:
-        return np.asarray(p.boundary_regularizer, dtype=float)
-    return None
+    """Boundary columns (m, 2) of the lambda -> infinity limit of
+    lambda*R_lambda(A), the problem's frozen regularizer; None for a problem
+    without boundary forcing. Every solve, flow and oracle maps boundary
+    data into modes through these columns."""
+    return p.boundary_regularizer
 
 
 def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
@@ -255,7 +249,7 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
         u_{j+1} = e^{A dt} (u_j + dt * F_reg(u_j) + sigma(u_j) dW_j)
 
     F values that carry boundary data are mapped into modes with the
-    top-of-ladder resolvent columns; mode-local values pass through.
+    lambda -> infinity regularizer columns; mode-local values pass through.
     """
     m = p.n_modes
     if wiener is None:

@@ -79,6 +79,21 @@ def test_example_pde_is_deterministic(tmp_path):
         (b / "example_problem.json").read_bytes()
 
 
+def test_example_pde_applies_run_overrides_once(tmp_path):
+    overrides = ["--seed", "17", "--samples", "96", "--dt", "0.005"]
+    want = {"seed": 17, "n_samples": 96, "dt": 0.005}
+    plain = tmp_path / "plain"
+    assert main(["example-pde", "--out", str(plain), *overrides]) == 0
+    emitted = plain / "example_problem.json"
+    run = json.loads(emitted.read_text())["run"]
+    assert {k: run[k] for k in want} == want
+    again = tmp_path / "again"
+    assert main(["example-pde", "--config", str(emitted), "--out", str(again),
+                 "--seed", "23", "--samples", "48"]) == 0
+    run = json.loads((again / "example_problem.json").read_text())["run"]
+    assert {k: run[k] for k in want} == {**want, "seed": 23, "n_samples": 48}
+
+
 # ---------------------------------------------------------------- check-gap
 
 def test_check_gap_pass_and_fail(tmp_path, capsys):

@@ -165,22 +165,57 @@ def test_quadrature_oracle_mixing_nonlinearity():
     assert abs(g.h_value[0, 0] - fine[0]) < 1e-8
 
 
-def test_quadrature_oracle_on_boundary_flux_problem():
+def _flux_problem_and_slope(m):
     # boundary-valued forcing reaches the modes through the regularizer;
     # the same linear drift in mode space gives the Sylvester slope
-    m = 4
     p = build_example_problem(m=m, g0=0.02 * np.eye(m), g1=0.05 * np.ones(m),
                               g2=0.05 * np.ones(m))
     cols = p.boundary_regularizer
     drift = (0.02 * np.eye(m) + np.outer(cols[:, 0], 0.05 * np.ones(m))
              + np.outer(cols[:, 1], 0.05 * np.ones(m)))
     lam = p.eigenvalues
-    slope = linear_manifold_oracle(np.diag(lam[:1]), np.diag(lam[1:]), drift)
+    return p, linear_manifold_oracle(np.diag(lam[:1]), np.diag(lam[1:]), drift)
+
+
+def test_quadrature_oracle_on_boundary_flux_problem():
+    p, slope = _flux_problem_and_slope(4)
     x, dt = 0.1, 4e-3
     h = deterministic_lp_oracle(p, [x], LPConfig(c_zeta=0.5, t_back=2.0, dt=dt,
                                                  tol=1e-10, max_iter=60))
     assert np.all(np.isfinite(h))
     assert np.max(np.abs(h - x * slope[:, 0])) <= 0.01 * dt * x
+
+
+@pytest.mark.parametrize("m, t_back", [(8, 6.0), (4, 12.0)])
+def test_quadrature_oracle_survives_stiff_windows(m, t_back):
+    # exp(lam (t_j - t_r)) outside a kernel's window overflows for the
+    # stiff stable modes; the zero weights there must not turn it into NaN
+    p, slope = _flux_problem_and_slope(m)
+    x, dt = 0.2, 1e-2
+    with np.errstate(over="raise", invalid="raise"):
+        h = deterministic_lp_oracle(p, [x], LPConfig(c_zeta=0.5, t_back=t_back,
+                                                     dt=dt, tol=1e-10, max_iter=60))
+    assert np.all(np.isfinite(h))
+    assert np.max(np.abs(h - x * slope[:, 0])) <= 0.1 * dt * abs(x)
+
+
+def test_quadrature_oracle_with_a_positive_stable_rate():
+    # rates (3, 1): the stable kernel grows on its window, where it must be
+    # kept as is. F_s = 0.1 u gives h(x) = 0.1 x / (3 - 1) = 0.05 x
+    p = problem((3.0, 1.0), B=np.array([[0.0, 0.0], [0.1, 0.0]]), gamma=2.0, zeta=1.5)
+    cfg = LPConfig(c_zeta=1.0, t_back=10.0, dt=2e-3, tol=1e-9, max_iter=60)
+    h = deterministic_lp_oracle(p, [0.4], cfg)
+    assert h[0] == pytest.approx(0.02, abs=2e-7)
+
+
+def test_solver_and_quadrature_oracle_share_the_boundary_regularizer():
+    # both map boundary data through the lambda -> infinity columns, so on
+    # a linear flux problem they agree to rounding
+    p, _ = _flux_problem_and_slope(8)
+    cfg = LPConfig(c_zeta=0.5, t_back=10.0, dt=1e-2, tol=1e-9)
+    h = deterministic_lp_oracle(p, [0.2], cfg)
+    g = unstable_graph(p, [0.2], cfg)
+    assert np.max(np.abs(g.h_value - h)) <= 1e-12
 
 
 def test_quadrature_oracle_guards():

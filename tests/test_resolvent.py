@@ -216,6 +216,24 @@ def test_default_ladder_too_short_for_boundary_data():
     assert out[1] == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("lam", [1e3, 1e5])
+def test_lambda_regularize_triple_matches_the_three_term_formula(example_problem, lam):
+    # f * lam/(lam - lam_k) + a (x) col_a + b (x) col_b, added in that order
+    p = example_problem
+    rng = np.random.default_rng(3)
+    triples = [BoundaryTriple(a=rng.standard_normal(7), b=rng.standard_normal(7),
+                              f=rng.standard_normal((7, 4))),
+               BoundaryTriple(a=1.0, b=-0.5, f=rng.standard_normal(4))]
+    cols = p.meta["boundary_columns"][repr(lam)]
+    for g in triples:
+        want = g.f * (lam / (lam - p.eigenvalues))
+        want = want + np.multiply.outer(g.a, cols[:, 0])
+        want = want + np.multiply.outer(g.b, cols[:, 1])
+        got = lambda_regularize(p, lam, g)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_extend_projection_is_exact_on_core_vectors():
     p = two_mode()
     g = np.array([0.4, -2.5])
