@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 gap condition fails, 3 solver did not converge,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -123,6 +124,14 @@ def _gap_block(p, lpcfg):
     return gap_report_for(p, lpcfg).as_dict()
 
 
+def _write_gap_report(out_dir: str, cfg: dict, gap: dict) -> str:
+    """gap_report.json, {config_hash, gap_report}, as check-gap and a solve
+    refused on the gap both write it. Returns its path."""
+    path = os.path.join(out_dir, "gap_report.json")
+    _write_json(path, {"config_hash": config_hash(cfg), "gap_report": gap})
+    return path
+
+
 def _trace_payload(cfg, trace, gap, extra=None):
     payload = {
         "config_hash": config_hash(cfg),
@@ -148,8 +157,7 @@ def _solve(args, side: str) -> int:
     gap = _gap_block(p, lpcfg)
     passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
     if not passes and not args.force:
-        _write_json(os.path.join(args.out, "gap_report.json"), gap)
-        manifest.add("gap_report.json")
+        manifest.add(_write_gap_report(args.out, cfg, gap))
         manifest.write(args.out)
         print(f"gap condition fails (eta={gap['eta']:.4g}, "
               f"delta={gap['delta']:.4g}); rerun with --force to ignore")
@@ -204,9 +212,7 @@ def _cmd_check_gap(args) -> int:
     lpcfg = lp_config_from_run(cfg["run"])
     gap = _gap_block(p, lpcfg)
     manifest = _Manifest("check-gap", cfg, cfg["run"]["seed"])
-    path = os.path.join(args.out, "gap_report.json")
-    _write_json(path, {"config_hash": config_hash(cfg), "gap_report": gap})
-    manifest.add(path)
+    manifest.add(_write_gap_report(args.out, cfg, gap))
     manifest.write(args.out)
     side = cfg["run"]["side"]
     passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
@@ -394,6 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 _DISPATCH = {
     "check-gap": _cmd_check_gap,
     "solve-unstable": lambda a: _solve(a, "unstable"),
@@ -406,7 +418,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_usage(sys.stderr)

@@ -329,10 +329,8 @@ def _weighted_gap(a: np.ndarray, b: np.ndarray, times: np.ndarray,
     return worst
 
 
-def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str,
-               gap: Optional[GapReport]) -> GapReport:
-    if gap is None:
-        gap = gap_report_for(p, cfg)
+def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str) -> GapReport:
+    gap = gap_report_for(p, cfg)
     name, val, ok = (("eta", gap.eta, gap.pass_unstable) if side == "unstable"
                      else ("delta", gap.delta, gap.pass_stable))
     if not ok and not cfg.force:
@@ -340,13 +338,17 @@ def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str,
     return gap
 
 
-def _driving_noise(p: SpectralProblem, wiener, grid: TimeGrid):
-    """The Wiener ensemble a map integrates against; None for zero noise."""
+def _driving_noise(p: SpectralProblem, wiener: Optional[WienerEnsemble], grid: TimeGrid,
+                   n: int) -> Optional[WienerEnsemble]:
+    """The Wiener ensemble a map or solve integrates against: ``wiener``,
+    sampled on ``grid`` for n samples; None for zero noise."""
     if p.noise.is_zero:
         return None
     if wiener is None:
         raise ConfigError("nonzero noise requires the driving Wiener ensemble")
     wiener.check_grid(grid)
+    if wiener.n_samples != n:
+        raise GridMismatch(f"Wiener ensemble has {wiener.n_samples} samples, the paths have {n}")
     return wiener
 
 
@@ -434,12 +436,11 @@ def _first_guess(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarr
 
 
 def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-            wiener: Optional[WienerEnsemble], basis: Optional[RegressionBasis],
-            gap: Optional[GapReport]) -> ProcessEnsemble:
+            wiener: Optional[WienerEnsemble]) -> ProcessEnsemble:
     """One application of the side's map; see lp_backward_map and
     lp_forward_map. The sides differ in the anchor block and node, in the
     start of the stable scan (zero, or the anchor) and in the unstable fit."""
-    gap = _check_gap(p, cfg, side, gap)
+    _check_gap(p, cfg, side)
     grid = xi.grid
     unstable = side == "unstable"
     edge, at = (grid.t_end, "ends") if unstable else (grid.t_start, "starts")
@@ -448,8 +449,8 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     n, m = xi.n_samples, p.n_modes
     u_idx, s_idx = _block_indices(p)
     anchor, x_det = _normalize_anchor(x, u_idx if unstable else s_idx, m, n)
-    noise = _driving_noise(p, wiener, grid)
-    basis = cfg.basis_for(p) if basis is None else basis
+    noise = _driving_noise(p, wiener, grid, n)
+    basis = cfg.basis_for(p)
     cols = solver_boundary_columns(p)
     N = grid.n_steps
     pull = _semigroup(p, grid, u_idx, N) if unstable else None
@@ -482,9 +483,7 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
 
 
 def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-                    wiener: Optional[WienerEnsemble] = None,
-                    basis: Optional[RegressionBasis] = None,
-                    gap: Optional[GapReport] = None) -> ProcessEnsemble:
+                    wiener: Optional[WienerEnsemble] = None) -> ProcessEnsemble:
     """One application of the backward map on the window [tau - T_back, tau].
 
     The forward pass over the time blocks gives the stable block at t: the
@@ -494,23 +493,25 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     integral over [t, tau] (one target, so each node factorizes its design
     once); a deterministic anchor passes through unregressed. The Ito term
     is zero (martingale) and its raw-mean diagnostic lands in meta.
+
+    The map checks the gap condition (refused unless cfg.force), regresses
+    on cfg's basis, and needs ``wiener``, sampled on xi's grid for xi's
+    samples, under nonzero noise (GridMismatch otherwise).
     """
-    return _lp_map("unstable", p, xi, x, cfg, wiener, basis, gap)
+    return _lp_map("unstable", p, xi, x, cfg, wiener)
 
 
 def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-                   wiener: Optional[WienerEnsemble] = None,
-                   basis: Optional[RegressionBasis] = None,
-                   gap: Optional[GapReport] = None) -> ProcessEnsemble:
+                   wiener: Optional[WienerEnsemble] = None) -> ProcessEnsemble:
     """One application of the forward map on [tau, tau + T_fwd].
 
     Forward pass, stable block: pushed-forward anchor plus truncated
     convolution and Ito quadrature over [tau, t]. Reverse pass, unstable
     block: minus the regression of the per-sample drift integral over
     [t, tau + T_fwd]; the sigma term is zero by the martingale property
-    (diagnostic in meta).
+    (diagnostic in meta). Gap check, basis and noise as in lp_backward_map.
     """
-    return _lp_map("stable", p, xi, x, cfg, wiener, basis, gap)
+    return _lp_map("stable", p, xi, x, cfg, wiener)
 
 
 def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
@@ -549,20 +550,6 @@ def _n_samples(x, cfg: LPConfig) -> int:
     return xarr.shape[0] if xarr.ndim == 2 else cfg.n_samples
 
 
-def _solver_noise(p: SpectralProblem, cfg: LPConfig, grid: TimeGrid, n: int,
-                  wiener: Optional[WienerEnsemble]) -> Optional[WienerEnsemble]:
-    """The Wiener ensemble a solve runs on: ``wiener`` when given, else one
-    draw on ``grid``; None for zero noise."""
-    if p.noise.is_zero:
-        return None
-    if wiener is None:
-        return sample_wiener(cfg.seed, grid, p.noise, n)
-    wiener.check_grid(grid)
-    if wiener.n_samples != n:
-        raise GridMismatch(f"Wiener ensemble has {wiener.n_samples} samples, anchor needs {n}")
-    return wiener
-
-
 def _not_converged(side: str, trace: FixedPointTrace, cfg: LPConfig,
                    what: str) -> MaxIterExceeded:
     last = trace.distances[-1] if trace.distances else None
@@ -590,7 +577,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     noise the same one-sample solve, with the noise set to zero and no
     residual map, gives x_0 (see _first_guess)."""
     cfg.validate(p)
-    gap = _check_gap(p, cfg, side, None)
+    gap = _check_gap(p, cfg, side)
     gamma, _ = cfg.rates(p)
     grid = _solver_grid(cfg, side)
     anchor_idx, value_idx, node = _side_layout(p, grid, side)
@@ -602,13 +589,14 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
         if "n_samples" in trace.ito_check:
             trace.ito_check["n_samples"] = n
         return replace(ens, values=_spread(ens.values, n)), trace
-    wiener = _solver_noise(p, cfg, grid, n, wiener)
-    basis = cfg.basis_for(p)
+    if wiener is None and not p.noise.is_zero:
+        wiener = sample_wiener(cfg.seed, grid, p.noise, n)
+    wiener = _driving_noise(p, wiener, grid, n)
 
     def step(ens: ProcessEnsemble) -> ProcessEnsemble:
         # looked up on every call, so a rebound map name is the one iterated
         lp_map = lp_backward_map if side == "unstable" else lp_forward_map
-        return lp_map(p, ens, x, cfg, wiener, basis=basis, gap=gap)
+        return lp_map(p, ens, x, cfg, wiener)
 
     cur = ProcessEnsemble(grid=grid, values=_first_guess(side, p, grid, anchor, x_det, cfg),
                           direction="backward" if side == "unstable" else "forward",
@@ -722,7 +710,7 @@ def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
                       anchor_pairs: Sequence) -> LipschitzCertificate:
     """Empirical Lipschitz ratio of the graph map over anchor pairs, checked
     against the theoretical bound with multiplicative slack."""
-    _check_gap(p, cfg, side, None)
+    _check_gap(p, cfg, side)
     bound = lipschitz_bound(p, cfg, side)
     cache: dict = {}
 

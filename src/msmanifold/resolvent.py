@@ -9,7 +9,9 @@ bound.
 
 On X0 (pure mode vectors) the regularization acts diagonally as
 lambda/(lambda - lambda_k) and its limit is the identity, which is applied
-exactly.  Only boundary-valued data (BoundaryTriple) goes through the ladder.
+exactly.  Boundary-valued data (BoundaryTriple) reaches the modes through
+the problem's frozen limit columns; only the ladder study
+(lambda_regularize, extend_projection) walks the ladder itself.
 """
 
 from __future__ import annotations
@@ -100,15 +102,14 @@ class DeltaTable:
     times: np.ndarray
     values: np.ndarray
     M: float
-    rho_for: dict            # eps -> largest grid time with M*delta(t) <= eps (NaN if none)
     vanishes_at_zero: bool
     meta: dict = field(default_factory=dict)
 
     def rho(self, eps: float) -> float:
-        key = float(eps)
-        if key not in self.rho_for:
-            raise ConfigError(f"eps={eps} was not requested from estimate_delta")
-        return self.rho_for[key]
+        """rho_eps: the largest grid time t > 0 with M*delta(t) <= eps, read
+        off the table for any eps; NaN when no node qualifies."""
+        ok = np.flatnonzero((self.M * self.values <= float(eps)) & (self.times > 0))
+        return float(self.times[ok[-1]]) if ok.size else float("nan")
 
 
 def _boundary_response(r: float, x: np.ndarray, which: str) -> np.ndarray:
@@ -240,9 +241,7 @@ def _boundary_columns_for(p: SpectralProblem, lam: float) -> np.ndarray:
     shift = p.meta.get("operator_shift")
     if shift is None:
         raise ConfigError("problem carries boundary forcing but no operator shift")
-    n_x = p.meta.get("boundary_n_x")
-    return boundary_columns(lam, p.n_modes, shift,
-                            n_x=None if n_x is None else int(n_x))
+    return boundary_columns(lam, p.n_modes, shift)
 
 
 def lambda_regularize(p: SpectralProblem, lam: float, g):
@@ -331,18 +330,14 @@ def forcing_modes(value, cols) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def forcing_to_modes(p: SpectralProblem, value, ladder: Sequence[float] = DEFAULT_LADDER,
-                     rtol: float = 1e-6) -> np.ndarray:
+def forcing_to_modes(p: SpectralProblem, value) -> np.ndarray:
     """Map a forcing evaluation into X0 modes in the lambda -> infinity limit.
 
     Mode-local forcings pass through unchanged (the limit of the diagonal
-    scaling is the identity on X0). Boundary triples use the problem's
-    prebuilt extrapolated regularizer when available, else the ladder.
+    scaling is the identity on X0). Boundary triples go through the
+    problem's frozen regularizer, the columns every solve uses; a problem
+    without one is refused with ConfigError, as a solve refuses it.
     """
-    if isinstance(value, BoundaryTriple) and p.boundary_regularizer is None:
-        rungs = [(lam, lambda_regularize(p, lam, value)) for lam in ladder]
-        limit, _ = _ladder_limit(rungs, rtol)
-        return limit
     return forcing_modes(value, p.boundary_regularizer)
 
 
@@ -376,9 +371,7 @@ def _grid_dt_nsteps(grid) -> tuple:
     return float(dt), int(n_steps)
 
 
-def convolve_diamond(p: SpectralProblem, forcing, grid, block: str = "full",
-                     ladder: Sequence[float] = DEFAULT_LADDER,
-                     rtol: float = 1e-6) -> np.ndarray:
+def convolve_diamond(p: SpectralProblem, forcing, grid, block: str = "full") -> np.ndarray:
     """(S <> f)(t) = lim_lambda int_0^t T(t-s) lambda R_lambda(A) f(s) ds on
     the grid, by trapezoidal quadrature and the semigroup recurrence
 
@@ -386,11 +379,11 @@ def convolve_diamond(p: SpectralProblem, forcing, grid, block: str = "full",
 
     ``forcing`` holds node values: array (..., n_steps+1, m), or a
     BoundaryTriple with a,b of shape (..., n_steps+1) and f of shape
-    (..., n_steps+1, m) in eigenbasis coefficients.
+    (..., n_steps+1, m) in eigenbasis coefficients, mapped into modes by
+    forcing_to_modes.
     """
     dt, n_steps = _grid_dt_nsteps(grid)
-    g = forcing_to_modes(p, forcing, ladder=ladder, rtol=rtol)
-    g = np.asarray(g, dtype=float)
+    g = forcing_to_modes(p, forcing)
     if g.shape[-2] != n_steps + 1 or g.shape[-1] != p.n_modes:
         raise ConfigError("forcing must be sampled on the grid nodes")
     mask = p.block_mask(block)
@@ -449,11 +442,13 @@ def _probe_sup_norm(p: SpectralProblem, probe, n_nodes: int) -> np.ndarray:
 
 
 def estimate_delta(p: SpectralProblem, grid, probes=None, block: str = "stable",
-                   M: float = 1.0, eps_list: Sequence[float] = (0.1,),
-                   ladder: Sequence[float] = DEFAULT_LADDER) -> DeltaTable:
+                   M: float = 1.0) -> DeltaTable:
     """Tabulate delta(t_i) = max over probes of ||(S<>f)(t_i)|| / sup||f||,
     monotonized upward. Zero probes are rejected and replaced by the default
-    unit probes. rho_eps is the largest grid time with M*delta <= eps."""
+    unit probes: one per block mode and, for a boundary problem, the two unit
+    flux data, which convolve_diamond maps through the frozen regularizer (a
+    boundary problem without one is refused). DeltaTable.rho reads rho_eps
+    off the table for any eps."""
     dt, n_steps = _grid_dt_nsteps(grid)
     n_nodes = n_steps + 1
     if probes is None or all(_probe_is_zero(pr) for pr in probes):
@@ -464,7 +459,7 @@ def estimate_delta(p: SpectralProblem, grid, probes=None, block: str = "stable",
     times = dt * np.arange(n_nodes)
     delta = np.zeros(n_nodes)
     for probe in probes:
-        path = convolve_diamond(p, probe, (dt, n_steps), block=block, ladder=ladder)
+        path = convolve_diamond(p, probe, (dt, n_steps), block=block)
         norms = np.linalg.norm(path, axis=-1)
         sup = _probe_sup_norm(p, probe, n_nodes)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -472,13 +467,7 @@ def estimate_delta(p: SpectralProblem, grid, probes=None, block: str = "stable",
         delta = np.maximum(delta, ratio)
     delta = np.maximum.accumulate(delta)
 
-    rho_for = {}
-    for eps in eps_list:
-        ok = np.flatnonzero((M * delta <= float(eps)) & (times > 0))
-        rho_for[float(eps)] = float(times[ok[-1]]) if ok.size else float("nan")
-
     t_min = times[1] if n_nodes > 1 else dt
     vanishes = bool(delta[1] <= 10.0 * t_min + 1e-12) if n_nodes > 1 else False
-    return DeltaTable(times=times, values=delta, M=float(M), rho_for=rho_for,
-                      vanishes_at_zero=vanishes,
+    return DeltaTable(times=times, values=delta, M=float(M), vanishes_at_zero=vanishes,
                       meta={"block": block, "n_probes": len(probes)})

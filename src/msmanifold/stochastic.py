@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .resolvent import forcing_modes
 _CHUNK = 1024          # samples per RNG key; the chunk index is part of the key
 _BLOCK = 64            # lattice steps per RNG block, drawn in one generator call
 _LATTICE_RTOL = 1e-6
+_OVERFLOW_LIMIT = 1e12  # integrate_mild refuses a state past this magnitude
 
 
 def n_workers() -> int:
@@ -242,8 +243,7 @@ def solver_boundary_columns(p: SpectralProblem):
 
 
 def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
-                   wiener: Optional[WienerEnsemble] = None,
-                   overflow_limit: float = 1e12) -> ProcessEnsemble:
+                   wiener: Optional[WienerEnsemble] = None) -> ProcessEnsemble:
     """Exponential Euler-Maruyama for the mild solution:
 
         u_{j+1} = e^{A dt} (u_j + dt * F_reg(u_j) + sigma(u_j) dW_j)
@@ -281,10 +281,10 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
             step += p.noise.diffusion(u) * wiener.increments[:, j, :]
         u = lam_exp * step
         peak = np.max(np.abs(u))
-        if not np.isfinite(peak) or peak > overflow_limit:
+        if not np.isfinite(peak) or peak > _OVERFLOW_LIMIT:
             bad = int(np.argmax(np.max(np.abs(u), axis=1)))
             raise NonfiniteState(
-                f"state magnitude {peak:.3e} exceeded {overflow_limit:.1e}",
+                f"state magnitude {peak:.3e} exceeded {_OVERFLOW_LIMIT:.1e}",
                 step=j + 1, sample=bad)
         out[j + 1] = u
 
@@ -292,14 +292,10 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
                            adapted_to=None if wiener is None else wiener.seed)
 
 
-def ms_norm(ens, step: Optional[int] = None) -> float:
-    """sqrt(E ||u||^2): sample mean of the squared mode-l2 norm."""
-    if isinstance(ens, ProcessEnsemble):
-        if step is None:
-            raise ConfigError("step required for a ProcessEnsemble")
-        v = ens.at(step)
-    else:
-        v = np.asarray(ens, dtype=float)
+def ms_norm(v) -> float:
+    """sqrt(E ||u||^2) of the rows u of v, (n, m) or one (m,) row: sample
+    mean of the squared mode-l2 norm."""
+    v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         v = v[None, :]
     return float(np.sqrt(np.mean(np.einsum("nm,nm->n", v, v))))
@@ -327,15 +323,10 @@ def _node_ms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_sample_sum(sq) / v.shape[1])
 
 
-def weighted_norm(ens, rate: float, direction: str = "backward") -> float:
+def weighted_norm(ens: ProcessEnsemble, rate: float, direction: str = "backward") -> float:
     """sup over grid nodes of e^{-rate*t} * ms_norm(t), restricted to t <= 0
     (backward) or t >= 0 (forward)."""
-    if isinstance(ens, ProcessEnsemble):
-        values, times = ens.values, ens.grid.times
-    else:
-        values, times = ens
-        values = np.asarray(values, dtype=float)
-        times = np.asarray(times, dtype=float)
+    values, times = ens.values, ens.grid.times
     tol = _LATTICE_RTOL * max(1.0, float(np.max(np.abs(times))))
     if direction == "backward":
         mask = times <= tol

@@ -94,6 +94,29 @@ def test_example_pde_applies_run_overrides_once(tmp_path):
     assert {k: run[k] for k in want} == {**want, "seed": 23, "n_samples": 48}
 
 
+def test_example_pde_config_keeps_its_coefficients_and_noise(tmp_path):
+    # an edited example file: g0/g1/g2 and a diagonal_linear noise block
+    # must reach the emitted problem as given
+    base = tmp_path / "base"
+    assert main(["example-pde", "--out", str(base)]) == 0
+    cfg = json.loads((base / "example_problem.json").read_text())
+    g0 = (0.02 * np.eye(4)).tolist()
+    g1, g2 = [0.05, 0.01, 0.0, -0.02], [0.03, 0.0, 0.04, 0.0]
+    noise = {"kind": "diagonal_linear", "slopes": [0.1, 0.05, 0.05, 0.02],
+             "covariance_weights": [1.0, 0.5, 0.25, 0.125]}
+    cfg["problem"]["nonlinearity"] = {"kind": "boundary-linear", "g0_matrix": g0,
+                                      "g1_coefficients": g1, "g2_coefficients": g2}
+    cfg["problem"]["noise"] = noise
+    edited = write_cfg(tmp_path / "edited.json", cfg)
+    out = tmp_path / "out"
+    assert main(["example-pde", "--config", edited, "--out", str(out)]) == 0
+    emitted = json.loads((out / "example_problem.json").read_text())["problem"]
+    assert emitted["nonlinearity"] == cfg["problem"]["nonlinearity"]
+    assert emitted["noise"] == noise
+    # the same operator, so the same frozen columns
+    assert emitted["boundary"]["regularizer"] == cfg["problem"]["boundary"]["regularizer"]
+
+
 # ---------------------------------------------------------------- check-gap
 
 def test_check_gap_pass_and_fail(tmp_path, capsys):
@@ -145,8 +168,13 @@ def test_solve_blocks_on_gap_without_force(tmp_path):
     cfgp = write_cfg(tmp_path / "cfg.json", solve_cfg(big_coupling=True))
     out = tmp_path / "run"
     assert main(["solve-unstable", "--config", cfgp, "--out", str(out)]) == 2
-    assert (out / "gap_report.json").exists()
     assert not (out / "graph.csv").exists()
+    # the same shape check-gap writes, keyed to the run's config
+    report = json.loads((out / "gap_report.json").read_text())
+    assert not report["gap_report"]["pass_unstable"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert report["config_hash"] == manifest["config_hash"]
+    assert manifest["outputs"] == ["gap_report.json"]
 
 
 def test_solve_force_runs_and_reports_nonconvergence(tmp_path, capsys):

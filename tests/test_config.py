@@ -10,6 +10,8 @@ from msmanifold import (
     config_hash,
     load_config,
     problem_from_config,
+    saturated_noise,
+    saturated_polynomial_nonlinearity,
     validate_config,
 )
 from msmanifold.config import (
@@ -173,6 +175,36 @@ def test_problem_from_config_reconstructs_models():
     assert p.noise.kind == "diagonal-linear"
     state = np.array([[1.0, 2.0]])
     assert np.allclose(p.nonlinearity.fn(state), [[0.0, 0.1]])
+
+
+def test_saturated_models_round_trip_through_a_config_file(tmp_path):
+    cfg = minimal_cfg(run={"c_zeta": 1.0})
+    cfg["problem"]["nonlinearity"] = {"kind": "saturated_polynomial",
+                                      "coefficients": [0.0, 0.1, -0.2], "radius": 2}
+    cfg["problem"]["noise"] = {"kind": "saturated", "slopes": [0.1, 0.2],
+                               "radius": 1.5, "covariance_weights": [1.0, 0.5]}
+    path = tmp_path / "saturated.json"
+    path.write_text(canonical_json(validate_config(cfg)))
+    out = load_config(path)
+    assert config_hash(out) == config_hash(validate_config(cfg))
+    assert out["problem"]["nonlinearity"] == {
+        "kind": "saturated_polynomial", "coefficients": [0.0, 0.1, -0.2], "radius": 2.0}
+    assert out["problem"]["noise"] == {
+        "kind": "saturated", "slopes": [0.1, 0.2], "radius": 1.5,
+        "covariance_weights": [1.0, 0.5]}
+
+    p = problem_from_config(out)
+    nl = saturated_polynomial_nonlinearity([0.0, 0.1, -0.2], 2.0)
+    noise = saturated_noise([0.1, 0.2], 1.5, [1.0, 0.5])
+    assert p.nonlinearity.kind == "saturated-polynomial"
+    assert p.nonlinearity.lipschitz_L1 == nl.lipschitz_L1
+    assert p.noise.kind == "saturated"
+    assert p.noise.lipschitz_L2 == noise.lipschitz_L2
+    assert np.array_equal(p.noise.covariance_weights, [1.0, 0.5])
+    state = np.array([[0.5, -3.0], [4.0, 1.0]])     # -3 and 4 lie past both radii
+    assert np.array_equal(p.nonlinearity.fn(state), nl.fn(state))
+    assert np.array_equal(p.noise.diffusion(state), noise.diffusion(state))
+    assert np.array_equal(p.noise.diffusion(state), [[0.5, -1.5], [1.5, 1.0]] * np.array([0.1, 0.2]))
 
 
 def test_lp_config_from_run_maps_fields():

@@ -7,6 +7,7 @@ import pytest
 from msmanifold.errors import (
     ConfigError,
     GapViolation,
+    GridMismatch,
     IllConditionedDesign,
     MaxIterExceeded,
     NonfiniteState,
@@ -293,6 +294,19 @@ def test_maps_evaluate_drift_and_diffusion_once_per_time_block(monkeypatch):
         step(p, ProcessEnsemble(grid, vals), x, cfg, sample_wiener(3, grid, p.noise, n))
         assert len(drifts) == 3, drifts
         assert len(diffusions) == 3, diffusions
+
+
+@pytest.mark.parametrize("step, start", [(lp_backward_map, -1.0), (lp_forward_map, 0.0)])
+def test_maps_refuse_a_wiener_ensemble_of_the_wrong_size(step, start):
+    # a map checks the driving noise's samples as a solve does, instead of
+    # failing on a broadcast deep inside the forward pass
+    p = two_way_noisy()
+    n, N = 8, 100
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
+    grid = TimeGrid(start, 1e-2, N)
+    xi = ProcessEnsemble(grid, np.full((n, N + 1, 2), 0.1))
+    with pytest.raises(GridMismatch, match="4 samples"):
+        step(p, xi, [0.3], cfg, sample_wiener(3, grid, p.noise, 4))
 
 
 @pytest.mark.parametrize("side", ["unstable", "stable"])

@@ -9,12 +9,15 @@ import pytest
 import msmanifold.oracles
 from msmanifold.errors import ConfigError, MaxIterExceeded, NoSeparation
 from msmanifold import (
+    BoundaryTriple,
     LPConfig,
     build_example_problem,
     build_problem,
     callable_nonlinearity,
+    convolve_diamond,
     deterministic_lp_oracle,
     diagonal_linear_noise,
+    estimate_delta,
     linear_manifold_oracle,
     linear_nonlinearity,
     moment_oracle,
@@ -206,6 +209,26 @@ def test_quadrature_oracle_with_a_positive_stable_rate():
     cfg = LPConfig(c_zeta=1.0, t_back=10.0, dt=2e-3, tol=1e-9, max_iter=60)
     h = deterministic_lp_oracle(p, [0.4], cfg)
     assert h[0] == pytest.approx(0.02, abs=2e-7)
+
+
+def test_boundary_problem_without_frozen_columns_is_refused_everywhere():
+    # one column source: with no regularizer frozen, the solver, the
+    # quadrature oracle, the convolution and the delta table refuse alike
+    p = replace(build_example_problem(m=2, g1=0.05 * np.ones(2), g2=0.05 * np.ones(2)),
+                boundary_regularizer=None)
+    cfg = LPConfig(c_zeta=0.5, t_back=8.0, dt=1e-2, tol=1e-9)
+    n = 800
+    probe = BoundaryTriple(a=np.ones(n + 1), b=np.zeros(n + 1), f=np.zeros((n + 1, 2)))
+    calls = (lambda: unstable_graph(p, [0.2], cfg),
+             lambda: deterministic_lp_oracle(p, [0.2], cfg),
+             lambda: convolve_diamond(p, probe, (cfg.dt, n)),
+             lambda: estimate_delta(p, (cfg.dt, n)))
+    messages = []
+    for call in calls:
+        with pytest.raises(ConfigError) as exc:
+            call()
+        messages.append(str(exc.value))
+    assert set(messages) == {"boundary-valued forcing needs a boundary regularizer"}
 
 
 def test_solver_and_quadrature_oracle_share_the_boundary_regularizer():

@@ -19,7 +19,6 @@ from msmanifold import (
     convolve_diamond,
     estimate_delta,
     extend_projection,
-    forcing_to_modes,
     lambda_regularize,
     project,
     resolvent_boundary,
@@ -209,9 +208,9 @@ def test_default_ladder_too_short_for_boundary_data():
                       meta={"operator_shift": OPERATOR_SHIFT})
     g = BoundaryTriple(a=1.0, b=0.0, f=np.zeros(2))
     with pytest.raises(LadderNotConverged):
-        forcing_to_modes(p, g, ladder=DEFAULT_LADDER, rtol=1e-6)
+        extend_projection(p, g, "full", ladder=DEFAULT_LADDER, rtol=1e-6)
     # The taller example ladder resolves the same datum.
-    out = forcing_to_modes(p, g, ladder=EXAMPLE_LADDER, rtol=1e-6)
+    out, _ = extend_projection(p, g, "full", ladder=EXAMPLE_LADDER, rtol=1e-6)
     assert out[0] == pytest.approx(1.0, abs=1e-6)
     assert out[1] == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
@@ -329,13 +328,11 @@ def test_linear_scan_zero_width_and_length():
 
 def test_convolve_diamond_respects_delta_bound(example_problem):
     dt, n = 0.01, 100
-    table = estimate_delta(example_problem, (dt, n), block="stable",
-                           ladder=EXAMPLE_LADDER)
+    table = estimate_delta(example_problem, (dt, n), block="stable")
     ones = np.ones(n + 1)
     zeros = np.zeros(n + 1)
     probe = BoundaryTriple(a=ones, b=zeros, f=np.zeros((n + 1, 4)))
-    path = convolve_diamond(example_problem, probe, (dt, n), block="stable",
-                            ladder=EXAMPLE_LADDER)
+    path = convolve_diamond(example_problem, probe, (dt, n), block="stable")
     norms = np.linalg.norm(path, axis=-1)
     # sup||f|| = 1 for the unit flux probe
     assert np.all(norms <= table.values * 1.0 + 1e-12)
@@ -369,7 +366,7 @@ def test_estimate_delta_single_stable_mode():
     p = single_stable()
     dt, n = 0.01, 300
     probe = np.ones((n + 1, 1))
-    table = estimate_delta(p, (dt, n), probes=[probe], eps_list=(0.1,))
+    table = estimate_delta(p, (dt, n), probes=[probe])
     t = table.times
     assert np.max(np.abs(table.values - (1.0 - np.exp(-t)))) < 1e-4
     assert np.all(np.diff(table.values) >= -1e-15)
@@ -386,8 +383,13 @@ def test_estimate_delta_rejects_degenerate_probes():
     assert float(np.max(table.values)) > 0.0
 
 
-def test_estimate_delta_requesting_unknown_eps_fails():
+def test_delta_table_rho_is_nan_when_no_node_qualifies():
+    # delta(t) = 1 - e^{-t} on the single stable mode: M*delta(dt) is about
+    # 0.02 at M = 2, so eps = 0.01 admits no node and eps = 0.2 admits some
     p = single_stable()
-    table = estimate_delta(p, (0.01, 50), eps_list=(0.1,))
-    with pytest.raises(ConfigError):
-        table.rho(0.2)
+    dt = 0.01
+    table = estimate_delta(p, (dt, 50), M=2.0)
+    assert math.isnan(table.rho(0.01))
+    assert math.isnan(table.rho(0.0))
+    # 2 (1 - e^{-t}) <= 0.2  <=>  t <= 0.10536
+    assert table.rho(0.2) == pytest.approx(0.10536, abs=dt)
