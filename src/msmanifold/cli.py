@@ -18,15 +18,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .config import (SCHEMA, canonical_json, config_hash, example_problem_config,
-                     anchor_from_run, jsonable, load_config, lp_config_from_run,
-                     problem_from_config, validate_config, _RUN_DEFAULTS)
+from .config import (canonical_json, config_hash, example_problem_config,
+                     anchor_from_run, jsonable, lp_config_from_run,
+                     problem_from_config, read_config_json, validate_config)
 from .errors import (ConfigError, ConsistencyFailure, GapViolation,
                      LadderNotConverged, MaxIterExceeded, MsManifoldError,
                      NonfiniteState, TruncationTooShort)
@@ -97,8 +96,12 @@ class _Manifest:
         _write_json(os.path.join(out_dir, "manifest.json"), self.data)
 
 
-def _overridden_run(run: dict, args) -> dict:
-    """A copy of the run block with --seed/--samples/--dt applied."""
+def _overridden_run(run, args):
+    """A copy of the run block with --seed/--samples/--dt applied; a block
+    that is not a JSON object is returned as is, for validate_config to
+    refuse."""
+    if not isinstance(run, dict):
+        return run
     run = dict(run)
     for key, value in (("seed", args.seed), ("n_samples", args.samples),
                        ("dt", args.dt)):
@@ -110,10 +113,13 @@ def _overridden_run(run: dict, args) -> dict:
 def _prepare(args, need_config: bool = True):
     if need_config and not args.config:
         raise ConfigError("--config is required for this subcommand")
-    cfg = load_config(args.config) if args.config else None
-    if cfg is not None:
-        cfg["run"] = _overridden_run(cfg.get("run") or _RUN_DEFAULTS, args)
-        cfg = validate_config(cfg)
+    cfg = None
+    if args.config:
+        # the overrides go into the raw run block, so the file is validated once
+        raw = read_config_json(args.config)
+        if isinstance(raw, dict):
+            raw["run"] = _overridden_run({} if raw.get("run") is None else raw["run"], args)
+        cfg = validate_config(raw)
     os.makedirs(args.out, exist_ok=True)
     return cfg
 
@@ -247,13 +253,13 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_resolvent_study(args) -> int:
-    from .resolvent import DEFAULT_LADDER
+    from .resolvent import problem_ladder
 
     cfg = _prepare(args)
     p = problem_from_config(cfg)
     lpcfg = lp_config_from_run(cfg["run"])
     manifest = _Manifest("resolvent-study", cfg, cfg["run"]["seed"])
-    ladder = tuple(p.meta.get("ladder", DEFAULT_LADDER))
+    ladder = problem_ladder(p)
     study = refinement_study(p, lpcfg, "lambda", values=ladder)
     csv_path = os.path.join(args.out, "resolvent_study.csv")
     _write_csv(csv_path, ["lambda", "regularized_norm", "defect"],
@@ -292,7 +298,7 @@ def _cmd_example_pde(args) -> int:
 
     cfg = _prepare(args, need_config=False)
     kwargs = {"m": 4}
-    run = _overridden_run(_RUN_DEFAULTS, args)
+    run = _overridden_run({}, args)
     if cfg is not None:
         prob = cfg["problem"]
         if prob["kind"] != "neumann-flux-example":
@@ -320,7 +326,7 @@ def _cmd_example_pde(args) -> int:
 
     p = build_example_problem(**kwargs)
     out_cfg = example_problem_config(p, run=run)
-    manifest = _Manifest("example-pde", out_cfg, run["seed"])
+    manifest = _Manifest("example-pde", out_cfg, out_cfg["run"]["seed"])
     path = os.path.join(args.out, "example_problem.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(out_cfg))

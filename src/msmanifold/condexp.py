@@ -9,7 +9,6 @@ from itertools import combinations_with_replacement, product
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .errors import (AdaptednessViolation, ConfigError, IllConditionedDesign,
                      Underdetermined)
@@ -27,13 +26,12 @@ def _varies(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegressionBasis:
-    """Polynomial (or tensor-Hermite) features of the conditioning coordinates.
+    """Polynomial features of the conditioning coordinates.
 
     Primary coordinates enter with all monomials of total degree <= degree
     (cross terms included); linear coordinates enter at degree 1 only; Wiener
     values at the conditioning time enter linearly when include_wiener is set.
     """
-    kind: str = "polynomial"
     degree: int = 2
     primary_idx: tuple = ()
     linear_idx: tuple = ()
@@ -41,8 +39,6 @@ class RegressionBasis:
     n_wiener: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "tensor-hermite"):
-            raise ConfigError(f"unknown basis kind {self.kind!r}")
         if self.degree < 0:
             raise ConfigError("degree must be >= 0")
         if self.include_wiener and self.n_wiener < 1:
@@ -64,24 +60,12 @@ class RegressionBasis:
     @cached_property
     def _row_plan(self) -> tuple:
         """How _write_design forms the monomial rows of degree >= 2, in row
-        order, from earlier rows: (row, prefix, factor) for a product, or
-        (row, x, prev, prev2, k) for He_k = x He_{k-1} - (k-1) He_{k-2}.
-        A polynomial row is its exponent tuple's prefix times its last
-        coordinate; a tensor-Hermite row is the product of its coordinates'
-        He factors, so its prefix drops the last coordinate whole, and a
-        single coordinate's He_k takes the recurrence."""
+        order, from earlier rows: (row, prefix, last), the row of its
+        exponent tuple's prefix times the row of its last coordinate."""
         rows = self._exponent_rows()
         index = {row: r for r, row in enumerate(rows)}
-        plan = []
-        for r, row in enumerate(rows):
-            if len(row) < 2:
-                continue
-            last = row.count(row[-1]) if self.kind == "tensor-hermite" else 1
-            if last < len(row):
-                plan.append((r, index[row[:-last]], index[row[-last:]]))
-            else:
-                plan.append((r, index[row[:1]], index[row[:-1]], index[row[:-2]], len(row)))
-        return tuple(plan)
+        return tuple((r, index[row[:-1]], index[row[-1:]])
+                     for r, row in enumerate(rows) if len(row) >= 2)
 
     def _write_design(self, coords: np.ndarray, wiener: Optional[np.ndarray],
                       out: np.ndarray, shift=None, scale=None) -> None:
@@ -91,8 +75,7 @@ class RegressionBasis:
         (x - shift) / scale when shift and scale (..., n_primary) are
         given), the linear coordinates, then the Wiener values (...,
         n_samples, n_wiener). Every product is formed in the order of a
-        left-to-right product over the exponent tuple (for tensor-Hermite,
-        over the coordinates), and He_k by its recurrence."""
+        left-to-right product over the exponent tuple."""
         out[..., 0, :] = 1.0
         if self.degree >= 1:
             for i, c in enumerate(self.primary_idx):
@@ -102,18 +85,8 @@ class RegressionBasis:
                 else:
                     np.subtract(coords[..., c, :], np.asarray(shift)[..., i, None], out=row)
                     row /= np.asarray(scale)[..., i, None]
-        scratch = None
-        for step in self._row_plan:
-            if len(step) == 3:
-                r, prefix, factor = step
-                np.multiply(out[..., prefix, :], out[..., factor, :], out=out[..., r, :])
-                continue
-            r, x, prev, prev2, k = step
-            if scratch is None:
-                scratch = np.empty(out.shape[:-2] + out.shape[-1:])
-            np.multiply(out[..., x, :], out[..., prev, :], out=out[..., r, :])
-            np.multiply(out[..., prev2, :], k - 1, out=scratch)
-            out[..., r, :] -= scratch
+        for r, prefix, last in self._row_plan:
+            np.multiply(out[..., prefix, :], out[..., last, :], out=out[..., r, :])
         n_poly = len(self._exponent_rows())
         for t, c in enumerate(self.linear_idx):
             out[..., n_poly + t, :] = coords[..., c, :]
@@ -143,10 +116,9 @@ class RegressionBasis:
 
     @cached_property
     def _shift_terms(self) -> tuple:
-        """Constant parts of raw_map: binomials, the 1-D changes of basis
-        between powers and Hermite polynomials (None for the polynomial
-        kind), and per term the (row, col) of T with the per-coordinate
-        degrees gamma <= beta whose 1-D factors multiply into it."""
+        """Constant parts of raw_map: binomials, and per term the (row, col)
+        of T with the per-coordinate degrees gamma <= beta whose 1-D factors
+        multiply into it."""
         k, d = len(self.primary_idx), self.degree
         counts = [tuple(np.bincount(row, minlength=k)) if row else (0,) * k
                   for row in self._exponent_rows()]
@@ -157,28 +129,19 @@ class RegressionBasis:
         shape = (len(terms), k)
         binom = np.array([[math.comb(l, j) for l in range(d + 1)] for j in range(d + 1)],
                          dtype=float)
-        convert = None         # (powers -> Hermite, Hermite -> powers) for that kind
-        if self.kind == "tensor-hermite":
-            unit = np.eye(d + 1)
-            convert = tuple(np.stack([np.pad(conv(unit[j]), (0, d - j)) for j in range(d + 1)],
-                                     axis=1)
-                            for conv in (hermite_e.poly2herme, hermite_e.herme2poly))
         return (np.array(rows), np.array(cols), np.array(gammas, dtype=int).reshape(shape),
-                np.array(betas, dtype=int).reshape(shape), binom, convert)
+                np.array(betas, dtype=int).reshape(shape), binom)
 
     def raw_map(self, shift, scale) -> np.ndarray:
         """T with design(s, shift=shift, scale=scale) == design(s) @ T: maps
         coefficients on the shifted basis to the raw basis. Shift and scale
         (..., n_primary) give T (..., size, size)."""
-        rows, cols, gammas, betas, binom, convert = self._shift_terms
+        rows, cols, gammas, betas, binom = self._shift_terms
         shift = np.asarray(shift, dtype=float)[..., None, None]
         scale = np.asarray(scale, dtype=float)[..., None, None]
         powers = np.arange(self.degree + 1)
         # c[..., i, j, l]: coefficient of x^j in ((x - shift_i) / scale_i)^l
         c = binom * (-shift) ** np.maximum(powers[None, :] - powers[:, None], 0) / scale ** powers
-        if convert is not None:
-            to_hermite, to_powers = convert
-            c = to_hermite @ c @ to_powers
         n_poly = len(self._exponent_rows())
         t = np.zeros(shift.shape[:-3] + (self.size, self.size))
         t[..., np.arange(n_poly, self.size), np.arange(n_poly, self.size)] = 1.0
@@ -187,8 +150,8 @@ class RegressionBasis:
 
 
 def default_basis(p: SpectralProblem, degree: int = 2,
-                  include_wiener: bool = False, kind: str = "polynomial") -> RegressionBasis:
-    return RegressionBasis(kind=kind, degree=degree,
+                  include_wiener: bool = False) -> RegressionBasis:
+    return RegressionBasis(degree=degree,
                            primary_idx=tuple(p.unstable_modes),
                            linear_idx=tuple(p.stable_modes),
                            include_wiener=include_wiener,

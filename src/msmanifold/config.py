@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+import math
+from dataclasses import MISSING, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
+from .lyapunov_perron import LPConfig
 from .problem import (NoiseModel, NonlinearityModel, SpectralProblem,
                       build_problem, diagonal_linear_noise, linear_nonlinearity,
                       saturated_polynomial_nonlinearity, saturated_noise,
@@ -29,6 +31,7 @@ __all__ = [
     "config_hash",
     "jsonable",
     "load_config",
+    "read_config_json",
     "validate_config",
     "problem_from_config",
     "lp_config_from_run",
@@ -41,29 +44,17 @@ SCHEMA = "msmanifold/1"
 _RATE_KEYS = {"alpha", "beta", "gamma", "zeta", "bound_K"}
 _PROBLEM_KEYS = {"kind", "eigenvalues", "unstable_modes", "rates",
                  "nonlinearity", "noise", "boundary"}
-_RUN_KEYS = {"side", "anchor", "tau", "t_back", "t_fwd", "dt", "n_samples",
-             "seed", "tol", "max_iter", "c_zeta", "gamma", "zeta",
-             "basis_degree", "basis_kind", "include_wiener", "slack", "t0"}
+# The solver keys of a run block: every LPConfig field but the two that
+# the front end sets itself.
+_SOLVER_KEYS = tuple(f.name for f in fields(LPConfig)
+                     if f.name not in ("c_zeta_source", "force"))
 
-_RUN_DEFAULTS = {
-    "side": "unstable",
-    "tau": 0.0,
-    "t_back": 1.0,
-    "t_fwd": 1.0,
-    "dt": 1e-3,
-    "n_samples": 2,
-    "seed": 0,
-    "tol": 1e-6,
-    "max_iter": 50,
-    "c_zeta": 0.5,
-    "gamma": None,
-    "zeta": None,
-    "basis_degree": 2,
-    "basis_kind": "polynomial",
-    "include_wiener": False,
-    "slack": 0.25,
-    "t0": 1.0,
-}
+# Every run key with its default: the front end's own keys and its default
+# for c_zeta, which LPConfig requires, then LPConfig's field defaults. A
+# bool, int or float default also fixes its key's JSON type.
+_RUN_DEFAULTS = {"side": "unstable", "anchor": None, "t0": 1.0, "c_zeta": 0.5,
+                 **{f.name: f.default for f in fields(LPConfig)
+                    if f.name in _SOLVER_KEYS and f.default is not MISSING}}
 
 
 def jsonable(obj):
@@ -101,6 +92,21 @@ def _require(cond: bool, msg: str):
 def _check_keys(block: dict, allowed: set, where: str):
     unknown = set(block) - allowed
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _run_value(key: str, value, default):
+    """A run value of the JSON type of its default; a number comes back as
+    a float, and must be finite. Booleans pass only for a boolean default."""
+    if isinstance(default, bool):
+        _require(isinstance(value, bool), f"run.{key} must be true or false")
+    elif isinstance(default, int):
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 f"run.{key} must be an integer")
+    elif isinstance(default, float):
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+                 and math.isfinite(value), f"run.{key} must be a finite number")
+        return float(value)
+    return value
 
 
 def _float_list(x, where: str) -> list:
@@ -162,30 +168,16 @@ def validate_config(cfg: dict) -> dict:
         },
     }
     if cfg.get("run") is not None:
-        run = dict(cfg["run"])
-        _check_keys(run, _RUN_KEYS, "run")
-        merged = dict(_RUN_DEFAULTS)
-        merged.update(run)
-        _require(merged["side"] in ("unstable", "stable"),
+        _require(isinstance(cfg["run"], dict), "run must be an object")
+        _check_keys(cfg["run"], _RUN_DEFAULTS.keys(), "run")
+        run = {**_RUN_DEFAULTS, **cfg["run"]}
+        _require(run["side"] in ("unstable", "stable"),
                  "run.side must be unstable or stable")
-        for key in ("tau", "t_back", "t_fwd", "dt", "tol", "c_zeta",
-                    "slack", "t0"):
-            _require(isinstance(merged[key], (int, float)),
-                     f"run.{key} must be a number")
-            merged[key] = float(merged[key])
-        for key in ("n_samples", "seed", "max_iter", "basis_degree"):
-            _require(isinstance(merged[key], int),
-                     f"run.{key} must be an integer")
-        for key in ("gamma", "zeta"):
-            if merged[key] is not None:
-                merged[key] = float(merged[key])
-        _require(merged["basis_kind"] in ("polynomial", "tensor-hermite"),
-                 "run.basis_kind must be polynomial or tensor-hermite")
-        if merged.get("anchor") is not None:
-            merged["anchor"] = _float_list(merged["anchor"], "run.anchor")
-        else:
-            merged["anchor"] = None
-        out["run"] = merged
+        for key, default in _RUN_DEFAULTS.items():
+            run[key] = _run_value(key, run[key], default)
+        if run["anchor"] is not None:
+            run["anchor"] = _float_list(run["anchor"], "run.anchor")
+        out["run"] = run
     return out
 
 
@@ -286,15 +278,19 @@ def _validate_boundary(boundary, m: int):
     }
 
 
-def load_config(path) -> dict:
+def read_config_json(path):
+    """The parsed, not yet validated, JSON of a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return validate_config(raw)
+
+
+def load_config(path) -> dict:
+    return validate_config(read_config_json(path))
 
 
 def _nonlinearity_from(nl: dict, m: int, boundary) -> NonlinearityModel:
@@ -360,17 +356,10 @@ def problem_from_config(cfg: dict) -> SpectralProblem:
                          boundary_regularizer=regularizer, meta=meta)
 
 
-def lp_config_from_run(run: dict, force: bool = False):
+def lp_config_from_run(run: dict, force: bool = False) -> LPConfig:
     """Translate a validated run block into the solver configuration."""
-    from .lyapunov_perron import LPConfig
-
-    return LPConfig(
-        c_zeta=run["c_zeta"], tau=run["tau"], t_back=run["t_back"],
-        t_fwd=run["t_fwd"], dt=run["dt"], n_samples=run["n_samples"],
-        seed=run["seed"], tol=run["tol"], max_iter=run["max_iter"],
-        gamma=run["gamma"], zeta=run["zeta"], c_zeta_source="config",
-        basis_degree=run["basis_degree"], basis_kind=run["basis_kind"],
-        include_wiener=run["include_wiener"], force=force, slack=run["slack"])
+    return LPConfig(**{key: run[key] for key in _SOLVER_KEYS},
+                    c_zeta_source="config", force=force)
 
 
 def anchor_from_run(run: dict, p: SpectralProblem) -> np.ndarray:

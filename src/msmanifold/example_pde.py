@@ -11,7 +11,7 @@ columns built here.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 

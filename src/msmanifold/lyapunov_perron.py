@@ -38,7 +38,12 @@ DEFAULT_SLACK = 0.25
 
 @dataclass(frozen=True)
 class LPConfig:
-    """Solver configuration; rates default to the problem's own."""
+    """Solver configuration. The dichotomy rates gamma and zeta are not
+    settings: every solve reads the problem's own p.gamma and p.zeta.
+
+    A config file's run block sets every field but c_zeta_source and force.
+    Its defaults are these field defaults, plus 0.5 for c_zeta, which has
+    none here."""
     c_zeta: float
     tau: float = 0.0
     t_back: float = 1.0
@@ -48,21 +53,13 @@ class LPConfig:
     seed: int = 0
     tol: float = 1e-6
     max_iter: int = 50
-    gamma: Optional[float] = None
-    zeta: Optional[float] = None
     c_zeta_source: str = "user"
     basis_degree: int = 2
-    basis_kind: str = "polynomial"
     include_wiener: bool = False
     force: bool = False
     slack: float = DEFAULT_SLACK
 
-    def rates(self, p: SpectralProblem) -> tuple:
-        gamma = p.gamma if self.gamma is None else float(self.gamma)
-        zeta = p.zeta if self.zeta is None else float(self.zeta)
-        return gamma, zeta
-
-    def validate(self, p: SpectralProblem) -> None:
+    def validate(self) -> None:
         if self.c_zeta is None or self.c_zeta <= 0:
             raise ConfigError("c_zeta must be positive")
         if self.tol <= 0:
@@ -73,13 +70,9 @@ class LPConfig:
             raise ConfigError("dt must be positive")
         if self.max_iter < 1 or self.n_samples < 1:
             raise ConfigError("max_iter and n_samples must be >= 1")
-        gamma, zeta = self.rates(p)
-        if not (p.beta < zeta < gamma < p.alpha):
-            raise ConfigError(
-                f"rate ordering violated: beta={p.beta} < zeta={zeta} < gamma={gamma} < alpha={p.alpha}")
 
     def basis_for(self, p: SpectralProblem) -> RegressionBasis:
-        return default_basis(p, self.basis_degree, self.include_wiener, self.basis_kind)
+        return default_basis(p, self.basis_degree, self.include_wiener)
 
 
 @dataclass
@@ -143,7 +136,7 @@ class LipschitzCertificate:
 
 
 def gap_report_for(p: SpectralProblem, cfg: LPConfig) -> GapReport:
-    return gap_report(p, cfg.c_zeta, cfg.c_zeta_source, gamma=cfg.rates(p)[0])
+    return gap_report(p, cfg.c_zeta, cfg.c_zeta_source)
 
 
 def _block_indices(p: SpectralProblem) -> tuple:
@@ -519,12 +512,11 @@ def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
     the horizon. Only the forcing terms leak across the cut, so the
     working-norm bound K*|x|/(1-contraction) is scaled by the dimensionless
     forcing strength (the gap constant itself); zero forcing has zero tail."""
-    gamma, zeta = cfg.rates(p)
     contraction = gap.eta if side == "unstable" else gap.delta
     amp = 1.0 / (1.0 - contraction) if contraction < 1.0 else 1.0
     bound = p.bound_K * xnorm * amp * contraction
-    horizon, rate = ((cfg.t_back, gamma - zeta) if side == "unstable"
-                     else (cfg.t_fwd, p.alpha - gamma))
+    horizon, rate = ((cfg.t_back, p.gamma - p.zeta) if side == "unstable"
+                     else (cfg.t_fwd, p.alpha - p.gamma))
     tail = p.bound_K * np.exp(-rate * horizon) * bound
     if tail >= cfg.tol / 10.0 and not cfg.force:
         needed = np.log(10.0 * p.bound_K * bound / cfg.tol) / rate
@@ -576,9 +568,8 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     is the one row's); ito_check still reports n samples. Under nonzero
     noise the same one-sample solve, with the noise set to zero and no
     residual map, gives x_0 (see _first_guess)."""
-    cfg.validate(p)
+    cfg.validate()
     gap = _check_gap(p, cfg, side)
-    gamma, _ = cfg.rates(p)
     grid = _solver_grid(cfg, side)
     anchor_idx, value_idx, node = _side_layout(p, grid, side)
     n = _n_samples(x, cfg)
@@ -606,7 +597,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     try:
         for _ in range(cfg.max_iter):
             nxt = step(cur)
-            d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, gamma)
+            d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, p.gamma)
             if trace.distances and trace.distances[-1] > 0:
                 trace.ratios.append(d / trace.distances[-1])
             trace.distances.append(d)
@@ -624,7 +615,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
         trace.regression = cur.meta.get("regression", {})
     if trace.converged and certify:
         again = step(cur)
-        trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, gamma)
+        trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, p.gamma)
         trace.consistency_gap = ms_norm(cur.values[:, node, value_idx]
                                         - again.values[:, node, value_idx])
     return cur, trace
@@ -697,11 +688,10 @@ def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:
 
 def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
     gap = gap_report_for(p, cfg)
-    gamma, _ = cfg.rates(p)
     L1, L2 = p.nonlinearity.lipschitz_L1, p.noise.lipschitz_L2
     if side == "unstable":
         return p.bound_K * cfg.c_zeta * (L1 + L2) / (1.0 - gap.eta)
-    ag = p.alpha - gamma
+    ag = p.alpha - p.gamma
     return (p.bound_K ** 2 * (L1 / ag + L2 / np.sqrt(2.0 * ag))
             / (1.0 - gap.delta))
 
@@ -771,7 +761,7 @@ def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
         # fluctuation around it that no dt or sample refinement removes.
         # Project the pathwise defect onto the anchor coordinates so the
         # residual measures the conditional-mean mismatch instead.
-        b = RegressionBasis(kind=cfg.basis_kind, degree=cfg.basis_degree,
+        b = RegressionBasis(degree=cfg.basis_degree,
                             primary_idx=tuple(range(anchor2.shape[1])))
         defect = condexp_lsmc(defect, anchor2, b).fitted
     return float(ms_norm(defect))

@@ -208,8 +208,7 @@ def deterministic_lp_oracle(p: SpectralProblem, x, cfg) -> np.ndarray:
     times = cfg.tau - cfg.dt * np.arange(n, -1, -1.0)
     lam_u = p.eigenvalues[u_idx]
     lam_s = p.eigenvalues[s_idx]
-    gamma = cfg.gamma if cfg.gamma is not None else p.gamma
-    decay = np.exp(-gamma * (times - cfg.tau))
+    decay = np.exp(-p.gamma * (times - cfg.tau))
 
     pull = np.exp(lam_u[None, :] * (times[:, None] - cfg.tau)) * x[None, :]
     state = np.zeros((n + 1, p.eigenvalues.size))

@@ -361,17 +361,16 @@ def gap_delta(K: float, L1: float, L2: float, alpha_minus_gamma: float,
                 + L1 * c_zeta + L2 * c_zeta)
 
 
-def gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str = "user",
-               gamma: Optional[float] = None) -> GapReport:
+def gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str = "user") -> GapReport:
     """Contraction constants of the backward (eta) and forward (delta)
-    Lyapunov-Perron maps at the rate gamma (the problem's own by default)."""
+    Lyapunov-Perron maps at the problem's rate gamma."""
     c_zeta = float(c_zeta)
     if c_zeta <= 0:
         raise ConfigError("C_zeta must be positive")
     K = p.bound_K
     L1 = p.nonlinearity.lipschitz_L1
     L2 = p.noise.lipschitz_L2
-    ag = p.alpha - (p.gamma if gamma is None else gamma)
+    ag = p.alpha - p.gamma
     eta = gap_eta(K, L1, L2, ag, c_zeta)
     delta = gap_delta(K, L1, L2, ag, c_zeta)
     terms = {

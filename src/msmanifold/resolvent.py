@@ -38,6 +38,7 @@ __all__ = [
     "resolvent_boundary",
     "lambda_regularize",
     "extend_projection",
+    "problem_ladder",
     "convolve_diamond",
     "c_kappa",
     "estimate_delta",
@@ -302,16 +303,25 @@ def _ladder_limit(values_by_lam: Sequence, rtol: float):
     return limit, diag
 
 
+def problem_ladder(p: SpectralProblem) -> tuple:
+    """The problem's frozen lambda ladder, or DEFAULT_LADDER when it
+    freezes none."""
+    return tuple(p.meta.get("ladder", DEFAULT_LADDER))
+
+
 def extend_projection(p: SpectralProblem, g, side: str = "u",
-                      ladder: Sequence[float] = DEFAULT_LADDER,
+                      ladder: Optional[Sequence[float]] = None,
                       rtol: float = 1e-6):
-    """Pi g for data outside X0 via Pi_0 lambda R_lambda(A) g along the ladder.
+    """Pi g for data outside X0 via Pi_0 lambda R_lambda(A) g along the ladder,
+    by default the problem's own (problem_ladder).
 
     For g already in X0 (a plain mode vector) this is exactly project().
     Returns (modes, diagnostics).
     """
     if not isinstance(g, BoundaryTriple):
         return project(p, np.asarray(g, dtype=float), side), {"exact_on_core": True}
+    if ladder is None:
+        ladder = problem_ladder(p)
     rungs = [(lam, project(p, lambda_regularize(p, lam, g), side)) for lam in ladder]
     return _ladder_limit(rungs, rtol)
 

@@ -157,7 +157,7 @@ def hand_run(side, p, x, cfg, guess, wiener=None, maps=None):
     cur = ProcessEnsemble(grid=grid, values=guess)
     for _ in range(cfg.max_iter if maps is None else maps):
         nxt = step(p, cur, x, cfg, wiener)
-        d = lp._weighted_gap(cur.values, nxt.values, grid.times, cfg.tau, cfg.rates(p)[0])
+        d = lp._weighted_gap(cur.values, nxt.values, grid.times, cfg.tau, p.gamma)
         cur = nxt
         if maps is None and d <= cfg.tol:
             break
@@ -218,7 +218,7 @@ def test_noisy_solve_starts_from_the_zero_noise_fixed_point(side, slope, factor)
     wiener = sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES)
     cold = ProcessEnsemble(grid=grid, values=semigroup_guess(side, p, x, cfg, N_SAMPLES))
     cold_d1 = lp._weighted_gap(cold.values, step(p, cold, x, cfg, wiener).values,
-                               grid.times, cfg.tau, cfg.rates(p)[0])
+                               grid.times, cfg.tau, p.gamma)
     assert factor * g.trace.distances[0] <= cold_d1
 
 
@@ -257,7 +257,7 @@ def three_draw_residual(p, x, cfg, t0, side):
     anchor2 = end[:, g1.anchor_idx]
     g2 = graph_of(p, anchor2, replace(cfg, tau=cfg.tau + steps * cfg.dt,
                                       n_samples=g1.n_samples))
-    basis = RegressionBasis(kind=cfg.basis_kind, degree=cfg.basis_degree,
+    basis = RegressionBasis(degree=cfg.basis_degree,
                             primary_idx=tuple(range(anchor2.shape[1])))
     return ms_norm(condexp_lsmc(end[:, g1.value_idx] - g2.h_value, anchor2, basis).fitted)
 

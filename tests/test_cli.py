@@ -164,6 +164,27 @@ def test_solve_unstable_writes_artifacts(tmp_path):
     assert manifest["config_hash"] == trace["config_hash"]
 
 
+def test_solve_validates_its_config_once(tmp_path, monkeypatch):
+    # the overrides go into the file's run block before its one validation
+    from msmanifold import cli, config
+
+    calls = []
+
+    def counting(cfg, _validate=config.validate_config):
+        calls.append(cfg)
+        return _validate(cfg)
+
+    monkeypatch.setattr(config, "validate_config", counting)
+    monkeypatch.setattr(cli, "validate_config", counting)
+    cfgp = write_cfg(tmp_path / "cfg.json", solve_cfg())
+    out = tmp_path / "run"
+    assert main(["solve-unstable", "--config", cfgp, "--out", str(out),
+                 "--seed", "3", "--samples", "32"]) == 0
+    assert len(calls) == 1
+    assert {k: calls[0]["run"][k] for k in ("seed", "n_samples")} == {"seed": 3, "n_samples": 32}
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+
+
 def test_solve_blocks_on_gap_without_force(tmp_path):
     cfgp = write_cfg(tmp_path / "cfg.json", solve_cfg(big_coupling=True))
     out = tmp_path / "run"
@@ -265,6 +286,9 @@ def test_exit_code_4_on_usage_and_config_errors(tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["check-gap", "--config", str(broken),
                  "--out", str(tmp_path / "y")]) == 4
+    retired = write_cfg(tmp_path / "retired.json", solve_cfg({"gamma": 0.5}))
+    assert main(["check-gap", "--config", retired, "--out", str(tmp_path / "z")]) == 4
+    assert "unknown run keys: ['gamma']" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 4

@@ -30,8 +30,8 @@ def two_mode():
                          noise=zero_noise(2))
 
 
-def scalar_basis(degree=2, kind="polynomial"):
-    return RegressionBasis(kind=kind, degree=degree, primary_idx=(0,))
+def scalar_basis(degree=2):
+    return RegressionBasis(degree=degree, primary_idx=(0,))
 
 
 def wiener_pair(seed, t, tau, n):
@@ -55,8 +55,6 @@ def test_default_basis_shape_for_two_mode_problem():
 
 
 def test_basis_rejects_bad_parameters():
-    with pytest.raises(ConfigError):
-        RegressionBasis(kind="fourier")
     with pytest.raises(ConfigError):
         RegressionBasis(degree=-1)
     with pytest.raises(ConfigError):
@@ -207,9 +205,8 @@ def test_lsmc_folds_linear_coordinates_on_a_graph():
     assert np.max(np.abs(est.fitted - target)) < 1e-8
 
 
-@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
-def test_raw_map_takes_shifted_columns_to_raw_ones(kind):
-    basis = RegressionBasis(kind=kind, degree=3, primary_idx=(0, 2), linear_idx=(1,))
+def test_raw_map_takes_shifted_columns_to_raw_ones():
+    basis = RegressionBasis(degree=3, primary_idx=(0, 2), linear_idx=(1,))
     state = np.random.default_rng(26).standard_normal((40, 3))
     shift, scale = np.array([0.4, -0.2]), np.array([1.7, 0.3])
     shifted = basis.design(state, shift=shift, scale=scale)
@@ -218,16 +215,7 @@ def test_raw_map_takes_shifted_columns_to_raw_ones(kind):
 
 def stacked_columns(basis, state, wiener=None, shift=None, scale=None):
     """The design as a stack of separately formed columns, each monomial a
-    left-to-right product over its exponent tuple (tensor-Hermite: over the
-    coordinates' He_k, each by its own recurrence)."""
-    def hermite(x, k):
-        if k == 0:
-            return np.ones_like(x)
-        prev, cur = np.ones_like(x), x.copy()
-        for j in range(1, k):
-            prev, cur = cur, x * cur - j * prev
-        return cur
-
+    left-to-right product over its exponent tuple."""
     coords = np.swapaxes(state, -1, -2)
     prim = coords[..., list(basis.primary_idx), :]
     if shift is not None:
@@ -236,14 +224,8 @@ def stacked_columns(basis, state, wiener=None, shift=None, scale=None):
     cols = []
     for row in basis._exponent_rows():
         c = np.ones(state.shape[:-1])
-        if basis.kind == "polynomial":
-            for i in row:
-                c = c * prim[..., i, :]
-        else:
-            for i, k in enumerate(np.bincount(np.array(row, dtype=int),
-                                              minlength=len(basis.primary_idx))):
-                if k:
-                    c = c * hermite(prim[..., i, :], int(k))
+        for i in row:
+            c = c * prim[..., i, :]
         cols.append(c)
     cols.extend(coords[..., i, :] for i in basis.linear_idx)
     if basis.include_wiener:
@@ -253,15 +235,14 @@ def stacked_columns(basis, state, wiener=None, shift=None, scale=None):
 
 @pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("include_wiener", [False, True])
-@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
-def test_design_rows_equal_the_stacked_columns(kind, include_wiener, shifted):
+def test_design_rows_equal_the_stacked_columns(include_wiener, shifted):
     rng = np.random.default_rng(27)
     state = rng.standard_normal((3, 200, 4)) * [0.5, 2.0, 1.0, 3.0] + [0.3, -1.0, 0.0, 2.0]
     wiener = rng.standard_normal((3, 200, 2)) if include_wiener else None
     shift = rng.standard_normal((3, 3)) if shifted else None
     scale = rng.uniform(0.5, 2.0, (3, 3)) if shifted else None
     for degree in (0, 1, 2, 4):
-        basis = RegressionBasis(kind=kind, degree=degree, primary_idx=(3, 0, 2),
+        basis = RegressionBasis(degree=degree, primary_idx=(3, 0, 2),
                                 linear_idx=(1,), include_wiener=include_wiener,
                                 n_wiener=2 if include_wiener else 0)
         want = stacked_columns(basis, state, wiener, shift, scale)
@@ -278,15 +259,6 @@ def test_lsmc_rejects_underdetermined_designs():
     with pytest.raises(Underdetermined):
         condexp_lsmc(u[:5, 0], u[:5], scalar_basis())
     condexp_lsmc(u[:, 0], u, scalar_basis())            # 10 samples is enough
-
-
-def test_hermite_basis_spans_same_space():
-    rng = np.random.default_rng(16)
-    u = rng.standard_normal((3000, 1))
-    target = 1.0 - u[:, 0] + 0.25 * u[:, 0] ** 2
-    poly = condexp_lsmc(target, u, scalar_basis(kind="polynomial"))
-    herm = condexp_lsmc(target, u, scalar_basis(kind="tensor-hermite"))
-    assert np.max(np.abs(poly.fitted - herm.fitted)) < 1e-9
 
 
 def test_lsmc_diagnostics_reported():
@@ -373,7 +345,7 @@ def test_ito_zero_guards():
 
 # ------------------------------------------------------------ stacked nodes
 
-def mixed_stack(n=400, seed=30, k=2, include_wiener=False, kind="polynomial"):
+def mixed_stack(n=400, seed=30, k=2, include_wiener=False):
     """Five nodes of (u0, u1, s) ensembles whose designs take every path of
     the solve: a plain node, a numerically constant coordinate (fold), a
     linear coordinate on a graph over the primary ones (alias), a design
@@ -390,16 +362,15 @@ def mixed_stack(n=400, seed=30, k=2, include_wiener=False, kind="polynomial"):
     target = np.stack([1.0 + x0 - x1 ** 2, np.sin(x0) * x1], axis=-1)[..., :k]
     target = target + 0.1 * rng.standard_normal(target.shape)
     wiener = rng.standard_normal((5, n, 2)) if include_wiener else None
-    basis = RegressionBasis(kind=kind, degree=2, primary_idx=(0, 1), linear_idx=(2,),
+    basis = RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=(2,),
                             include_wiener=include_wiener, n_wiener=2 if include_wiener else 0)
     return target, state, wiener, basis
 
 
-@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
 @pytest.mark.parametrize("include_wiener", [False, True])
 @pytest.mark.parametrize("k", [1, 2])
-def test_stacked_nodes_equal_one_node_calls(kind, include_wiener, k):
-    target, state, wiener, basis = mixed_stack(k=k, include_wiener=include_wiener, kind=kind)
+def test_stacked_nodes_equal_one_node_calls(include_wiener, k):
+    target, state, wiener, basis = mixed_stack(k=k, include_wiener=include_wiener)
     stacked = condexp_lsmc(target, state, basis, wiener)
     d = stacked.diagnostics
     assert d["n_folded"].tolist() == [0, 2, 0, 0, 0]     # u0 and u0^2
@@ -414,21 +385,16 @@ def test_stacked_nodes_equal_one_node_calls(kind, include_wiener, k):
             assert stacked.diagnostics[key][j] == one.diagnostics[key], (j, key)
         assert np.allclose(stacked.coef[j], one.coef, rtol=1e-9, atol=1e-12)
         assert np.allclose(stacked.diagnostics["r2"][j], one.diagnostics["r2"], rtol=1e-12)
-    # the two basis kinds span the same space, so they see the same rank
-    other = "tensor-hermite" if kind == "polynomial" else "polynomial"
-    target, state, wiener, basis = mixed_stack(k=k, include_wiener=include_wiener, kind=other)
-    assert d["rank"].tolist() == condexp_lsmc(target, state, basis, wiener).diagnostics["rank"].tolist()
 
 
-@pytest.mark.parametrize("kind", ["polynomial", "tensor-hermite"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_stacked_fit_matches_naive_least_squares(kind, k):
+def test_stacked_fit_matches_naive_least_squares(k):
     rng = np.random.default_rng(32)
     state = rng.standard_normal((4, 500, 3)) * [0.5, 2.0, 1.0] + [0.3, -1.0, 0.0]
     x0, x1, s = state[..., 0], state[..., 1], state[..., 2]
     target = np.stack([np.exp(0.3 * x0) * x1 + s, x0 * s], axis=-1)[..., :k]
     target = target + 0.05 * rng.standard_normal(target.shape)
-    basis = RegressionBasis(kind=kind, degree=2, primary_idx=(0, 1), linear_idx=(2,))
+    basis = RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=(2,))
     est = condexp_lsmc(target, state, basis)
     assert est.fitted.shape == target.shape
     for j in range(4):

@@ -104,12 +104,27 @@ def test_validate_rejects_wrong_schema_and_shapes():
         validate_config(cfg)
 
 
-def test_validate_basis_kind_vocabulary():
-    ok = minimal_cfg(run={"c_zeta": 1.0, "basis_kind": "tensor-hermite"})
-    assert validate_config(ok)["run"]["basis_kind"] == "tensor-hermite"
-    bad = minimal_cfg(run={"c_zeta": 1.0, "basis_kind": "hermite"})
-    with pytest.raises(ConfigError):
-        validate_config(bad)
+@pytest.mark.parametrize("key, value", [("gamma", 0.4), ("zeta", -0.4),
+                                        ("basis_kind", "polynomial")])
+def test_validate_refuses_the_retired_rate_and_basis_keys(key, value):
+    # gamma and zeta are the problem's own rates; the basis is polynomial
+    with pytest.raises(ConfigError, match=key):
+        validate_config(minimal_cfg(run={"c_zeta": 1.0, key: value}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("include_wiener", "no"), ("include_wiener", 1), ("include_wiener", None),
+    ("n_samples", True), ("basis_degree", False), ("seed", 2.0),
+    ("tol", True), ("dt", False), ("c_zeta", "0.5"), ("t0", None),
+    ("t_back", float("inf")), ("tol", float("nan"))])
+def test_validate_checks_the_json_type_of_each_run_value(key, value):
+    with pytest.raises(ConfigError, match=f"run.{key}"):
+        validate_config(minimal_cfg(run={"c_zeta": 1.0, key: value}))
+
+
+def test_validate_refuses_a_run_block_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="run must be an object"):
+        validate_config(minimal_cfg(run=[["c_zeta", 1.0]]))
 
 
 def test_validate_boundary_ladder_must_increase():

@@ -693,20 +693,13 @@ def test_invariance_residual_validates_t0():
 
 # ------------------------------------------------------------- config guards
 
-def test_config_rejects_bad_rate_ordering():
-    p = decoupled()
-    with pytest.raises(ConfigError):
-        LPConfig(c_zeta=1.0, gamma=-0.7, zeta=-0.5).validate(p)
-
-
 def test_config_rejects_nonpositive_shapes():
-    p = decoupled()
     with pytest.raises(ConfigError):
-        LPConfig(c_zeta=0.0).validate(p)
+        LPConfig(c_zeta=0.0).validate()
     with pytest.raises(ConfigError):
-        LPConfig(c_zeta=1.0, tol=0.0).validate(p)
+        LPConfig(c_zeta=1.0, tol=0.0).validate()
     with pytest.raises(ConfigError):
-        LPConfig(c_zeta=1.0, t_back=-1.0).validate(p)
+        LPConfig(c_zeta=1.0, t_back=-1.0).validate()
 
 
 def test_window_must_be_multiple_of_dt():

@@ -253,6 +253,15 @@ def test_extend_projection_boundary_datum_ladder_cauchy(example_problem):
     assert diag["converged"] and diag["cauchy_gap"] < 1e-6
 
 
+def test_extend_projection_defaults_to_the_problems_frozen_ladder(example_problem):
+    # DEFAULT_LADDER is too short for this datum (see above); the example's
+    # frozen ladder gives the solver's own regularizer column
+    p = example_problem
+    out, diag = extend_projection(p, BoundaryTriple(a=1.0, b=0.0, f=np.zeros(4)), "u")
+    assert diag["ladder"] == list(p.meta["ladder"]) and diag["cauchy_gap"] < 1e-12
+    assert out[0] == p.boundary_regularizer[0, 0]
+
+
 # ------------------------------------------------------------- convolutions
 
 def test_convolve_diamond_zero_forcing():
