@@ -1,7 +1,7 @@
 """Batch front-end.
 
 Every subcommand reads one JSON config, writes its numeric artifacts
-(CSV/JSON) into --out, and drops a manifest.json beside them.  Numeric
+(CSV/NPY/JSON) into --out, and drops a manifest.json beside them.  Numeric
 payloads are a pure function of (effective config, seed); wall-clock and
 environment live only in the manifest so payload bytes stay comparable
 across runs.
@@ -67,6 +67,13 @@ def _write_csv(path: str, header, table, labels=None):
         fh.write("".join([fmt % row for row in rows]))
 
 
+def _write_npy(path: str, names, table):
+    """The 2-D float table as a .npy array of one record per row, whose
+    fields are ``names``; np.load reads it without pickle."""
+    table = np.ascontiguousarray(table, dtype=float)
+    np.save(path, table.view([(name, float) for name in names])[:, 0])
+
+
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(jsonable(payload), fh, sort_keys=True, indent=2)
@@ -74,11 +81,15 @@ def _write_json(path: str, payload: dict):
 
 
 class _Manifest:
+    """The request's manifest. ``config_hash`` is hashed here once; the
+    payloads that carry it read it from here."""
+
     def __init__(self, subcommand: str, cfg: Optional[dict], seed):
         self.t0 = time.monotonic()
+        self.config_hash = None if cfg is None else config_hash(cfg)
         self.data = {
             "subcommand": subcommand,
-            "config_hash": None if cfg is None else config_hash(cfg),
+            "config_hash": self.config_hash,
             "seed": seed,
             "module_versions": {
                 "msmanifold": __version__,
@@ -130,22 +141,12 @@ def _gap_block(p, lpcfg):
     return gap_report_for(p, lpcfg).as_dict()
 
 
-def _write_gap_report(out_dir: str, cfg: dict, gap: dict) -> str:
+def _write_gap_report(out_dir: str, cfg_hash: str, gap: dict) -> str:
     """gap_report.json, {config_hash, gap_report}, as check-gap and a solve
     refused on the gap both write it. Returns its path."""
     path = os.path.join(out_dir, "gap_report.json")
-    _write_json(path, {"config_hash": config_hash(cfg), "gap_report": gap})
+    _write_json(path, {"config_hash": cfg_hash, "gap_report": gap})
     return path
-
-
-def _trace_payload(cfg, trace, gap, extra=None):
-    payload = {
-        "config_hash": config_hash(cfg),
-        "gap_report": gap,
-        "trace": trace.as_dict(),
-    }
-    payload.update(extra or {})
-    return payload
 
 
 def _solve(args, side: str) -> int:
@@ -163,7 +164,7 @@ def _solve(args, side: str) -> int:
     gap = _gap_block(p, lpcfg)
     passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
     if not passes and not args.force:
-        manifest.add(_write_gap_report(args.out, cfg, gap))
+        manifest.add(_write_gap_report(args.out, manifest.config_hash, gap))
         manifest.write(args.out)
         print(f"gap condition fails (eta={gap['eta']:.4g}, "
               f"delta={gap['delta']:.4g}); rerun with --force to ignore")
@@ -189,21 +190,24 @@ def _solve(args, side: str) -> int:
     nodes = ens.values.swapaxes(0, 1)[::stride]
     mean_path = _sample_sum(nodes) / ens.n_samples
     ms_path = np.sqrt(_sample_sum(np.sum(nodes ** 2, axis=2)) / ens.n_samples)
-    traj_csv = os.path.join(args.out, "trajectory.csv")
-    _write_csv(traj_csv,
+    traj_npy = os.path.join(args.out, "trajectory.npy")
+    _write_npy(traj_npy,
                ["t"] + [f"mean_mode_{k}" for k in range(p.n_modes)] + ["ms_norm"],
                np.column_stack((ens.grid.times[::stride], mean_path, ms_path)))
 
-    payload = _trace_payload(cfg, graph.trace, gap, {
+    payload = {
+        "config_hash": manifest.config_hash,
+        "gap_report": gap,
+        "trace": graph.trace.as_dict(),
         "side": side,
         "tau": graph.tau,
         "consistency_gap": graph.consistency_gap,
         "lipschitz_bound": lipschitz_bound(p, lpcfg, side),
         "uncertified": bool(not passes),
-    })
+    }
     trace_json = os.path.join(args.out, "trace.json")
     _write_json(trace_json, payload)
-    manifest.add(graph_csv, traj_csv, trace_json)
+    manifest.add(graph_csv, traj_npy, trace_json)
     manifest.write(args.out)
     t = graph.trace
     print(f"{side} graph at tau={graph.tau}: {graph.n_samples} samples, "
@@ -218,7 +222,7 @@ def _cmd_check_gap(args) -> int:
     lpcfg = lp_config_from_run(cfg["run"])
     gap = _gap_block(p, lpcfg)
     manifest = _Manifest("check-gap", cfg, cfg["run"]["seed"])
-    manifest.add(_write_gap_report(args.out, cfg, gap))
+    manifest.add(_write_gap_report(args.out, manifest.config_hash, gap))
     manifest.write(args.out)
     side = cfg["run"]["side"]
     passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
@@ -240,7 +244,7 @@ def _cmd_invariance(args) -> int:
     res = invariance_residual(p, anchor, lpcfg, t0=run["t0"], side=run["side"])
     path = os.path.join(args.out, "invariance.json")
     _write_json(path, {
-        "config_hash": config_hash(cfg),
+        "config_hash": manifest.config_hash,
         "gap_report": gap,
         "side": run["side"],
         "t0": run["t0"],
@@ -266,7 +270,7 @@ def _cmd_resolvent_study(args) -> int:
                np.reshape(study.rows, (-1, 3)))
     outputs = [csv_path]
     payload = {
-        "config_hash": config_hash(cfg),
+        "config_hash": manifest.config_hash,
         "defect_slope": study.slope,
         "monotone": study.monotone,
         "ladder": list(ladder),
@@ -355,7 +359,7 @@ def _cmd_refine(args) -> int:
                np.reshape(study.rows, (-1, 3)))
     json_path = os.path.join(args.out, f"refine_{args.parameter}.json")
     _write_json(json_path, {
-        "config_hash": config_hash(cfg),
+        "config_hash": manifest.config_hash,
         "study": study.as_dict(),
     })
     manifest.add(csv_path, json_path)

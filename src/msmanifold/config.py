@@ -94,6 +94,22 @@ def _check_keys(block: dict, allowed: set, where: str):
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number, not a boolean, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        return False
+
+
+def _number(value, where: str) -> float:
+    """A finite number, not a boolean, as a float."""
+    _require(_is_finite_number(value), f"{where} must be a finite number")
+    return float(value)
+
+
 def _run_value(key: str, value, default):
     """A run value of the JSON type of its default; a number comes back as
     a float, and must be finite. Booleans pass only for a boolean default."""
@@ -103,17 +119,24 @@ def _run_value(key: str, value, default):
         _require(isinstance(value, int) and not isinstance(value, bool),
                  f"run.{key} must be an integer")
     elif isinstance(default, float):
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-                 and math.isfinite(value), f"run.{key} must be a finite number")
-        return float(value)
+        return _number(value, f"run.{key}")
     return value
 
 
+def _float_array(x, where: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """x as a float array whose entries are all finite numbers, none a
+    boolean: nonempty and 1-D, or of the given (rows, cols) shape."""
+    entries = np.asarray(x, dtype=object)
+    if shape is None:
+        ok, what = entries.ndim == 1 and entries.size > 0, "a nonempty finite list"
+    else:
+        ok, what = entries.shape == shape, "a finite {}x{} matrix".format(*shape)
+    _require(ok and all(map(_is_finite_number, entries.flat)), f"{where} must be {what}")
+    return entries.astype(float)
+
+
 def _float_list(x, where: str) -> list:
-    arr = np.asarray(x, dtype=float)
-    _require(arr.ndim == 1 and arr.size > 0 and bool(np.all(np.isfinite(arr))),
-             f"{where} must be a nonempty finite list")
-    return [float(v) for v in arr]
+    return _float_array(x, where).tolist()
 
 
 def validate_config(cfg: dict) -> dict:
@@ -137,17 +160,15 @@ def validate_config(cfg: dict) -> dict:
     m = len(eigs)
     u_modes = prob.get("unstable_modes", [])
     _require(isinstance(u_modes, list)
-             and all(isinstance(i, int) and 0 <= i < m for i in u_modes),
+             and all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < m
+                     for i in u_modes),
              "unstable_modes must be a list of in-range mode indices")
 
     rates = prob.get("rates")
     _require(isinstance(rates, dict), "missing rates block")
     _check_keys(rates, _RATE_KEYS, "rates")
-    for key in ("alpha", "beta", "gamma", "zeta"):
-        _require(isinstance(rates.get(key), (int, float)),
-                 f"rates.{key} must be a number")
-    rates = {k: float(v) for k, v in rates.items()}
-    rates.setdefault("bound_K", 1.0)
+    rates = {"bound_K": 1.0, **rates}
+    rates = {key: _number(rates.get(key), f"rates.{key}") for key in sorted(_RATE_KEYS)}
 
     nl = _validate_nonlinearity(prob.get("nonlinearity", {"kind": "zero"}), m)
     noise = _validate_noise(prob.get("noise", {"kind": "zero"}), m)
@@ -190,28 +211,22 @@ def _validate_nonlinearity(nl, m: int) -> dict:
         return {"kind": "zero"}
     if kind == "linear":
         _check_keys(nl, {"kind", "matrix"}, "nonlinearity")
-        mat = np.asarray(nl.get("matrix"), dtype=float)
-        _require(mat.shape == (m, m), f"linear matrix must be {m}x{m}")
+        mat = _float_array(nl.get("matrix"), "linear matrix", (m, m))
         return {"kind": "linear", "matrix": mat.tolist()}
     if kind == "saturated_polynomial":
         _check_keys(nl, {"kind", "coefficients", "radius"}, "nonlinearity")
         coeffs = _float_list(nl.get("coefficients"), "coefficients")
-        radius = nl.get("radius")
-        _require(isinstance(radius, (int, float)) and radius > 0,
-                 "saturation radius must be positive")
+        radius = _number(nl.get("radius"), "saturation radius")
+        _require(radius > 0, "saturation radius must be positive")
         return {"kind": "saturated_polynomial", "coefficients": coeffs,
-                "radius": float(radius)}
+                "radius": radius}
     if kind == "boundary-linear":
         _check_keys(nl, {"kind", "g0_matrix", "g1_coefficients",
                          "g2_coefficients"}, "nonlinearity")
         out = {"kind": "boundary-linear"}
         g0 = nl.get("g0_matrix")
-        if g0 is not None:
-            g0 = np.asarray(g0, dtype=float)
-            _require(g0.shape == (m, m), f"g0_matrix must be {m}x{m}")
-            out["g0_matrix"] = g0.tolist()
-        else:
-            out["g0_matrix"] = None
+        out["g0_matrix"] = None if g0 is None else \
+            _float_array(g0, "g0_matrix", (m, m)).tolist()
         for key in ("g1_coefficients", "g2_coefficients"):
             val = nl.get(key)
             out[key] = None if val is None else _float_list(val, key)
@@ -241,10 +256,9 @@ def _validate_noise(noise, m: int) -> dict:
             _require(len(out["covariance_weights"]) == m,
                      f"covariance_weights must have length {m}")
         if kind == "saturated":
-            radius = noise.get("radius")
-            _require(isinstance(radius, (int, float)) and radius > 0,
-                     "noise radius must be positive")
-            out["radius"] = float(radius)
+            radius = _number(noise.get("radius"), "noise radius")
+            _require(radius > 0, "noise radius must be positive")
+            out["radius"] = radius
         return out
     raise ConfigError(f"unknown noise kind {kind!r}")
 
@@ -255,22 +269,17 @@ def _validate_boundary(boundary, m: int):
     _require(isinstance(boundary, dict), "boundary must be an object")
     _check_keys(boundary, {"operator_shift", "ladder", "columns",
                            "regularizer", "diagnostic"}, "boundary")
-    shift = boundary.get("operator_shift")
-    _require(isinstance(shift, (int, float)), "operator_shift must be a number")
+    shift = _number(boundary.get("operator_shift"), "boundary.operator_shift")
     ladder = _float_list(boundary.get("ladder"), "boundary.ladder")
     _require(all(b > a for a, b in zip(ladder, ladder[1:])),
              "boundary.ladder must increase strictly")
-    reg = np.asarray(boundary.get("regularizer"), dtype=float)
-    _require(reg.shape == (m, 2), f"regularizer must be {m}x2")
+    reg = _float_array(boundary.get("regularizer"), "boundary.regularizer", (m, 2))
     cols = boundary.get("columns", {})
     _require(isinstance(cols, dict), "boundary.columns must be an object")
-    norm_cols = {}
-    for key, val in cols.items():
-        arr = np.asarray(val, dtype=float)
-        _require(arr.shape == (m, 2), f"column block {key} must be {m}x2")
-        norm_cols[str(key)] = arr.tolist()
+    norm_cols = {str(key): _float_array(val, f"column block {key}", (m, 2)).tolist()
+                 for key, val in cols.items()}
     return {
-        "operator_shift": float(shift),
+        "operator_shift": shift,
         "ladder": ladder,
         "columns": norm_cols,
         "regularizer": reg.tolist(),

@@ -469,7 +469,12 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
     direction = "backward" if unstable else "forward"
     if not np.isfinite(out).all():
-        raise NonfiniteState(f"{direction} map produced non-finite values")
+        bad = ~np.isfinite(out).all(axis=2)     # (N+1, n)
+        node = int(np.argmax(bad.any(axis=1)))
+        sample = int(np.argmax(bad[node]))
+        raise NonfiniteState(f"{direction} map produced non-finite values at grid node "
+                             f"{node} (t = {grid.times[node]:.6g}), sample {sample}",
+                             step=node, sample=sample)
     return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction=direction,
                            adapted_to=None if wiener is None else wiener.seed,
                            meta={"ito_check": ito_diag, "regression": agg})

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from msmanifold.cli import main
-from msmanifold.config import SCHEMA
+from msmanifold.config import (SCHEMA, anchor_from_run, config_hash, lp_config_from_run,
+                               problem_from_config, validate_config)
+from msmanifold.lyapunov_perron import unstable_graph
 
 
 def write_cfg(path, cfg):
@@ -140,7 +142,7 @@ def test_solve_unstable_writes_artifacts(tmp_path):
     cfgp = write_cfg(tmp_path / "cfg.json", solve_cfg())
     out = tmp_path / "run"
     assert main(["solve-unstable", "--config", cfgp, "--out", str(out)]) == 0
-    for name in ("graph.csv", "trajectory.csv", "trace.json", "manifest.json"):
+    for name in ("graph.csv", "trajectory.npy", "trace.json", "manifest.json"):
         assert (out / name).exists(), name
 
     raw = (out / "graph.csv").read_bytes()
@@ -159,9 +161,51 @@ def test_solve_unstable_writes_artifacts(tmp_path):
     assert trace["consistency_gap"] <= 2e-4
     assert len(trace["config_hash"]) == 64
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["outputs"]) >= {"graph.csv", "trajectory.csv",
+    assert set(manifest["outputs"]) >= {"graph.csv", "trajectory.npy",
                                         "trace.json"}
     assert manifest["config_hash"] == trace["config_hash"]
+
+
+def test_solve_trajectory_holds_the_fixed_points_strided_moments(tmp_path):
+    # 4001 nodes, so every second one is written
+    cfg = solve_cfg({"dt": 2.5e-3, "n_samples": 32})
+    cfgp = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["solve-unstable", "--config", cfgp, "--out", str(out)]) == 0
+    traj = np.load(out / "trajectory.npy", allow_pickle=False)
+    assert traj.dtype.names == ("t", "mean_mode_0", "mean_mode_1", "ms_norm")
+
+    cfg = validate_config(cfg)
+    p = problem_from_config(cfg)
+    graph = unstable_graph(p, anchor_from_run(cfg["run"], p), lp_config_from_run(cfg["run"]))
+    assert np.array_equal(traj["t"], graph.process.grid.times[::2])
+    # sums in sample order from +0, the order of the written path
+    total, sq_total = 0.0, 0.0
+    for path in graph.process.values[:, ::2]:
+        total = total + path
+        sq_total = sq_total + (path[:, 0] ** 2 + path[:, 1] ** 2)
+    assert np.array_equal(traj["mean_mode_0"], total[:, 0] / 32)
+    assert np.array_equal(traj["mean_mode_1"], total[:, 1] / 32)
+    assert np.array_equal(traj["ms_norm"], np.sqrt(sq_total / 32))
+
+
+def test_solve_hashes_its_config_once(tmp_path, monkeypatch):
+    from msmanifold import cli
+
+    calls = []
+
+    def counting(cfg, _hash=cli.config_hash):
+        calls.append(cfg)
+        return _hash(cfg)
+
+    monkeypatch.setattr(cli, "config_hash", counting)
+    cfgp = write_cfg(tmp_path / "cfg.json", solve_cfg())
+    out = tmp_path / "run"
+    assert main(["solve-unstable", "--config", cfgp, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    trace = json.loads((out / "trace.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert trace["config_hash"] == manifest["config_hash"] == config_hash(calls[0])
 
 
 def test_solve_validates_its_config_once(tmp_path, monkeypatch):
@@ -293,3 +337,13 @@ def test_exit_code_4_on_usage_and_config_errors(tmp_path, capsys):
         main(["no-such-command"])
     assert exc.value.code == 4
     capsys.readouterr()
+
+
+def test_out_of_range_problem_numbers_are_config_errors(tmp_path, capsys):
+    # 1e999 reads as inf: refused as a config error, before any JSON payload
+    # would fail to encode it
+    huge = json.dumps(solve_cfg()).replace('"alpha": 1.0', '"alpha": 1.0, "bound_K": 1e999')
+    (tmp_path / "huge.json").write_text(huge)
+    assert main(["check-gap", "--config", str(tmp_path / "huge.json"),
+                 "--out", str(tmp_path / "h")]) == 4
+    assert "rates.bound_K must be a finite number" in capsys.readouterr().err

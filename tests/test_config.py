@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,56 @@ def test_validate_boundary_ladder_must_increase():
         "regularizer": [[0.0, 0.0], [0.0, 0.0]],
     }
     with pytest.raises(ConfigError):
+        validate_config(cfg)
+
+
+def boundary_cfg():
+    cfg = minimal_cfg()
+    cfg["problem"]["boundary"] = {
+        "operator_shift": 1.0,
+        "ladder": [1e2, 1e3],
+        "regularizer": [[0.0, 0.0], [0.0, 0.0]],
+        "columns": {"100.0": [[0.0, 0.0], [0.0, 0.0]]},
+    }
+    return cfg
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+BAD_PROBLEM_NUMBERS = [
+    (("rates", "alpha"), True, "rates.alpha"),
+    (("rates", "zeta"), NAN, "rates.zeta"),
+    (("rates", "bound_K"), True, "rates.bound_K"),
+    (("rates", "bound_K"), INF, "rates.bound_K"),
+    (("rates", "bound_K"), 10 ** 400, "rates.bound_K"),
+    (("unstable_modes", 0), True, "unstable_modes"),
+    (("nonlinearity", "matrix", 1, 0), INF, "linear matrix"),
+    (("nonlinearity", "matrix", 0, 1), False, "linear matrix"),
+    (("nonlinearity",), {"kind": "saturated_polynomial", "coefficients": [0.0, 0.1],
+                         "radius": True}, "saturation radius"),
+    (("noise",), {"kind": "saturated", "slopes": [0.1, 0.1], "radius": INF},
+     "noise radius"),
+    (("nonlinearity",), {"kind": "boundary-linear",
+                         "g0_matrix": [[0.0, -INF], [0.0, 0.0]]}, "g0_matrix"),
+    (("eigenvalues", 1), True, "eigenvalues"),
+    (("boundary", "operator_shift"), True, "boundary.operator_shift"),
+    (("boundary", "operator_shift"), NAN, "boundary.operator_shift"),
+    (("boundary", "regularizer", 0, 0), True, "boundary.regularizer"),
+    (("boundary", "columns", "100.0", 1, 1), INF, "column block 100.0"),
+]
+
+
+@pytest.mark.parametrize("path, value, where", BAD_PROBLEM_NUMBERS,
+                         ids=[where if isinstance(value, dict) else f"{where}={str(value)[:8]}"
+                              for _, value, where in BAD_PROBLEM_NUMBERS])
+def test_validate_refuses_booleans_and_nonfinite_problem_numbers(path, value, where):
+    cfg = boundary_cfg()
+    block = cfg["problem"]
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be"):
         validate_config(cfg)
 
 

@@ -653,6 +653,25 @@ def test_nonfinite_map_raises_on_the_unstable_side_and_aborts_the_stable_one():
     assert info.value.side == "stable" and info.value.distance is None
 
 
+@pytest.mark.parametrize("step, start, direction", [(lp_backward_map, -1.0, "backward"),
+                                                    (lp_forward_map, 0.0, "forward")])
+def test_nonfinite_map_names_the_first_node_its_time_and_sample(step, start, direction):
+    # F is infinite exactly where a coordinate of the state is nonzero: the
+    # stable coordinate turns on at node 40 of sample 2 and at node 70 of
+    # sample 1, and the stable value is the first to go non-finite there
+    p = overflowing_problem()
+    grid = TimeGrid(start, 1e-2, 100)
+    vals = np.zeros((3, 101, 2))
+    vals[2, 40:, 1] = 0.5
+    vals[1, 70:, 1] = 0.5
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, force=True)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonfiniteState, match=f"{direction} map") as info:
+            step(p, ProcessEnsemble(grid, vals), [0.3], cfg)
+    assert (info.value.step, info.value.sample) == (40, 2)
+    assert f"grid node 40 (t = {grid.times[40]:.6g}), sample 2" in str(info.value)
+
+
 def test_lipschitz_certificate_on_linear_problem():
     p = one_way()
     cfg = cfg_back()
