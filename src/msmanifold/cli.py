@@ -1,7 +1,9 @@
 """Batch front-end.
 
 Every subcommand reads one JSON config, writes its numeric artifacts
-(CSV/NPY/JSON) into --out, and drops a manifest.json beside them.  Numeric
+(CSV/NPY/JSON) into --out, and drops a manifest.json beside them. Before
+writing, it removes the files an earlier manifest.json in --out lists, and
+that manifest, so --out holds one request's files.  Numeric
 payloads are a pure function of (effective config, seed); wall-clock and
 environment live only in the manifest so payload bytes stay comparable
 across runs.
@@ -121,6 +123,27 @@ def _overridden_run(run, args):
     return run
 
 
+def _clear_previous(out_dir: str, config: Optional[str]) -> None:
+    """Remove the files that an earlier request's manifest.json in out_dir
+    lists, and that manifest, so the directory never describes two
+    requests. Only plain file names in out_dir are removed, and never the
+    request's own config file."""
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            outputs = json.load(fh)["outputs"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return
+    if not isinstance(outputs, list):
+        return
+    for name in outputs + ["manifest.json"]:
+        if isinstance(name, str) and name not in ("", ".", "..") \
+                and os.path.basename(name) == name:
+            target = os.path.join(out_dir, name)
+            if os.path.isfile(target) and not (config and os.path.samefile(target, config)):
+                os.remove(target)
+
+
 def _prepare(args, need_config: bool = True):
     if need_config and not args.config:
         raise ConfigError("--config is required for this subcommand")
@@ -132,6 +155,7 @@ def _prepare(args, need_config: bool = True):
             raw["run"] = _overridden_run({} if raw.get("run") is None else raw["run"], args)
         cfg = validate_config(raw)
     os.makedirs(args.out, exist_ok=True)
+    _clear_previous(args.out, args.config)
     return cfg
 
 

@@ -5,7 +5,8 @@ first m cosine modes.  Eigenvalues are (1/2 - k^2) pi^2, so mode 0 is the
 single unstable direction.  Boundary forcing enters as flux data (g1 at
 x=0, g2 at x=1) plus an interior term g0; the flux components live outside
 the mode space and reach it through the frozen resolvent-regularizer
-columns built here.
+columns built here from the closed-form projection
+(resolvent.boundary_columns).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import ConfigError
 from .problem import (NoiseModel, NonlinearityModel, SpectralProblem,
                       build_problem, zero_noise)
-from .resolvent import BoundaryTriple, _ladder_limit, boundary_columns
+from .resolvent import (BoundaryTriple, _ladder_limit, boundary_columns,
+                        endpoint_values)
 
 __all__ = [
     "EXAMPLE_LADDER",
@@ -42,17 +44,6 @@ def example_eigenvalues(m: int) -> np.ndarray:
     """(1/2 - k^2) pi^2 for k = 0..m-1."""
     k = np.arange(m, dtype=float)
     return (0.5 - k * k) * math.pi ** 2
-
-
-def endpoint_values(m: int, end: int) -> np.ndarray:
-    """Values of the orthonormal cosine modes at x=0 (end=0) or x=1."""
-    e = np.full(m, math.sqrt(2.0))
-    e[0] = 1.0
-    if end == 1:
-        e[1::2] *= -1.0
-    elif end != 0:
-        raise ConfigError("end must be 0 or 1")
-    return e
 
 
 def _as_component(spec, m: int, scalar: bool):
@@ -142,9 +133,10 @@ def build_example_problem(m: int = 4,
     """Spectral truncation of the shifted Neumann example, ready to solve.
 
     Freezes the boundary-regularizer columns: one (m, 2) block per ladder
-    rung plus the extrapolated limit, with the ladder diagnostic kept in
-    meta.  Defaults put the dichotomy rates at alpha = pi^2/2 (the lone
-    unstable eigenvalue), beta = -pi^2/2, gamma = pi^2/4, zeta = 0.
+    rung, each boundary_columns' closed form (no BVP is solved), plus their
+    extrapolated limit, with the ladder diagnostic kept in meta.  Defaults
+    put the dichotomy rates at alpha = pi^2/2 (the lone unstable
+    eigenvalue), beta = -pi^2/2, gamma = pi^2/4, zeta = 0.
     """
     if m < 2:
         raise ConfigError("need at least two modes (one unstable, one stable)")

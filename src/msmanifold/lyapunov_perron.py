@@ -28,7 +28,7 @@ from .errors import (ConfigError, ConsistencyFailure, GapViolation, GridMismatch
                      IllConditionedDesign, MaxIterExceeded, NonfiniteState,
                      TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_report, zero_noise
-from .resolvent import forcing_modes, linear_scan
+from .resolvent import BoundaryTriple, forcing_modes, linear_scan
 from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _node_ms,
                          integrate_mild, ms_norm, sample_wiener,
                          solver_boundary_columns)
@@ -226,29 +226,44 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
     return target
 
 
+def _apart(x, v: np.ndarray) -> bool:
+    """Whether x is an array that may be written without touching v (a drift
+    may return its input, and v may be a view of vals)."""
+    return isinstance(x, np.ndarray) and x.flags.writeable and not np.may_share_memory(x, v)
+
+
 def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
                     wiener: Optional[WienerEnsemble]):
     """Forward time blocks of vals as node-major blocks v (L, n, m), views of
     node-major storage, with the half-step drift and the Ito increment
     leaving each node, both (L, n, m); drift and diffusion see a block as
-    one (L * n, m) batch. No increment leaves the last grid node, and none
-    is drawn without ``wiener``. Yields (a, v, half, ito), a the first node.
+    one (L * n, m) batch. No increment leaves the last grid node; without
+    ``wiener`` there are none, and ito is None. Yields (a, v, half, ito), a
+    the first node.
 
-    The drift is halved in place unless it is read-only or shares memory
-    with v (a drift may return its input, and v may be a view of vals)."""
+    The drift is mapped into modes and halved in place when it may be
+    written (_apart): a boundary triple's f takes its boundary terms unless
+    it shares memory with v, a or b."""
     nodes = vals.swapaxes(0, 1)
     n_nodes, n, m = nodes.shape
     length = _block_len(n)
     for a in range(0, n_nodes, length):
         v = np.ascontiguousarray(nodes[a:a + length])
         flat = v.reshape(-1, m)
-        half = forcing_modes(p.nonlinearity.fn(flat), cols).reshape(v.shape)
-        if half.flags.writeable and not np.may_share_memory(half, v):
+        value = p.nonlinearity.fn(flat)
+        own_f = isinstance(value, BoundaryTriple) and _apart(value.f, v) \
+            and not np.may_share_memory(value.f, value.a) \
+            and not np.may_share_memory(value.f, value.b)
+        half = forcing_modes(value, cols, in_place=own_f).reshape(v.shape)
+        if _apart(half, v):
             half *= 0.5 * dt
         else:
             half = 0.5 * dt * half
-        steps = 0 if wiener is None else min(len(v), n_nodes - 1 - a)
-        # zeros only where a node has no increment: the last block, or no noise
+        if wiener is None:
+            yield a, v, half, None
+            continue
+        steps = min(len(v), n_nodes - 1 - a)
+        # zeros only where a node has no increment: the last block
         ito = np.empty_like(half) if steps == len(v) else np.zeros_like(half)
         if steps:
             amp = p.noise.diffusion(flat[:steps * n]).reshape(steps, n, m)
@@ -261,6 +276,8 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
 # z_j = decay * z_{j-1} + 2 h_j needs no drift from a neighbouring block. Only
 # the drift is subtracted again, never a noise increment, so the integrals over
 # a deterministic state stay exactly deterministic. Blocks are node-major.
+# Zero noise adds no increments: adding zero ones would only turn a -0 in z
+# into +0, and z - h is +0 at such a node either way.
 
 def _forward_pass(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
                   dt: float, wiener: Optional[WienerEnsemble], start) -> np.ndarray:
@@ -272,20 +289,30 @@ def _forward_pass(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
     sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j, (n, k)."""
     s_idx, u_idx = p.stable_modes, p.unstable_modes
     decay = np.exp(p.eigenvalues[s_idx] * dt)
-    weight = np.exp(-np.outer(np.arange(len(out)) * dt, p.eigenvalues[u_idx]))
     ito0 = np.zeros((out.shape[1], len(u_idx)))
+    if wiener is not None:
+        weight = np.exp(-np.outer(np.arange(len(out)) * dt, p.eigenvalues[u_idx]))
     carry = None
     for a, v, half, ito in _forcing_blocks(p, vals, cols, dt, wiener):
         rows = slice(a, a + len(v))
         out[rows, :, u_idx] = half[..., u_idx]
-        ito0 += np.einsum("jnk,jk->nk", ito[..., u_idx], weight[rows])
-        h, dw = half[..., s_idx], ito[..., s_idx]
+        # a copy that holds each mode's nodes and samples contiguously, as
+        # the scans want them
+        h = half[..., s_idx]
         z = h + h
-        z[1:] += decay * dw[:-1]        # the increment leaving node j reaches j + 1
-        z[0] = h[0] + start if carry is None else z[0] + decay * dw_prev
+        if ito is not None:
+            ito0 += np.einsum("jnk,jk->nk", ito[..., u_idx], weight[rows])
+            dw = ito[..., s_idx]
+            z[1:] += decay * dw[:-1]    # the increment leaving node j reaches j + 1
+            if carry is not None:
+                z[0] += decay * dw_prev
+            dw_prev = dw[-1]
+        if carry is None:
+            z[0] = h[0] + start
         linear_scan(z, decay, carry)
-        carry, dw_prev = z[-1], dw[-1]
-        out[rows, :, s_idx] = z - h
+        carry = z[-1].copy()
+        z -= h
+        out[rows, :, s_idx] = z
     return ito0
 
 
@@ -311,14 +338,23 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
         yield a, np.ascontiguousarray(vals[:, a:a + length].swapaxes(0, 1)), z, ito0
 
 
+# Elements per chunk of _weighted_gap's node differences (256 KB), whatever
+# the ensemble's time blocks: a few nodes of a large ensemble, and a
+# one-sample window in a few pieces. Smaller chunks cost large ensembles
+# interpreter work per node.
+_GAP_ELEMENTS = 1 << 15
+
+
 def _weighted_gap(a: np.ndarray, b: np.ndarray, times: np.ndarray,
                   tau: float, rate: float) -> float:
-    """sup over the nodes of e^{-rate (t - tau)} ms_norm(a - b), by blocks."""
+    """sup over the nodes of e^{-rate (t - tau)} ms_norm(a - b), in chunks of
+    about _GAP_ELEMENTS elements (whole nodes, at least one)."""
     a, b = a.swapaxes(0, 1), b.swapaxes(0, 1)
-    worst, k = 0.0, _block_len(a.shape[1])
+    weight = np.exp(-rate * (times - tau))
+    worst, k = 0.0, max(1, _GAP_ELEMENTS // (a.shape[1] * a.shape[2]))
     for lo in range(0, len(a), k):
         ms = _node_ms(a[lo:lo + k] - b[lo:lo + k])
-        worst = max(worst, float(np.max(np.exp(-rate * (times[lo:lo + k] - tau)) * ms)))
+        worst = max(worst, float(np.max(weight[lo:lo + k] * ms)))
     return worst
 
 
@@ -428,11 +464,30 @@ def _first_guess(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarr
     return _initial_guess(p, grid, anchor, side)
 
 
+def _map_output(xi: ProcessEnsemble, m: int, out: Optional[np.ndarray]) -> np.ndarray:
+    """Node-major storage (N+1, n, m) for a map's result: ``out``, the
+    sample-major view of node-major storage of that shape as every map
+    output is, or a new array when it is None. It must not be xi's own."""
+    shape = (xi.grid.n_nodes, xi.n_samples, m)
+    if out is None:
+        return np.empty(shape)
+    nodes = out.swapaxes(0, 1)
+    if nodes.shape != shape or nodes.dtype != float or not nodes.flags.c_contiguous \
+            or not nodes.flags.writeable:
+        raise ConfigError(f"map output must be a writable node-major float view of shape "
+                          f"{shape[1], shape[0], m}")
+    if np.may_share_memory(nodes, xi.values):
+        raise ConfigError("a map cannot write over its own input")
+    return nodes
+
+
 def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-            wiener: Optional[WienerEnsemble]) -> ProcessEnsemble:
+            wiener: Optional[WienerEnsemble], out: Optional[np.ndarray]) -> ProcessEnsemble:
     """One application of the side's map; see lp_backward_map and
     lp_forward_map. The sides differ in the anchor block and node, in the
-    start of the stable scan (zero, or the anchor) and in the unstable fit."""
+    start of the stable scan (zero, or the anchor) and in the unstable fit.
+    The forward pass writes every entry of the output, so it needs no
+    zeros."""
     _check_gap(p, cfg, side)
     grid = xi.grid
     unstable = side == "unstable"
@@ -448,7 +503,7 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     N = grid.n_steps
     pull = _semigroup(p, grid, u_idx, N) if unstable else None
     wvals = _wiener_values(wiener, basis)
-    out = np.zeros((grid.n_nodes, n, m))
+    out = _map_output(xi, m, out)
     agg: dict = {}
     start = 0.0 if unstable else anchor
     for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, grid.dt, noise, start):
@@ -481,7 +536,8 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
 
 
 def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-                    wiener: Optional[WienerEnsemble] = None) -> ProcessEnsemble:
+                    wiener: Optional[WienerEnsemble] = None, *,
+                    out: Optional[np.ndarray] = None) -> ProcessEnsemble:
     """One application of the backward map on the window [tau - T_back, tau].
 
     The forward pass over the time blocks gives the stable block at t: the
@@ -494,22 +550,26 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
 
     The map checks the gap condition (refused unless cfg.force), regresses
     on cfg's basis, and needs ``wiener``, sampled on xi's grid for xi's
-    samples, under nonzero noise (GridMismatch otherwise).
+    samples, under nonzero noise (GridMismatch otherwise). The result's
+    values are ``out`` when given: (n, N+1, m) values of another ensemble,
+    stored node-major as the package stores them, which the map overwrites.
     """
-    return _lp_map("unstable", p, xi, x, cfg, wiener)
+    return _lp_map("unstable", p, xi, x, cfg, wiener, out)
 
 
 def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-                   wiener: Optional[WienerEnsemble] = None) -> ProcessEnsemble:
+                   wiener: Optional[WienerEnsemble] = None, *,
+                   out: Optional[np.ndarray] = None) -> ProcessEnsemble:
     """One application of the forward map on [tau, tau + T_fwd].
 
     Forward pass, stable block: pushed-forward anchor plus truncated
     convolution and Ito quadrature over [tau, t]. Reverse pass, unstable
     block: minus the regression of the per-sample drift integral over
     [t, tau + T_fwd]; the sigma term is zero by the martingale property
-    (diagnostic in meta). Gap check, basis and noise as in lp_backward_map.
+    (diagnostic in meta). Gap check, basis, noise and ``out`` as in
+    lp_backward_map.
     """
-    return _lp_map("stable", p, xi, x, cfg, wiener)
+    return _lp_map("stable", p, xi, x, cfg, wiener, out)
 
 
 def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
@@ -564,7 +624,9 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     value block at the anchor node; without ``certify`` that map is not
     run. Returns (ensemble, trace). The unstable side lets NonfiniteState
     propagate; the stable side records it as trace.regression["aborted"]
-    and returns unconverged.
+    and returns unconverged. Each map after the first writes into the
+    storage of the iterate that the last distance made dead, the first
+    guess included, so the iteration holds two paths.
 
     A deterministic anchor (_normalize_anchor's flag) under zero noise has
     identical sample paths: it is solved on one sample, and the path is
@@ -589,24 +651,25 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
         wiener = sample_wiener(cfg.seed, grid, p.noise, n)
     wiener = _driving_noise(p, wiener, grid, n)
 
-    def step(ens: ProcessEnsemble) -> ProcessEnsemble:
+    def step(ens: ProcessEnsemble, spare: Optional[np.ndarray]) -> ProcessEnsemble:
         # looked up on every call, so a rebound map name is the one iterated
         lp_map = lp_backward_map if side == "unstable" else lp_forward_map
-        return lp_map(p, ens, x, cfg, wiener)
+        return lp_map(p, ens, x, cfg, wiener, out=spare)
 
     cur = ProcessEnsemble(grid=grid, values=_first_guess(side, p, grid, anchor, x_det, cfg),
                           direction="backward" if side == "unstable" else "forward",
                           adapted_to=None if wiener is None else wiener.seed)
     trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
     times = grid.times
+    spare = None    # the storage of the last dead iterate, the next map's output
     try:
         for _ in range(cfg.max_iter):
-            nxt = step(cur)
+            nxt = step(cur, spare)
             d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, p.gamma)
             if trace.distances and trace.distances[-1] > 0:
                 trace.ratios.append(d / trace.distances[-1])
             trace.distances.append(d)
-            cur = nxt
+            cur, spare = nxt, cur.values
             if d <= cfg.tol:
                 trace.converged = True
                 break
@@ -619,7 +682,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     if not trace.regression:
         trace.regression = cur.meta.get("regression", {})
     if trace.converged and certify:
-        again = step(cur)
+        again = step(cur, spare)
         trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, p.gamma)
         trace.consistency_gap = ms_norm(cur.values[:, node, value_idx]
                                         - again.values[:, node, value_idx])

@@ -266,10 +266,13 @@ def build_problem(eigenvalues, unstable_modes, alpha, beta, gamma, zeta,
     if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
         raise ConfigError("eigenvalues must be a nonempty finite 1d list")
     m = lam.size
-    u_idx = np.unique(np.asarray(unstable_modes, dtype=int))
-    if u_idx.size and (u_idx.min() < 0 or u_idx.max() >= m):
+    # a mask, not np.unique/np.setdiff1d: those import numpy.ma on first use
+    u_req = np.asarray(unstable_modes, dtype=int).reshape(-1)
+    if u_req.size and (u_req.min() < 0 or u_req.max() >= m):
         raise ConfigError("unstable mode index out of range")
-    s_idx = np.setdiff1d(np.arange(m), u_idx)
+    unstable = np.zeros(m, dtype=bool)
+    unstable[u_req] = True
+    u_idx, s_idx = np.flatnonzero(unstable), np.flatnonzero(~unstable)
 
     alpha, beta, gamma, zeta = map(float, (alpha, beta, gamma, zeta))
     if not (beta < zeta < gamma < alpha):

@@ -1,7 +1,8 @@
 """Resolvent machinery for the non-densely-defined operator.
 
 Covers the example boundary operator's resolvent (a two-point BVP solved in
-closed cosh/sinh form plus a Green-kernel quadrature for interior forcing),
+closed cosh/sinh form plus a Green-kernel quadrature for interior forcing,
+and its projection on unit flux data, the boundary columns, in closed form),
 the lambda-regularization lambda*R_lambda(A), its lambda -> infinity ladder
 with Richardson extrapolation in 1/lambda, the regularized convolution
 (S <> f)(t), the C_kappa constant, and the delta(t) table of the convolution
@@ -44,7 +45,7 @@ __all__ = [
     "estimate_delta",
     "forcing_modes",
     "forcing_to_modes",
-    "cosine_basis_matrix",
+    "endpoint_values",
     "boundary_columns",
     "richardson_pair",
     "hille_yosida_data",
@@ -180,47 +181,34 @@ def resolvent_boundary(lam: float, d: Optional[BoundaryTriple] = None, *,
     return x, phi, diagnostics
 
 
-def cosine_basis_matrix(m: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Neumann eigenbasis on (0,1): e_0 = 1, e_k = sqrt(2) cos(k pi x)."""
-    k = np.arange(m)[:, None]
-    E = np.sqrt(2.0) * np.cos(k * np.pi * x[None, :])
-    E[0] = 1.0
-    return E
+def endpoint_values(m: int, end: int) -> np.ndarray:
+    """Values of the orthonormal cosine modes e_0 = 1, e_k = sqrt(2) cos(k pi x)
+    at x=0 (end=0) or x=1."""
+    e = np.full(m, np.sqrt(2.0))
+    e[0] = 1.0
+    if end == 1:
+        e[1::2] *= -1.0
+    elif end != 0:
+        raise ConfigError("end must be 0 or 1")
+    return e
 
 
-def _simpson_weights(n_x: int, h: float) -> np.ndarray:
-    if n_x % 2 == 0:
-        raise ConfigError("Simpson quadrature needs an odd node count")
-    w = np.ones(n_x)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
-def boundary_columns(lam: float, m: int, shift: float,
-                     n_x: Optional[int] = None) -> np.ndarray:
+def boundary_columns(lam: float, m: int, shift: float) -> np.ndarray:
     """Columns of lambda*R_lambda(A) acting on unit boundary data (a=1, b=1)
     for the shifted example operator A = (Neumann Laplacian) + shift, expanded
-    in the cosine eigenbasis. Production path: solve the BVP at mu = lam - shift
-    and project by Simpson quadrature on a grid fine enough to resolve the
-    sqrt(mu)-wide boundary layer. Returns shape (m, 2)."""
-    mu = float(lam) - float(shift)
+    in the cosine eigenbasis; shape (m, 2).
+
+    The data solve the flux BVP mu*phi - phi'' = 0, phi'(0) = -a, phi'(1) = b
+    at mu = lam - shift (resolvent_boundary). Integrating it by parts twice
+    against e_k, whose slopes vanish at both ends, gives
+    (mu + (k pi)^2) <phi, e_k> = a e_k(0) + b e_k(1), so the columns are
+    lam e_k(end) / (lam - shift + (k pi)^2) in closed form."""
+    lam = float(lam)
+    mu = lam - float(shift)
     if mu <= 0.0:
         raise NonpositiveLambda(f"lambda - shift = {mu} <= 0")
-    if n_x is None:
-        # error of the projected column ~ lam * h^4 * mu^{3/2}; 120 nodes per
-        # boundary layer keeps it below ~1e-7 across the default ladders
-        n_x = max(8001, int(120.0 * np.sqrt(mu)))
-        n_x = min(n_x, 200001)
-        if n_x % 2 == 0:
-            n_x += 1
-    x, phi_a, _ = resolvent_boundary(mu, a=1.0, b=0.0, n_x=n_x)
-    _, phi_b, _ = resolvent_boundary(mu, a=0.0, b=1.0, n_x=n_x)
-    E = cosine_basis_matrix(m, x)
-    w = _simpson_weights(n_x, x[1] - x[0])
-    col_a = lam * (E * phi_a[None, :]) @ w
-    col_b = lam * (E * phi_b[None, :]) @ w
-    return np.stack([col_a, col_b], axis=1)
+    scale = lam / (mu + (np.arange(m) * np.pi) ** 2)
+    return np.stack([scale * endpoint_values(m, 0), scale * endpoint_values(m, 1)], axis=1)
 
 
 def _mode_scaling(p: SpectralProblem, lam: float) -> np.ndarray:
@@ -326,16 +314,20 @@ def extend_projection(p: SpectralProblem, g, side: str = "u",
     return _ladder_limit(rungs, rtol)
 
 
-def forcing_modes(value, cols) -> np.ndarray:
+def forcing_modes(value, cols, in_place: bool = False) -> np.ndarray:
     """Forcing values in modes: a boundary triple maps to f + a cols[:, 0] +
     b cols[:, 1], given the regularizer's boundary columns cols (m, 2);
-    mode-local values pass through."""
+    mode-local values pass through. Each mode adds its two boundary terms,
+    in that order, by one multiply-add each, so no (rows, m) temporary is
+    made. The terms go into a copy of f, or into f itself when ``in_place``
+    (the caller owns f, and a and b do not view it)."""
     if isinstance(value, BoundaryTriple):
         if cols is None:
             raise ConfigError("boundary-valued forcing needs a boundary regularizer")
-        out = np.array(value.f, dtype=float, copy=True)
-        out += np.multiply.outer(np.asarray(value.a, dtype=float), cols[:, 0])
-        out += np.multiply.outer(np.asarray(value.b, dtype=float), cols[:, 1])
+        out = value.f if in_place else np.array(value.f, dtype=float, copy=True)
+        for k in range(out.shape[-1]):
+            out[..., k] += value.a * cols[k, 0]
+            out[..., k] += value.b * cols[k, 1]
         return out
     return np.asarray(value, dtype=float)
 
@@ -359,18 +351,29 @@ def linear_scan(x: np.ndarray, decay, carry=None, reverse: bool = False) -> np.n
     """y_j = decay * y_{j-1} + x_j in place along axis 0 of x (y_{j+1} when
     reverse), from ``carry`` (zero when None) just outside the first node.
     Wide nodes are swept one by one; narrow ones take doubling passes
-    (Hillis-Steele) whose coefficients are powers of ``decay``."""
+    (Hillis-Steele) whose coefficients are powers of ``decay``. The passes
+    run along a contiguous node axis: x's own when the node axis has its
+    smallest stride, else a copy's. Each pass is one product into a buffer
+    laid out like them, and one add; every element gets the same products
+    and sums, in the same order, in any layout."""
     y = x[::-1] if reverse else x
     if carry is not None:
         y[0] += decay * carry
-    if x.size >= _SWEEP_ELEMENTS * len(y):
-        for j in range(1, len(y)):
+    n = len(y)
+    if x.size >= _SWEEP_ELEMENTS * n:
+        for j in range(1, n):
             y[j] += decay * y[j - 1]
-    else:
-        shift = 1
-        while shift < len(y):
-            y[shift:] += np.power(decay, shift) * y[:-shift]
-            shift *= 2
+        return x
+    innermost = y.ndim == 1 or abs(y.strides[0]) <= min(abs(s) for s in y.strides[1:])
+    lanes = y if innermost else np.moveaxis(np.moveaxis(y, 0, -1).copy(), -1, 0)
+    term = np.empty_like(lanes)
+    shift = 1
+    while shift < n:
+        np.multiply(np.power(decay, shift), lanes[:-shift], out=term[shift:])
+        lanes[shift:] += term[shift:]
+        shift *= 2
+    if lanes is not y:
+        y[...] = lanes
     return x
 
 

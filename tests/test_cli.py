@@ -242,6 +242,50 @@ def test_solve_blocks_on_gap_without_force(tmp_path):
     assert manifest["outputs"] == ["gap_report.json"]
 
 
+def test_a_request_removes_the_files_of_the_last_one_in_its_out_dir(tmp_path):
+    # a solve refused on the gap, then a passing one, into one directory:
+    # only the second request's files are left, and files that no manifest
+    # lists are kept
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    bad = write_cfg(tmp_path / "bad.json", solve_cfg(big_coupling=True))
+    ok = write_cfg(tmp_path / "ok.json", solve_cfg({"n_samples": 16}))
+    assert main(["solve-unstable", "--config", bad, "--out", str(out)]) == 2
+    assert (out / "gap_report.json").exists()
+    assert main(["solve-unstable", "--config", ok, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(e.name for e in out.iterdir()) == sorted(
+        ["manifest.json", "notes.txt"] + manifest["outputs"])
+    assert "gap_report.json" not in manifest["outputs"]
+
+
+def test_a_manifest_removes_only_plain_names_in_its_out_dir(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    outside = tmp_path / "outside.txt"
+    outside.write_text("kept")
+    (out / "sub").mkdir()
+    (out / "sub" / "x.txt").write_text("kept")
+    (out / "manifest.json").write_text(json.dumps(
+        {"outputs": ["../outside.txt", str(outside), "sub", "sub/x.txt", 3]}))
+    ok = write_cfg(tmp_path / "ok.json", solve_cfg())
+    assert main(["check-gap", "--config", ok, "--out", str(out)]) == 0
+    assert outside.read_text() == "kept"
+    assert (out / "sub" / "x.txt").read_text() == "kept"
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["gap_report.json"]
+
+
+def test_a_request_keeps_its_own_config_in_its_out_dir(tmp_path):
+    out = tmp_path / "ex"
+    assert main(["example-pde", "--out", str(out)]) == 0
+    cfgp = str(out / "example_problem.json")
+    assert main(["check-gap", "--config", cfgp, "--out", str(out)]) == 0
+    assert (out / "example_problem.json").exists()
+    assert sorted(e.name for e in out.iterdir()) == [
+        "example_problem.json", "gap_report.json", "manifest.json"]
+
+
 def test_solve_force_runs_and_reports_nonconvergence(tmp_path, capsys):
     cfg = solve_cfg(run_extra={"max_iter": 8}, big_coupling=True)
     cfgp = write_cfg(tmp_path / "cfg.json", cfg)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "msmanifold"
@@ -34,3 +37,22 @@ def test_the_check_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport os\nimport sys as system\n"
               "from json import dumps, loads\n__all__ = ['loads']\nprint(system.argv)\n")
     assert unused_imports(source) == [(2, "os"), (4, "dumps")]
+
+
+def test_an_example_solve_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs 16-20 ms to import (numpy 2.4 imports it from np.unique
+    # and np.setdiff1d); a CLI solve of the example problem needs none of it
+    script = (
+        "import sys\n"
+        "from msmanifold import cli\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['example-pde', '--out', out]) == 0\n"
+        "assert cli.main(['solve-unstable', '--config', out + '/example_problem.json',"
+        " '--out', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

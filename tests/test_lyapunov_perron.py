@@ -485,7 +485,7 @@ def test_weighted_gap_bits_do_not_depend_on_the_layout(monkeypatch, m):
     rng = np.random.default_rng(m)
     a, b = rng.standard_normal((2, n, 41, m))
     times = np.linspace(-4.0, 0.0, 41)
-    monkeypatch.setattr(lp, "_BLOCK_ROWS", 16 * n)   # blocks of 16, 16 and 9 nodes
+    monkeypatch.setattr(lp, "_GAP_ELEMENTS", 16 * n * m)   # chunks of 16, 16 and 9 nodes
     ref = lp._weighted_gap(a, b, times, 0.0, 0.5)
 
     def node_major(x):
@@ -494,6 +494,80 @@ def test_weighted_gap_bits_do_not_depend_on_the_layout(monkeypatch, m):
     assert lp._weighted_gap(node_major(a), node_major(b), times, 0.0, 0.5) == ref
     worst = max(np.exp(-0.5 * times) * np.sqrt(np.mean(np.sum((a - b) ** 2, axis=2), axis=0)))
     assert ref == pytest.approx(worst, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(1, 8), (3, 4), (3000, 2)])
+def test_weighted_gap_bits_do_not_depend_on_the_chunk(monkeypatch, n, m):
+    rng = np.random.default_rng(n + m)
+    a, b = rng.standard_normal((2, n, 601, m))
+    times = np.linspace(-6.0, 0.0, 601)
+    ref = lp._weighted_gap(a, b, times, 0.0, 0.5)
+    for elements in (1, 7 * n * m, 1 << 30):       # one node, 7 nodes, the whole window
+        monkeypatch.setattr(lp, "_GAP_ELEMENTS", elements)
+        assert lp._weighted_gap(a, b, times, 0.0, 0.5) == ref
+
+
+def flux_problem(noise=None):
+    from msmanifold.example_pde import build_example_problem
+
+    m = 4
+    return build_example_problem(m=m, g0=0.02 * np.eye(m), g1=0.05 * np.ones(m),
+                                 g2=0.05 * np.ones(m), noise=noise)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_zero_noise_maps_equal_maps_with_zero_increments(side):
+    # zero noise adds no Ito block; a noise that is zero only in value runs
+    # the Ito path with zero increments and gives the same bits
+    p = flux_problem()
+    p_zero_slopes = replace(p, noise=diagonal_linear_noise([0.0] * 4))
+    n, dt = 2, 1e-3
+    grid = TimeGrid(-2.0 if side == "unstable" else 0.0, dt, 2000)
+    cfg = LPConfig(c_zeta=0.5, t_back=2.0, t_fwd=2.0, dt=dt, n_samples=n)
+    wiener = sample_wiener(3, grid, p_zero_slopes.noise, n)
+    anchor = [0.2] if side == "unstable" else [0.1, -0.05, 0.02]
+    xi = ProcessEnsemble(grid, lp._initial_guess(p, grid, np.array([anchor] * n), side))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    lean = step(p, xi, anchor, cfg).values
+    ito = step(p_zero_slopes, xi, anchor, cfg, wiener).values
+    assert lean.tobytes() == ito.tobytes()
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_maps_write_into_a_given_output_bit_for_bit(side):
+    p = flux_problem()
+    grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-3, 1000)
+    cfg = LPConfig(c_zeta=0.5, t_back=1.0, t_fwd=1.0, dt=1e-3, n_samples=2)
+    anchor = [0.2] if side == "unstable" else [0.1, -0.05, 0.02]
+    xi = ProcessEnsemble(grid, lp._initial_guess(p, grid, np.array([anchor] * 2), side))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    fresh = step(p, xi, anchor, cfg).values
+    spare = np.full((1001, 2, 4), np.nan).swapaxes(0, 1)
+    got = step(p, xi, anchor, cfg, out=spare).values
+    assert np.shares_memory(got, spare) and got.tobytes() == fresh.tobytes()
+    with pytest.raises(ConfigError, match="its own input"):
+        step(p, xi, anchor, cfg, out=xi.values)
+    with pytest.raises(ConfigError, match="node-major"):
+        step(p, xi, anchor, cfg, out=np.empty((2, 1001, 4)))
+
+
+def test_solves_reuse_the_dead_iterates_storage(monkeypatch):
+    # every map after the first writes over the iterate two steps back
+    p = flux_problem()
+    cfg = LPConfig(c_zeta=0.5, t_back=6.0, dt=1e-2, n_samples=1, tol=1e-6)
+    outs, inputs = [], []
+
+    def recording(p, xi, x, cfg, wiener=None, *, out=None):
+        inputs.append(xi.values)
+        outs.append(out)
+        return lp._lp_map("unstable", p, xi, x, cfg, wiener, out)
+
+    monkeypatch.setattr(lp, "lp_backward_map", recording)
+    ens, trace = lp.lp_backward_solve(p, [0.2], cfg)
+    assert trace.converged and len(outs) == trace.iterations + 1 >= 3
+    assert outs[0] is None
+    for k in range(1, len(outs)):
+        assert outs[k] is inputs[k - 1]
 
 
 def test_screened_masks_equal_the_full_pass():
@@ -553,6 +627,28 @@ def test_forcing_blocks_leave_an_aliased_drift_alone(returned):
     for a, v, half, _ in lp._forcing_blocks(p, vals, None, 1e-2, None):
         assert np.array_equal(half, 0.5 * 1e-2 * drift(v.reshape(-1, 2)).reshape(v.shape))
     assert np.array_equal(vals, before)
+
+
+@pytest.mark.parametrize("alias", ["own", "a", "b"])
+def test_forcing_blocks_add_boundary_terms_into_an_unaliased_f_only(alias):
+    # a triple's f takes the boundary terms in place unless a or b view it
+    from msmanifold.resolvent import BoundaryTriple, forcing_modes
+
+    def fn(v):
+        f = 0.1 * v
+        a = f[..., 0] if alias == "a" else 0.2 * v[..., 0]
+        b = f[..., 1] if alias == "b" else -0.3 * v[..., 1]
+        return BoundaryTriple(a=a, b=b, f=f)
+
+    base = flux_problem()
+    p = replace(base, nonlinearity=replace(base.nonlinearity, fn=fn))
+    cols = lp.solver_boundary_columns(p)
+    vals = 0.1 + 0.05 * np.random.default_rng(6).standard_normal((1, 201, 4))
+    for a, v, half, _ in lp._forcing_blocks(p, vals, cols, 1e-2, None):
+        t = fn(v.reshape(-1, 4))
+        fresh = BoundaryTriple(a=t.a.copy(), b=t.b.copy(), f=t.f.copy())
+        want = forcing_modes(fresh, cols) * (0.5 * 1e-2)
+        assert half.reshape(want.shape).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("side", ["unstable", "stable"])

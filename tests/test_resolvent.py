@@ -152,6 +152,24 @@ def endpoint_value(k: int, end: int) -> float:
     return v if end == 0 else v * (-1.0) ** k
 
 
+def bvp_projected_columns(lam, m, shift):
+    """The columns by quadrature: solve the flux BVP at mu = lam - shift on a
+    grid of 120 nodes per sqrt(mu)-wide boundary layer (at least 8001, at
+    most 200001, odd) and project it on the cosine modes by Simpson's rule."""
+    mu = lam - shift
+    n_x = min(max(8001, int(120.0 * np.sqrt(mu))), 200001)
+    n_x += 1 - n_x % 2
+    x, phi_a, _ = resolvent_boundary(mu, a=1.0, b=0.0, n_x=n_x)
+    _, phi_b, _ = resolvent_boundary(mu, a=0.0, b=1.0, n_x=n_x)
+    E = np.sqrt(2.0) * np.cos(np.arange(m)[:, None] * PI * x[None, :])
+    E[0] = 1.0
+    w = np.ones(n_x)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (x[1] - x[0]) / 3.0
+    return np.stack([lam * (E * phi_a) @ w, lam * (E * phi_b) @ w], axis=1)
+
+
 def test_boundary_columns_match_separated_closed_form():
     # Projecting the flux BVP solution onto the cosine basis gives
     # lam * e_k(end) / (lam - lam_k) exactly (integrate by parts twice).
@@ -164,6 +182,16 @@ def test_boundary_columns_match_separated_closed_form():
             want_b = lam / (lam - lam_k[k]) * endpoint_value(k, 1)
             assert cols[k, 0] == pytest.approx(want_a, abs=1e-7)
             assert cols[k, 1] == pytest.approx(want_b, abs=1e-7)
+    # and the quadrature of the BVP solution agrees at every example rung
+    # (by 3.8e-11 at m = 8)
+    for lam in EXAMPLE_LADDER:
+        cols = boundary_columns(lam, 8, OPERATOR_SHIFT)
+        assert np.max(np.abs(cols - bvp_projected_columns(lam, 8, OPERATOR_SHIFT))) < 1e-9
+
+
+def test_boundary_columns_refuse_lambda_at_or_below_the_shift():
+    with pytest.raises(NonpositiveLambda):
+        boundary_columns(OPERATOR_SHIFT, 4, OPERATOR_SHIFT)
 
 
 def test_boundary_columns_converge_to_endpoint_traces(example_problem):
@@ -327,6 +355,35 @@ def test_linear_scan_matches_sequential_loop(n, length, block, reverse):
         y[a:b] = linear_scan(x[a:b].copy(), SCAN_DECAYS, carry, reverse)
         carry = y[a] if reverse else y[b - 1]
     assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _nodewise_doubling(x, decay, carry):
+    # the doubling passes as node-major storage took them, whole nodes a pass
+    y = np.array(x)
+    y[0] += decay * carry
+    shift = 1
+    while shift < len(y):
+        y[shift:] += np.power(decay, shift) * y[:-shift]
+        shift *= 2
+    return y
+
+
+@pytest.mark.parametrize("layout", ["node-major", "lanes"])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("shape", [(6001, 1, 4), (6001, 1, 1), (1000, 3, 4), (5, 2, 4)])
+def test_linear_scan_doubling_matches_nodewise_passes_bit_for_bit(shape, reverse, layout):
+    # narrow blocks, the pde_flux one-sample scans among them, stored
+    # node-major or with each entry's nodes contiguous
+    rng = np.random.default_rng(shape[0])
+    x, carry = rng.standard_normal(shape), rng.standard_normal(shape[1:])
+    decay = SCAN_DECAYS[:shape[-1]]
+    want = _nodewise_doubling(x[::-1] if reverse else x, decay, carry)
+    if layout == "lanes":
+        got = np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0)
+    else:
+        got = x.copy()
+    assert linear_scan(got, decay, carry, reverse) is got
+    assert np.ascontiguousarray(got[::-1] if reverse else got).tobytes() == want.tobytes()
 
 
 def test_linear_scan_zero_width_and_length():
