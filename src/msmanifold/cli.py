@@ -2,11 +2,11 @@
 
 Every subcommand reads one JSON config, writes its numeric artifacts
 (CSV/NPY/JSON) into --out, and drops a manifest.json beside them. Before
-writing, it removes the files an earlier manifest.json in --out lists, and
-that manifest, so --out holds one request's files.  Numeric
-payloads are a pure function of (effective config, seed); wall-clock and
-environment live only in the manifest so payload bytes stay comparable
-across runs.
+its first write, it removes the files an earlier manifest.json in --out
+lists, and lists its own before it writes them, so --out holds one
+request's files.  Numeric payloads are a pure function of (effective
+config, seed); wall-clock and environment live only in the manifest so
+payload bytes stay comparable across runs.
 
 Exit codes: 0 success, 2 gap condition fails, 3 solver did not converge,
 4 bad configuration or usage.
@@ -83,11 +83,12 @@ def _write_json(path: str, payload: dict):
 
 
 class _Manifest:
-    """The request's manifest. ``config_hash`` is hashed here once; the
-    payloads that carry it read it from here."""
+    """The request's manifest in args.out. ``config_hash`` is hashed here
+    once; the payloads that carry it read it from here."""
 
-    def __init__(self, subcommand: str, cfg: Optional[dict], seed):
+    def __init__(self, args, subcommand: str, cfg: Optional[dict], seed):
         self.t0 = time.monotonic()
+        self.out_dir, self.config = args.out, args.config
         self.config_hash = None if cfg is None else config_hash(cfg)
         self.data = {
             "subcommand": subcommand,
@@ -101,12 +102,22 @@ class _Manifest:
             "outputs": [],
         }
 
-    def add(self, *paths):
-        self.data["outputs"].extend(os.path.basename(p) for p in paths)
+    def claim(self, *names) -> list:
+        """Paths in out_dir for the request's next files. The first claim
+        removes the previous request's files (_clear_previous); each
+        writes manifest.json listing every name claimed so far, before the
+        caller writes them, so a request that fails part-way leaves its
+        files listed for the next one to remove."""
+        if not self.data["outputs"]:
+            _clear_previous(self.out_dir, self.config)
+        self.data["outputs"].extend(names)
+        _write_json(os.path.join(self.out_dir, "manifest.json"), self.data)
+        return [os.path.join(self.out_dir, name) for name in names]
 
-    def write(self, out_dir: str):
+    def write(self):
+        """The finished manifest, with the request's wall-clock time."""
         self.data["wallclock_s"] = time.monotonic() - self.t0
-        _write_json(os.path.join(out_dir, "manifest.json"), self.data)
+        _write_json(os.path.join(self.out_dir, "manifest.json"), self.data)
 
 
 def _overridden_run(run, args):
@@ -155,7 +166,6 @@ def _prepare(args, need_config: bool = True):
             raw["run"] = _overridden_run({} if raw.get("run") is None else raw["run"], args)
         cfg = validate_config(raw)
     os.makedirs(args.out, exist_ok=True)
-    _clear_previous(args.out, args.config)
     return cfg
 
 
@@ -165,12 +175,11 @@ def _gap_block(p, lpcfg):
     return gap_report_for(p, lpcfg).as_dict()
 
 
-def _write_gap_report(out_dir: str, cfg_hash: str, gap: dict) -> str:
+def _write_gap_report(manifest: _Manifest, gap: dict) -> None:
     """gap_report.json, {config_hash, gap_report}, as check-gap and a solve
-    refused on the gap both write it. Returns its path."""
-    path = os.path.join(out_dir, "gap_report.json")
-    _write_json(path, {"config_hash": cfg_hash, "gap_report": gap})
-    return path
+    refused on the gap both write it."""
+    path, = manifest.claim("gap_report.json")
+    _write_json(path, {"config_hash": manifest.config_hash, "gap_report": gap})
 
 
 def _solve(args, side: str) -> int:
@@ -183,13 +192,13 @@ def _solve(args, side: str) -> int:
     p = problem_from_config(cfg)
     lpcfg = lp_config_from_run(run, force=args.force)
     anchor = anchor_from_run(run, p)
-    manifest = _Manifest(f"solve-{side}", cfg, run["seed"])
+    manifest = _Manifest(args, f"solve-{side}", cfg, run["seed"])
 
     gap = _gap_block(p, lpcfg)
     passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
     if not passes and not args.force:
-        manifest.add(_write_gap_report(args.out, manifest.config_hash, gap))
-        manifest.write(args.out)
+        _write_gap_report(manifest, gap)
+        manifest.write()
         print(f"gap condition fails (eta={gap['eta']:.4g}, "
               f"delta={gap['delta']:.4g}); rerun with --force to ignore")
         return EXIT_GAP
@@ -204,7 +213,8 @@ def _solve(args, side: str) -> int:
     header = (["sample"]
               + [f"anchor_mode_{k}" for k in anchor_names]
               + [f"graph_mode_{k}" for k in value_names])
-    graph_csv = os.path.join(args.out, "graph.csv")
+    graph_csv, traj_npy, trace_json = manifest.claim(
+        "graph.csv", "trajectory.npy", "trace.json")
     _write_csv(graph_csv, header, np.hstack((graph.anchor, graph.h_value)),
                labels=map(str, range(graph.n_samples)))
 
@@ -214,7 +224,6 @@ def _solve(args, side: str) -> int:
     nodes = ens.values.swapaxes(0, 1)[::stride]
     mean_path = _sample_sum(nodes) / ens.n_samples
     ms_path = np.sqrt(_sample_sum(np.sum(nodes ** 2, axis=2)) / ens.n_samples)
-    traj_npy = os.path.join(args.out, "trajectory.npy")
     _write_npy(traj_npy,
                ["t"] + [f"mean_mode_{k}" for k in range(p.n_modes)] + ["ms_norm"],
                np.column_stack((ens.grid.times[::stride], mean_path, ms_path)))
@@ -229,10 +238,8 @@ def _solve(args, side: str) -> int:
         "lipschitz_bound": lipschitz_bound(p, lpcfg, side),
         "uncertified": bool(not passes),
     }
-    trace_json = os.path.join(args.out, "trace.json")
     _write_json(trace_json, payload)
-    manifest.add(graph_csv, traj_npy, trace_json)
-    manifest.write(args.out)
+    manifest.write()
     t = graph.trace
     print(f"{side} graph at tau={graph.tau}: {graph.n_samples} samples, "
           f"{t.iterations} iterations, residual {t.residual:.3e}, "
@@ -245,9 +252,9 @@ def _cmd_check_gap(args) -> int:
     p = problem_from_config(cfg)
     lpcfg = lp_config_from_run(cfg["run"])
     gap = _gap_block(p, lpcfg)
-    manifest = _Manifest("check-gap", cfg, cfg["run"]["seed"])
-    manifest.add(_write_gap_report(args.out, manifest.config_hash, gap))
-    manifest.write(args.out)
+    manifest = _Manifest(args, "check-gap", cfg, cfg["run"]["seed"])
+    _write_gap_report(manifest, gap)
+    manifest.write()
     side = cfg["run"]["side"]
     passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
     print(f"eta = {gap['eta']:.6g} ({'pass' if gap['pass_unstable'] else 'FAIL'}), "
@@ -263,10 +270,10 @@ def _cmd_invariance(args) -> int:
     p = problem_from_config(cfg)
     lpcfg = lp_config_from_run(run, force=args.force)
     anchor = anchor_from_run(run, p)
-    manifest = _Manifest("invariance-test", cfg, run["seed"])
+    manifest = _Manifest(args, "invariance-test", cfg, run["seed"])
     gap = _gap_block(p, lpcfg)
     res = invariance_residual(p, anchor, lpcfg, t0=run["t0"], side=run["side"])
-    path = os.path.join(args.out, "invariance.json")
+    path, = manifest.claim("invariance.json")
     _write_json(path, {
         "config_hash": manifest.config_hash,
         "gap_report": gap,
@@ -274,8 +281,7 @@ def _cmd_invariance(args) -> int:
         "t0": run["t0"],
         "residual": res,
     })
-    manifest.add(path)
-    manifest.write(args.out)
+    manifest.write()
     print(f"invariance residual over t0={run['t0']}: {res:.6e}")
     return EXIT_OK
 
@@ -286,13 +292,16 @@ def _cmd_resolvent_study(args) -> int:
     cfg = _prepare(args)
     p = problem_from_config(cfg)
     lpcfg = lp_config_from_run(cfg["run"])
-    manifest = _Manifest("resolvent-study", cfg, cfg["run"]["seed"])
+    manifest = _Manifest(args, "resolvent-study", cfg, cfg["run"]["seed"])
     ladder = problem_ladder(p)
     study = refinement_study(p, lpcfg, "lambda", values=ladder)
-    csv_path = os.path.join(args.out, "resolvent_study.csv")
-    _write_csv(csv_path, ["lambda", "regularized_norm", "defect"],
+    with_cols = p.boundary_regularizer is not None
+    names = ["resolvent_study.csv", "resolvent_study.json"]
+    if with_cols:
+        names.insert(1, "boundary_columns.csv")
+    paths = manifest.claim(*names)
+    _write_csv(paths[0], ["lambda", "regularized_norm", "defect"],
                np.reshape(study.rows, (-1, 3)))
-    outputs = [csv_path]
     payload = {
         "config_hash": manifest.config_hash,
         "defect_slope": study.slope,
@@ -301,21 +310,16 @@ def _cmd_resolvent_study(args) -> int:
     }
     if "ladder_diagnostic" in p.meta:
         payload["ladder_diagnostic"] = p.meta["ladder_diagnostic"]
-    if p.boundary_regularizer is not None:
-        cols_csv = os.path.join(args.out, "boundary_columns.csv")
+    if with_cols:
         names = [repr(float(lam)) for lam in ladder]
         blocks = [(name, p.meta["boundary_columns"].get(name)) for name in names]
         blocks = [(name, np.asarray(b)) for name, b in blocks if b is not None]
         blocks.append(("extrapolated", p.boundary_regularizer))
-        _write_csv(cols_csv, ["lambda", "mode", "column_x0", "column_x1"],
+        _write_csv(paths[1], ["lambda", "mode", "column_x0", "column_x1"],
                    np.vstack([b[:, :2] for _, b in blocks]),
                    labels=[f"{name},{k}" for name, _ in blocks for k in range(p.n_modes)])
-        outputs.append(cols_csv)
-    json_path = os.path.join(args.out, "resolvent_study.json")
-    _write_json(json_path, payload)
-    outputs.append(json_path)
-    manifest.add(*outputs)
-    manifest.write(args.out)
+    _write_json(paths[-1], payload)
+    manifest.write()
     print(f"regularization defect slope {study.slope:.4f} over "
           f"{len(study.rows)} rungs (monotone={study.monotone})")
     return EXIT_OK
@@ -354,13 +358,12 @@ def _cmd_example_pde(args) -> int:
 
     p = build_example_problem(**kwargs)
     out_cfg = example_problem_config(p, run=run)
-    manifest = _Manifest("example-pde", out_cfg, out_cfg["run"]["seed"])
-    path = os.path.join(args.out, "example_problem.json")
+    manifest = _Manifest(args, "example-pde", out_cfg, out_cfg["run"]["seed"])
+    path, = manifest.claim("example_problem.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(out_cfg))
         fh.write("\n")
-    manifest.add(path)
-    manifest.write(args.out)
+    manifest.write()
     diag = p.meta["ladder_diagnostic"]
     print(f"example problem with m={kwargs['m']} modes written to {path}")
     print("eigenvalues: " + ", ".join(_fmt(v) for v in p.eigenvalues))
@@ -374,20 +377,19 @@ def _cmd_refine(args) -> int:
     p = problem_from_config(cfg)
     lpcfg = lp_config_from_run(cfg["run"])
     anchor = cfg["run"].get("anchor")
-    manifest = _Manifest("refine", cfg, cfg["run"]["seed"])
+    manifest = _Manifest(args, "refine", cfg, cfg["run"]["seed"])
     study = refinement_study(
         p, lpcfg, args.parameter,
         x=None if anchor is None else np.asarray(anchor, dtype=float))
-    csv_path = os.path.join(args.out, f"refine_{args.parameter}.csv")
+    csv_path, json_path = manifest.claim(f"refine_{args.parameter}.csv",
+                                         f"refine_{args.parameter}.json")
     _write_csv(csv_path, [args.parameter, "observable", "error"],
                np.reshape(study.rows, (-1, 3)))
-    json_path = os.path.join(args.out, f"refine_{args.parameter}.json")
     _write_json(json_path, {
         "config_hash": manifest.config_hash,
         "study": study.as_dict(),
     })
-    manifest.add(csv_path, json_path)
-    manifest.write(args.out)
+    manifest.write()
     print(f"{args.parameter} sweep: slope {study.slope:.4f} "
           f"({study.slope_kind}), monotone={study.monotone}")
     return EXIT_OK

@@ -317,14 +317,19 @@ def extend_projection(p: SpectralProblem, g, side: str = "u",
 def forcing_modes(value, cols, in_place: bool = False) -> np.ndarray:
     """Forcing values in modes: a boundary triple maps to f + a cols[:, 0] +
     b cols[:, 1], given the regularizer's boundary columns cols (m, 2);
-    mode-local values pass through. Each mode adds its two boundary terms,
-    in that order, by one multiply-add each, so no (rows, m) temporary is
-    made. The terms go into a copy of f, or into f itself when ``in_place``
-    (the caller owns f, and a and b do not view it)."""
+    mode-local values pass through. The terms go into a copy of f, or, when
+    ``in_place`` (the caller owns f, and a and b do not view it), into f
+    itself mode by mode, so that no (rows, m) temporary is made; both add
+    the same products in the same order."""
     if isinstance(value, BoundaryTriple):
         if cols is None:
             raise ConfigError("boundary-valued forcing needs a boundary regularizer")
-        out = value.f if in_place else np.array(value.f, dtype=float, copy=True)
+        if not in_place:
+            out = np.array(value.f, dtype=float, copy=True)
+            out += np.multiply.outer(np.asarray(value.a, dtype=float), cols[:, 0])
+            out += np.multiply.outer(np.asarray(value.b, dtype=float), cols[:, 1])
+            return out
+        out = value.f
         for k in range(out.shape[-1]):
             out[..., k] += value.a * cols[k, 0]
             out[..., k] += value.b * cols[k, 1]
@@ -351,29 +356,21 @@ def linear_scan(x: np.ndarray, decay, carry=None, reverse: bool = False) -> np.n
     """y_j = decay * y_{j-1} + x_j in place along axis 0 of x (y_{j+1} when
     reverse), from ``carry`` (zero when None) just outside the first node.
     Wide nodes are swept one by one; narrow ones take doubling passes
-    (Hillis-Steele) whose coefficients are powers of ``decay``. The passes
-    run along a contiguous node axis: x's own when the node axis has its
-    smallest stride, else a copy's. Each pass is one product into a buffer
-    laid out like them, and one add; every element gets the same products
-    and sums, in the same order, in any layout."""
+    (Hillis-Steele) whose coefficients are powers of ``decay``, each pass
+    one product into a buffer laid out like x, and one add."""
     y = x[::-1] if reverse else x
     if carry is not None:
         y[0] += decay * carry
-    n = len(y)
-    if x.size >= _SWEEP_ELEMENTS * n:
-        for j in range(1, n):
+    if x.size >= _SWEEP_ELEMENTS * len(y):
+        for j in range(1, len(y)):
             y[j] += decay * y[j - 1]
-        return x
-    innermost = y.ndim == 1 or abs(y.strides[0]) <= min(abs(s) for s in y.strides[1:])
-    lanes = y if innermost else np.moveaxis(np.moveaxis(y, 0, -1).copy(), -1, 0)
-    term = np.empty_like(lanes)
-    shift = 1
-    while shift < n:
-        np.multiply(np.power(decay, shift), lanes[:-shift], out=term[shift:])
-        lanes[shift:] += term[shift:]
-        shift *= 2
-    if lanes is not y:
-        y[...] = lanes
+    else:
+        term = np.empty_like(y)
+        shift = 1
+        while shift < len(y):
+            np.multiply(np.power(decay, shift), y[:-shift], out=term[shift:])
+            y[shift:] += term[shift:]
+            shift *= 2
     return x
 
 

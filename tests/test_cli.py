@@ -286,6 +286,48 @@ def test_a_request_keeps_its_own_config_in_its_out_dir(tmp_path):
         "example_problem.json", "gap_report.json", "manifest.json"]
 
 
+def test_a_request_that_fails_while_writing_lists_its_files(tmp_path, monkeypatch):
+    # the manifest names each file before it is written, so the next
+    # request removes what a failed one left
+    from msmanifold import cli
+
+    write_json = cli._write_json
+
+    def failing(path, payload):
+        if path.endswith("trace.json"):
+            raise OSError("disk full")
+        write_json(path, payload)
+
+    out = tmp_path / "run"
+    ok = write_cfg(tmp_path / "ok.json", solve_cfg({"n_samples": 16}))
+    monkeypatch.setattr(cli, "_write_json", failing)
+    with pytest.raises(OSError):
+        main(["solve-unstable", "--config", ok, "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["graph.csv", "trajectory.npy", "trace.json"]
+    assert "wallclock_s" not in manifest
+    assert (out / "graph.csv").exists() and (out / "trajectory.npy").exists()
+    monkeypatch.setattr(cli, "_write_json", write_json)
+    assert main(["check-gap", "--config", ok, "--out", str(out)]) == 0
+    assert sorted(e.name for e in out.iterdir()) == ["gap_report.json", "manifest.json"]
+    assert "wallclock_s" in json.loads((out / "manifest.json").read_text())
+
+
+def test_a_config_error_after_validation_leaves_the_out_dir_alone(tmp_path):
+    # rates out of order pass validate_config and are refused by
+    # build_problem (exit 4), before the request writes anything
+    out = tmp_path / "run"
+    ok = write_cfg(tmp_path / "ok.json", solve_cfg())
+    assert main(["check-gap", "--config", ok, "--out", str(out)]) == 0
+    before = {e.name: e.read_bytes() for e in out.iterdir()}
+    cfg = solve_cfg()
+    cfg["problem"]["rates"]["gamma"] = 2.0
+    bad = write_cfg(tmp_path / "bad.json", cfg)
+    validate_config(json.loads(open(bad).read()))
+    assert main(["solve-unstable", "--config", bad, "--out", str(out)]) == 4
+    assert {e.name: e.read_bytes() for e in out.iterdir()} == before
+
+
 def test_solve_force_runs_and_reports_nonconvergence(tmp_path, capsys):
     cfg = solve_cfg(run_extra={"max_iter": 8}, big_coupling=True)
     cfgp = write_cfg(tmp_path / "cfg.json", cfg)
