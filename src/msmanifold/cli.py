@@ -287,7 +287,7 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_resolvent_study(args) -> int:
-    from .resolvent import problem_ladder
+    from .resolvent import boundary_ladder, problem_ladder
 
     cfg = _prepare(args)
     p = problem_from_config(cfg)
@@ -298,6 +298,7 @@ def _cmd_resolvent_study(args) -> int:
     with_cols = p.boundary_regularizer is not None
     names = ["resolvent_study.csv", "resolvent_study.json"]
     if with_cols:
+        rungs, diag = boundary_ladder(p)
         names.insert(1, "boundary_columns.csv")
     paths = manifest.claim(*names)
     _write_csv(paths[0], ["lambda", "regularized_norm", "defect"],
@@ -308,15 +309,12 @@ def _cmd_resolvent_study(args) -> int:
         "monotone": study.monotone,
         "ladder": list(ladder),
     }
-    if "ladder_diagnostic" in p.meta:
-        payload["ladder_diagnostic"] = p.meta["ladder_diagnostic"]
     if with_cols:
-        names = [repr(float(lam)) for lam in ladder]
-        blocks = [(name, p.meta["boundary_columns"].get(name)) for name in names]
-        blocks = [(name, np.asarray(b)) for name, b in blocks if b is not None]
-        blocks.append(("extrapolated", p.boundary_regularizer))
+        payload["ladder_diagnostic"] = diag
+        blocks = [(repr(lam), cols) for lam, cols in rungs]
+        blocks.append(("limit", p.boundary_regularizer))
         _write_csv(paths[1], ["lambda", "mode", "column_x0", "column_x1"],
-                   np.vstack([b[:, :2] for _, b in blocks]),
+                   np.vstack([b for _, b in blocks]),
                    labels=[f"{name},{k}" for name, _ in blocks for k in range(p.n_modes)])
     _write_json(paths[-1], payload)
     manifest.write()
@@ -364,11 +362,8 @@ def _cmd_example_pde(args) -> int:
         fh.write(canonical_json(out_cfg))
         fh.write("\n")
     manifest.write()
-    diag = p.meta["ladder_diagnostic"]
     print(f"example problem with m={kwargs['m']} modes written to {path}")
     print("eigenvalues: " + ", ".join(_fmt(v) for v in p.eigenvalues))
-    print(f"ladder cauchy gap {diag['cauchy_gap']:.3e} "
-          f"(converged={diag['converged']})")
     return EXIT_OK
 
 

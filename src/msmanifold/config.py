@@ -267,23 +267,20 @@ def _validate_boundary(boundary, m: int):
     if boundary is None:
         return None
     _require(isinstance(boundary, dict), "boundary must be an object")
-    _check_keys(boundary, {"operator_shift", "ladder", "columns",
-                           "regularizer", "diagnostic"}, "boundary")
+    _check_keys(boundary, {"operator_shift", "ladder", "regularizer"}, "boundary")
     shift = _number(boundary.get("operator_shift"), "boundary.operator_shift")
     ladder = _float_list(boundary.get("ladder"), "boundary.ladder")
     _require(all(b > a for a, b in zip(ladder, ladder[1:])),
              "boundary.ladder must increase strictly")
+    for lam in ladder:
+        # lambda*R_lambda(A) needs lambda above the operator shift
+        _require(lam > shift, f"boundary.ladder rung {lam!r} is not above "
+                              f"boundary.operator_shift {shift!r}")
     reg = _float_array(boundary.get("regularizer"), "boundary.regularizer", (m, 2))
-    cols = boundary.get("columns", {})
-    _require(isinstance(cols, dict), "boundary.columns must be an object")
-    norm_cols = {str(key): _float_array(val, f"column block {key}", (m, 2)).tolist()
-                 for key, val in cols.items()}
     return {
         "operator_shift": shift,
         "ladder": ladder,
-        "columns": norm_cols,
         "regularizer": reg.tolist(),
-        "diagnostic": jsonable(boundary.get("diagnostic", {})),
     }
 
 
@@ -354,9 +351,6 @@ def problem_from_config(cfg: dict) -> SpectralProblem:
         meta.update({
             "operator_shift": boundary["operator_shift"],
             "ladder": tuple(boundary["ladder"]),
-            "boundary_columns": {k: np.asarray(v, dtype=float)
-                                 for k, v in boundary["columns"].items()},
-            "ladder_diagnostic": boundary.get("diagnostic", {}),
         })
     return build_problem(prob["eigenvalues"], prob["unstable_modes"],
                          rates["alpha"], rates["beta"], rates["gamma"],
@@ -386,7 +380,7 @@ def anchor_from_run(run: dict, p: SpectralProblem) -> np.ndarray:
 
 def example_problem_config(p: SpectralProblem, run: Optional[dict] = None) -> dict:
     """Emit the fully explicit config for a problem built by
-    build_example_problem, frozen columns included."""
+    build_example_problem, frozen limit columns included."""
     nl = p.nonlinearity
     if not nl.returns_boundary:
         raise ConfigError("not a boundary-forced example problem")
@@ -422,9 +416,7 @@ def example_problem_config(p: SpectralProblem, run: Optional[dict] = None) -> di
             "boundary": {
                 "operator_shift": p.meta["operator_shift"],
                 "ladder": list(p.meta["ladder"]),
-                "columns": jsonable(p.meta["boundary_columns"]),
                 "regularizer": jsonable(p.boundary_regularizer),
-                "diagnostic": jsonable(p.meta.get("ladder_diagnostic", {})),
             },
         },
     }

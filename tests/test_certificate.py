@@ -175,6 +175,19 @@ def flux_problem():
                                  g2=0.05 * np.ones(m))
 
 
+@pytest.mark.parametrize("m", [24, 32])
+def test_wide_flux_example_builds_and_certifies(m):
+    # the frozen columns are exact, so no ladder stands between a wide
+    # example and its solve
+    p = build_example_problem(m=m, g0=0.02 * np.eye(m), g1=0.05 * np.ones(m),
+                              g2=0.05 * np.ones(m))
+    cfg = LPConfig(c_zeta=0.5, t_back=6.0, dt=1e-3, tol=1e-6, n_samples=2)
+    g = unstable_graph(p, [0.1], cfg)
+    assert g.trace.converged and g.trace.residual <= cfg.tol
+    assert g.consistency_gap <= 2.0 * cfg.tol and g.trace.ito_check["ok"]
+    assert np.all(np.isfinite(g.h_value))
+
+
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_zero_noise_request_is_solved_on_one_sample(monkeypatch, side):
     graph_of, map_name, step = SIDES[side]

@@ -399,12 +399,40 @@ def test_resolvent_study_on_example_problem(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads((out / "resolvent_study.json").read_text())
     assert -1.2 <= payload["defect_slope"] <= -0.8
-    assert payload["ladder_diagnostic"]["converged"]
-    cols = (out / "boundary_columns.csv").read_text()
-    assert "extrapolated" in cols
+    diag = payload["ladder_diagnostic"]
+    assert diag["converged"] and diag["limit_miss"] < 1e-10
+    # the rungs, then the frozen exact limit
+    labels = [row.split(",")[0]
+              for row in (out / "boundary_columns.csv").read_text().splitlines()[1:]]
+    assert labels == [repr(lam) for lam in payload["ladder"] for _ in range(4)] + ["limit"] * 4
     study_rows = (out / "resolvent_study.csv").read_bytes().split(b"\r\n")
     assert study_rows[0] == b"lambda,regularized_norm,defect"
     assert len(study_rows) == len(payload["ladder"]) + 2
+
+
+@pytest.mark.parametrize("retired", ["columns", "diagnostic"])
+def test_example_output_with_retired_boundary_keys_is_refused(tmp_path, capsys, retired):
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    cfg = json.loads((emitted / "example_problem.json").read_text())
+    cfg["problem"]["boundary"][retired] = {}
+    old = write_cfg(tmp_path / "old.json", cfg)
+    assert main(["resolvent-study", "--config", old, "--out", str(tmp_path / "s")]) == 4
+    assert f"unknown boundary keys: ['{retired}']" in capsys.readouterr().err
+
+
+def test_ladder_rung_at_or_below_the_operator_shift_is_a_config_error(tmp_path, capsys):
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    cfg = json.loads((emitted / "example_problem.json").read_text())
+    shift = cfg["problem"]["boundary"]["operator_shift"]
+    cfg["problem"]["boundary"]["ladder"] = [1.0, 1e3, 1e4]
+    low = write_cfg(tmp_path / "low.json", cfg)
+    out = tmp_path / "s"
+    assert main(["resolvent-study", "--config", low, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and "rung 1.0" in err and repr(shift) in err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- failures

@@ -145,7 +145,6 @@ def boundary_cfg():
         "operator_shift": 1.0,
         "ladder": [1e2, 1e3],
         "regularizer": [[0.0, 0.0], [0.0, 0.0]],
-        "columns": {"100.0": [[0.0, 0.0], [0.0, 0.0]]},
     }
     return cfg
 
@@ -172,7 +171,6 @@ BAD_PROBLEM_NUMBERS = [
     (("boundary", "operator_shift"), True, "boundary.operator_shift"),
     (("boundary", "operator_shift"), NAN, "boundary.operator_shift"),
     (("boundary", "regularizer", 0, 0), True, "boundary.regularizer"),
-    (("boundary", "columns", "100.0", 1, 1), INF, "column block 100.0"),
 ]
 
 
@@ -309,9 +307,6 @@ def test_example_problem_config_roundtrip(example_problem):
     assert np.array_equal(rebuilt.eigenvalues, example_problem.eigenvalues)
     assert np.array_equal(rebuilt.boundary_regularizer,
                           example_problem.boundary_regularizer)
-    # frozen column blocks survive the round trip bit for bit
-    for key, block in example_problem.meta["boundary_columns"].items():
-        assert np.array_equal(rebuilt.meta["boundary_columns"][key], block)
     # the emitted config is deterministic, so its hash is a run key
     again = example_problem_config(example_problem,
                                    run={"c_zeta": 0.5, "side": "unstable"})

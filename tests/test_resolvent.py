@@ -28,8 +28,9 @@ from msmanifold import (
     zero_nonlinearity,
 )
 from msmanifold.example_pde import (EXAMPLE_LADDER, OPERATOR_SHIFT,
-                                    boundary_flux_nonlinearity, example_eigenvalues)
-from msmanifold.resolvent import hille_yosida_data, linear_scan
+                                    boundary_flux_nonlinearity, build_example_problem,
+                                    endpoint_values, example_eigenvalues)
+from msmanifold.resolvent import boundary_ladder, hille_yosida_data, linear_scan
 
 PI = math.pi
 
@@ -201,8 +202,32 @@ def test_boundary_columns_converge_to_endpoint_traces(example_problem):
     want1 = np.array([endpoint_value(k, 1) for k in range(4)])
     assert np.max(np.abs(reg[:, 0] - want0)) < 1e-8
     assert np.max(np.abs(reg[:, 1] - want1)) < 1e-8
-    diag = example_problem.meta["ladder_diagnostic"]
-    assert diag["converged"] and diag["cauchy_gap"] < 1e-6
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 24])
+def test_example_regularizer_is_the_exact_endpoint_values(m):
+    reg = build_example_problem(m=m).boundary_regularizer
+    assert reg.shape == (m, 2)
+    assert reg[:, 0].tobytes() == endpoint_values(m, 0).tobytes()
+    assert reg[:, 1].tobytes() == endpoint_values(m, 1).tobytes()
+
+
+@pytest.mark.parametrize("m, converged", [(4, True), (8, True), (24, False)])
+def test_boundary_ladder_reports_the_extrapolants_miss_of_the_exact_limit(m, converged):
+    # the study walks the closed-form rungs; it reports, never refuses, and
+    # its limit_miss shows what cauchy_gap understates (3.9e-8 against
+    # 5.8e-9 at m = 8)
+    p = build_example_problem(m=m)
+    rungs, diag = boundary_ladder(p)
+    assert [lam for lam, _ in rungs] == list(EXAMPLE_LADDER)
+    for lam, cols in rungs:
+        assert cols.tobytes() == boundary_columns(lam, m, OPERATOR_SHIFT).tobytes()
+    assert diag["converged"] is converged
+    assert diag["limit_miss"] > 0.0
+    if m == 4:
+        assert diag["limit_miss"] < 1e-10
+    if m == 8:
+        assert diag["limit_miss"] > diag["cauchy_gap"]
 
 
 @pytest.mark.parametrize("coefficients", ["benchmark", "random"])
@@ -251,7 +276,7 @@ def test_lambda_regularize_triple_matches_the_three_term_formula(example_problem
     triples = [BoundaryTriple(a=rng.standard_normal(7), b=rng.standard_normal(7),
                               f=rng.standard_normal((7, 4))),
                BoundaryTriple(a=1.0, b=-0.5, f=rng.standard_normal(4))]
-    cols = p.meta["boundary_columns"][repr(lam)]
+    cols = boundary_columns(lam, 4, OPERATOR_SHIFT)
     for g in triples:
         want = g.f * (lam / (lam - p.eigenvalues))
         want = want + np.multiply.outer(g.a, cols[:, 0])
@@ -283,11 +308,12 @@ def test_extend_projection_boundary_datum_ladder_cauchy(example_problem):
 
 def test_extend_projection_defaults_to_the_problems_frozen_ladder(example_problem):
     # DEFAULT_LADDER is too short for this datum (see above); the example's
-    # frozen ladder gives the solver's own regularizer column
+    # frozen ladder reaches the solver's exact regularizer column to within
+    # its extrapolation error (2.9e-11 at m = 4)
     p = example_problem
     out, diag = extend_projection(p, BoundaryTriple(a=1.0, b=0.0, f=np.zeros(4)), "u")
     assert diag["ladder"] == list(p.meta["ladder"]) and diag["cauchy_gap"] < 1e-12
-    assert out[0] == p.boundary_regularizer[0, 0]
+    assert abs(out[0] - p.boundary_regularizer[0, 0]) < 1e-10
 
 
 # ------------------------------------------------------------- convolutions
