@@ -17,7 +17,7 @@ from .lyapunov_perron import (FixedPointTrace, LipschitzCertificate, LPConfig,
                               lp_backward_map, lp_backward_solve,
                               lp_forward_map, lp_forward_solve, stable_graph,
                               unstable_graph)
-from .oracles import (OracleResult, RefinementStudy, deterministic_lp_oracle,
+from .oracles import (RefinementStudy, deterministic_lp_oracle,
                       linear_manifold_oracle, moment_oracle, refinement_study)
 from .problem import (GapReport, NoiseModel, NonlinearityModel, SpectralProblem,
                       build_problem, callable_nonlinearity,
@@ -63,7 +63,7 @@ __all__ = [
     "unstable_graph", "lp_forward_map", "lp_forward_solve", "stable_graph",
     "lipschitz_bound", "lipschitz_certify", "invariance_residual",
     # oracles
-    "OracleResult", "RefinementStudy", "linear_manifold_oracle",
+    "RefinementStudy", "linear_manifold_oracle",
     "deterministic_lp_oracle", "moment_oracle", "refinement_study",
     # config
     "load_config", "validate_config", "problem_from_config", "config_hash",

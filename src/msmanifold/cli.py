@@ -169,12 +169,6 @@ def _prepare(args, need_config: bool = True):
     return cfg
 
 
-def _gap_block(p, lpcfg):
-    from .lyapunov_perron import gap_report_for
-
-    return gap_report_for(p, lpcfg).as_dict()
-
-
 def _write_gap_report(manifest: _Manifest, gap: dict) -> None:
     """gap_report.json, {config_hash, gap_report}, as check-gap and a solve
     refused on the gap both write it."""
@@ -182,29 +176,42 @@ def _write_gap_report(manifest: _Manifest, gap: dict) -> None:
     _write_json(path, {"config_hash": manifest.config_hash, "gap_report": gap})
 
 
+def _solving_request(args, subcommand: str, side: Optional[str] = None):
+    """The start of solve-unstable, solve-stable and invariance-test (side
+    None: the run block's): config, problem, solver settings, anchor,
+    manifest, and the gap gate. A failing side is refused, gap_report.json
+    written and GapViolation raised (exit 2), unless --force is given; then
+    a warning is printed and the output is marked uncertified. Returns (run,
+    p, lpcfg, anchor, manifest, marks), marks the output's "gap_report" and
+    "uncertified" entries."""
+    from .lyapunov_perron import gap_report_for
+
+    cfg = _prepare(args)
+    run = cfg["run"]
+    if side is not None:
+        run["side"] = side
+    p = problem_from_config(cfg)
+    lpcfg = lp_config_from_run(run, force=args.force)
+    anchor = anchor_from_run(run, p)
+    manifest = _Manifest(args, subcommand, cfg, run["seed"])
+    gap = gap_report_for(p, lpcfg)
+    try:
+        passes = gap.require(run["side"], args.force)
+    except GapViolation:
+        _write_gap_report(manifest, gap.as_dict())
+        manifest.write()
+        raise
+    if not passes:
+        print("WARNING: gap condition fails; results are uncertified")
+    return run, p, lpcfg, anchor, manifest, {"gap_report": gap.as_dict(),
+                                             "uncertified": not passes}
+
+
 def _solve(args, side: str) -> int:
     from .lyapunov_perron import (lipschitz_bound, stable_graph,
                                   unstable_graph)
 
-    cfg = _prepare(args)
-    run = cfg["run"]
-    run["side"] = side
-    p = problem_from_config(cfg)
-    lpcfg = lp_config_from_run(run, force=args.force)
-    anchor = anchor_from_run(run, p)
-    manifest = _Manifest(args, f"solve-{side}", cfg, run["seed"])
-
-    gap = _gap_block(p, lpcfg)
-    passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
-    if not passes and not args.force:
-        _write_gap_report(manifest, gap)
-        manifest.write()
-        print(f"gap condition fails (eta={gap['eta']:.4g}, "
-              f"delta={gap['delta']:.4g}); rerun with --force to ignore")
-        return EXIT_GAP
-    if not passes:
-        print("WARNING: gap condition fails; results are uncertified")
-
+    _, p, lpcfg, anchor, manifest, marks = _solving_request(args, f"solve-{side}", side)
     solver = unstable_graph if side == "unstable" else stable_graph
     graph = solver(p, anchor, lpcfg)
 
@@ -230,13 +237,12 @@ def _solve(args, side: str) -> int:
 
     payload = {
         "config_hash": manifest.config_hash,
-        "gap_report": gap,
         "trace": graph.trace.as_dict(),
         "side": side,
         "tau": graph.tau,
         "consistency_gap": graph.consistency_gap,
         "lipschitz_bound": lipschitz_bound(p, lpcfg, side),
-        "uncertified": bool(not passes),
+        **marks,
     }
     _write_json(trace_json, payload)
     manifest.write()
@@ -248,38 +254,31 @@ def _solve(args, side: str) -> int:
 
 
 def _cmd_check_gap(args) -> int:
+    from .lyapunov_perron import gap_report_for
+
     cfg = _prepare(args)
     p = problem_from_config(cfg)
-    lpcfg = lp_config_from_run(cfg["run"])
-    gap = _gap_block(p, lpcfg)
+    gap = gap_report_for(p, lp_config_from_run(cfg["run"]))
     manifest = _Manifest(args, "check-gap", cfg, cfg["run"]["seed"])
-    _write_gap_report(manifest, gap)
+    _write_gap_report(manifest, gap.as_dict())
     manifest.write()
-    side = cfg["run"]["side"]
-    passes = gap["pass_unstable"] if side == "unstable" else gap["pass_stable"]
-    print(f"eta = {gap['eta']:.6g} ({'pass' if gap['pass_unstable'] else 'FAIL'}), "
-          f"delta = {gap['delta']:.6g} ({'pass' if gap['pass_stable'] else 'FAIL'})")
-    return EXIT_OK if passes else EXIT_GAP
+    print(f"eta = {gap.eta:.6g} ({'pass' if gap.pass_unstable else 'FAIL'}), "
+          f"delta = {gap.delta:.6g} ({'pass' if gap.pass_stable else 'FAIL'})")
+    return EXIT_OK if gap.verdict(cfg["run"]["side"])[2] else EXIT_GAP
 
 
 def _cmd_invariance(args) -> int:
     from .lyapunov_perron import invariance_residual
 
-    cfg = _prepare(args)
-    run = cfg["run"]
-    p = problem_from_config(cfg)
-    lpcfg = lp_config_from_run(run, force=args.force)
-    anchor = anchor_from_run(run, p)
-    manifest = _Manifest(args, "invariance-test", cfg, run["seed"])
-    gap = _gap_block(p, lpcfg)
+    run, p, lpcfg, anchor, manifest, marks = _solving_request(args, "invariance-test")
     res = invariance_residual(p, anchor, lpcfg, t0=run["t0"], side=run["side"])
     path, = manifest.claim("invariance.json")
     _write_json(path, {
         "config_hash": manifest.config_hash,
-        "gap_report": gap,
         "side": run["side"],
         "t0": run["t0"],
         "residual": res,
+        **marks,
     })
     manifest.write()
     print(f"invariance residual over t0={run['t0']}: {res:.6e}")
@@ -460,7 +459,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GapViolation as exc:
-        print(f"gap violation: {exc}", file=sys.stderr)
+        print(f"gap violation: {exc}; rerun with --force to ignore", file=sys.stderr)
         return EXIT_GAP
     except _NONCONV as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -392,9 +392,15 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
 def condexp_anchor(x, state_at_t, basis: RegressionBasis,
                    wiener_at_t: Optional[np.ndarray] = None) -> CondexpEstimate:
     """E[x|F_t] for an anchor value x: deterministic anchors pass through
-    unchanged, random anchors go through the regression."""
+    unchanged, random anchors go through the regression. A 1-D x is one
+    deterministic row, the same on every sample; per-sample anchors are
+    (n, k), so a 1-D x as long as the state's n samples is refused with
+    ConfigError rather than read as one row of length n."""
     arr = np.asarray(x, dtype=float)
     n = np.asarray(state_at_t).shape[0]
+    if arr.ndim == 1 and len(arr) == n:
+        raise ConfigError(f"a 1-D anchor of length {n} reads as one entry per sample: "
+                          f"per-sample anchors are (n, k), so pass it as ({n}, 1)")
     deterministic = arr.ndim == 1 or bool(np.all(arr == arr[0]))
     if deterministic:
         row = arr if arr.ndim == 1 else arr[0]

@@ -24,12 +24,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc, default_basis
-from .errors import (ConfigError, ConsistencyFailure, GapViolation, GridMismatch,
-                     IllConditionedDesign, MaxIterExceeded, NonfiniteState,
-                     TruncationTooShort)
+from .errors import (ConfigError, ConsistencyFailure, GridMismatch, IllConditionedDesign,
+                     MaxIterExceeded, NonfiniteState, TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_report, zero_noise
 from .resolvent import BoundaryTriple, forcing_modes, linear_scan
-from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _node_ms,
+from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _weighted_gap,
                          integrate_mild, ms_norm, sample_wiener,
                          solver_boundary_columns)
 
@@ -338,32 +337,9 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
         yield a, np.ascontiguousarray(vals[:, a:a + length].swapaxes(0, 1)), z, ito0
 
 
-# Elements per chunk of _weighted_gap's node differences (256 KB), whatever
-# the ensemble's time blocks: a few nodes of a large ensemble, and a
-# one-sample window in a few pieces. Smaller chunks cost large ensembles
-# interpreter work per node.
-_GAP_ELEMENTS = 1 << 15
-
-
-def _weighted_gap(a: np.ndarray, b: np.ndarray, times: np.ndarray,
-                  tau: float, rate: float) -> float:
-    """sup over the nodes of e^{-rate (t - tau)} ms_norm(a - b), in chunks of
-    about _GAP_ELEMENTS elements (whole nodes, at least one)."""
-    a, b = a.swapaxes(0, 1), b.swapaxes(0, 1)
-    weight = np.exp(-rate * (times - tau))
-    worst, k = 0.0, max(1, _GAP_ELEMENTS // (a.shape[1] * a.shape[2]))
-    for lo in range(0, len(a), k):
-        ms = _node_ms(a[lo:lo + k] - b[lo:lo + k])
-        worst = max(worst, float(np.max(weight[lo:lo + k] * ms)))
-    return worst
-
-
 def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str) -> GapReport:
     gap = gap_report_for(p, cfg)
-    name, val, ok = (("eta", gap.eta, gap.pass_unstable) if side == "unstable"
-                     else ("delta", gap.delta, gap.pass_stable))
-    if not ok and not cfg.force:
-        raise GapViolation(f"{side} gap condition fails: {name} = {val:.4f} >= 1")
+    gap.require(side, cfg.force)
     return gap
 
 
@@ -439,13 +415,17 @@ def _spread(values: np.ndarray, n: int) -> np.ndarray:
 
 def _one_sample_solve(side: str, p: SpectralProblem, anchor: np.ndarray,
                       cfg: LPConfig) -> tuple:
-    """The presolve: the zero-noise solve of a deterministic anchor, (n, k)
-    identical rows, on one sample. Zero noise only lowers eta, delta and the
-    truncation tail, so it refuses nothing the noisy solve accepts. Only its
-    path is kept, so it runs no residual map. Returns (ensemble, trace)."""
-    if not p.noise.is_zero:
+    """The zero-noise solve of a deterministic anchor, (n, k) identical
+    rows, on one sample. Under zero noise it is the solve itself, with both
+    certificates. Under nonzero noise it is the presolve, on the problem
+    with its noise set to zero: zero noise only lowers eta, delta and the
+    truncation tail, so it refuses nothing the noisy solve accepts, and
+    only its path is kept, so it runs no residual map. Returns (ensemble,
+    trace)."""
+    certify = p.noise.is_zero
+    if not certify:
         p = replace(p, noise=zero_noise(p.n_modes, p.noise.n_noise_modes))
-    return _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None, certify=False)
+    return _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None, certify=certify)
 
 
 def _first_guess(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
@@ -522,16 +502,15 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     # tau + T_fwd lies the forward map's reported truncation tail
     out[N][:, u_idx] = anchor if unstable else 0.0
     _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
-    direction = "backward" if unstable else "forward"
     if not np.isfinite(out).all():
         bad = ~np.isfinite(out).all(axis=2)     # (N+1, n)
         node = int(np.argmax(bad.any(axis=1)))
         sample = int(np.argmax(bad[node]))
+        direction = "backward" if unstable else "forward"
         raise NonfiniteState(f"{direction} map produced non-finite values at grid node "
                              f"{node} (t = {grid.times[node]:.6g}), sample {sample}",
                              step=node, sample=sample)
-    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1), direction=direction,
-                           adapted_to=None if wiener is None else wiener.seed,
+    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1),
                            meta={"ito_check": ito_diag, "regression": agg})
 
 
@@ -577,7 +556,7 @@ def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
     the horizon. Only the forcing terms leak across the cut, so the
     working-norm bound K*|x|/(1-contraction) is scaled by the dimensionless
     forcing strength (the gap constant itself); zero forcing has zero tail."""
-    contraction = gap.eta if side == "unstable" else gap.delta
+    contraction = gap.verdict(side)[1]
     amp = 1.0 / (1.0 - contraction) if contraction < 1.0 else 1.0
     bound = p.bound_K * xnorm * amp * contraction
     horizon, rate = ((cfg.t_back, p.gamma - p.zeta) if side == "unstable"
@@ -643,7 +622,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     anchor, x_det = _normalize_anchor(x, anchor_idx, p.n_modes, n)
     tail = _truncation_check(p, cfg, gap, ms_norm(anchor), side)
     if x_det and p.noise.is_zero and n > 1:
-        ens, trace = _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None)
+        ens, trace = _one_sample_solve(side, p, anchor, cfg)
         if "n_samples" in trace.ito_check:
             trace.ito_check["n_samples"] = n
         return replace(ens, values=_spread(ens.values, n)), trace
@@ -656,9 +635,7 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
         lp_map = lp_backward_map if side == "unstable" else lp_forward_map
         return lp_map(p, ens, x, cfg, wiener, out=spare)
 
-    cur = ProcessEnsemble(grid=grid, values=_first_guess(side, p, grid, anchor, x_det, cfg),
-                          direction="backward" if side == "unstable" else "forward",
-                          adapted_to=None if wiener is None else wiener.seed)
+    cur = ProcessEnsemble(grid=grid, values=_first_guess(side, p, grid, anchor, x_det, cfg))
     trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
     times = grid.times
     spare = None    # the storage of the last dead iterate, the next map's output
@@ -755,13 +732,13 @@ def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:
 
 
 def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
-    gap = gap_report_for(p, cfg)
+    contraction = gap_report_for(p, cfg).verdict(side)[1]
     L1, L2 = p.nonlinearity.lipschitz_L1, p.noise.lipschitz_L2
     if side == "unstable":
-        return p.bound_K * cfg.c_zeta * (L1 + L2) / (1.0 - gap.eta)
+        return p.bound_K * cfg.c_zeta * (L1 + L2) / (1.0 - contraction)
     ag = p.alpha - p.gamma
     return (p.bound_K ** 2 * (L1 / ag + L2 / np.sqrt(2.0 * ag))
-            / (1.0 - gap.delta))
+            / (1.0 - contraction))
 
 
 def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,

@@ -11,7 +11,7 @@ stays on problem data and numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import ConfigError, MaxIterExceeded, NoSeparation
 from .problem import SpectralProblem
 
 __all__ = [
-    "OracleResult",
     "RefinementStudy",
     "linear_manifold_oracle",
     "deterministic_lp_oracle",
@@ -30,44 +29,6 @@ __all__ = [
 
 _SEPARATION_FLOOR = 1e-8
 _RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of one reference-vs-observed comparison."""
-
-    name: str
-    reference: np.ndarray
-    tolerance: float
-    passed: bool
-    observed: Optional[np.ndarray] = None
-    max_error: float = float("nan")
-    detail: dict = field(default_factory=dict)
-
-    @staticmethod
-    def compare(name: str, reference, observed, tolerance: float,
-                detail: Optional[dict] = None) -> "OracleResult":
-        ref = np.asarray(reference, dtype=float)
-        obs = np.asarray(observed, dtype=float)
-        if ref.shape != obs.shape:
-            raise ConfigError(
-                f"oracle {name}: shape mismatch {ref.shape} vs {obs.shape}")
-        err = float(np.max(np.abs(ref - obs))) if ref.size else 0.0
-        return OracleResult(name=name, reference=ref, tolerance=float(tolerance),
-                            passed=bool(err <= tolerance), observed=obs,
-                            max_error=err, detail=dict(detail or {}))
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "reference": np.asarray(self.reference).tolist(),
-            "observed": None if self.observed is None
-            else np.asarray(self.observed).tolist(),
-            "tolerance": self.tolerance,
-            "max_error": self.max_error,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 def _sylvester_solve(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -265,13 +226,6 @@ def _fit_slope(values, errors, kind: str) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _study_rows(values, observables, errors) -> tuple:
-    order = np.argsort(np.asarray(values, dtype=float))
-    return tuple((float(np.asarray(values)[i]),
-                  float(np.asarray(observables)[i]),
-                  float(np.asarray(errors)[i])) for i in order)
-
-
 def refinement_study(p: SpectralProblem, cfg, parameter: str,
                      values: Optional[Sequence[float]] = None,
                      x=None) -> RefinementStudy:
@@ -282,12 +236,15 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
     quadrature oracle, and lambda measures the regularization defect on
     a smooth coefficient vector.  Slopes are log-log except for T_back,
     whose truncation error is exponential and reported on a semilog fit.
+    The error is monotone when it grows with dt and falls with the others.
     """
     if values is not None and len(tuple(values)) < 3:
         raise ConfigError("a refinement sweep needs at least 3 values")
-    if parameter == "dt":
-        from . import stochastic as st
+    from . import stochastic as st
 
+    u0 = np.asarray(x, dtype=float) if x is not None else np.full(p.eigenvalues.size, 0.1)
+    obs, err = [], []
+    if parameter == "dt":
         vals = tuple(values) if values is not None else (8e-3, 4e-3, 2e-3)
         vals = tuple(sorted(float(v) for v in vals))
         dt_ref = vals[0] / 4.0
@@ -296,10 +253,7 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
         grid_ref = st.TimeGrid(t_start=0.0, dt=dt_ref, n_steps=steps_ref)
         wie_ref = st.sample_wiener(cfg.seed, grid_ref, p.noise,
                                    max(2, cfg.n_samples))
-        u0 = np.asarray(x, dtype=float) if x is not None else \
-            np.full(p.eigenvalues.size, 0.1)
         ref = st.integrate_mild(p, u0, grid_ref, wie_ref).values[:, -1, :]
-        obs, err = [], []
         for dt in vals:
             ratio = int(round(dt / dt_ref))
             if abs(ratio * dt_ref - dt) > 1e-12 * dt:
@@ -320,22 +274,11 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
             diff = end - ref
             err.append(math.sqrt(float(np.mean(np.sum(diff * diff, axis=1)))))
             obs.append(math.sqrt(float(np.mean(np.sum(end * end, axis=1)))))
-        rows = _study_rows(vals, obs, err)
-        slope = _fit_slope([r[0] for r in rows], [r[2] for r in rows], "loglog")
-        mono = all(rows[i][2] <= rows[i + 1][2] for i in range(len(rows) - 1))
-        return RefinementStudy("dt", rows, slope, "loglog", mono)
-
-    if parameter == "n_samples":
-        from . import stochastic as st
-
+    elif parameter == "n_samples":
         vals = tuple(values) if values is not None else (400, 1600, 6400)
         vals = tuple(sorted(int(v) for v in vals))
-        horizon = cfg.t_fwd
-        steps = int(round(horizon / cfg.dt))
+        steps = int(round(cfg.t_fwd / cfg.dt))
         grid = st.TimeGrid(t_start=0.0, dt=cfg.dt, n_steps=steps)
-        u0 = np.asarray(x, dtype=float) if x is not None else \
-            np.full(p.eigenvalues.size, 0.1)
-        obs, err = [], []
         for n in vals:
             wie = st.sample_wiener(cfg.seed, grid, p.noise, n)
             end = st.integrate_mild(p, u0, grid, wie).values[:, -1, :]
@@ -343,46 +286,35 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
             obs.append(float(np.mean(sq)))
             # Monte Carlo standard error of the mean from this run alone
             err.append(float(np.std(sq, ddof=1) / math.sqrt(n)))
-        rows = _study_rows(vals, obs, err)
-        slope = _fit_slope([r[0] for r in rows], [r[2] for r in rows], "loglog")
-        mono = all(rows[i][2] >= rows[i + 1][2] for i in range(len(rows) - 1))
-        return RefinementStudy("n_samples", rows, slope, "loglog", mono)
-
-    if parameter == "T_back":
+    elif parameter == "T_back":
         vals = tuple(values) if values is not None else (4.0, 6.0, 8.0)
         vals = tuple(sorted(float(v) for v in vals))
         anchor = np.asarray(x, dtype=float) if x is not None else \
             np.full(len(p.unstable_modes), 0.1)
-        from dataclasses import replace as _replace
-
-        ref_cfg = _replace(cfg, t_back=vals[-1] * 1.5)
-        ref = deterministic_lp_oracle(p, anchor, ref_cfg)
-        obs, err = [], []
+        ref = deterministic_lp_oracle(p, anchor, replace(cfg, t_back=vals[-1] * 1.5))
         for t_back in vals:
-            g = deterministic_lp_oracle(p, anchor, _replace(cfg, t_back=t_back))
+            g = deterministic_lp_oracle(p, anchor, replace(cfg, t_back=t_back))
             obs.append(float(np.linalg.norm(g)))
             err.append(float(np.max(np.abs(g - ref))))
-        rows = _study_rows(vals, obs, err)
-        slope = _fit_slope([r[0] for r in rows], [r[2] for r in rows], "semilog")
-        mono = all(rows[i][2] >= rows[i + 1][2] for i in range(len(rows) - 1))
-        return RefinementStudy("T_back", rows, slope, "semilog", mono)
-
-    if parameter == "lambda":
+    elif parameter == "lambda":
         from . import resolvent as rez
 
         vals = tuple(values) if values is not None else rez.DEFAULT_LADDER
         vals = tuple(sorted(float(v) for v in vals))
         m = p.eigenvalues.size
         g = 1.0 / (1.0 + np.arange(m, dtype=float) ** 2)
-        obs, err = [], []
         for lam in vals:
             reg = rez.lambda_regularize(p, lam, g)
             obs.append(float(np.linalg.norm(reg)))
             err.append(float(np.linalg.norm(reg - g)))
-        rows = _study_rows(vals, obs, err)
-        slope = _fit_slope([r[0] for r in rows], [r[2] for r in rows], "loglog")
-        mono = all(rows[i][2] >= rows[i + 1][2] for i in range(len(rows) - 1))
-        return RefinementStudy("lambda", rows, slope, "loglog", mono)
-
-    raise ConfigError(f"unknown refinement parameter {parameter!r}; "
-                      "expected dt, n_samples, T_back, or lambda")
+    else:
+        raise ConfigError(f"unknown refinement parameter {parameter!r}; "
+                          "expected dt, n_samples, T_back, or lambda")
+    # vals are sorted, so the rows are in the order of the parameter
+    rows = tuple(zip(map(float, vals), obs, err))
+    kind = "semilog" if parameter == "T_back" else "loglog"
+    slope = _fit_slope(vals, err, kind)
+    pairs = list(zip(err, err[1:]))
+    mono = all(e0 <= e1 for e0, e1 in pairs) if parameter == "dt" \
+        else all(e0 >= e1 for e0, e1 in pairs)
+    return RefinementStudy(parameter, rows, slope, kind, mono)

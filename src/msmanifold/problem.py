@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateGap,
+    GapViolation,
     NonzeroAtOrigin,
     OrderingViolation,
     SpectralGapViolation,
@@ -339,6 +340,22 @@ class GapReport:
     pass_unstable: bool
     pass_stable: bool
     terms: dict
+
+    def verdict(self, side: str) -> tuple:
+        """(name, value, passes) of the constant that decides a side: eta,
+        the backward map's contraction, for the unstable graph; delta, the
+        forward map's, for the stable one."""
+        if side == "unstable":
+            return "eta", self.eta, self.pass_unstable
+        return "delta", self.delta, self.pass_stable
+
+    def require(self, side: str, force: bool) -> bool:
+        """Whether the side passes; a failing side raises GapViolation
+        unless ``force``."""
+        name, value, passes = self.verdict(side)
+        if not passes and not force:
+            raise GapViolation(f"{side} gap condition fails: {name} = {value:.4f} >= 1")
+        return passes
 
     def as_dict(self) -> dict:
         return {

@@ -246,8 +246,9 @@ def lambda_regularize(p: SpectralProblem, lam: float, g):
 
 
 def richardson_pair(lam1: float, v1, lam2: float, v2):
-    """Eliminate the 1/lambda term: v(lam) = v_inf + c/lam + O(1/lam^2)."""
-    return (lam2 * np.asarray(v2) - lam1 * np.asarray(v1)) / (lam2 - lam1)
+    """Eliminate the 1/lambda term: v(lam) = v_inf + c/lam + O(1/lam^2). The
+    order-1 extrapolant of _neville_at_infinity."""
+    return _neville_at_infinity((lam1, lam2), (v1, v2))[1]
 
 
 def _neville_at_infinity(lams: Sequence[float], vals: Sequence) -> list:
@@ -332,19 +333,13 @@ def boundary_ladder(p: SpectralProblem):
 def forcing_modes(value, cols, in_place: bool = False) -> np.ndarray:
     """Forcing values in modes: a boundary triple maps to f + a cols[:, 0] +
     b cols[:, 1], given the regularizer's boundary columns cols (m, 2);
-    mode-local values pass through. The terms go into a copy of f, or, when
-    ``in_place`` (the caller owns f, and a and b do not view it), into f
-    itself mode by mode, so that no (rows, m) temporary is made; both add
-    the same products in the same order."""
+    mode-local values pass through. The terms are added mode by mode, so no
+    (rows, m) temporary is made, into a copy of f, or, when ``in_place``
+    (the caller owns f, and a and b do not view it), into f itself."""
     if isinstance(value, BoundaryTriple):
         if cols is None:
             raise ConfigError("boundary-valued forcing needs a boundary regularizer")
-        if not in_place:
-            out = np.array(value.f, dtype=float, copy=True)
-            out += np.multiply.outer(np.asarray(value.a, dtype=float), cols[:, 0])
-            out += np.multiply.outer(np.asarray(value.b, dtype=float), cols[:, 1])
-            return out
-        out = value.f
+        out = value.f if in_place else np.array(value.f, dtype=float, copy=True)
         for k in range(out.shape[-1]):
             out[..., k] += value.a * cols[k, 0]
             out[..., k] += value.b * cols[k, 1]

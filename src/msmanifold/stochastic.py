@@ -222,8 +222,6 @@ class ProcessEnsemble:
     ``values.swapaxes(0, 1)[a:b]`` are contiguous views."""
     grid: TimeGrid
     values: np.ndarray              # (n_samples, n_nodes, m)
-    adapted_to: object = None       # seed of the driving WienerEnsemble
-    direction: str = "forward"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -288,8 +286,7 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
                 step=j + 1, sample=bad)
         out[j + 1] = u
 
-    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1),
-                           adapted_to=None if wiener is None else wiener.seed)
+    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1))
 
 
 def ms_norm(v) -> float:
@@ -323,21 +320,43 @@ def _node_ms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_sample_sum(sq) / v.shape[1])
 
 
+# Elements per chunk of _weighted_gap's node loop (256 KB): a few nodes of
+# a large ensemble, and a one-sample window in a few pieces. Smaller chunks
+# cost large ensembles interpreter work per node.
+_GAP_ELEMENTS = 1 << 15
+
+
+def _weighted_gap(a: np.ndarray, b: Optional[np.ndarray], times: np.ndarray,
+                  tau: float, rate: float) -> float:
+    """sup over the nodes of e^{-rate (t - tau)} ms_norm(a - b), a - b read
+    as a when b is None; a and b are sample-major (n, N+1, m). The nodes go
+    in chunks of about _GAP_ELEMENTS elements (whole nodes, at least one)."""
+    a = a.swapaxes(0, 1)
+    b = None if b is None else b.swapaxes(0, 1)
+    weight = np.exp(-rate * (times - tau))
+    worst, k = 0.0, max(1, _GAP_ELEMENTS // (a.shape[1] * a.shape[2]))
+    for lo in range(0, len(a), k):
+        ms = _node_ms(a[lo:lo + k] if b is None else a[lo:lo + k] - b[lo:lo + k])
+        worst = max(worst, float(np.max(weight[lo:lo + k] * ms)))
+    return worst
+
+
 def weighted_norm(ens: ProcessEnsemble, rate: float, direction: str = "backward") -> float:
     """sup over grid nodes of e^{-rate*t} * ms_norm(t), restricted to t <= 0
-    (backward) or t >= 0 (forward)."""
-    values, times = ens.values, ens.grid.times
+    (backward) or t >= 0 (forward), each one run of nodes: the solver's
+    distance _weighted_gap at tau = 0."""
+    times = ens.grid.times
     tol = _LATTICE_RTOL * max(1.0, float(np.max(np.abs(times))))
     if direction == "backward":
-        mask = times <= tol
+        nodes = np.flatnonzero(times <= tol)
     elif direction == "forward":
-        mask = times >= -tol
+        nodes = np.flatnonzero(times >= -tol)
     else:
         raise ConfigError(f"unknown direction {direction!r}")
-    if not np.any(mask):
+    if not nodes.size:
         raise ConfigError(f"grid has no nodes on the {direction} side")
-    ms = _node_ms(values.swapaxes(0, 1)[mask])
-    return float(np.max(np.exp(-rate * times[mask]) * ms))
+    run = slice(nodes[0], nodes[-1] + 1)
+    return _weighted_gap(ens.values[:, run], None, times[run], 0.0, rate)
 
 
 _MAGIC = b"MSMB0001"

@@ -380,6 +380,34 @@ def test_invariance_subcommand(tmp_path, capsys):
     assert "invariance residual" in capsys.readouterr().out
 
 
+def test_invariance_test_shares_the_solves_gap_gate(tmp_path, capsys):
+    # refused on the gap as solve-unstable is refused: gap_report.json and
+    # a manifest that lists it
+    bad = write_cfg(tmp_path / "bad.json", solve_cfg({"t0": 0.5}, big_coupling=True))
+    for sub in ("solve-unstable", "invariance-test"):
+        out = tmp_path / sub
+        assert main([sub, "--config", bad, "--out", str(out)]) == 2
+        report = json.loads((out / "gap_report.json").read_text())
+        assert not report["gap_report"]["pass_unstable"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["subcommand"], manifest["outputs"]) == (sub, ["gap_report.json"])
+        said = capsys.readouterr()
+        assert "rerun with --force" in said.out + said.err
+    # C_zeta = 10 fails the gap (eta = 1.2) on a weak coupling that still
+    # converges: forced, the request warns and marks its output
+    cfg = det_cfg()
+    cfg["run"]["c_zeta"] = 10.0
+    forced = write_cfg(tmp_path / "forced.json", cfg)
+    out = tmp_path / "forced"
+    assert main(["invariance-test", "--config", forced, "--out", str(out), "--force"]) == 0
+    assert "WARNING: gap condition fails" in capsys.readouterr().out
+    payload = json.loads((out / "invariance.json").read_text())
+    assert payload["uncertified"] and not payload["gap_report"]["pass_unstable"]
+    passing = write_cfg(tmp_path / "ok.json", det_cfg())
+    assert main(["invariance-test", "--config", passing, "--out", str(out)]) == 0
+    assert json.loads((out / "invariance.json").read_text())["uncertified"] is False
+
+
 def test_refine_subcommand(tmp_path):
     cfgp = write_cfg(tmp_path / "cfg.json", solve_cfg())
     out = tmp_path / "ref"

@@ -284,6 +284,22 @@ def test_condexp_anchor_deterministic_short_circuit():
     assert est.diagnostics["deterministic"]
 
 
+def test_condexp_anchor_refuses_a_1d_anchor_with_one_entry_per_sample():
+    # read as one row, (n,) would come back as an (n, n) broadcast
+    rng = np.random.default_rng(21)
+    state = rng.standard_normal((40, 1))
+    x = 0.25 + 0.1 * state[:, 0] + 0.01 * rng.standard_normal(40)
+    with pytest.raises(ConfigError, match=r"per-sample anchors are \(n, k\)"):
+        condexp_anchor(x, state, scalar_basis())
+    est = condexp_anchor(x[:, None], state, scalar_basis())
+    assert est.fitted.shape == (40, 1)
+    assert not est.diagnostics.get("deterministic", False)
+    # a row of another length is one deterministic anchor
+    est = condexp_anchor(np.array([0.25, -0.5]), state, scalar_basis())
+    assert est.diagnostics["deterministic"]
+    assert np.array_equal(est.fitted, np.tile([0.25, -0.5], (40, 1)))
+
+
 def test_condexp_anchor_gaussian_oracle():
     t, tau, n = 0.5, 1.0, 50_000
     wt, wtau = wiener_pair(109, t, tau, n)

@@ -14,6 +14,7 @@ from msmanifold.errors import (
     TruncationTooShort,
 )
 import msmanifold.lyapunov_perron as lp
+import msmanifold.stochastic as st
 from msmanifold import (
     LPConfig,
     ProcessEnsemble,
@@ -485,7 +486,7 @@ def test_weighted_gap_bits_do_not_depend_on_the_layout(monkeypatch, m):
     rng = np.random.default_rng(m)
     a, b = rng.standard_normal((2, n, 41, m))
     times = np.linspace(-4.0, 0.0, 41)
-    monkeypatch.setattr(lp, "_GAP_ELEMENTS", 16 * n * m)   # chunks of 16, 16 and 9 nodes
+    monkeypatch.setattr(st, "_GAP_ELEMENTS", 16 * n * m)   # chunks of 16, 16 and 9 nodes
     ref = lp._weighted_gap(a, b, times, 0.0, 0.5)
 
     def node_major(x):
@@ -496,6 +497,27 @@ def test_weighted_gap_bits_do_not_depend_on_the_layout(monkeypatch, m):
     assert ref == pytest.approx(worst, rel=1e-12)
 
 
+def test_weighted_norm_of_an_iterate_difference_is_the_solvers_distance():
+    # tau = 0, so the solver's weight e^{-gamma (t - tau)} is weighted_norm's;
+    # three modes, so the squares are added by einsum
+    B = 0.05 * (np.ones((3, 3)) - np.eye(3))
+    p = build_problem([1.0, -1.0, -2.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
+                      zeta=-0.5, nonlinearity=linear_nonlinearity(B),
+                      noise=diagonal_linear_noise([0.1, 0.1, 0.1]))
+    n = 256
+    cfg = cfg_back(t_back=4.0, dt=1e-2, n_samples=n, seed=3)
+    x = 0.3 + 0.05 * np.random.default_rng(4).standard_normal((n, 1))
+    grid = lp._solver_grid(cfg, "unstable")
+    wiener = sample_wiener(cfg.seed, grid, p.noise, n)
+    x0 = ProcessEnsemble(grid=grid, values=lp._initial_guess(p, grid, x, "unstable"))
+    x1 = lp_backward_map(p, x0, x, cfg, wiener)
+    x2 = lp_backward_map(p, x1, x, cfg, wiener)
+    d = lp._weighted_gap(x1.values, x2.values, grid.times, cfg.tau, p.gamma)
+    assert d > 0.0
+    diff = ProcessEnsemble(grid=grid, values=x1.values - x2.values)
+    assert st.weighted_norm(diff, p.gamma, "backward") == d
+
+
 @pytest.mark.parametrize("n, m", [(1, 8), (3, 4), (3000, 2)])
 def test_weighted_gap_bits_do_not_depend_on_the_chunk(monkeypatch, n, m):
     rng = np.random.default_rng(n + m)
@@ -503,7 +525,7 @@ def test_weighted_gap_bits_do_not_depend_on_the_chunk(monkeypatch, n, m):
     times = np.linspace(-6.0, 0.0, 601)
     ref = lp._weighted_gap(a, b, times, 0.0, 0.5)
     for elements in (1, 7 * n * m, 1 << 30):       # one node, 7 nodes, the whole window
-        monkeypatch.setattr(lp, "_GAP_ELEMENTS", elements)
+        monkeypatch.setattr(st, "_GAP_ELEMENTS", elements)
         assert lp._weighted_gap(a, b, times, 0.0, 0.5) == ref
 
 
