@@ -27,13 +27,11 @@ from .problem import (GapReport, NoiseModel, NonlinearityModel, SpectralProblem,
                       semigroup_apply, zero_noise, zero_nonlinearity)
 from .resolvent import (BoundaryTriple, DEFAULT_LADDER, HilleYosidaData,
                         boundary_columns, c_kappa, convolve_diamond,
-                        estimate_delta, extend_projection, forcing_to_modes,
-                        lambda_regularize, resolvent_boundary, richardson_pair)
+                        estimate_delta, extend_projection, lambda_regularize,
+                        resolvent_boundary)
 from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble,
-                         export_ensemble_binary, export_ensemble_csv,
-                         integrate_mild, ms_norm,
-                         read_ensemble_binary, resample_future, sample_wiener,
-                         weighted_norm)
+                         integrate_mild, ms_norm, resample_future,
+                         sample_wiener, weighted_norm)
 
 __all__ = [
     "__version__",
@@ -48,12 +46,10 @@ __all__ = [
     # resolvent
     "HilleYosidaData", "BoundaryTriple", "DEFAULT_LADDER",
     "resolvent_boundary", "boundary_columns", "lambda_regularize",
-    "richardson_pair", "extend_projection", "forcing_to_modes",
-    "convolve_diamond", "c_kappa", "estimate_delta",
+    "extend_projection", "convolve_diamond", "c_kappa", "estimate_delta",
     # stochastic
     "TimeGrid", "WienerEnsemble", "ProcessEnsemble", "sample_wiener",
     "resample_future", "integrate_mild", "ms_norm", "weighted_norm",
-    "export_ensemble_csv", "export_ensemble_binary", "read_ensemble_binary",
     # condexp
     "RegressionBasis", "CondexpEstimate", "default_basis", "condexp_lsmc",
     "condexp_anchor", "condexp_ito_zero",

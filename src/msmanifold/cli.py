@@ -78,7 +78,7 @@ def _write_npy(path: str, names, table):
 
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(jsonable(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -235,13 +235,15 @@ def _solve(args, side: str) -> int:
                ["t"] + [f"mean_mode_{k}" for k in range(p.n_modes)] + ["ms_norm"],
                np.column_stack((ens.grid.times[::stride], mean_path, ms_path)))
 
+    bound = lipschitz_bound(p, lpcfg, side)
     payload = {
         "config_hash": manifest.config_hash,
         "trace": graph.trace.as_dict(),
         "side": side,
         "tau": graph.tau,
         "consistency_gap": graph.consistency_gap,
-        "lipschitz_bound": lipschitz_bound(p, lpcfg, side),
+        # a forced solve past the gap has no bound: null, not Infinity
+        "lipschitz_bound": bound if np.isfinite(bound) else None,
         **marks,
     }
     _write_json(trace_json, payload)

@@ -10,8 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AdaptednessViolation, ConfigError, IllConditionedDesign,
-                     Underdetermined)
+from .errors import ConfigError, IllConditionedDesign, Underdetermined
 from .problem import SpectralProblem
 
 COND_LIMIT = 1e12
@@ -411,15 +410,13 @@ def condexp_anchor(x, state_at_t, basis: RegressionBasis,
     return condexp_lsmc(arr, state_at_t, basis, wiener_at_t)
 
 
-def condexp_ito_zero(increment_sums, window: tuple, adapted: bool = True) -> tuple:
+def condexp_ito_zero(increment_sums, window: tuple) -> tuple:
     """E[int_t^T sigma dW | F_t] = 0 for adapted square-integrable integrands.
 
     increment_sums holds the realized integrals per sample (any trailing
     shape); the returned estimate is exact zeros, with a diagnostic check
     that the raw sample mean is within 4 standard errors of zero.
     """
-    if not adapted:
-        raise AdaptednessViolation("integrand flagged as not adapted on the window")
     t0, t1 = float(window[0]), float(window[1])
     if t1 < t0:
         raise ConfigError(f"window [{t0}, {t1}] is reversed")

@@ -68,10 +68,6 @@ class NonfiniteState(MsManifoldError):
         self.sample = sample
 
 
-class AdaptednessViolation(MsManifoldError):
-    """Caller handed a non-adapted integrand to a martingale-zero rule."""
-
-
 # -- regression -------------------------------------------------------------
 
 class IllConditionedDesign(MsManifoldError):

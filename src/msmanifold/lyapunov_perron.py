@@ -732,7 +732,11 @@ def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:
 
 
 def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
-    contraction = gap_report_for(p, cfg).verdict(side)[1]
+    """The gap's Lipschitz bound of the side's graph map; inf when the side's
+    contraction is >= 1, where the gap bounds nothing."""
+    _, contraction, passes = gap_report_for(p, cfg).verdict(side)
+    if not passes:
+        return float("inf")
     L1, L2 = p.nonlinearity.lipschitz_L1, p.noise.lipschitz_L2
     if side == "unstable":
         return p.bound_K * cfg.c_zeta * (L1 + L2) / (1.0 - contraction)
@@ -744,7 +748,8 @@ def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
 def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
                       anchor_pairs: Sequence) -> LipschitzCertificate:
     """Empirical Lipschitz ratio of the graph map over anchor pairs, checked
-    against the theoretical bound with multiplicative slack."""
+    against the theoretical bound with multiplicative slack; never passes
+    without a finite bound."""
     _check_gap(p, cfg, side)
     bound = lipschitz_bound(p, cfg, side)
     cache: dict = {}
@@ -765,7 +770,8 @@ def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
     empirical = max(ratios) if ratios else 0.0
     return LipschitzCertificate(side=side, theoretical=float(bound),
                                 empirical=float(empirical),
-                                passed=bool(empirical <= bound * (1.0 + cfg.slack)),
+                                passed=bool(np.isfinite(bound)
+                                            and empirical <= bound * (1.0 + cfg.slack)),
                                 slack=cfg.slack, ratios=tuple(ratios))
 
 
@@ -776,7 +782,9 @@ def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
     mean-square mismatch of the graph value at the endpoint.
 
     The noise is drawn once, over the union of both graphs' windows and the
-    flow's, and each of the three gets its own window of that draw."""
+    flow's, and each of the three gets its own window of that draw. The
+    side and its gap are checked before any noise is drawn."""
+    _check_gap(p, cfg, side)
     steps = round(t0 / cfg.dt)
     if steps < 1 or abs(steps * cfg.dt - t0) > 1e-6 * cfg.dt:
         raise ConfigError(f"t0 {t0} is not a positive multiple of dt {cfg.dt}")

@@ -104,10 +104,12 @@ def linear_manifold_oracle(a_u, a_s, b, tol: float = 1e-13,
 
 def _oracle_forcing(p: SpectralProblem, states: np.ndarray) -> np.ndarray:
     """Mode forcing at every node: one evaluation on the whole path, with
-    boundary data mapped into modes in the lambda -> infinity limit."""
-    from .resolvent import forcing_to_modes
+    boundary data mapped into modes in the lambda -> infinity limit, the
+    problem's frozen regularizer columns (a boundary problem without them is
+    refused with ConfigError)."""
+    from .resolvent import forcing_modes
 
-    return np.asarray(forcing_to_modes(p, p.nonlinearity(states)), dtype=float)
+    return forcing_modes(p.nonlinearity(states), p.boundary_regularizer)
 
 
 def _kernel_sum(rates: np.ndarray, times: np.ndarray, f: np.ndarray,
@@ -213,11 +215,6 @@ class RefinementStudy:
             "monotone": self.monotone,
         }
 
-    def csv_rows(self):
-        yield (self.parameter, "observable", "error")
-        for value, obs, err in self.rows:
-            yield ("%.17g" % value, "%.17g" % obs, "%.17g" % err)
-
 
 def _fit_slope(values, errors, kind: str) -> float:
     x = np.log(np.asarray(values, dtype=float)) if kind == "loglog" \
@@ -237,6 +234,9 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
     a smooth coefficient vector.  Slopes are log-log except for T_back,
     whose truncation error is exponential and reported on a semilog fit.
     The error is monotone when it grows with dt and falls with the others.
+    A sweep whose errors are not all positive and finite, such as an
+    n_samples sweep without noise, has no slope and is refused with
+    ConfigError.
     """
     if values is not None and len(tuple(values)) < 3:
         raise ConfigError("a refinement sweep needs at least 3 values")
@@ -310,6 +310,9 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
     else:
         raise ConfigError(f"unknown refinement parameter {parameter!r}; "
                           "expected dt, n_samples, T_back, or lambda")
+    if not all(0.0 < e < math.inf for e in err):
+        raise ConfigError(f"the {parameter} sweep's errors {err} are not all positive "
+                          "and finite, so it has no slope")
     # vals are sorted, so the rows are in the order of the parameter
     rows = tuple(zip(map(float, vals), obs, err))
     kind = "semilog" if parameter == "T_back" else "loglog"

@@ -344,10 +344,13 @@ class GapReport:
     def verdict(self, side: str) -> tuple:
         """(name, value, passes) of the constant that decides a side: eta,
         the backward map's contraction, for the unstable graph; delta, the
-        forward map's, for the stable one."""
+        forward map's, for the stable one. Any other side is refused with
+        ConfigError."""
         if side == "unstable":
             return "eta", self.eta, self.pass_unstable
-        return "delta", self.delta, self.pass_stable
+        if side == "stable":
+            return "delta", self.delta, self.pass_stable
+        raise ConfigError(f"unknown side {side!r}; expected 'unstable' or 'stable'")
 
     def require(self, side: str, force: bool) -> bool:
         """Whether the side passes; a failing side raises GapViolation

@@ -48,10 +48,8 @@ __all__ = [
     "c_kappa",
     "estimate_delta",
     "forcing_modes",
-    "forcing_to_modes",
     "endpoint_values",
     "boundary_columns",
-    "richardson_pair",
     "hille_yosida_data",
 ]
 
@@ -84,10 +82,8 @@ def hille_yosida_data(p: SpectralProblem, block: str = "full") -> HilleYosidaDat
 class BoundaryTriple:
     """Element of R x R x L2(0,1): left datum a, right datum b, interior f.
 
-    ``f`` is either grid values on the x-grid (resolvent_boundary input) or
-    eigenbasis coefficients (forcing produced by the boundary nonlinearity);
-    the receiving operation documents which. a, b broadcast against f's
-    leading dimensions.
+    ``f`` holds eigenbasis coefficients (forcing produced by the boundary
+    nonlinearity). a, b broadcast against f's leading dimensions.
     """
 
     a: np.ndarray
@@ -141,8 +137,7 @@ def _green_matrix(r: float, x: np.ndarray) -> np.ndarray:
             + np.exp(-r * (hi + lo)) + np.exp(-r * (2.0 + lo - hi))) / denom
 
 
-def resolvent_boundary(lam: float, d: Optional[BoundaryTriple] = None, *,
-                       a: float = 0.0, b: float = 0.0, f=None,
+def resolvent_boundary(lam: float, *, a: float = 0.0, b: float = 0.0, f=None,
                        n_x: int = 2001):
     """Solve lam*phi - phi'' = f on (0,1) with phi'(0) = -a, phi'(1) = b.
 
@@ -156,8 +151,6 @@ def resolvent_boundary(lam: float, d: Optional[BoundaryTriple] = None, *,
     lam = float(lam)
     if lam <= 0.0:
         raise NonpositiveLambda(f"resolvent_boundary needs lambda > 0, got {lam}")
-    if d is not None:
-        a, b, f = d.a, d.b, d.f
     a = float(a)
     b = float(b)
     x = np.linspace(0.0, 1.0, int(n_x))
@@ -240,15 +233,10 @@ def lambda_regularize(p: SpectralProblem, lam: float, g):
     boundary data through the example BVP columns."""
     scale = _mode_scaling(p, lam)
     if isinstance(g, BoundaryTriple):
+        # f * scale is fresh and a, b cannot view it: add the boundary terms in place
         scaled = BoundaryTriple(a=g.a, b=g.b, f=g.f * scale)
-        return forcing_modes(scaled, _boundary_columns_for(p, lam))
+        return forcing_modes(scaled, _boundary_columns_for(p, lam), in_place=True)
     return np.asarray(g) * scale
-
-
-def richardson_pair(lam1: float, v1, lam2: float, v2):
-    """Eliminate the 1/lambda term: v(lam) = v_inf + c/lam + O(1/lam^2). The
-    order-1 extrapolant of _neville_at_infinity."""
-    return _neville_at_infinity((lam1, lam2), (v1, v2))[1]
 
 
 def _neville_at_infinity(lams: Sequence[float], vals: Sequence) -> list:
@@ -347,17 +335,6 @@ def forcing_modes(value, cols, in_place: bool = False) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def forcing_to_modes(p: SpectralProblem, value) -> np.ndarray:
-    """Map a forcing evaluation into X0 modes in the lambda -> infinity limit.
-
-    Mode-local forcings pass through unchanged (the limit of the diagonal
-    scaling is the identity on X0). Boundary triples go through the
-    problem's frozen regularizer, the columns every solve uses; a problem
-    without one is refused with ConfigError, as a solve refuses it.
-    """
-    return forcing_modes(value, p.boundary_regularizer)
-
-
 # Elements per node from which a node-by-node sweep beats doubling passes.
 _SWEEP_ELEMENTS = 128
 
@@ -399,11 +376,12 @@ def convolve_diamond(p: SpectralProblem, forcing, grid, block: str = "full") -> 
 
     ``forcing`` holds node values: array (..., n_steps+1, m), or a
     BoundaryTriple with a,b of shape (..., n_steps+1) and f of shape
-    (..., n_steps+1, m) in eigenbasis coefficients, mapped into modes by
-    forcing_to_modes.
+    (..., n_steps+1, m) in eigenbasis coefficients, mapped into modes through
+    the problem's frozen regularizer columns; a boundary problem without them
+    is refused with ConfigError, as a solve refuses it.
     """
     dt, n_steps = _grid_dt_nsteps(grid)
-    g = forcing_to_modes(p, forcing)
+    g = forcing_modes(forcing, p.boundary_regularizer)
     if g.shape[-2] != n_steps + 1 or g.shape[-1] != p.n_modes:
         raise ConfigError("forcing must be sampled on the grid nodes")
     mask = p.block_mask(block)

@@ -17,7 +17,6 @@ a caller builds sample-major work through the same code.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -59,19 +58,17 @@ class TimeGrid:
     t_start: float
     dt: float
     n_steps: int
-    t_end: float = None  # derived; validated if passed explicitly
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise ConfigError("n_steps must be a positive integer")
-        end = self.t_start + self.n_steps * self.dt
-        if self.t_end is not None:
-            if abs(self.t_end - end) > 1e-9 * max(1.0, abs(end)):
-                raise ConfigError(f"t_end {self.t_end} != t_start + n_steps*dt = {end}")
-        object.__setattr__(self, "t_end", end)
         object.__setattr__(self, "n_steps", int(self.n_steps))
+
+    @property
+    def t_end(self) -> float:
+        return self.t_start + self.n_steps * self.dt
 
     @property
     def n_nodes(self) -> int:
@@ -357,41 +354,3 @@ def weighted_norm(ens: ProcessEnsemble, rate: float, direction: str = "backward"
         raise ConfigError(f"grid has no nodes on the {direction} side")
     run = slice(nodes[0], nodes[-1] + 1)
     return _weighted_gap(ens.values[:, run], None, times[run], 0.0, rate)
-
-
-_MAGIC = b"MSMB0001"
-
-
-def export_ensemble_csv(path: str, ens) -> None:
-    """Rows sample,step,mode,value with full-precision floats."""
-    values = ens.values if isinstance(ens, ProcessEnsemble) else np.asarray(ens)
-    n, nn, m = values.shape
-    with open(path, "w", newline="") as fh:
-        fh.write("sample,step,mode,value\r\n")
-        for s in range(n):
-            block = values[s]
-            lines = [f"{s},{j},{k},{block[j, k]:.17g}\r\n"
-                     for j in range(nn) for k in range(m)]
-            fh.write("".join(lines))
-
-
-def export_ensemble_binary(path: str, ens) -> None:
-    """Little-endian dump: 8-byte magic, int64 ndim, int64 dims, row-major f64."""
-    values = ens.values if isinstance(ens, ProcessEnsemble) else np.asarray(ens)
-    arr = np.ascontiguousarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<q", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-        fh.write(arr.tobytes(order="C"))
-
-
-def read_ensemble_binary(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ConfigError(f"not an ensemble dump: magic {magic!r}")
-        (ndim,) = struct.unpack("<q", fh.read(8))
-        dims = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(dims)

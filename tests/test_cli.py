@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from msmanifold.cli import main
+from msmanifold.cli import _write_json, main
 from msmanifold.config import (SCHEMA, anchor_from_run, config_hash, lp_config_from_run,
                                problem_from_config, validate_config)
 from msmanifold.lyapunov_perron import unstable_graph
@@ -406,6 +406,36 @@ def test_invariance_test_shares_the_solves_gap_gate(tmp_path, capsys):
     passing = write_cfg(tmp_path / "ok.json", det_cfg())
     assert main(["invariance-test", "--config", passing, "--out", str(out)]) == 0
     assert json.loads((out / "invariance.json").read_text())["uncertified"] is False
+
+
+def test_forced_solve_past_the_gap_writes_no_lipschitz_bound(tmp_path):
+    # eta = 1.2 with C_zeta = 10: the gap bounds nothing, so trace.json
+    # carries null where it wrote a negative number
+    cfg = det_cfg()
+    cfg["run"]["c_zeta"] = 10.0
+    cfgp = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["solve-unstable", "--config", cfgp, "--out", str(out), "--force"]) == 0
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["uncertified"] and trace["lipschitz_bound"] is None
+    cert = tmp_path / "cert"
+    assert main(["solve-unstable", "--config", write_cfg(tmp_path / "ok.json", det_cfg()),
+                 "--out", str(cert)]) == 0
+    assert json.loads((cert / "trace.json").read_text())["lipschitz_bound"] > 0
+
+
+def test_refine_refuses_a_sweep_without_error(tmp_path, capsys):
+    # the example has no noise, so every n_samples error is 0: the log-log
+    # fit warned and wrote "slope": NaN, which is not JSON
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    out = tmp_path / "ref"
+    assert main(["refine", "n_samples", "--config", str(emitted / "example_problem.json"),
+                 "--out", str(out)]) == 4
+    assert "n_samples sweep" in capsys.readouterr().err
+    assert not (out / "refine_n_samples.json").exists()
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "nan.json"), {"slope": float("nan")})
 
 
 def test_refine_subcommand(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from msmanifold.errors import (
-    AdaptednessViolation,
     ConfigError,
     IllConditionedDesign,
     Underdetermined,
@@ -353,8 +352,6 @@ def test_ito_zero_degenerate_window():
 
 
 def test_ito_zero_guards():
-    with pytest.raises(AdaptednessViolation):
-        condexp_ito_zero(np.ones(10), (0.0, 1.0), adapted=False)
     with pytest.raises(ConfigError):
         condexp_ito_zero(np.ones(10), (1.0, 0.0))
 

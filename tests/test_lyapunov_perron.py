@@ -816,6 +816,51 @@ def test_lipschitz_certificate_tells_anchor_shapes_apart():
         lipschitz_certify(p, cfg, "unstable", pairs)
 
 
+def test_a_misspelt_side_is_refused():
+    # read as the stable side before: lipschitz_bound returned its bound
+    p = one_way(noise=diagonal_linear_noise([0.1, 0.1]))
+    cfg = cfg_back(t_back=4.0, dt=1e-2, n_samples=16)
+    with pytest.raises(ConfigError, match="unknown side 'unstabel'"):
+        lp.gap_report_for(p, cfg).verdict("unstabel")
+    with pytest.raises(ConfigError, match="unknown side"):
+        lipschitz_bound(p, cfg, "unstabel")
+    with pytest.raises(ConfigError, match="unknown side"):
+        lipschitz_certify(p, cfg, "unstabel", [([0.2], [0.4])])
+
+
+def test_invariance_residual_refuses_a_misspelt_side_before_drawing_noise(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("noise drawn for a refused request")
+
+    monkeypatch.setattr(lp, "sample_wiener", no_draw)
+    p = one_way(noise=diagonal_linear_noise([0.1, 0.1]))
+    cfg = cfg_back(t_back=4.0, dt=1e-2, n_samples=16)
+    with pytest.raises(ConfigError, match="unknown side"):
+        invariance_residual(p, [0.3], cfg, t0=0.5, side="Stable")
+
+
+def test_no_lipschitz_bound_past_the_gap():
+    # eta = 9.1 and delta = 9.2: 1/(1 - contraction) made both bounds negative
+    B = np.array([[0.0, 3.0], [3.0, 0.0]])
+    p = build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
+                      zeta=-0.5, nonlinearity=linear_nonlinearity(B),
+                      noise=diagonal_linear_noise([0.1, 0.1]))
+    cfg = cfg_back()
+    gap = lp.gap_report_for(p, cfg)
+    assert gap.eta > 1.0 and gap.delta > 1.0
+    assert lipschitz_bound(p, cfg, "unstable") == math.inf
+    assert lipschitz_bound(p, cfg, "stable") == math.inf
+    # forced past eta = 1.2 on a weak coupling that still converges: the
+    # ratios are measured, and without a bound nothing is certified
+    weak = one_way()
+    forced = cfg_back(c_zeta=10.0, force=True)
+    assert not lp.gap_report_for(weak, forced).pass_unstable
+    cert = lipschitz_certify(weak, forced, "unstable", [([0.2], [0.4])])
+    assert cert.theoretical == math.inf
+    assert cert.empirical == pytest.approx(0.1 / 3.0, abs=1e-6)
+    assert not cert.passed
+
+
 def test_invariance_residual_small_on_linear_manifold():
     p = one_way()
     r = invariance_residual(p, [0.3], cfg_back(), t0=0.5, side="unstable")

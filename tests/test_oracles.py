@@ -351,17 +351,6 @@ def test_refinement_rejects_short_sweeps_and_unknown_parameters():
         refinement_study(p, cfg, "n_modes")
 
 
-def test_refinement_csv_rows_format():
-    p = stochastic_problem()
-    cfg = LPConfig(c_zeta=1.0)
-    st = refinement_study(p, cfg, "lambda", values=(1e2, 1e3, 1e4))
-    rows = list(st.csv_rows())
-    assert rows[0] == ("lambda", "observable", "error")
-    assert len(rows) == 4
-    assert rows[1][0] == "%.17g" % 100.0
-    assert float(rows[1][2]) > float(rows[3][2])
-
-
 # -------------------------------------------------------------- independence
 
 def test_oracles_never_import_the_solver():

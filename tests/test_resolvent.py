@@ -22,7 +22,6 @@ from msmanifold import (
     lambda_regularize,
     project,
     resolvent_boundary,
-    richardson_pair,
     semigroup_apply,
     zero_noise,
     zero_nonlinearity,
@@ -30,7 +29,8 @@ from msmanifold import (
 from msmanifold.example_pde import (EXAMPLE_LADDER, OPERATOR_SHIFT,
                                     boundary_flux_nonlinearity, build_example_problem,
                                     endpoint_values, example_eigenvalues)
-from msmanifold.resolvent import boundary_ladder, hille_yosida_data, linear_scan
+from msmanifold.resolvent import (_neville_at_infinity, boundary_ladder, hille_yosida_data,
+                                  linear_scan)
 
 PI = math.pi
 
@@ -138,9 +138,33 @@ def test_lambda_regularize_commutes_with_projection():
         assert np.allclose(a, b, rtol=0, atol=1e-15)
 
 
+def test_lambda_regularize_copies_boundary_forcing_once():
+    # f * scale is the only full-size array made; the boundary terms are
+    # added into it, where a second copy took the peak to 2.13 x f.nbytes
+    import tracemalloc
+
+    p = build_example_problem(m=8)
+    rng = np.random.default_rng(3)
+    n = 100_000
+    g = BoundaryTriple(a=rng.standard_normal(n), b=rng.standard_normal(n),
+                       f=rng.standard_normal((n, 8)))
+    lam = 1e3
+    tracemalloc.start()
+    try:
+        out = lambda_regularize(p, lam, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g.f.nbytes
+    scale = lam / (lam - p.eigenvalues)
+    cols = boundary_columns(lam, 8, OPERATOR_SHIFT)
+    want = g.f * scale + g.a[:, None] * cols[:, 0] + g.b[:, None] * cols[:, 1]
+    assert np.array_equal(out, want)
+
+
 def test_richardson_pair_eliminates_first_order_term():
     v = lambda lam: 2.0 + 3.0 / lam
-    out = richardson_pair(100.0, v(100.0), 1000.0, v(1000.0))
+    out = _neville_at_infinity((100.0, 1000.0), (v(100.0), v(1000.0)))[1]
     assert out == pytest.approx(2.0, abs=1e-12)
 
 
