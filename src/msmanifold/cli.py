@@ -32,7 +32,7 @@ from .errors import (ConfigError, ConsistencyFailure, GapViolation,
                      LadderNotConverged, MaxIterExceeded, MsManifoldError,
                      NonfiniteState, TruncationTooShort)
 from .oracles import refinement_study
-from .stochastic import _sample_sum
+from .stochastic import _node_ms, _sample_sum
 
 EXIT_OK = 0
 EXIT_GAP = 2
@@ -176,24 +176,31 @@ def _write_gap_report(manifest: _Manifest, gap: dict) -> None:
     _write_json(path, {"config_hash": manifest.config_hash, "gap_report": gap})
 
 
-def _solving_request(args, subcommand: str, side: Optional[str] = None):
-    """The start of solve-unstable, solve-stable and invariance-test (side
-    None: the run block's): config, problem, solver settings, anchor,
-    manifest, and the gap gate. A failing side is refused, gap_report.json
-    written and GapViolation raised (exit 2), unless --force is given; then
-    a warning is printed and the output is marked uncertified. Returns (run,
-    p, lpcfg, anchor, manifest, marks), marks the output's "gap_report" and
-    "uncertified" entries."""
-    from .lyapunov_perron import gap_report_for
-
+def _request(args, subcommand: str, side: Optional[str] = None):
+    """The start of every subcommand that reads a run block: the run block
+    (its side set to ``side`` when given), problem, solver settings and
+    manifest."""
     cfg = _prepare(args)
     run = cfg["run"]
     if side is not None:
         run["side"] = side
     p = problem_from_config(cfg)
     lpcfg = lp_config_from_run(run, force=args.force)
+    return run, p, lpcfg, _Manifest(args, subcommand, cfg, run["seed"])
+
+
+def _solving_request(args, subcommand: str, side: Optional[str] = None):
+    """The start of solve-unstable, solve-stable and invariance-test (side
+    None: the run block's): _request, the anchor, and the gap gate. A
+    failing side is refused, gap_report.json written and GapViolation
+    raised (exit 2), unless --force is given; then a warning is printed and
+    the output is marked uncertified. Returns (run, p, lpcfg, anchor,
+    manifest, marks), marks the output's "gap_report" and "uncertified"
+    entries."""
+    from .lyapunov_perron import gap_report_for
+
+    run, p, lpcfg, manifest = _request(args, subcommand, side)
     anchor = anchor_from_run(run, p)
-    manifest = _Manifest(args, subcommand, cfg, run["seed"])
     gap = gap_report_for(p, lpcfg)
     try:
         passes = gap.require(run["side"], args.force)
@@ -215,11 +222,9 @@ def _solve(args, side: str) -> int:
     solver = unstable_graph if side == "unstable" else stable_graph
     graph = solver(p, anchor, lpcfg)
 
-    value_names = p.stable_modes if side == "unstable" else p.unstable_modes
-    anchor_names = p.unstable_modes if side == "unstable" else p.stable_modes
     header = (["sample"]
-              + [f"anchor_mode_{k}" for k in anchor_names]
-              + [f"graph_mode_{k}" for k in value_names])
+              + [f"anchor_mode_{k}" for k in graph.anchor_idx]
+              + [f"graph_mode_{k}" for k in graph.value_idx])
     graph_csv, traj_npy, trace_json = manifest.claim(
         "graph.csv", "trajectory.npy", "trace.json")
     _write_csv(graph_csv, header, np.hstack((graph.anchor, graph.h_value)),
@@ -230,7 +235,7 @@ def _solve(args, side: str) -> int:
     stride = max(1, ens.grid.n_nodes // 2000)
     nodes = ens.values.swapaxes(0, 1)[::stride]
     mean_path = _sample_sum(nodes) / ens.n_samples
-    ms_path = np.sqrt(_sample_sum(np.sum(nodes ** 2, axis=2)) / ens.n_samples)
+    ms_path = _node_ms(nodes)
     _write_npy(traj_npy,
                ["t"] + [f"mean_mode_{k}" for k in range(p.n_modes)] + ["ms_norm"],
                np.column_stack((ens.grid.times[::stride], mean_path, ms_path)))
@@ -258,15 +263,13 @@ def _solve(args, side: str) -> int:
 def _cmd_check_gap(args) -> int:
     from .lyapunov_perron import gap_report_for
 
-    cfg = _prepare(args)
-    p = problem_from_config(cfg)
-    gap = gap_report_for(p, lp_config_from_run(cfg["run"]))
-    manifest = _Manifest(args, "check-gap", cfg, cfg["run"]["seed"])
+    run, p, lpcfg, manifest = _request(args, "check-gap")
+    gap = gap_report_for(p, lpcfg)
     _write_gap_report(manifest, gap.as_dict())
     manifest.write()
     print(f"eta = {gap.eta:.6g} ({'pass' if gap.pass_unstable else 'FAIL'}), "
           f"delta = {gap.delta:.6g} ({'pass' if gap.pass_stable else 'FAIL'})")
-    return EXIT_OK if gap.verdict(cfg["run"]["side"])[2] else EXIT_GAP
+    return EXIT_OK if gap.verdict(run["side"])[2] else EXIT_GAP
 
 
 def _cmd_invariance(args) -> int:
@@ -290,10 +293,7 @@ def _cmd_invariance(args) -> int:
 def _cmd_resolvent_study(args) -> int:
     from .resolvent import boundary_ladder, problem_ladder
 
-    cfg = _prepare(args)
-    p = problem_from_config(cfg)
-    lpcfg = lp_config_from_run(cfg["run"])
-    manifest = _Manifest(args, "resolvent-study", cfg, cfg["run"]["seed"])
+    _, p, lpcfg, manifest = _request(args, "resolvent-study")
     ladder = problem_ladder(p)
     study = refinement_study(p, lpcfg, "lambda", values=ladder)
     with_cols = p.boundary_regularizer is not None
@@ -369,11 +369,8 @@ def _cmd_example_pde(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    cfg = _prepare(args)
-    p = problem_from_config(cfg)
-    lpcfg = lp_config_from_run(cfg["run"])
-    anchor = cfg["run"].get("anchor")
-    manifest = _Manifest(args, "refine", cfg, cfg["run"]["seed"])
+    run, p, lpcfg, manifest = _request(args, "refine")
+    anchor = run.get("anchor")
     study = refinement_study(
         p, lpcfg, args.parameter,
         x=None if anchor is None else np.asarray(anchor, dtype=float))

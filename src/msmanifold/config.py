@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import MISSING, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .lyapunov_perron import LPConfig
+from .lyapunov_perron import LPConfig, _is_finite_number
 from .problem import (NoiseModel, NonlinearityModel, SpectralProblem,
                       build_problem, diagonal_linear_noise, linear_nonlinearity,
                       saturated_polynomial_nonlinearity, saturated_noise,
@@ -92,16 +91,6 @@ def _require(cond: bool, msg: str):
 def _check_keys(block: dict, allowed: set, where: str):
     unknown = set(block) - allowed
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number, not a boolean, that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:       # an integer beyond the float range
-        return False
 
 
 def _number(value, where: str) -> float:

@@ -18,7 +18,9 @@ mean-square graph is a perturbation of it of the order of the noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,11 +30,21 @@ from .errors import (ConfigError, ConsistencyFailure, GridMismatch, IllCondition
                      MaxIterExceeded, NonfiniteState, TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_report, zero_noise
 from .resolvent import BoundaryTriple, forcing_modes, linear_scan
-from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _weighted_gap,
-                         integrate_mild, ms_norm, sample_wiener,
+from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _span_steps,
+                         _weighted_gap, integrate_mild, ms_norm, sample_wiener,
                          solver_boundary_columns)
 
 DEFAULT_SLACK = 0.25
+
+
+def _is_finite_number(value) -> bool:
+    """A real number, not a boolean, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -58,17 +70,21 @@ class LPConfig:
     force: bool = False
     slack: float = DEFAULT_SLACK
 
-    def validate(self) -> None:
-        if self.c_zeta is None or self.c_zeta <= 0:
-            raise ConfigError("c_zeta must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.t_back <= 0 or self.t_fwd <= 0:
-            raise ConfigError("truncation horizons must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.max_iter < 1 or self.n_samples < 1:
-            raise ConfigError("max_iter and n_samples must be >= 1")
+    def __post_init__(self):
+        """The one check of a config, when it is built: finite float fields,
+        integer int fields (numpy integers pass, booleans do not), positive
+        c_zeta, tol, horizons and dt, and max_iter and n_samples >= 1."""
+        for f in fields(self):      # annotations are strings in this module
+            value = getattr(self, f.name)
+            if f.type == "float" and not _is_finite_number(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        for name in ("c_zeta", "tol", "t_back", "t_fwd", "dt", "max_iter", "n_samples"):
+            value = getattr(self, name)
+            if value <= 0:
+                need = ">= 1" if name in ("max_iter", "n_samples") else "positive"
+                raise ConfigError(f"{name} must be {need}, got {value!r}")
 
     def basis_for(self, p: SpectralProblem) -> RegressionBasis:
         return default_basis(p, self.basis_degree, self.include_wiener)
@@ -152,6 +168,8 @@ def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
         raise ConfigError("anchor must be a vector or (n_samples, k) array")
     if arr.ndim == 2 and arr.shape[0] != n_samples:
         raise ConfigError(f"anchor rows {arr.shape[0]} != n_samples {n_samples}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"anchor has a non-finite entry {float(arr[~np.isfinite(arr)][0])!r}")
     if arr.shape[-1] == m and m != k:
         if np.any(np.delete(arr, idx, axis=-1) != 0.0):
             raise ConfigError("anchor has nonzero components outside its block")
@@ -573,9 +591,7 @@ def _solver_grid(cfg: LPConfig, side: str) -> TimeGrid:
     """The truncation window of a solve: [tau - T_back, tau] for the
     unstable graph, [tau, tau + T_fwd] for the stable one."""
     name, horizon = ("t_back", cfg.t_back) if side == "unstable" else ("t_fwd", cfg.t_fwd)
-    N = round(horizon / cfg.dt)
-    if N < 2 or abs(N * cfg.dt - horizon) > 1e-6 * cfg.dt:
-        raise ConfigError(f"{name} {horizon} is not a multiple (>= 2) of dt {cfg.dt}")
+    N = _span_steps(horizon, cfg.dt, name, at_least=2)
     start = cfg.tau - N * cfg.dt if side == "unstable" else cfg.tau
     return TimeGrid(start, cfg.dt, N)
 
@@ -614,7 +630,6 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     is the one row's); ito_check still reports n samples. Under nonzero
     noise the same one-sample solve, with the noise set to zero and no
     residual map, gives x_0 (see _first_guess)."""
-    cfg.validate()
     gap = _check_gap(p, cfg, side)
     grid = _solver_grid(cfg, side)
     anchor_idx, value_idx, node = _side_layout(p, grid, side)
@@ -734,15 +749,14 @@ def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:
 def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
     """The gap's Lipschitz bound of the side's graph map; inf when the side's
     contraction is >= 1, where the gap bounds nothing."""
-    _, contraction, passes = gap_report_for(p, cfg).verdict(side)
+    gap = gap_report_for(p, cfg)
+    _, contraction, passes = gap.verdict(side)
     if not passes:
         return float("inf")
-    L1, L2 = p.nonlinearity.lipschitz_L1, p.noise.lipschitz_L2
+    t = gap.terms
     if side == "unstable":
-        return p.bound_K * cfg.c_zeta * (L1 + L2) / (1.0 - contraction)
-    ag = p.alpha - p.gamma
-    return (p.bound_K ** 2 * (L1 / ag + L2 / np.sqrt(2.0 * ag))
-            / (1.0 - contraction))
+        return (t["conv_L1"] + t["conv_L2"]) / (1.0 - contraction)
+    return p.bound_K * (t["drift_weighted"] + t["sqrt_term"]) / (1.0 - contraction)
 
 
 def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
@@ -785,12 +799,10 @@ def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
     flow's, and each of the three gets its own window of that draw. The
     side and its gap are checked before any noise is drawn."""
     _check_gap(p, cfg, side)
-    steps = round(t0 / cfg.dt)
-    if steps < 1 or abs(steps * cfg.dt - t0) > 1e-6 * cfg.dt:
-        raise ConfigError(f"t0 {t0} is not a positive multiple of dt {cfg.dt}")
+    steps = _span_steps(t0, cfg.dt, "t0")
     grid = _solver_grid(cfg, side)
     N = grid.n_steps
-    flow_at = (N, N + steps) if side == "unstable" else (0, steps)
+    node = _side_layout(p, grid, side)[2]     # where the flow starts
     wiener = None
     if not p.noise.is_zero:
         union = TimeGrid(grid.t_start, cfg.dt, N + steps)
@@ -802,7 +814,7 @@ def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
     g1 = _graph_for_side(p, x, cfg, side, window((0, N)))
     u0 = g1.point()
     grid_f = TimeGrid(cfg.tau, cfg.dt, steps)
-    flow = integrate_mild(p, u0, grid_f, window(flow_at))
+    flow = integrate_mild(p, u0, grid_f, window((node, node + steps)))
     end = flow.values[:, -1, :]
     cfg2 = replace(cfg, tau=cfg.tau + steps * cfg.dt,
                    n_samples=g1.n_samples)

@@ -2,10 +2,11 @@
 
 Everything here produces expected values by routes that do not touch the
 fixed-point solver module: closed forms, dense quadrature, and small
-matrix algebra.  The integrator and resolvent helpers needed by the
-refinement sweeps and by boundary-valued forcing (mapped into modes in
-the lambda -> infinity limit) are imported lazily, so the module itself
-stays on problem data and numpy alone.
+matrix algebra.  The integrator, the package's one step count of a span,
+and the resolvent helpers needed by the refinement sweeps and by
+boundary-valued forcing (mapped into modes in the lambda -> infinity
+limit) are imported lazily, so the module itself stays on problem data
+and numpy alone.
 """
 
 from __future__ import annotations
@@ -163,11 +164,9 @@ def deterministic_lp_oracle(p: SpectralProblem, x, cfg) -> np.ndarray:
     s_idx = np.asarray(p.stable_modes, dtype=int)
     if x.size != u_idx.size:
         raise ConfigError(f"anchor needs {u_idx.size} unstable coordinates")
-    if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
-    n = int(round(cfg.t_back / cfg.dt))
-    if n < 2:
-        raise ConfigError("backward window shorter than two steps")
+    from .stochastic import _span_steps
+
+    n = _span_steps(cfg.t_back, cfg.dt, "t_back", at_least=2)
     times = cfg.tau - cfg.dt * np.arange(n, -1, -1.0)
     lam_u = p.eigenvalues[u_idx]
     lam_s = p.eigenvalues[s_idx]
@@ -249,20 +248,14 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
         vals = tuple(sorted(float(v) for v in vals))
         dt_ref = vals[0] / 4.0
         horizon = cfg.t_fwd
-        steps_ref = int(round(horizon / dt_ref))
+        steps_ref = st._span_steps(horizon, dt_ref, "t_fwd")
         grid_ref = st.TimeGrid(t_start=0.0, dt=dt_ref, n_steps=steps_ref)
         wie_ref = st.sample_wiener(cfg.seed, grid_ref, p.noise,
                                    max(2, cfg.n_samples))
         ref = st.integrate_mild(p, u0, grid_ref, wie_ref).values[:, -1, :]
         for dt in vals:
-            ratio = int(round(dt / dt_ref))
-            if abs(ratio * dt_ref - dt) > 1e-12 * dt:
-                raise ConfigError(f"dt {dt} is not a multiple of the "
-                                  f"reference step {dt_ref}")
-            steps = steps_ref // ratio
-            if steps * ratio != steps_ref:
-                raise ConfigError(f"horizon {horizon} does not hold a whole "
-                                  f"number of dt={dt} steps")
+            ratio = st._span_steps(dt, dt_ref, "dt")
+            steps = st._span_steps(horizon, dt, "t_fwd")
             grid = st.TimeGrid(t_start=0.0, dt=dt, n_steps=steps)
             # coarse increments are sums of the fine ones: coupled paths
             inc = wie_ref.increments[:, :steps * ratio, :]
@@ -271,13 +264,12 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
                                     increments=inc, weights=wie_ref.weights,
                                     step0=0)
             end = st.integrate_mild(p, u0, grid, wie).values[:, -1, :]
-            diff = end - ref
-            err.append(math.sqrt(float(np.mean(np.sum(diff * diff, axis=1)))))
-            obs.append(math.sqrt(float(np.mean(np.sum(end * end, axis=1)))))
+            err.append(st.ms_norm(end - ref))
+            obs.append(st.ms_norm(end))
     elif parameter == "n_samples":
         vals = tuple(values) if values is not None else (400, 1600, 6400)
         vals = tuple(sorted(int(v) for v in vals))
-        steps = int(round(cfg.t_fwd / cfg.dt))
+        steps = st._span_steps(cfg.t_fwd, cfg.dt, "t_fwd")
         grid = st.TimeGrid(t_start=0.0, dt=cfg.dt, n_steps=steps)
         for n in vals:
             wie = st.sample_wiener(cfg.seed, grid, p.noise, n)

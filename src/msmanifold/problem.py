@@ -3,13 +3,9 @@
 The evolution equation is represented diagonally in an eigenbasis: mode k
 carries the rate lambda_k, the unstable block U collects modes with
 lambda_k >= alpha and the stable block S those with lambda_k <= beta.
-The gap reports certify the contraction constants
-
-    eta   = K * (L1/(alpha-gamma) + L1*C_zeta + L2*C_zeta)
-    delta = K * (L1/(alpha-gamma) + L2/sqrt(2*alpha-2*gamma)
-                 + L1*C_zeta + L2*C_zeta)
-
-which must be < 1 for the unstable-manifold and stable-set solvers.
+The gap reports certify the contraction constants eta and delta, sums of
+the four gap_terms, which must be < 1 for the unstable-manifold and
+stable-set solvers.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ __all__ = [
     "semigroup_apply",
     "project",
     "gap_report",
+    "gap_terms",
     "gap_eta",
     "gap_delta",
     "zero_nonlinearity",
@@ -369,19 +366,28 @@ class GapReport:
         }
 
 
-def gap_eta(K: float, L1: float, L2: float, alpha_minus_gamma: float,
-            c_zeta: float) -> float:
+def gap_terms(K: float, L1: float, L2: float, alpha_minus_gamma: float,
+              c_zeta: float) -> dict:
+    """The four terms the contraction constants add up: K*L1/(alpha-gamma),
+    K*L2/sqrt(2*(alpha-gamma)), K*L1*C_zeta and K*L2*C_zeta."""
     if alpha_minus_gamma <= 0:
         raise DegenerateGap(f"alpha - gamma = {alpha_minus_gamma} <= 0")
-    return K * (L1 / alpha_minus_gamma + L1 * c_zeta + L2 * c_zeta)
+    return {"drift_weighted": K * L1 / alpha_minus_gamma,
+            "sqrt_term": K * L2 / float(np.sqrt(2.0 * alpha_minus_gamma)),
+            "conv_L1": K * L1 * c_zeta,
+            "conv_L2": K * L2 * c_zeta}
+
+
+def gap_eta(K: float, L1: float, L2: float, alpha_minus_gamma: float,
+            c_zeta: float) -> float:
+    t = gap_terms(K, L1, L2, alpha_minus_gamma, c_zeta)
+    return t["drift_weighted"] + t["conv_L1"] + t["conv_L2"]
 
 
 def gap_delta(K: float, L1: float, L2: float, alpha_minus_gamma: float,
               c_zeta: float) -> float:
-    if alpha_minus_gamma <= 0:
-        raise DegenerateGap(f"alpha - gamma = {alpha_minus_gamma} <= 0")
-    return K * (L1 / alpha_minus_gamma + L2 / np.sqrt(2.0 * alpha_minus_gamma)
-                + L1 * c_zeta + L2 * c_zeta)
+    t = gap_terms(K, L1, L2, alpha_minus_gamma, c_zeta)
+    return t["drift_weighted"] + t["sqrt_term"] + t["conv_L1"] + t["conv_L2"]
 
 
 def gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str = "user") -> GapReport:
@@ -390,19 +396,12 @@ def gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str = "user") -
     c_zeta = float(c_zeta)
     if c_zeta <= 0:
         raise ConfigError("C_zeta must be positive")
-    K = p.bound_K
-    L1 = p.nonlinearity.lipschitz_L1
-    L2 = p.noise.lipschitz_L2
+    K, L1, L2 = p.bound_K, p.nonlinearity.lipschitz_L1, p.noise.lipschitz_L2
     ag = p.alpha - p.gamma
+    terms = {"K": K, "L1": L1, "L2": L2, "alpha_minus_gamma": ag,
+             **gap_terms(K, L1, L2, ag, c_zeta)}
     eta = gap_eta(K, L1, L2, ag, c_zeta)
     delta = gap_delta(K, L1, L2, ag, c_zeta)
-    terms = {
-        "K": K, "L1": L1, "L2": L2, "alpha_minus_gamma": ag,
-        "drift_weighted": K * L1 / ag,
-        "sqrt_term": K * L2 / float(np.sqrt(2.0 * ag)),
-        "conv_L1": K * L1 * c_zeta,
-        "conv_L2": K * L2 * c_zeta,
-    }
     return GapReport(eta=float(eta), delta=float(delta), c_zeta=c_zeta,
                      c_zeta_source=c_zeta_source,
                      pass_unstable=bool(eta < 1.0), pass_stable=bool(delta < 1.0),

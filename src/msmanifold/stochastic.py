@@ -17,6 +17,7 @@ a caller builds sample-major work through the same code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -46,11 +47,16 @@ def map_chunks(fn: Callable, n_samples: int) -> list:
     return [fn(a, b) for a, b in sample_chunks(n_samples)]
 
 
-def _lattice_step(t: float, dt: float, what: str) -> int:
-    s = round(t / dt)
-    if abs(t - s * dt) > _LATTICE_RTOL * dt:
-        raise GridMismatch(f"{what} {t!r} is not on the dt={dt!r} lattice")
-    return int(s)
+def _span_steps(span: float, dt: float, what: str, at_least: int = 1) -> int:
+    """The dt steps in a span, the one count of every window and horizon: a
+    whole number >= ``at_least`` within _LATTICE_RTOL * dt. Any other span,
+    or a dt that is not positive, is refused with ConfigError."""
+    ratio = span / dt if dt > 0.0 else math.nan
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < at_least or abs(span - steps * dt) > _LATTICE_RTOL * dt:
+        raise ConfigError(f"{what} {span!r} is not a whole number (>= {at_least}) "
+                          f"of dt {dt!r} steps")
+    return int(steps)
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError(f"t_start {self.t_start!r} and dt {self.dt!r} must be finite, "
+                              "dt positive")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise ConfigError("n_steps must be a positive integer")
         object.__setattr__(self, "n_steps", int(self.n_steps))
@@ -81,7 +88,10 @@ class TimeGrid:
     @property
     def step0(self) -> int:
         """Absolute lattice index of the first node."""
-        return _lattice_step(self.t_start, self.dt, "t_start")
+        s = round(self.t_start / self.dt)
+        if abs(self.t_start - s * self.dt) > _LATTICE_RTOL * self.dt:
+            raise GridMismatch(f"t_start {self.t_start!r} is not on the dt={self.dt!r} lattice")
+        return int(s)
 
     def index_of(self, t: float) -> int:
         i = round((t - self.t_start) / self.dt)
@@ -286,15 +296,6 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
     return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1))
 
 
-def ms_norm(v) -> float:
-    """sqrt(E ||u||^2) of the rows u of v, (n, m) or one (m,) row: sample
-    mean of the squared mode-l2 norm."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v[None, :]
-    return float(np.sqrt(np.mean(np.einsum("nm,nm->n", v, v))))
-
-
 def _sample_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the samples, axis 1, of node-major x (L, n, ...). Added in
     sample order starting from +0, as a reduction over sample-major storage
@@ -306,8 +307,9 @@ def _node_ms(v: np.ndarray) -> np.ndarray:
     """ms_norm at each node of a node-major block v (L, n, m). Per sample
     the squares are added over the modes in einsum's order: for one or two
     modes that is at most one add, done here without einsum; from three
-    modes on einsum adds in SIMD lanes, an order only einsum reproduces."""
-    if v.shape[-1] > 2:
+    modes on einsum adds in SIMD lanes, an order only einsum reproduces
+    (and with no modes it gives the zeros)."""
+    if v.shape[-1] not in (1, 2):
         sq = np.einsum("jnm,jnm->jn", v, v)
     else:
         sq = v * v
@@ -315,6 +317,12 @@ def _node_ms(v: np.ndarray) -> np.ndarray:
             sq[..., 0] += sq[..., k]
         sq = sq[..., 0]
     return np.sqrt(_sample_sum(sq) / v.shape[1])
+
+
+def ms_norm(v) -> float:
+    """sqrt(E ||u||^2) of the rows u of v, (n, m) or one (m,) row: _node_ms
+    at a single node."""
+    return float(_node_ms(np.atleast_2d(np.asarray(v, dtype=float))[None])[0])
 
 
 # Elements per chunk of _weighted_gap's node loop (256 KB): a few nodes of

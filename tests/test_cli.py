@@ -511,6 +511,32 @@ def test_exit_code_4_on_usage_and_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value, says", [("dt", 0.0, "dt must be positive, got 0.0"),
+                                              ("max_iter", 0, "max_iter must be >= 1")])
+@pytest.mark.parametrize("command", [["check-gap"], ["resolvent-study"], ["refine", "lambda"]])
+def test_requests_that_solve_nothing_refuse_a_bad_run_block(tmp_path, capsys, command,
+                                                           key, value, says):
+    # these built the solver settings without checking them, and exited 0
+    assert main(["example-pde", "--out", str(tmp_path / "ex")]) == 0
+    cfg = json.loads((tmp_path / "ex" / "example_problem.json").read_text())
+    cfg["run"][key] = value
+    path = write_cfg(tmp_path / "bad.json", cfg)
+    capsys.readouterr()
+    assert main(command + ["--config", path, "--out", str(tmp_path / "out")]) == 4
+    assert says in capsys.readouterr().err
+
+
+def test_refine_dt_refuses_a_horizon_off_the_dt_lattice(tmp_path, capsys):
+    # once integrated to t = 1.0 and exited 0
+    assert main(["example-pde", "--out", str(tmp_path / "ex")]) == 0
+    cfg = json.loads((tmp_path / "ex" / "example_problem.json").read_text())
+    cfg["run"]["t_fwd"] = 1.0001
+    path = write_cfg(tmp_path / "off.json", cfg)
+    capsys.readouterr()
+    assert main(["refine", "dt", "--config", path, "--out", str(tmp_path / "out")]) == 4
+    assert "t_fwd 1.0001 is not a whole number" in capsys.readouterr().err
+
+
 def test_out_of_range_problem_numbers_are_config_errors(tmp_path, capsys):
     # 1e999 reads as inf: refused as a config error, before any JSON payload
     # would fail to encode it

@@ -861,6 +861,32 @@ def test_no_lipschitz_bound_past_the_gap():
     assert not cert.passed
 
 
+@pytest.mark.parametrize("eps, slope", [(0.1, 0.1), (0.07, 0.0), (0.013, 0.21), (0.0, 0.3)])
+def test_gap_constants_and_lipschitz_bounds_keep_their_bits_at_unit_K(eps, slope):
+    # the closed forms as they were written before the four gap terms were
+    # spelled once; at K = 1 the terms add up to the same bits
+    p = one_way(eps=eps, noise=diagonal_linear_noise([slope, slope]))
+    K, L1, L2 = p.bound_K, p.nonlinearity.lipschitz_L1, p.noise.lipschitz_L2
+    ag = p.alpha - p.gamma
+    assert K == 1.0
+    for c in (0.5, 1.0, 0.25, 0.3, 0.7):
+        cfg = cfg_back(c_zeta=c)
+        gap = lp.gap_report_for(p, cfg)
+        eta = K * (L1 / ag + L1 * c + L2 * c)
+        delta = K * (L1 / ag + L2 / np.sqrt(2.0 * ag) + L1 * c + L2 * c)
+        assert (gap.eta, gap.delta) == (eta, delta)
+        assert lipschitz_bound(p, cfg, "stable") == \
+            K ** 2 * (L1 / ag + L2 / np.sqrt(2.0 * ag)) / (1.0 - delta)
+        # K*C*(L1 + L2) is now K*L1*C + K*L2*C: the same bits when C is a
+        # power of two, as in the shipped configs, else within rounding
+        old = K * c * (L1 + L2) / (1.0 - eta)
+        new = lipschitz_bound(p, cfg, "unstable")
+        if math.frexp(c)[0] == 0.5:
+            assert new == old
+        else:
+            assert new == pytest.approx(old, rel=1e-15, abs=0.0)
+
+
 def test_invariance_residual_small_on_linear_manifold():
     p = one_way()
     r = invariance_residual(p, [0.3], cfg_back(), t0=0.5, side="unstable")
@@ -889,3 +915,39 @@ def test_window_must_be_multiple_of_dt():
     with pytest.raises(ConfigError):
         lp_backward_solve(p, [0.1], LPConfig(c_zeta=1.0, t_back=1.0005,
                                              dt=1e-2, tol=1e-8))
+
+
+@pytest.mark.parametrize("field, value, says", [
+    ("dt", math.nan, "dt must be a finite number, got nan"),
+    ("tol", math.nan, "tol must be a finite number, got nan"),
+    ("t_back", math.inf, "t_back must be a finite number, got inf"),
+    ("n_samples", 2.5, "n_samples must be an integer, got 2.5"),
+    ("max_iter", True, "max_iter must be an integer, got True"),
+    ("c_zeta", None, "c_zeta must be a finite number, got None"),
+])
+def test_config_refuses_nonfinite_numbers_and_fractional_counts(field, value, says):
+    # refused where the config is built, naming the field and its value
+    with pytest.raises(ConfigError) as info:
+        LPConfig(**{"c_zeta": 1.0, field: value})
+    assert str(info.value) == says
+
+
+def test_config_takes_numpy_counts_and_keeps_the_max_iter_message():
+    assert LPConfig(c_zeta=1.0, n_samples=np.int64(3), max_iter=np.int32(2)).n_samples == 3
+    with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+        LPConfig(c_zeta=1.0, max_iter=0)
+    with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
+        replace(LPConfig(c_zeta=1.0), n_samples=0)
+
+
+def test_invariance_residual_refuses_a_nan_t0():
+    with pytest.raises(ConfigError, match="t0 nan is not a whole number"):
+        invariance_residual(one_way(), [0.3], cfg_back(t_back=2.0, dt=1e-2), t0=math.nan)
+
+
+@pytest.mark.parametrize("anchor", [[math.nan], [[math.nan]], [math.inf, 0.0]])
+def test_nonfinite_anchor_is_a_config_error(anchor):
+    # zero noise: a NaN anchor once reached the regression and was refused
+    # as underdetermined
+    with pytest.raises(ConfigError, match="anchor has a non-finite entry"):
+        unstable_graph(one_way(), anchor, cfg_back(t_back=2.0, dt=1e-2, n_samples=1))

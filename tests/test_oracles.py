@@ -258,6 +258,13 @@ def test_quadrature_oracle_refuses_max_iter_below_one():
                                                    max_iter=0))
 
 
+def test_quadrature_oracle_refuses_a_window_off_the_dt_lattice():
+    # 200.4 steps: once rounded to a 2.0 window, as the solver refuses
+    p = problem((1.0, -1.0), B=[[0.0, 0.0], [0.1, 0.0]])
+    with pytest.raises(ConfigError, match="t_back 2.004 is not a whole number"):
+        deterministic_lp_oracle(p, [0.3], LPConfig(c_zeta=1.0, t_back=2.004, dt=1e-2))
+
+
 def test_quadrature_oracle_reports_stall():
     def mix(v):
         out = np.zeros_like(v)
@@ -349,6 +356,15 @@ def test_refinement_rejects_short_sweeps_and_unknown_parameters():
         refinement_study(p, cfg, "lambda", values=(1e2, 1e3))
     with pytest.raises(ConfigError):
         refinement_study(p, cfg, "n_modes")
+
+
+@pytest.mark.parametrize("parameter, values", [("dt", None), ("n_samples", (16, 32, 64))])
+def test_refinement_refuses_a_horizon_off_the_dt_lattice(parameter, values):
+    # once integrated to t = 1.0 and reported as a sweep to 1.0001
+    p = stochastic_problem()
+    cfg = LPConfig(c_zeta=1.0, t_fwd=1.0001, dt=1e-2, n_samples=16, seed=7)
+    with pytest.raises(ConfigError, match="t_fwd 1.0001 is not a whole number"):
+        refinement_study(p, cfg, parameter, values=values)
 
 
 # -------------------------------------------------------------- independence

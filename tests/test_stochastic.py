@@ -390,6 +390,21 @@ def test_integrator_rejects_mismatched_wiener():
 
 # --------------------------------------------------------------------- norms
 
+@pytest.mark.parametrize("shape", [(5,), (40, 1), (40, 2), (40, 5), (1, 3), (7, 0)])
+def test_ms_norm_is_node_ms_at_one_node(shape):
+    v = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
+    rows = v if v.ndim == 2 else v[None]
+    assert ms_norm(v) == _node_ms(rows[None])[0]
+
+
+@pytest.mark.parametrize("t_start, dt", [(0.0, math.nan), (0.0, math.inf), (math.nan, 0.1),
+                                         (-math.inf, 0.1), (0.0, 0.0)])
+def test_time_grid_refuses_a_nonfinite_start_or_step(t_start, dt):
+    # TimeGrid(0.0, nan, 3) once built a grid of NaN times
+    with pytest.raises(ConfigError):
+        TimeGrid(t_start, dt, 3)
+
+
 def test_ms_norm_reference_values():
     unit = np.tile([1.0, 0.0], (50, 1))
     assert ms_norm(unit) == pytest.approx(1.0, rel=1e-15)
