@@ -32,7 +32,6 @@ from .errors import (ConfigError, ConsistencyFailure, GapViolation,
                      LadderNotConverged, MaxIterExceeded, MsManifoldError,
                      NonfiniteState, TruncationTooShort)
 from .oracles import refinement_study
-from .stochastic import _node_ms, _sample_sum
 
 EXIT_OK = 0
 EXIT_GAP = 2
@@ -230,15 +229,9 @@ def _solve(args, side: str) -> int:
     _write_csv(graph_csv, header, np.hstack((graph.anchor, graph.h_value)),
                labels=map(str, range(graph.n_samples)))
 
-    # Only the written nodes: every stride-th, at most about 2000.
-    ens = graph.process
-    stride = max(1, ens.grid.n_nodes // 2000)
-    nodes = ens.values.swapaxes(0, 1)[::stride]
-    mean_path = _sample_sum(nodes) / ens.n_samples
-    ms_path = _node_ms(nodes)
     _write_npy(traj_npy,
                ["t"] + [f"mean_mode_{k}" for k in range(p.n_modes)] + ["ms_norm"],
-               np.column_stack((ens.grid.times[::stride], mean_path, ms_path)))
+               graph.path)
 
     bound = lipschitz_bound(p, lpcfg, side)
     payload = {

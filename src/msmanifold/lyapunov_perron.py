@@ -30,9 +30,9 @@ from .errors import (ConfigError, ConsistencyFailure, GridMismatch, IllCondition
                      MaxIterExceeded, NonfiniteState, TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_report, zero_noise
 from .resolvent import BoundaryTriple, forcing_modes, linear_scan
-from .stochastic import (ProcessEnsemble, TimeGrid, WienerEnsemble, _span_steps,
-                         _weighted_gap, integrate_mild, ms_norm, sample_wiener,
-                         solver_boundary_columns)
+from .stochastic import (_LATTICE_RTOL, ProcessEnsemble, TimeGrid, WienerEnsemble,
+                         _path_moments, _span_steps, _weighted_gap, integrate_mild,
+                         ms_norm, sample_wiener, solver_boundary_columns)
 
 DEFAULT_SLACK = 0.25
 
@@ -116,13 +116,17 @@ class FixedPointTrace:
 
 @dataclass(frozen=True, eq=False)
 class ManifoldGraph:
+    """The graph h(x, tau) of a certified fixed point, its certificates and a
+    summary of the fixed point's path. The path itself is not kept: the
+    solves (lp_backward_solve, lp_forward_solve) return it."""
     side: str                      # "unstable" | "stable"
     tau: float
     anchor: np.ndarray             # (n, k_anchor), coordinates in the anchor block
     h_value: np.ndarray            # (n, k_other), graph value in the complementary block
     anchor_idx: np.ndarray
     value_idx: np.ndarray
-    process: ProcessEnsemble
+    path: np.ndarray               # (rows, m + 2): t, per-mode sample mean and ms_norm
+                                   # at every stride-th node of the window (_graph)
     trace: FixedPointTrace
     consistency_gap: float         # ms-norm of the residual map's move of h_value,
                                    # at most trace.residual
@@ -489,12 +493,14 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     _check_gap(p, cfg, side)
     grid = xi.grid
     unstable = side == "unstable"
-    edge, at = (grid.t_end, "ends") if unstable else (grid.t_start, "starts")
-    if abs(edge - cfg.tau) > 1e-6 * grid.dt:
+    anchor_idx, _, node = _side_layout(p, grid, side)
+    edge = grid.t_start + node * grid.dt
+    if abs(edge - cfg.tau) > _LATTICE_RTOL * grid.dt:
+        at = "ends" if unstable else "starts"
         raise ConfigError(f"grid {at} at {edge}, config anchors at {cfg.tau}")
     n, m = xi.n_samples, p.n_modes
-    u_idx, s_idx = _block_indices(p)
-    anchor, x_det = _normalize_anchor(x, u_idx if unstable else s_idx, m, n)
+    u_idx = _block_indices(p)[0]
+    anchor, x_det = _normalize_anchor(x, anchor_idx, m, n)
     noise = _driving_noise(p, wiener, grid, n)
     basis = cfg.basis_for(p)
     cols = solver_boundary_columns(p)
@@ -705,7 +711,9 @@ def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig,
 def _graph(side: str, p: SpectralProblem, ens: ProcessEnsemble, trace: FixedPointTrace,
            tau: float) -> ManifoldGraph:
     """The graph at the anchor node of a certified fixed point; refused when
-    the residual map moves its value by more than 2*tol."""
+    the residual map moves its value by more than 2*tol. Its path summary
+    holds every stride-th node of the window, a few thousand rows at most,
+    so no array of the graph grows with both the samples and the nodes."""
     anchor_idx, value_idx, node = _side_layout(p, ens.grid, side)
     limit = 2.0 * trace.tol
     if trace.consistency_gap > limit:
@@ -713,9 +721,11 @@ def _graph(side: str, p: SpectralProblem, ens: ProcessEnsemble, trace: FixedPoin
             f"{side} graph at tau = {tau:.6g}: the residual map moves the value block "
             f"at anchor node {node} by {trace.consistency_gap:.3e} > 2*tol = {limit:.3e}",
             gap=trace.consistency_gap, limit=limit)
+    stride = max(1, ens.grid.n_nodes // 2000)
     return ManifoldGraph(side=side, tau=tau, anchor=np.array(ens.values[:, node, anchor_idx]),
                          h_value=np.array(ens.values[:, node, value_idx]),
-                         anchor_idx=anchor_idx, value_idx=value_idx, process=ens,
+                         anchor_idx=anchor_idx, value_idx=value_idx,
+                         path=_path_moments(ens.values[:, ::stride], ens.grid.times[::stride]),
                          trace=trace, consistency_gap=trace.consistency_gap)
 
 

@@ -246,16 +246,18 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
     if parameter == "dt":
         vals = tuple(values) if values is not None else (8e-3, 4e-3, 2e-3)
         vals = tuple(sorted(float(v) for v in vals))
-        dt_ref = vals[0] / 4.0
         horizon = cfg.t_fwd
+        # the swept steps first, so a horizon off their lattice is refused
+        # naming a dt the request set, not the reference step
+        sweep = [st._span_steps(horizon, dt, "t_fwd") for dt in vals]
+        dt_ref = vals[0] / 4.0
         steps_ref = st._span_steps(horizon, dt_ref, "t_fwd")
         grid_ref = st.TimeGrid(t_start=0.0, dt=dt_ref, n_steps=steps_ref)
         wie_ref = st.sample_wiener(cfg.seed, grid_ref, p.noise,
                                    max(2, cfg.n_samples))
         ref = st.integrate_mild(p, u0, grid_ref, wie_ref).values[:, -1, :]
-        for dt in vals:
+        for dt, steps in zip(vals, sweep):
             ratio = st._span_steps(dt, dt_ref, "dt")
-            steps = st._span_steps(horizon, dt, "t_fwd")
             grid = st.TimeGrid(t_start=0.0, dt=dt, n_steps=steps)
             # coarse increments are sums of the fine ones: coupled paths
             inc = wie_ref.increments[:, :steps * ratio, :]

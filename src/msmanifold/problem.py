@@ -182,6 +182,20 @@ def _diag_noise_L2(slopes: np.ndarray, q: np.ndarray) -> float:
     return float(np.max(np.abs(slopes) * np.sqrt(q))) if slopes.size else 0.0
 
 
+def _per_mode_product(v, s: np.ndarray) -> np.ndarray:
+    """v * s for rows v (..., m) and slopes s (m,), one strided multiply per
+    mode: the broadcast product runs an inner loop of only m elements. Each
+    element is the same one product, so the bits are those of v * s; other
+    shapes take v * s itself."""
+    v = np.asarray(v)
+    if s.ndim != 1 or v.ndim == 0 or v.shape[-1] != s.size:
+        return v * s
+    out = np.empty(v.shape, dtype=np.result_type(v, s))
+    for k in range(s.size):
+        np.multiply(v[..., k], s[k], out=out[..., k])
+    return out
+
+
 def diagonal_linear_noise(slopes, covariance_weights=None) -> NoiseModel:
     s = np.asarray(slopes, dtype=float)
     q = np.ones_like(s) if covariance_weights is None else np.asarray(covariance_weights, dtype=float)
@@ -191,7 +205,7 @@ def diagonal_linear_noise(slopes, covariance_weights=None) -> NoiseModel:
         raise ConfigError("covariance weights must be nonnegative")
 
     def fn(v):
-        return v * s
+        return _per_mode_product(v, s)
 
     return NoiseModel(kind="diagonal-linear", lipschitz_L2=_diag_noise_L2(s, q),
                       n_noise_modes=s.size, covariance_weights=q, fn=fn,
@@ -208,7 +222,7 @@ def saturated_noise(slopes, radius: float, covariance_weights=None) -> NoiseMode
         raise ConfigError("bad covariance weights")
 
     def fn(v):
-        return _clamp(v, radius) * s
+        return _per_mode_product(_clamp(v, radius), s)
 
     return NoiseModel(kind="saturated", lipschitz_L2=_diag_noise_L2(s, q),
                       n_noise_modes=s.size, covariance_weights=q, fn=fn,

@@ -123,9 +123,17 @@ def _fill_standard_increments(out: np.ndarray, seed, step0: int, scale) -> None:
     b = s // _BLOCK, whose generator is keyed by (seed, c, b), so any window
     on the same lattice sees the same numbers. Each block is one generator
     call from its first row up to the window's last step: rows before the
-    window are dropped, and no row after it is drawn."""
+    window are dropped, and no row after it is drawn.
+
+    A scale whose entries all have the same bits is applied as that one
+    number, which gives the same products without a broadcast over the
+    modes."""
     n_steps, n, d = out.shape
     end = step0 + n_steps
+    scale = np.asarray(scale, dtype=float).reshape(-1)
+    bits = scale.view(np.uint64)
+    if len(bits) and np.all(bits == bits[0]):
+        scale = scale[0]
 
     def fill(a, b):
         for blk in range(step0 // _BLOCK, (end - 1) // _BLOCK + 1):
@@ -325,25 +333,48 @@ def ms_norm(v) -> float:
     return float(_node_ms(np.atleast_2d(np.asarray(v, dtype=float))[None])[0])
 
 
-# Elements per chunk of _weighted_gap's node loop (256 KB): a few nodes of
-# a large ensemble, and a one-sample window in a few pieces. Smaller chunks
+# Elements per chunk of a node loop over a path (256 KB): a few nodes of a
+# large ensemble, and a one-sample window in a few pieces. Smaller chunks
 # cost large ensembles interpreter work per node.
 _GAP_ELEMENTS = 1 << 15
+
+
+def _chunk_len(nodes: np.ndarray) -> int:
+    """Whole nodes per chunk of node-major nodes (L, n, m): about
+    _GAP_ELEMENTS elements, and at least one node."""
+    return max(1, _GAP_ELEMENTS // (nodes.shape[1] * nodes.shape[2]))
 
 
 def _weighted_gap(a: np.ndarray, b: Optional[np.ndarray], times: np.ndarray,
                   tau: float, rate: float) -> float:
     """sup over the nodes of e^{-rate (t - tau)} ms_norm(a - b), a - b read
     as a when b is None; a and b are sample-major (n, N+1, m). The nodes go
-    in chunks of about _GAP_ELEMENTS elements (whole nodes, at least one)."""
+    in chunks of _chunk_len nodes."""
     a = a.swapaxes(0, 1)
     b = None if b is None else b.swapaxes(0, 1)
     weight = np.exp(-rate * (times - tau))
-    worst, k = 0.0, max(1, _GAP_ELEMENTS // (a.shape[1] * a.shape[2]))
+    worst, k = 0.0, _chunk_len(a)
     for lo in range(0, len(a), k):
         ms = _node_ms(a[lo:lo + k] if b is None else a[lo:lo + k] - b[lo:lo + k])
         worst = max(worst, float(np.max(weight[lo:lo + k] * ms)))
     return worst
+
+
+def _path_moments(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The rows (t, sample mean of each mode, ms_norm) of sample-major
+    values (n, L, m) at its L nodes, whose times are ``times``. The nodes go
+    in chunks of _chunk_len nodes, so no temporary spans the path; the sums
+    run in sample order from +0 (_sample_sum, _node_ms) whatever the chunk."""
+    nodes = values.swapaxes(0, 1)
+    n, m = nodes.shape[1:]
+    out = np.empty((len(nodes), m + 2))
+    out[:, 0] = times
+    k = _chunk_len(nodes)
+    for lo in range(0, len(nodes), k):
+        chunk = nodes[lo:lo + k]
+        out[lo:lo + k, 1:-1] = _sample_sum(chunk) / n
+        out[lo:lo + k, -1] = _node_ms(chunk)
+    return out
 
 
 def weighted_norm(ens: ProcessEnsemble, rate: float, direction: str = "backward") -> float:

@@ -6,7 +6,7 @@ draws its noise once. A deterministic anchor's one-sample zero-noise
 presolve runs its own maps on one sample, apart from the ensemble's: it is
 the whole solve of a zero-noise request, and the first guess of a noisy
 one."""
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,9 @@ from msmanifold import (
     invariance_residual,
     linear_nonlinearity,
     lp_backward_map,
+    lp_backward_solve,
     lp_forward_map,
+    lp_forward_solve,
     ms_norm,
     sample_wiener,
     stable_graph,
@@ -57,6 +59,47 @@ def anchors():
 
 SIDES = {"unstable": (unstable_graph, "lp_backward_map", lp_backward_map),
          "stable": (stable_graph, "lp_forward_map", lp_forward_map)}
+
+
+def solved_graph(side, p, x, cfg):
+    """(graph, path) of one solve: the side's graph, as unstable_graph and
+    stable_graph build it, and the fixed point's whole path, which the
+    graph does not keep."""
+    if side == "unstable":
+        ens, trace = lp_backward_solve(p, x, cfg)
+    else:
+        ens, trace, membership = lp_forward_solve(p, x, cfg)
+        assert membership
+    return lp._graph(side, p, ens, trace, cfg.tau), ens
+
+
+def held_arrays(obj):
+    """The arrays that own the memory of every array obj holds, through
+    dataclass fields, dicts, lists and tuples: a view counts as its base."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        yield obj
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        for f in fields(obj):
+            yield from held_arrays(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from held_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from held_arrays(value)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_a_noisy_graph_holds_no_array_of_its_paths_size(side):
+    # the path is n (N+1) m floats; the graph holds n-row values, its
+    # certificates and an (N+1)-row summary
+    p, cfg, x = two_way_noisy(), config(), anchors()["random"]
+    g, path = solved_graph(side, p, x, cfg)
+    assert g.path.shape == (path.grid.n_nodes, p.n_modes + 2)
+    held = {id(a): a.nbytes for a in held_arrays(g)}
+    assert sum(held.values()) < path.values.nbytes / 10
 
 
 def presolve_maps(side, anchor):
@@ -98,12 +141,12 @@ def test_graph_draws_the_noise_once_and_runs_one_residual_map(monkeypatch, side,
 @pytest.mark.parametrize("anchor", ["deterministic", "random"])
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_consistency_gap_is_the_residual_maps_anchor_node(side, anchor):
-    graph_of, _, step = SIDES[side]
+    step = SIDES[side][2]
     p, cfg, x = two_way_noisy(), config(), anchors()[anchor]
-    g = graph_of(p, x, cfg)
-    grid = g.process.grid
+    g, path = solved_graph(side, p, x, cfg)
+    grid = path.grid
     wiener = sample_wiener(cfg.seed, grid, p.noise, g.n_samples)
-    again = step(p, g.process, x, cfg, wiener).values
+    again = step(p, path, x, cfg, wiener).values
     node = grid.n_steps if side == "unstable" else 0
     assert g.consistency_gap == ms_norm(g.h_value - again[:, node, g.value_idx])
     assert 0.0 < g.consistency_gap <= g.trace.residual <= cfg.tol
@@ -190,7 +233,7 @@ def test_wide_flux_example_builds_and_certifies(m):
 
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_zero_noise_request_is_solved_on_one_sample(monkeypatch, side):
-    graph_of, map_name, step = SIDES[side]
+    _, map_name, step = SIDES[side]
     p, x = flux_problem(), ([0.1] if side == "unstable" else [0.05, -0.02, 0.01])
     cfg = LPConfig(c_zeta=0.5, t_back=6.0, t_fwd=6.0, dt=1e-2, tol=1e-6,
                    n_samples=2, max_iter=60)
@@ -201,7 +244,7 @@ def test_zero_noise_request_is_solved_on_one_sample(monkeypatch, side):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(lp, map_name, counting_map)
-    g = graph_of(p, x, cfg)
+    g, path = solved_graph(side, p, x, cfg)
     assert sizes == [1] * (g.trace.iterations + 1)
     assert g.trace.ito_check["n_samples"] == 2
     # the same maps on two identical samples, by hand
@@ -212,7 +255,7 @@ def test_zero_noise_request_is_solved_on_one_sample(monkeypatch, side):
     # the certificates of one sample are those of two identical ones
     assert np.array_equal(g.h_value[0], g.h_value[1])
     assert ms_norm(g.h_value) == ms_norm(g.h_value[:1])
-    assert g.process.values.shape == (2, want.grid.n_nodes, p.n_modes)
+    assert path.values.shape == (2, want.grid.n_nodes, p.n_modes)
 
 
 # From the zero-noise fixed point, d_1 is the pathwise Ito response that no
@@ -224,10 +267,10 @@ def test_zero_noise_request_is_solved_on_one_sample(monkeypatch, side):
                                                  ("stable", 0.003, 10.0),
                                                  ("stable", 0.1, 1.0)])
 def test_noisy_solve_starts_from_the_zero_noise_fixed_point(side, slope, factor):
-    graph_of, _, step = SIDES[side]
+    step = SIDES[side][2]
     p, cfg, x = two_way_noisy(slope), config(), [0.3]
-    g = graph_of(p, x, cfg)
-    grid = g.process.grid
+    g, path = solved_graph(side, p, x, cfg)
+    grid = path.grid
     wiener = sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES)
     cold = ProcessEnsemble(grid=grid, values=semigroup_guess(side, p, x, cfg, N_SAMPLES))
     cold_d1 = lp._weighted_gap(cold.values, step(p, cold, x, cfg, wiener).values,
@@ -238,7 +281,6 @@ def test_noisy_solve_starts_from_the_zero_noise_fixed_point(side, slope, factor)
 @pytest.mark.parametrize("failure", ["nonfinite", "unconverged"])
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_failed_presolve_falls_back_to_the_cold_start(monkeypatch, side, failure):
-    graph_of = SIDES[side][0]
     p, cfg, x = two_way_noisy(), config(), [0.3]
     presolve = lp._one_sample_solve
 
@@ -250,11 +292,11 @@ def test_failed_presolve_falls_back_to_the_cold_start(monkeypatch, side, failure
         return ens, trace
 
     monkeypatch.setattr(lp, "_one_sample_solve", failing)
-    g = graph_of(p, x, cfg)
-    grid = g.process.grid
+    _, path = solved_graph(side, p, x, cfg)
+    grid = path.grid
     cold = hand_run(side, p, x, cfg, semigroup_guess(side, p, x, cfg, N_SAMPLES),
                     sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES))
-    assert np.array_equal(g.process.values, cold.values)
+    assert np.array_equal(path.values, cold.values)
 
 
 def three_draw_residual(p, x, cfg, t0, side):

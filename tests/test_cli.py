@@ -6,7 +6,7 @@ import pytest
 from msmanifold.cli import _write_json, main
 from msmanifold.config import (SCHEMA, anchor_from_run, config_hash, lp_config_from_run,
                                problem_from_config, validate_config)
-from msmanifold.lyapunov_perron import unstable_graph
+from msmanifold.lyapunov_perron import lp_backward_solve, stable_graph
 
 
 def write_cfg(path, cfg):
@@ -177,16 +177,33 @@ def test_solve_trajectory_holds_the_fixed_points_strided_moments(tmp_path):
 
     cfg = validate_config(cfg)
     p = problem_from_config(cfg)
-    graph = unstable_graph(p, anchor_from_run(cfg["run"], p), lp_config_from_run(cfg["run"]))
-    assert np.array_equal(traj["t"], graph.process.grid.times[::2])
+    ens, _ = lp_backward_solve(p, anchor_from_run(cfg["run"], p), lp_config_from_run(cfg["run"]))
+    assert np.array_equal(traj["t"], ens.grid.times[::2])
     # sums in sample order from +0, the order of the written path
     total, sq_total = 0.0, 0.0
-    for path in graph.process.values[:, ::2]:
+    for path in ens.values[:, ::2]:
         total = total + path
         sq_total = sq_total + (path[:, 0] ** 2 + path[:, 1] ** 2)
     assert np.array_equal(traj["mean_mode_0"], total[:, 0] / 32)
     assert np.array_equal(traj["mean_mode_1"], total[:, 1] / 32)
     assert np.array_equal(traj["ms_norm"], np.sqrt(sq_total / 32))
+
+
+def test_solve_stable_writes_the_graphs_path_summary(tmp_path):
+    # 4001 nodes, so the summary and the file hold every second one
+    cfg = solve_cfg({"t_fwd": 20.0, "dt": 5e-3, "n_samples": 32})
+    cfgp = write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["solve-stable", "--config", cfgp, "--out", str(out)]) == 0
+    traj = np.load(out / "trajectory.npy", allow_pickle=False)
+    assert traj.dtype.names == ("t", "mean_mode_0", "mean_mode_1", "ms_norm")
+
+    cfg = validate_config(cfg)
+    p = problem_from_config(cfg)
+    graph = stable_graph(p, anchor_from_run(cfg["run"], p), lp_config_from_run(cfg["run"]))
+    assert graph.path.shape == (2001, 4)
+    assert np.array_equal(np.column_stack([traj[name] for name in traj.dtype.names]),
+                          graph.path)
 
 
 def test_solve_hashes_its_config_once(tmp_path, monkeypatch):
@@ -534,7 +551,9 @@ def test_refine_dt_refuses_a_horizon_off_the_dt_lattice(tmp_path, capsys):
     path = write_cfg(tmp_path / "off.json", cfg)
     capsys.readouterr()
     assert main(["refine", "dt", "--config", path, "--out", str(tmp_path / "out")]) == 4
-    assert "t_fwd 1.0001 is not a whole number" in capsys.readouterr().err
+    # named against the sweep's own finest dt, not the reference step dt/4
+    assert "t_fwd 1.0001 is not a whole number (>= 1) of dt 0.002 steps" \
+        in capsys.readouterr().err
 
 
 def test_out_of_range_problem_numbers_are_config_errors(tmp_path, capsys):

@@ -21,6 +21,7 @@ from msmanifold import (
     gap_report,
     linear_nonlinearity,
     project,
+    saturated_noise,
     saturated_polynomial_nonlinearity,
     semigroup_apply,
     zero_noise,
@@ -230,3 +231,22 @@ def test_callable_nonlinearity_sampled_constant_inflated():
     # Sampled estimate carries the 10% safety factor over the true norm.
     assert nl.lipschitz_L1 >= 0.1
     assert nl.lipschitz_L1 <= 0.1 * 1.1 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_diagonal_diffusion_is_the_broadcast_product_bit_for_bit(m):
+    # one multiply per mode: the same products as v * s, signed zeros and
+    # NaNs included
+    rng = np.random.default_rng(m)
+    s = rng.standard_normal(m)
+    s[0] = -0.0
+    rows = rng.standard_normal((300, m)) * np.exp(5.0 * rng.standard_normal((300, m)))
+    rows[:2, -1] = [-0.0, np.nan]
+    # a node-major block (L, n, m), and the sample-major view the solver's
+    # ensembles are stored as
+    block = rows.reshape(30, 10, m)
+    for v in (rows, block, block.swapaxes(0, 1), rows[0]):
+        for noise in (diagonal_linear_noise(s), saturated_noise(s, 2.0)):
+            want = (np.clip(v, -2.0, 2.0) if noise.kind == "saturated" else v) * s
+            got = noise.diffusion(v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

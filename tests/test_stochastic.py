@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from msmanifold import stochastic
-from msmanifold.stochastic import _BLOCK, _CHUNK, _node_ms
+from msmanifold.stochastic import _BLOCK, _CHUNK, _node_ms, _path_moments
 from msmanifold.errors import (
     ConfigError,
     GridMismatch,
@@ -203,6 +203,20 @@ def test_wiener_increments_are_scaled_while_drawn():
     assert np.array_equal(w2.increments[:, 20:], fresh[:, 20:])
 
 
+@pytest.mark.parametrize("q", [[0.3, 0.3, 0.3], [0.0, -0.0, 0.0]])
+def test_equal_noise_scales_give_the_vector_scales_bits(q):
+    # equal scales are applied as one number, and zeros of either sign
+    # keep their own: the bits of the (d,) scale vector's products
+    g = TimeGrid(-0.37, 0.01, 50)
+    scale = np.sqrt(np.array(q) * g.dt)
+    w = sample_wiener(6, g, diagonal_linear_noise(np.ones(3), q), 1100)
+    want = reference_increments(6, g.step0, g.n_steps, 1100, 3) * scale
+    assert w.increments.tobytes() == want.tobytes()
+    w2 = resample_future(w, 20, 60)
+    fresh = reference_increments(60, g.step0, g.n_steps, 1100, 3) * scale
+    assert w2.increments[:, 20:].tobytes() == fresh[:, 20:].tobytes()
+
+
 def test_wiener_draw_generates_only_the_blocks_of_its_window(monkeypatch):
     # the union window of an invariance request: steps -180..19, 2048 samples,
     # and a resampled future from its step 0 on: steps 0..19
@@ -297,6 +311,20 @@ def test_node_ms_bits_do_not_depend_on_the_layout(m):
     ref = np.sqrt(ref / n)
     assert np.array_equal(_node_ms(sm.swapaxes(0, 1)), ref)
     assert np.array_equal(_node_ms(nm), ref)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_path_moments_bits_do_not_depend_on_the_chunk(monkeypatch, m):
+    # each row: t, the mean of each mode and the ms-norm over the samples
+    # in sample order from +0, computed on the whole path at once
+    n = 300
+    rng = np.random.default_rng(m)
+    nodes = rng.standard_normal((41, n, m)) * np.exp(3.0 * rng.standard_normal((1, n, 1)))
+    times = np.linspace(-4.0, 0.0, 41)
+    ref = np.column_stack((times, stochastic._sample_sum(nodes) / n, _node_ms(nodes)))
+    for elements in (1, 7 * n * m, 1 << 30):       # one node, 7 nodes, the whole path
+        monkeypatch.setattr(stochastic, "_GAP_ELEMENTS", elements)
+        assert np.array_equal(_path_moments(nodes.swapaxes(0, 1), times), ref)
 
 
 # ---------------------------------------------------------------- integrator
