@@ -182,7 +182,8 @@ def _cond(gram: np.ndarray, z: np.ndarray) -> tuple:
     Gram eigenvalues give cond reliably up to ~1/sqrt(eps); past that the
     singular values of the design itself are used, taken from the R factor
     of its QR (the same values, at a fraction of the cost of an SVD of the
-    long design)."""
+    long design). Returns (eigs, cond, slow, r): the nodes past that switch
+    and their R factors (len(slow), B, B), None when there are none."""
     def ratio(hi, lo):
         out = np.full(lo.shape, np.inf)
         np.divide(hi, lo, out=out, where=lo > 0.0)
@@ -191,25 +192,28 @@ def _cond(gram: np.ndarray, z: np.ndarray) -> tuple:
     eigs = np.linalg.eigvalsh(gram)
     cond = np.sqrt(ratio(eigs[:, -1], eigs[:, 0]))
     slow = np.flatnonzero(cond > 1e7)
+    r = None
     if slow.size:
         r = np.linalg.qr(np.swapaxes(z[slow], -1, -2), mode="r")
         svals = np.linalg.svd(r, compute_uv=False)
         cond[slow] = ratio(svals[:, 0], svals[:, -1])
-    return eigs, cond
+    return eigs, cond, slow, r
 
 
-def _on_primary_graph(z: np.ndarray, keep: np.ndarray, basis: RegressionBasis) -> np.ndarray:
+def _on_primary_graph(r: np.ndarray, keep: np.ndarray, basis: RegressionBasis,
+                      n: int) -> np.ndarray:
     """Which kept linear coordinates (columns of keep) have a multiple
     correlation with the intercept and the primary features that reaches
-    ALIAS_CORR. One QR of the design's first columns gives every linear
-    column's residual off the features below the features' rows of R."""
-    n = z.shape[-1] - z.shape[-2]
+    ALIAS_CORR, given the R factors (L, B, B) of the n-sample designs. The
+    leading block of R over the intercept, primary and linear columns is
+    their own QR's R, so every linear column's residual off the features
+    lies below the features' rows of that block."""
     n_poly = len(basis._exponent_rows())
     lin = slice(n_poly, n_poly + len(basis.linear_idx))
     on_graph = np.zeros_like(keep)
     if keep[:, lin].any():
-        r = np.linalg.qr(np.swapaxes(z[:, :lin.stop], -1, -2), mode="r")
-        unexplained = np.einsum("lij,lij->lj", r[:, n_poly:, lin], r[:, n_poly:, lin]) / n
+        below = r[:, n_poly:lin.stop, lin]
+        unexplained = np.einsum("lij,lij->lj", below, below) / n
         on_graph[:, lin] = keep[:, lin] & (unexplained <= 1.0 - ALIAS_CORR ** 2)
     return on_graph
 
@@ -303,7 +307,7 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     n_kept = keep.sum(axis=1)
 
     gram = z @ np.swapaxes(z, -1, -2)
-    eigs, cond = _cond(gram, z)
+    eigs, cond, slow, r = _cond(gram, z)
     n_aliased = np.zeros(n_nodes, dtype=int)
     fold = np.flatnonzero((cond > COND_LIMIT) & (n_kept > 1))
     if fold.size:
@@ -315,11 +319,13 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
         # group, drop the rest, and refuse only designs that stay ambiguous
         # after the fold.  Early in a backward window the state is driven by
         # fewer noise channels than it has coordinates, so the stable
-        # coordinates sit on such a graph over the unstable ones.
+        # coordinates sit on such a graph over the unstable ones.  Every
+        # folded node is past _cond's QR switch, so its R factor is at hand.
         g = gram[fold]
         norms = np.sqrt(np.clip(np.diagonal(g, axis1=1, axis2=2), 1e-300, None))
         aliases = np.abs(g / (norms[:, :, None] * norms[:, None, :])) >= ALIAS_CORR
-        candidate = keep[fold] & ~_on_primary_graph(z[fold], keep[fold], basis)
+        candidate = keep[fold] & ~_on_primary_graph(r[np.searchsorted(slow, fold)],
+                                                    keep[fold], basis, n)
         chosen = np.zeros_like(candidate)
         for c in range(1, b_size):   # greedy in column order, over all folded nodes
             chosen[:, c] = candidate[:, c] & ~np.any(aliases[:, c] & chosen, axis=1)
@@ -332,7 +338,7 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
             _drop(z, dropped)
             keep[changed] = chosen[lost]
             gram[changed] = z[changed] @ np.swapaxes(z[changed], -1, -2)
-            eigs[changed], cond[changed] = _cond(gram[changed], z[changed])
+            eigs[changed], cond[changed] = _cond(gram[changed], z[changed])[:2]
     refused = np.flatnonzero(cond > COND_LIMIT)
     if refused.size:
         j = int(refused[0])

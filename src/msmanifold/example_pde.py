@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .problem import (NoiseModel, NonlinearityModel, SpectralProblem,
+from .problem import (NoiseModel, NonlinearityModel, SpectralProblem, _on_modes,
                       build_problem, zero_noise)
 from .resolvent import BoundaryTriple, endpoint_values
 
@@ -49,10 +49,12 @@ def _as_component(spec, m: int, scalar: bool):
     """Normalize a forcing component to (fn, lipschitz).
 
     Accepts None (zero), a coefficient matrix/vector (linear), or a
-    batch-aware callable (lipschitz then comes from the caller). A flux
-    coefficient vector is applied as a multiply-add over the modes in mode
-    order, so each row's value is the same bits in any batch (a BLAS
-    matrix-vector product takes a path that depends on the row count).
+    batch-aware callable of (..., m) arrays in any memory layout (lipschitz
+    then comes from the caller). A flux coefficient vector is applied as a
+    multiply-add over the modes in mode order, so each row's value is the
+    same bits in any batch (a BLAS matrix-vector product takes a path that
+    depends on the row count). Zero and matrix pieces return their input's
+    layout; the matrix goes on the mode axis (problem._on_modes).
     """
     if spec is None:
         if scalar:
@@ -74,7 +76,7 @@ def _as_component(spec, m: int, scalar: bool):
         return flux, float(np.linalg.norm(arr))
     if arr.shape != (m, m):
         raise ConfigError(f"interior coefficients must be ({m}, {m})")
-    return (lambda v: v @ arr.T), float(np.linalg.norm(arr, 2))
+    return (lambda v: _on_modes(arr, v)), float(np.linalg.norm(arr, 2))
 
 
 def boundary_flux_nonlinearity(m: int, g0=None, g1=None, g2=None,

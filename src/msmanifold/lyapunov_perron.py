@@ -29,10 +29,11 @@ from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc, default_ba
 from .errors import (ConfigError, ConsistencyFailure, GridMismatch, IllConditionedDesign,
                      MaxIterExceeded, NonfiniteState, TruncationTooShort)
 from .problem import GapReport, SpectralProblem, gap_report, zero_noise
-from .resolvent import BoundaryTriple, forcing_modes, linear_scan
+from .resolvent import BoundaryTriple, forcing_modes, linear_scan, scan_layout
 from .stochastic import (_LATTICE_RTOL, ProcessEnsemble, TimeGrid, WienerEnsemble,
-                         _path_moments, _span_steps, _weighted_gap, integrate_mild,
-                         ms_norm, sample_wiener, solver_boundary_columns)
+                         _by_node, _by_sample, _path_moments, _row_sum, _span_steps,
+                         _weighted_gap, integrate_mild, ms_norm, sample_wiener,
+                         solver_boundary_columns)
 
 DEFAULT_SLACK = 0.25
 
@@ -203,15 +204,23 @@ def _block_len(n_samples: int) -> int:
     return max(_MIN_BLOCK_NODES, _BLOCK_ROWS // n_samples)
 
 
+def _mode_rows(idx: np.ndarray):
+    """A sorted mode subset as an index of the mode axis: a slice, so its
+    rows are a view, when the modes are consecutive; else the index array."""
+    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _varying_nodes(x: np.ndarray, among: np.ndarray) -> np.ndarray:
-    """Which of the nodes ``among`` (a mask) of a node-major block x (L, n,
-    k) differ across the samples. A node whose first two samples differ
-    varies; only the others are compared in full with their first sample."""
-    varies = among & np.any(x[:, 1:2] != x[:, :1], axis=(1, 2))
+    """Which of the nodes ``among`` (a mask) of a block x (L, k, n) differ
+    across the samples. A node whose first two samples differ varies; only
+    the others are compared in full with their first sample."""
+    varies = among & np.any(x[..., 1:2] != x[..., :1], axis=(1, 2))
     rest = np.flatnonzero(among & ~varies)
     if rest.size:
         sel = slice(None) if rest.size == len(x) else rest
-        varies[rest] = ~np.all(x[sel] == x[sel, :1], axis=(1, 2))
+        varies[rest] = ~np.all(x[sel] == x[sel][..., :1], axis=(1, 2))
     return varies
 
 
@@ -219,22 +228,25 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
                      wvals: Optional[np.ndarray], grid: TimeGrid, a: int,
                      agg: dict) -> np.ndarray:
     """E[target_j|F_{t_j}] in place for the nodes j = a, a+1, ... of a
-    node-major block: target (L, n, k), state (L, n, m), and wvals (L, n, d)
-    the Wiener values when the basis takes them. Exact short-circuits,
-    tested as node masks: a deterministic target is its own conditional
-    expectation; a deterministic conditioning state reduces the regression
-    to the plain mean. The remaining nodes are one stacked regression."""
+    (node, mode, sample) block: target (L, k, n), state (L, m, n), and
+    wvals (L, d, n) the Wiener values when the basis takes them. Exact
+    short-circuits, tested as node masks: a deterministic target is its own
+    conditional expectation; a deterministic conditioning state reduces the
+    regression to the plain mean, _row_sum of each sample row over n. The
+    remaining nodes are one stacked regression, handed to condexp_lsmc as
+    (L, n, k) views whose feature-major copies are free."""
     varies = _varying_nodes(target, np.ones(len(target), dtype=bool))
     mean_nodes = varies & ~_varying_nodes(state, varies)
     if mean_nodes.any():
         agg["mean_fits"] = agg.get("mean_fits", 0) + int(mean_nodes.sum())
-        target[mean_nodes] = target[mean_nodes].mean(axis=1, keepdims=True)
+        target[mean_nodes] = (_row_sum(target[mean_nodes]) / target.shape[2])[..., None]
     nodes = np.flatnonzero(varies & ~mean_nodes)
     if nodes.size == 0:
         return target
     sel = slice(None) if nodes.size == len(target) else nodes   # a slice copies nothing
     try:
-        est = condexp_lsmc(target[sel], state[sel], basis, None if wvals is None else wvals[sel])
+        est = condexp_lsmc(target[sel].swapaxes(1, 2), state[sel].swapaxes(1, 2), basis,
+                           None if wvals is None else wvals[sel].swapaxes(1, 2))
     except IllConditionedDesign as exc:
         j = a + int(nodes[exc.node])
         raise IllConditionedDesign(f"grid node {j} (t = {grid.times[j]:.6g}): {exc}",
@@ -243,7 +255,7 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
     agg["n_regressions"] = agg.get("n_regressions", 0) + int(nodes.size)
     agg["max_cond"] = max(agg.get("max_cond", 0.0), float(diag["cond"].max()))
     agg["min_r2"] = min(agg.get("min_r2", 1.0), float(diag["r2"].min()))
-    target[sel] = est.fitted
+    target[sel] = est.fitted.swapaxes(1, 2)
     return target
 
 
@@ -255,27 +267,29 @@ def _apart(x, v: np.ndarray) -> bool:
 
 def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
                     wiener: Optional[WienerEnsemble]):
-    """Forward time blocks of vals as node-major blocks v (L, n, m), views of
-    node-major storage, with the half-step drift and the Ito increment
-    leaving each node, both (L, n, m); drift and diffusion see a block as
-    one (L * n, m) batch. No increment leaves the last grid node; without
+    """Forward time blocks of vals as contiguous (node, mode, sample) blocks
+    v (L, m, n), views of the package's storage (copies of any other
+    layout), with the half-step drift and the Ito increment leaving each
+    node, both (L, m, n) and contiguous; drift and diffusion see a block as
+    its (L, n, m) view. No increment leaves the last grid node; without
     ``wiener`` there are none, and ito is None. Yields (a, v, half, ito), a
     the first node.
 
     The drift is mapped into modes and halved in place when it may be
     written (_apart): a boundary triple's f takes its boundary terms unless
     it shares memory with v, a or b."""
-    nodes = vals.swapaxes(0, 1)
-    n_nodes, n, m = nodes.shape
+    nodes = _by_node(vals)
+    n_nodes, m, n = nodes.shape
     length = _block_len(n)
+    increments = None if wiener is None else _by_node(wiener.increments)
     for a in range(0, n_nodes, length):
         v = np.ascontiguousarray(nodes[a:a + length])
-        flat = v.reshape(-1, m)
-        value = p.nonlinearity.fn(flat)
+        rows = v.swapaxes(1, 2)
+        value = p.nonlinearity.fn(rows)
         own_f = isinstance(value, BoundaryTriple) and _apart(value.f, v) \
             and not np.may_share_memory(value.f, value.a) \
             and not np.may_share_memory(value.f, value.b)
-        half = forcing_modes(value, cols, in_place=own_f).reshape(v.shape)
+        half = np.ascontiguousarray(forcing_modes(value, cols, in_place=own_f).swapaxes(1, 2))
         if _apart(half, v):
             half *= 0.5 * dt
         else:
@@ -287,8 +301,8 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
         # zeros only where a node has no increment: the last block
         ito = np.empty_like(half) if steps == len(v) else np.zeros_like(half)
         if steps:
-            amp = p.noise.diffusion(flat[:steps * n]).reshape(steps, n, m)
-            np.multiply(amp, wiener.increments.swapaxes(0, 1)[a:a + steps], out=ito[:steps])
+            amp = p.noise.diffusion(rows[:steps]).swapaxes(1, 2)
+            np.multiply(amp, np.ascontiguousarray(increments[a:a + steps]), out=ito[:steps])
         yield a, v, half, ito
 
 
@@ -296,44 +310,46 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
 # (y_{j+1}, h_{j+1} on the unstable side), h the half-step drift, as z = y + h:
 # z_j = decay * z_{j-1} + 2 h_j needs no drift from a neighbouring block. Only
 # the drift is subtracted again, never a noise increment, so the integrals over
-# a deterministic state stay exactly deterministic. Blocks are node-major.
+# a deterministic state stay exactly deterministic. Blocks are (node, mode,
+# sample): a mode subset is a set of sample rows, and each per-mode factor
+# (decay, Ito weight, semigroup) broadcasts along them.
 # Zero noise adds no increments: adding zero ones would only turn a -0 in z
 # into +0, and z - h is +0 at such a node either way.
 
 def _forward_pass(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
                   dt: float, wiener: Optional[WienerEnsemble], start) -> np.ndarray:
-    """A map's forward pass over the time blocks of vals into node-major out
-    (N+1, n, m): the stable block, T(t_j - t_0) start plus the trapezoid
-    convolution of the stable drift and the Ito quadrature of the stable
-    noise over [t_0, t_j], and the unstable half-step drift, parked in
-    out[..., u_idx]. Returns the one use of the unstable noise,
-    sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j, (n, k)."""
-    s_idx, u_idx = p.stable_modes, p.unstable_modes
-    decay = np.exp(p.eigenvalues[s_idx] * dt)
-    ito0 = np.zeros((out.shape[1], len(u_idx)))
+    """A map's forward pass over the time blocks of vals into out (N+1, m,
+    n): the stable block, T(t_j - t_0) start plus the trapezoid convolution
+    of the stable drift and the Ito quadrature of the stable noise over
+    [t_0, t_j], and the unstable half-step drift, parked in out[:, u].
+    ``start`` is 0 or (k_s, n). Returns the one use of the unstable noise,
+    sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j, (k_u, n), added in node
+    order."""
+    s, u = _mode_rows(p.stable_modes), _mode_rows(p.unstable_modes)
+    decay = np.exp(p.eigenvalues[p.stable_modes] * dt)[:, None]
+    ito0 = np.zeros((len(p.unstable_modes), out.shape[2]))
     if wiener is not None:
-        weight = np.exp(-np.outer(np.arange(len(out)) * dt, p.eigenvalues[u_idx]))
+        weight = np.exp(-np.outer(np.arange(len(out)) * dt, p.eigenvalues[p.unstable_modes]))
     carry = None
     for a, v, half, ito in _forcing_blocks(p, vals, cols, dt, wiener):
         rows = slice(a, a + len(v))
-        out[rows, :, u_idx] = half[..., u_idx]
-        # a copy that holds each mode's nodes and samples contiguously, as
-        # the scans want them
-        h = half[..., s_idx]
+        out[rows, u] = half[:, u]
+        h = scan_layout(half[:, s])
         z = h + h
         if ito is not None:
-            ito0 += np.einsum("jnk,jk->nk", ito[..., u_idx], weight[rows])
-            dw = ito[..., s_idx]
-            z[1:] += decay * dw[:-1]    # the increment leaving node j reaches j + 1
+            ito0 += np.einsum("jkn,jk->kn", ito[:, u], weight[rows])
+            dw = ito[:, s]
+            dw *= decay                 # the increment leaving node j reaches j + 1
+            z[1:] += dw[:-1]
             if carry is not None:
-                z[0] += decay * dw_prev
+                z[0] += dw_prev
             dw_prev = dw[-1]
         if carry is None:
             z[0] = h[0] + start
         linear_scan(z, decay, carry)
         carry = z[-1].copy()
         z -= h
-        out[rows, :, s_idx] = z
+        out[rows, s] = z
     return ito0
 
 
@@ -341,22 +357,25 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
                 dt: float, wiener: Optional[WienerEnsemble], start=0.0):
     """A map's two passes: the forward pass, then a reverse pass that scans
     the parked drift and yields, last block first, (a, v, drift, ito0): the
-    first node, the node-major block v of vals, the unstable drift's trapezoid
-    convolution over [t_j, t_end], (L, n, k), and the forward pass's Ito sum.
-    The caller overwrites the parked drift with its fits, and the anchor node."""
+    first node, the contiguous (node, mode, sample) block v (L, m, n) of
+    vals, the unstable drift's trapezoid convolution over [t_j, t_end], (L,
+    k_u, n), and the forward pass's Ito sum. The caller overwrites the
+    parked drift with its fits, and the anchor node."""
     ito0 = _forward_pass(p, vals, out, cols, dt, wiener, start)
-    decay = np.exp(-p.eigenvalues[p.unstable_modes] * dt)
-    length = _block_len(out.shape[1])
+    u = _mode_rows(p.unstable_modes)
+    decay = np.exp(-p.eigenvalues[p.unstable_modes] * dt)[:, None]
+    nodes = _by_node(vals)
+    length = _block_len(out.shape[2])
     carry = None
     for a in reversed(range(0, len(out), length)):
-        h = out[a:a + length, :, p.unstable_modes]
+        h = scan_layout(out[a:a + length, u])
         z = h + h
         if carry is None:
             z[-1] = h[-1]               # the window end: an empty integral
         linear_scan(z, decay, carry, reverse=True)
         carry = z[0].copy()
         z -= h
-        yield a, np.ascontiguousarray(vals[:, a:a + length].swapaxes(0, 1)), z, ito0
+        yield a, np.ascontiguousarray(nodes[a:a + length]), z, ito0
 
 
 def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str) -> GapReport:
@@ -387,8 +406,8 @@ def _wiener_values(wiener, basis: RegressionBasis):
 
 
 def _nodes(wvals: Optional[np.ndarray], a: int, b: int) -> Optional[np.ndarray]:
-    """Node-major slice [a, b) of per-sample node values."""
-    return None if wvals is None else wvals[:, a:b].swapaxes(0, 1)
+    """The (node, mode, sample) block [a, b) of per-sample node values."""
+    return None if wvals is None else _by_node(wvals)[a:b]
 
 
 def _side_layout(p: SpectralProblem, grid: TimeGrid, side: str) -> tuple:
@@ -409,30 +428,20 @@ def _initial_guess(p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
                    side: str) -> np.ndarray:
     """The anchor moved across the window by the semigroup: pulled back on
     the unstable side, pushed forward on the stable one. Sample-major view
-    of node-major storage.
-
-    Each node is written whole, as the full-width anchor rows (zero
-    outside the block) times the first block mode's semigroup factor; that
-    factor is an exponential, so the zeros stay +0. Any further block mode
-    is then overwritten with its own factor."""
+    of (node, mode, sample) storage: each block mode's rows are the anchor
+    times that mode's semigroup factor, and the other modes are +0."""
     idx, _, node = _side_layout(p, grid, side)
-    n = anchor.shape[0]
-    if not len(idx):
-        return np.zeros((grid.n_nodes, n, p.n_modes)).swapaxes(0, 1)
+    out = np.zeros((grid.n_nodes, p.n_modes, anchor.shape[0]))
     sg = _semigroup(p, grid, idx, node)
-    rows = np.zeros((n, p.n_modes))
-    rows[:, idx] = anchor
-    out = (rows.reshape(1, -1) * sg[:, :1]).reshape(grid.n_nodes, n, p.n_modes)
-    for i in range(1, len(idx)):
-        out[:, :, idx[i]] = anchor[None, :, i] * sg[:, None, i]
-    return out.swapaxes(0, 1)
+    for i, mode in enumerate(idx):
+        np.multiply(sg[:, i, None], anchor[:, i], out=out[:, mode])
+    return _by_sample(out)
 
 
 def _spread(values: np.ndarray, n: int) -> np.ndarray:
     """A one-sample path (1, N+1, m) copied to n samples: sample-major view
-    of node-major storage, as every map output is. np.repeat copies whole
-    node rows, several times faster than a broadcast assignment."""
-    return np.repeat(values.swapaxes(0, 1), n, axis=1).swapaxes(0, 1)
+    of (node, mode, sample) storage, as every map output is."""
+    return _by_sample(np.repeat(_by_node(values), n, axis=2))
 
 
 def _one_sample_solve(side: str, p: SpectralProblem, anchor: np.ndarray,
@@ -467,17 +476,17 @@ def _first_guess(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarr
 
 
 def _map_output(xi: ProcessEnsemble, m: int, out: Optional[np.ndarray]) -> np.ndarray:
-    """Node-major storage (N+1, n, m) for a map's result: ``out``, the
-    sample-major view of node-major storage of that shape as every map
-    output is, or a new array when it is None. It must not be xi's own."""
-    shape = (xi.grid.n_nodes, xi.n_samples, m)
+    """(node, mode, sample) storage (N+1, m, n) for a map's result: ``out``,
+    the sample-major view of such storage as every map output is, or a new
+    array when it is None. It must not be xi's own."""
+    shape = (xi.grid.n_nodes, m, xi.n_samples)
     if out is None:
         return np.empty(shape)
-    nodes = out.swapaxes(0, 1)
+    nodes = _by_node(out)
     if nodes.shape != shape or nodes.dtype != float or not nodes.flags.c_contiguous \
             or not nodes.flags.writeable:
-        raise ConfigError(f"map output must be a writable node-major float view of shape "
-                          f"{shape[1], shape[0], m}")
+        raise ConfigError(f"map output must be a writable float view of node-major "
+                          f"(node, mode, sample) storage, of shape {shape[2], shape[0], m}")
     if np.may_share_memory(nodes, xi.values):
         raise ConfigError("a map cannot write over its own input")
     return nodes
@@ -489,7 +498,9 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     lp_forward_map. The sides differ in the anchor block and node, in the
     start of the stable scan (zero, or the anchor) and in the unstable fit.
     The forward pass writes every entry of the output, so it needs no
-    zeros."""
+    zeros. Each block is checked for finiteness once its fits are written,
+    while it is in cache; only a failing map searches the whole path for
+    its earliest non-finite node and sample."""
     _check_gap(p, cfg, side)
     grid = xi.grid
     unstable = side == "unstable"
@@ -500,7 +511,9 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
         raise ConfigError(f"grid {at} at {edge}, config anchors at {cfg.tau}")
     n, m = xi.n_samples, p.n_modes
     u_idx = _block_indices(p)[0]
+    u = _mode_rows(u_idx)
     anchor, x_det = _normalize_anchor(x, anchor_idx, m, n)
+    anchor_rows = anchor.T
     noise = _driving_noise(p, wiener, grid, n)
     basis = cfg.basis_for(p)
     cols = solver_boundary_columns(p)
@@ -509,32 +522,36 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     wvals = _wiener_values(wiener, basis)
     out = _map_output(xi, m, out)
     agg: dict = {}
-    start = 0.0 if unstable else anchor
+    start = 0.0 if unstable else anchor_rows
+    finite = True
     for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, grid.dt, noise, start):
-        hi = min(len(v), N - a)  # the anchor node N is set below
+        hi = min(len(v), N - a)  # the anchor node N is set apart
         target = drift[:hi]
         if unstable:
-            pulled = anchor * pull[a:a + hi, None]
-            target = target if x_det else pulled - target
+            pulled = anchor_rows * pull[a:a + hi, :, None]
+            if not x_det:
+                np.subtract(pulled, target, out=target)
         fit = _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg)
         if not unstable:
-            fit = -fit
+            np.negative(fit, out=fit)
         elif x_det:   # E[x|F_t] = x: only the drift integral was regressed
-            fit = pulled - fit
-        out[a:a + hi, :, u_idx] = fit
-    # the backward map returns x itself at tau (E[x|F_tau] = x); beyond
-    # tau + T_fwd lies the forward map's reported truncation tail
-    out[N][:, u_idx] = anchor if unstable else 0.0
-    _, ito_diag = condexp_ito_zero(ito0, (grid.t_start, grid.t_end))
-    if not np.isfinite(out).all():
-        bad = ~np.isfinite(out).all(axis=2)     # (N+1, n)
+            np.subtract(pulled, fit, out=fit)
+        out[a:a + hi, u] = fit
+        if hi < len(v):
+            # the backward map returns x itself at tau (E[x|F_tau] = x);
+            # beyond tau + T_fwd lies the forward map's reported truncation tail
+            out[N, u] = anchor_rows if unstable else 0.0
+        finite = finite and bool(np.isfinite(out[a:a + len(v)]).all())
+    _, ito_diag = condexp_ito_zero(ito0.T, (grid.t_start, grid.t_end))
+    if not finite:
+        bad = ~np.isfinite(out).all(axis=1)     # (N+1, n)
         node = int(np.argmax(bad.any(axis=1)))
         sample = int(np.argmax(bad[node]))
         direction = "backward" if unstable else "forward"
         raise NonfiniteState(f"{direction} map produced non-finite values at grid node "
                              f"{node} (t = {grid.times[node]:.6g}), sample {sample}",
                              step=node, sample=sample)
-    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1),
+    return ProcessEnsemble(grid=grid, values=_by_sample(out),
                            meta={"ito_check": ito_diag, "regression": agg})
 
 
@@ -555,7 +572,8 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     on cfg's basis, and needs ``wiener``, sampled on xi's grid for xi's
     samples, under nonzero noise (GridMismatch otherwise). The result's
     values are ``out`` when given: (n, N+1, m) values of another ensemble,
-    stored node-major as the package stores them, which the map overwrites.
+    stored (node, mode, sample) as the package stores them, which the map
+    overwrites.
     """
     return _lp_map("unstable", p, xi, x, cfg, wiener, out)
 

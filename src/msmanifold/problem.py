@@ -59,7 +59,11 @@ class NonlinearityModel:
 
     ``fn`` maps mode vectors of shape (..., m) to forcings of the same shape,
     except for kind "boundary-example" whose fn returns a boundary triple
-    (handled by the resolvent machinery; see ``returns_boundary``).
+    (handled by the resolvent machinery; see ``returns_boundary``). The
+    arrays may have any memory layout: the solver passes (L, n, m) views of
+    (node, mode, sample) storage. The package's own models compute in their
+    input's layout and return it; a user function wrapped by
+    callable_nonlinearity receives C-contiguous (rows, m) arrays.
     """
 
     kind: str
@@ -76,7 +80,9 @@ class NonlinearityModel:
 class NoiseModel:
     """Multiplicative diagonal noise: mode k is driven by its own channel.
 
-    ``diffusion(v)[..., k]`` is the factor multiplying dW_k in mode k.
+    ``diffusion(v)[..., k]`` is the factor multiplying dW_k in mode k, for
+    (..., m) arrays of any memory layout, as NonlinearityModel's ``fn``;
+    the package's own models return their input's layout.
     covariance_weights q_k are the variance rates of the Q-Wiener channels.
     """
 
@@ -102,6 +108,19 @@ def zero_nonlinearity(m: int) -> NonlinearityModel:
     return NonlinearityModel(kind="zero", lipschitz_L1=0.0, fn=fn, params={"m": m})
 
 
+def _on_modes(B: np.ndarray, v) -> np.ndarray:
+    """B applied on the mode axis of v (..., m), in v's layout: rows stored
+    mode-last (C order) as one (rows, m) @ B.T product; mode-major storage,
+    each mode's samples contiguous, as B @ (m, n) per leading index, whose
+    result is the same layout."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim >= 2 and not v.flags.c_contiguous:
+        vt = np.swapaxes(v, -1, -2)
+        if vt.flags.c_contiguous:
+            return np.swapaxes(B @ vt, -1, -2)
+    return (v.reshape(-1, v.shape[-1]) @ B.T).reshape(v.shape)
+
+
 def linear_nonlinearity(matrix) -> NonlinearityModel:
     B = np.asarray(matrix, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -109,7 +128,7 @@ def linear_nonlinearity(matrix) -> NonlinearityModel:
     L1 = float(np.linalg.norm(B, 2))
 
     def fn(v):
-        return v @ B.T
+        return _on_modes(B, v)
 
     return NonlinearityModel(kind="linear", lipschitz_L1=L1, fn=fn,
                              params={"matrix": B})
@@ -158,12 +177,23 @@ def callable_nonlinearity(fn, m: int, sample_radius: float = 1.0,
     """User-supplied F; the Lipschitz constant is estimated by sampling pairs
     in a ball of ``sample_radius`` and inflated by 10%, unless an exact
     constant is passed. The estimate is only trustworthy on the sampled
-    ball — the solvers may leave it."""
+    ball — the solvers may leave it.
+
+    ``fn`` always receives C-contiguous (rows, m) arrays, whatever layout
+    the model is called with, and its result is copied back into that
+    layout."""
     if lipschitz_L1 is None:
         L1 = _LIP_INFLATION * _sampled_lipschitz(fn, m, sample_radius, n_pairs, seed)
     else:
         L1 = float(lipschitz_L1)
-    return NonlinearityModel(kind="callable", lipschitz_L1=L1, fn=fn,
+
+    def on_rows(v):
+        v = np.asarray(v, dtype=float)
+        out = np.empty_like(v)
+        out[...] = np.reshape(fn(np.ascontiguousarray(v.reshape(-1, v.shape[-1]))), v.shape)
+        return out
+
+    return NonlinearityModel(kind="callable", lipschitz_L1=L1, fn=on_rows,
                              params={"sample_radius": sample_radius, "m": m})
 
 
@@ -183,14 +213,14 @@ def _diag_noise_L2(slopes: np.ndarray, q: np.ndarray) -> float:
 
 
 def _per_mode_product(v, s: np.ndarray) -> np.ndarray:
-    """v * s for rows v (..., m) and slopes s (m,), one strided multiply per
-    mode: the broadcast product runs an inner loop of only m elements. Each
-    element is the same one product, so the bits are those of v * s; other
-    shapes take v * s itself."""
+    """v * s for v (..., m) and slopes s (m,), one multiply per mode, in
+    v's layout: on rows stored mode-last the broadcast product would run an
+    inner loop of only m elements. Each element is the same one product,
+    so the bits are those of v * s; other shapes take v * s itself."""
     v = np.asarray(v)
     if s.ndim != 1 or v.ndim == 0 or v.shape[-1] != s.size:
         return v * s
-    out = np.empty(v.shape, dtype=np.result_type(v, s))
+    out = np.empty_like(v, dtype=np.result_type(v, s))
     for k in range(s.size):
         np.multiply(v[..., k], s[k], out=out[..., k])
     return out

@@ -339,16 +339,34 @@ def forcing_modes(value, cols, in_place: bool = False) -> np.ndarray:
 _SWEEP_ELEMENTS = 128
 
 
+def _sweeps(x: np.ndarray) -> bool:
+    """Whether linear_scan sweeps x node by node."""
+    return x.size >= _SWEEP_ELEMENTS * len(x)
+
+
+def scan_layout(x: np.ndarray) -> np.ndarray:
+    """x laid out as linear_scan runs it fastest: x itself when its nodes
+    are swept one by one, else a copy with each entry's nodes contiguous,
+    along which the doubling passes run."""
+    if _sweeps(x):
+        return x
+    lanes = np.empty(tuple(x.shape[1:]) + (len(x),))
+    lanes = lanes.transpose((lanes.ndim - 1,) + tuple(range(lanes.ndim - 1)))
+    lanes[...] = x
+    return lanes
+
+
 def linear_scan(x: np.ndarray, decay, carry=None, reverse: bool = False) -> np.ndarray:
     """y_j = decay * y_{j-1} + x_j in place along axis 0 of x (y_{j+1} when
     reverse), from ``carry`` (zero when None) just outside the first node.
     Wide nodes are swept one by one; narrow ones take doubling passes
     (Hillis-Steele) whose coefficients are powers of ``decay``, each pass
-    one product into a buffer laid out like x, and one add."""
+    one product into a buffer laid out like x, and one add (scan_layout
+    gives the layout each runs fastest on)."""
     y = x[::-1] if reverse else x
     if carry is not None:
         y[0] += decay * carry
-    if x.size >= _SWEEP_ELEMENTS * len(y):
+    if _sweeps(x):
         for j in range(1, len(y)):
             y[j] += decay * y[j - 1]
     else:

@@ -7,13 +7,17 @@ bit-identical increments on overlapping windows, a window draws only the
 blocks it touches, and a request that draws one window once can hand views
 of it to every consumer. Sampling and integration run on one thread.
 
-Every ensemble built here is stored node-major, (node, sample, coordinate),
-because every consumer works node by node: a time block is a view and one
-node is a contiguous slab. The public sample-major arrays,
+Every ensemble built here is stored (node, mode, sample): node-major,
+because every consumer works node by node, so a time block is a view; and
+mode before sample, because the work within a node is per-mode arithmetic
+on the samples and sums over them, so each mode of a node is one
+contiguous row of samples. The public sample-major arrays,
 ``ProcessEnsemble.values`` (n_samples, n_nodes, m) and
-``WienerEnsemble.increments`` (n_samples, n_steps, d), are swapaxes(0, 1)
-views of that storage; consumers slice ``x.swapaxes(0, 1)[a:b]``. Ensembles
-a caller builds sample-major work through the same code.
+``WienerEnsemble.increments`` (n_samples, n_steps, d), are transposed views
+of that storage (_by_sample); consumers take the (node, mode, sample) view
+back with _by_node and slice it, ``_by_node(x)[a:b]``. Ensembles a caller
+builds in another layout work through the same code, and give the same
+bits: a sample sum always runs over a contiguous row of samples.
 """
 from __future__ import annotations
 
@@ -110,6 +114,16 @@ class TimeGrid:
                 and self.n_steps == other.n_steps)
 
 
+def _by_node(x: np.ndarray) -> np.ndarray:
+    """The (node, mode, sample) view of a sample-major (n, N, m) array."""
+    return x.transpose(1, 2, 0)
+
+
+def _by_sample(x: np.ndarray) -> np.ndarray:
+    """The sample-major (n, N, m) view of (node, mode, sample) storage."""
+    return x.transpose(2, 0, 1)
+
+
 def _block_generator(seed, chunk_idx: int, block_idx: int) -> np.random.Generator:
     key = [abs(int(seed)), int(chunk_idx), abs(int(block_idx)),
            0 if block_idx >= 0 else 1, 0 if int(seed) >= 0 else 1]
@@ -118,29 +132,33 @@ def _block_generator(seed, chunk_idx: int, block_idx: int) -> np.random.Generato
 
 def _fill_standard_increments(out: np.ndarray, seed, step0: int, scale) -> None:
     """Increments for absolute steps [step0, step0+N), unit normals times
-    scale, into the node-major out[step, sample, mode]. Step s of the
-    samples in chunk c is row s - b*_BLOCK of the 64-step lattice block
-    b = s // _BLOCK, whose generator is keyed by (seed, c, b), so any window
-    on the same lattice sees the same numbers. Each block is one generator
-    call from its first row up to the window's last step: rows before the
-    window are dropped, and no row after it is drawn.
+    scale, into out[step, mode, sample]. Step s of the samples in chunk c
+    is row s - b*_BLOCK of the 64-step lattice block b = s // _BLOCK, whose
+    generator is keyed by (seed, c, b) and draws (step, sample, mode) in C
+    order, so any window on the same lattice sees the same numbers. Each
+    block is one generator call from its first row up to the window's last
+    step: rows before the window are dropped, and no row after it is
+    drawn. The draw is written mode by mode into out's sample rows.
 
     A scale whose entries all have the same bits is applied as that one
     number, which gives the same products without a broadcast over the
     modes."""
-    n_steps, n, d = out.shape
+    n_steps, d, n = out.shape
     end = step0 + n_steps
     scale = np.asarray(scale, dtype=float).reshape(-1)
     bits = scale.view(np.uint64)
     if len(bits) and np.all(bits == bits[0]):
         scale = scale[0]
+    else:
+        scale = scale[:, None]
 
     def fill(a, b):
         for blk in range(step0 // _BLOCK, (end - 1) // _BLOCK + 1):
             r = blk * _BLOCK
             lo, hi = max(r, step0), min(end, r + _BLOCK)
             raw = _block_generator(seed, a // _CHUNK, blk).standard_normal((hi - r, b - a, d))
-            np.multiply(raw[lo - r:], scale, out=out[lo - step0:hi - step0, a:b])
+            np.multiply(raw[lo - r:].transpose(0, 2, 1), scale,
+                        out=out[lo - step0:hi - step0, :, a:b])
 
     map_chunks(fill, n)
 
@@ -150,8 +168,8 @@ class WienerEnsemble:
     """Sampled Q-Wiener increments on a grid, anchored at W(0) = 0.
 
     ``increments`` is sample-major, (n_samples, n_steps, d); for an ensemble
-    drawn here it is the swapaxes(0, 1) view of node-major storage, so
-    ``increments.swapaxes(0, 1)[a:b]`` is a block of steps without a copy."""
+    drawn here it is the transposed view of (step, mode, sample) storage,
+    so ``_by_node(increments)[a:b]`` is a block of steps without a copy."""
     grid: TimeGrid
     seed: object
     increments: np.ndarray          # (n_samples, n_steps, d), already q-scaled
@@ -176,16 +194,16 @@ class WienerEnsemble:
                        step0=self.step0 + i0)
 
     def values(self) -> np.ndarray:
-        """W at the grid nodes, (n_samples, n_nodes, d), a view of node-major
-        storage. Anchored so W = 0 at lattice time 0 when the grid covers it,
-        else at the first node."""
+        """W at the grid nodes, (n_samples, n_nodes, d), a view of (node,
+        mode, sample) storage. Anchored so W = 0 at lattice time 0 when the
+        grid covers it, else at the first node."""
         n, n_steps, d = self.increments.shape
-        w = np.zeros((n_steps + 1, n, d))
-        np.cumsum(self.increments.swapaxes(0, 1), axis=0, out=w[1:])
+        w = np.zeros((n_steps + 1, d, n))
+        np.cumsum(_by_node(self.increments), axis=0, out=w[1:])
         if self.step0 <= 0 <= self.step0 + n_steps:
             z = -self.step0
             w -= w[z:z + 1]
-        return w.swapaxes(0, 1)
+        return _by_sample(w)
 
     def value_at(self, node: int) -> np.ndarray:
         """W(t_node) per sample, (n_samples, d), same anchor as values()."""
@@ -197,7 +215,7 @@ class WienerEnsemble:
         if lo == hi:
             return np.zeros((n, d))
         # summed in step order, so the bits do not depend on the storage
-        seg = np.cumsum(self.increments.swapaxes(0, 1)[lo:hi], axis=0)[-1]
+        seg = np.cumsum(_by_node(self.increments)[lo:hi], axis=0)[-1].T
         return seg if node > anchor else -seg
 
 
@@ -211,9 +229,9 @@ def sample_wiener(seed, grid: TimeGrid, noise: NoiseModel, n_samples: int) -> Wi
     if q.shape != (d,):
         raise ConfigError(f"covariance weights shape {q.shape} != ({d},)")
     step0 = grid.step0
-    inc = np.empty((grid.n_steps, n_samples, d))
+    inc = np.empty((grid.n_steps, d, n_samples))
     _fill_standard_increments(inc, seed, step0, np.sqrt(q * grid.dt))
-    return WienerEnsemble(grid=grid, seed=seed, increments=inc.swapaxes(0, 1),
+    return WienerEnsemble(grid=grid, seed=seed, increments=_by_sample(inc),
                           weights=q, step0=step0)
 
 
@@ -221,20 +239,21 @@ def resample_future(w: WienerEnsemble, node: int, new_seed) -> WienerEnsemble:
     """Replace all increments at steps >= node with draws from new_seed."""
     if not (0 <= node <= w.grid.n_steps):
         raise GridMismatch(f"node {node} outside grid")
-    inc = np.empty((w.grid.n_steps, w.n_samples, w.n_noise_modes))
-    inc[:node] = w.increments.swapaxes(0, 1)[:node]
+    inc = np.empty((w.grid.n_steps, w.n_noise_modes, w.n_samples))
+    inc[:node] = _by_node(w.increments)[:node]
     _fill_standard_increments(inc[node:], new_seed, w.step0 + node,
                               np.sqrt(w.weights * w.grid.dt))
-    return replace(w, increments=inc.swapaxes(0, 1),
+    return replace(w, increments=_by_sample(inc),
                    seed=("resampled", w.seed, new_seed, node))
 
 
 @dataclass(frozen=True, eq=False)
 class ProcessEnsemble:
     """Sample paths on a grid. ``values`` is sample-major, (n_samples,
-    n_nodes, m); for an ensemble built by this package it is the
-    swapaxes(0, 1) view of node-major storage, so ``at(node)`` and
-    ``values.swapaxes(0, 1)[a:b]`` are contiguous views."""
+    n_nodes, m); for an ensemble built by this package it is the transposed
+    view of (node, mode, sample) storage, so ``at(node)`` is the (n, m)
+    view of one contiguous (m, n) slab and ``_by_node(values)[a:b]`` a
+    contiguous time block."""
     grid: TimeGrid
     values: np.ndarray              # (n_samples, n_nodes, m)
     meta: dict = field(default_factory=dict)
@@ -263,6 +282,8 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
 
     F values that carry boundary data are mapped into modes with the
     lambda -> infinity regularizer columns; mode-local values pass through.
+    The state is kept as one (mode, sample) slab; drift and diffusion see
+    its (n, m) view.
     """
     m = p.n_modes
     if wiener is None:
@@ -280,51 +301,65 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
     if u0.shape != (n, m):
         raise GridMismatch(f"u0 shape {u0.shape} incompatible with ({n}, {m})")
 
-    lam_exp = np.exp(p.eigenvalues * grid.dt)
+    lam_exp = np.exp(p.eigenvalues * grid.dt)[:, None]
     cols = solver_boundary_columns(p)
     dt = grid.dt
-    out = np.empty((grid.n_nodes, n, m))
-    out[0] = u0
+    out = np.empty((grid.n_nodes, m, n))
+    out[0] = u0.T
     use_noise = wiener is not None and not p.noise.is_zero
+    dw = _by_node(wiener.increments) if use_noise else None
 
-    u = np.array(u0)
+    u = np.array(out[0])
     for j in range(grid.n_steps):
-        step = u + dt * forcing_modes(p.nonlinearity.fn(u), cols)
+        step = u + dt * forcing_modes(p.nonlinearity.fn(u.T), cols).T
         if use_noise:
-            step += p.noise.diffusion(u) * wiener.increments[:, j, :]
+            step += p.noise.diffusion(u.T).T * dw[j]
         u = lam_exp * step
         peak = np.max(np.abs(u))
         if not np.isfinite(peak) or peak > _OVERFLOW_LIMIT:
-            bad = int(np.argmax(np.max(np.abs(u), axis=1)))
+            bad = int(np.argmax(np.max(np.abs(u), axis=0)))
             raise NonfiniteState(
                 f"state magnitude {peak:.3e} exceeded {_OVERFLOW_LIMIT:.1e}",
                 step=j + 1, sample=bad)
         out[j + 1] = u
 
-    return ProcessEnsemble(grid=grid, values=out.swapaxes(0, 1))
+    return ProcessEnsemble(grid=grid, values=_by_sample(out))
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, the samples: numpy's pairwise add.reduce over
+    each contiguous row (of a fresh copy when the rows are strided), then
+    +0, so a sum of -0 is +0. The bits do not depend on where x lives."""
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    return np.add.reduce(x, axis=-1) + 0.0
 
 
 def _sample_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the samples, axis 1, of node-major x (L, n, ...). Added in
-    sample order starting from +0, as a reduction over sample-major storage
-    adds, so the bits do not depend on where x lives in memory."""
-    return np.cumsum(x, axis=1)[:, -1] + 0.0
+    """Sum over the samples, axis 1, of a block x (L, n, ...), as _row_sum
+    adds each (node, mode) row of samples."""
+    return _row_sum(np.moveaxis(x, 1, -1))
 
 
-def _node_ms(v: np.ndarray) -> np.ndarray:
-    """ms_norm at each node of a node-major block v (L, n, m). Per sample
-    the squares are added over the modes in einsum's order: for one or two
-    modes that is at most one add, done here without einsum; from three
-    modes on einsum adds in SIMD lanes, an order only einsum reproduces
-    (and with no modes it gives the zeros)."""
-    if v.shape[-1] not in (1, 2):
-        sq = np.einsum("jnm,jnm->jn", v, v)
+def _node_ms(v: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """ms_norm at each node of a block v (L, n, m), or of v - w, whatever
+    their layout. The differences and their squares are written mode-major,
+    (m, L, n), and added over the modes in mode order, ((p0 + p1) + p2) +
+    ..., one (L, n) add at a time, into the sample rows that _row_sum adds
+    (with no modes it gives the zeros)."""
+    L, n, m = v.shape
+    if not m:
+        return np.zeros(L)
+    sq = np.empty((m, L, n))
+    if w is None:
+        np.multiply(v, v, out=sq.transpose(1, 2, 0))
     else:
-        sq = v * v
-        for k in range(1, v.shape[-1]):
-            sq[..., 0] += sq[..., k]
-        sq = sq[..., 0]
-    return np.sqrt(_sample_sum(sq) / v.shape[1])
+        np.subtract(v, w, out=sq.transpose(1, 2, 0))
+        np.multiply(sq, sq, out=sq)
+    for k in range(1, m):
+        sq[0] += sq[k]
+    sq = sq[0]
+    return np.sqrt(_row_sum(sq) / n)
 
 
 def ms_norm(v) -> float:
@@ -340,7 +375,7 @@ _GAP_ELEMENTS = 1 << 15
 
 
 def _chunk_len(nodes: np.ndarray) -> int:
-    """Whole nodes per chunk of node-major nodes (L, n, m): about
+    """Whole nodes per chunk of a block of nodes (L, n, m): about
     _GAP_ELEMENTS elements, and at least one node."""
     return max(1, _GAP_ELEMENTS // (nodes.shape[1] * nodes.shape[2]))
 
@@ -355,7 +390,7 @@ def _weighted_gap(a: np.ndarray, b: Optional[np.ndarray], times: np.ndarray,
     weight = np.exp(-rate * (times - tau))
     worst, k = 0.0, _chunk_len(a)
     for lo in range(0, len(a), k):
-        ms = _node_ms(a[lo:lo + k] if b is None else a[lo:lo + k] - b[lo:lo + k])
+        ms = _node_ms(a[lo:lo + k], None if b is None else b[lo:lo + k])
         worst = max(worst, float(np.max(weight[lo:lo + k] * ms)))
     return worst
 
@@ -364,7 +399,8 @@ def _path_moments(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The rows (t, sample mean of each mode, ms_norm) of sample-major
     values (n, L, m) at its L nodes, whose times are ``times``. The nodes go
     in chunks of _chunk_len nodes, so no temporary spans the path; the sums
-    run in sample order from +0 (_sample_sum, _node_ms) whatever the chunk."""
+    run in the pinned orders of _sample_sum and _node_ms whatever the
+    chunk."""
     nodes = values.swapaxes(0, 1)
     n, m = nodes.shape[1:]
     out = np.empty((len(nodes), m + 2))

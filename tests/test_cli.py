@@ -179,11 +179,12 @@ def test_solve_trajectory_holds_the_fixed_points_strided_moments(tmp_path):
     p = problem_from_config(cfg)
     ens, _ = lp_backward_solve(p, anchor_from_run(cfg["run"], p), lp_config_from_run(cfg["run"]))
     assert np.array_equal(traj["t"], ens.grid.times[::2])
-    # sums in sample order from +0, the order of the written path
-    total, sq_total = 0.0, 0.0
-    for path in ens.values[:, ::2]:
-        total = total + path
-        sq_total = sq_total + (path[:, 0] ** 2 + path[:, 1] ** 2)
+    # each node's sample sums pairwise over one contiguous row, and the
+    # squares added mode by mode first: the orders of the written path
+    path = ens.values[:, ::2]
+    total = np.add.reduce(np.ascontiguousarray(path.transpose(1, 2, 0)), axis=-1)
+    sq = path[..., 0] ** 2 + path[..., 1] ** 2
+    sq_total = np.add.reduce(np.ascontiguousarray(sq.T), axis=-1)
     assert np.array_equal(traj["mean_mode_0"], total[:, 0] / 32)
     assert np.array_equal(traj["mean_mode_1"], total[:, 1] / 32)
     assert np.array_equal(traj["ms_norm"], np.sqrt(sq_total / 32))

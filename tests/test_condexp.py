@@ -400,6 +400,36 @@ def test_stacked_nodes_equal_one_node_calls(include_wiener, k):
         assert np.allclose(stacked.diagnostics["r2"][j], one.diagnostics["r2"], rtol=1e-12)
 
 
+@pytest.mark.parametrize("include_wiener", [False, True])
+def test_folded_nodes_reuse_the_condition_qr(monkeypatch, include_wiener):
+    # the alias check reads the leading block of the R factor that _cond
+    # took: the same fold as a fresh QR of the intercept, primary and
+    # linear columns alone, bit for bit downstream
+    from msmanifold import condexp
+
+    target, state, wiener, basis = mixed_stack(include_wiener=include_wiener)
+    reused = condexp_lsmc(target, state, basis, wiener)
+    real = condexp._cond
+    stop = len(basis._exponent_rows()) + len(basis.linear_idx)
+    qrs = []
+
+    def fresh_second_qr(gram, z):
+        eigs, cond, slow, r = real(gram, z)
+        if slow.size:
+            lead = np.linalg.qr(np.swapaxes(z[slow, :stop], -1, -2), mode="r")
+            qrs.append(len(slow))
+            r = np.zeros_like(r)
+            r[:, :stop, :stop] = lead
+        return eigs, cond, slow, r
+
+    monkeypatch.setattr(condexp, "_cond", fresh_second_qr)
+    fresh = condexp_lsmc(target, state, basis, wiener)
+    assert qrs and reused.diagnostics["n_aliased"].tolist() == [0, 1, 1, 0, 3]
+    for key in ("n_aliased", "n_folded", "cond", "rank"):
+        assert reused.diagnostics[key].tobytes() == fresh.diagnostics[key].tobytes(), key
+    assert reused.fitted.tobytes() == fresh.fitted.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_stacked_fit_matches_naive_least_squares(k):
     rng = np.random.default_rng(32)

@@ -384,12 +384,12 @@ def test_random_anchor_is_one_regression_per_time_block(monkeypatch, include_wie
     basis = cfg.basis_for(p)
     pull = np.exp((np.arange(N + 1) - N) * 1e-2 * p.eigenvalues[0])
     ref = np.zeros_like(out)
-    for a, v, drift, _ in lp._map_blocks(p, xi.values, np.zeros((N + 1, n, 2)),
+    for a, v, drift, _ in lp._map_blocks(p, xi.values, np.zeros((N + 1, 2, n)),
                                          lp.solver_boundary_columns(p), 1e-2, wiener):
         for i in range(min(len(v), N - a)):
             w = wiener.value_at(a + i) if include_wiener else None
-            ref[:, a + i] = (condexp_anchor(x * pull[a + i], v[i], basis, w).fitted
-                             - condexp_lsmc(drift[i], v[i], basis, w).fitted)[:, 0]
+            ref[:, a + i] = (condexp_anchor(x * pull[a + i], v[i].T, basis, w).fitted
+                             - condexp_lsmc(drift[i].T, v[i].T, basis, w).fitted)[:, 0]
     assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -398,9 +398,9 @@ def test_stacked_wiener_values_equal_value_at():
     wiener = sample_wiener(4, TimeGrid(-0.5, 1e-2, 100), p.noise, 16)
     basis = RegressionBasis(primary_idx=(0,), include_wiener=True, n_wiener=2)
     block = lp._nodes(lp._wiener_values(wiener, basis), 45, 55)   # straddles W(0) = 0
-    assert block.shape == (10, 16, 2)
+    assert block.shape == (10, 2, 16)
     for i in range(10):
-        assert np.allclose(block[i], wiener.value_at(45 + i), rtol=0.0, atol=1e-15)
+        assert np.allclose(block[i].T, wiener.value_at(45 + i), rtol=0.0, atol=1e-15)
 
 
 def test_conditional_fit_refusal_names_grid_node_and_time():
@@ -410,7 +410,9 @@ def test_conditional_fit_refusal_names_grid_node_and_time():
     target = rng.standard_normal((4, 200, 1))
     basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))
     with pytest.raises(IllConditionedDesign) as info:
-        lp._conditional_fit(target, state, basis, None, TimeGrid(-1.0, 1e-2, 100), 5, {})
+        lp._conditional_fit(np.ascontiguousarray(target.swapaxes(1, 2)),
+                            np.ascontiguousarray(state.swapaxes(1, 2)), basis, None,
+                            TimeGrid(-1.0, 1e-2, 100), 5, {})
     assert info.value.node == 7
     assert info.value.cond > info.value.limit
     assert "grid node 7 (t = -0.93)" in str(info.value)
@@ -438,13 +440,16 @@ def test_maps_are_identical_across_worker_counts(monkeypatch, side):
 
 
 def is_node_major(values):
-    return values.swapaxes(0, 1).flags.c_contiguous
+    """(n, N+1, m) values are the transposed view of (node, mode, sample)
+    storage."""
+    return values.transpose(1, 2, 0).flags.c_contiguous
 
 
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_maps_are_node_major_and_ignore_the_input_layout(side):
     # the same xi and Wiener values stored sample-major (as a caller builds
-    # them) or node-major (as the package does) give the same bits
+    # them), (node, sample, mode), or (node, mode, sample) (as the package
+    # does) give the same bits
     p = two_way_noisy()
     n = 64
     cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n,
@@ -455,14 +460,46 @@ def test_maps_are_node_major_and_ignore_the_input_layout(side):
     vals = 0.1 + 0.05 * rng.standard_normal((n, 101, 2))
     x = 0.3 + 0.1 * rng.standard_normal((n, 1))
     node_major = np.ascontiguousarray(vals.swapaxes(0, 1)).swapaxes(0, 1)
+    mode_major = np.ascontiguousarray(vals.transpose(1, 2, 0)).transpose(2, 0, 1)
     sample_major = replace(wiener, increments=np.ascontiguousarray(wiener.increments))
     step = lp_backward_map if side == "unstable" else lp_forward_map
     a = step(p, ProcessEnsemble(grid, vals), x, cfg, sample_major).values
     b = step(p, ProcessEnsemble(grid, node_major), x, cfg, wiener).values
-    assert np.array_equal(a, b)
-    assert is_node_major(a) and is_node_major(b)
+    c = step(p, ProcessEnsemble(grid, mode_major), x, cfg, wiener).values
+    assert a.tobytes() == b.tobytes() == c.tobytes()
+    assert is_node_major(a) and is_node_major(b) and is_node_major(c)
     initial = lp._initial_guess(p, grid, x, side)
     assert initial.shape == (n, 101, 2) and is_node_major(initial)
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_maps_take_mode_blocks_that_are_not_one_run(side):
+    # unstable mode 1 between stable modes 0 and 2: the blocks are index
+    # arrays, not slices, and the map equals the one on the problem with
+    # its modes reordered to [1, 0, 2] bit for bit (every model is
+    # elementwise and the regression columns keep their order)
+    from msmanifold import saturated_polynomial_nonlinearity
+
+    def problem(eigs, unstable, slopes):
+        return build_problem(eigs, unstable, alpha=1.0, beta=-1.0, gamma=0.5, zeta=-0.5,
+                             nonlinearity=saturated_polynomial_nonlinearity([0.02, 0.02], 1.0),
+                             noise=diagonal_linear_noise(slopes))
+
+    order = [1, 0, 2]
+    inner = problem([-1.0, 1.0, -2.0], [1], [0.05, 0.1, 0.15])
+    first = problem([1.0, -1.0, -2.0], [0], [0.1, 0.05, 0.15])
+    n, N = 64, 100
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
+    grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, N)
+    rng = np.random.default_rng(3)
+    vals = 0.1 + 0.05 * rng.standard_normal((n, N + 1, 3))
+    drawn = sample_wiener(5, grid, inner.noise, n)
+    permuted = replace(drawn, increments=drawn.increments[..., order])
+    x = 0.3 + 0.1 * rng.standard_normal((n, 1 if side == "unstable" else 2))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    a = step(inner, ProcessEnsemble(grid, vals), x, cfg, drawn).values
+    b = step(first, ProcessEnsemble(grid, vals[..., order]), x, cfg, permuted).values
+    assert a[..., order].tobytes() == b.tobytes()
 
 
 def test_forcing_blocks_are_views_of_node_major_storage(monkeypatch):
@@ -476,8 +513,8 @@ def test_forcing_blocks_are_views_of_node_major_storage(monkeypatch):
                                      wiener))
     assert len(blocks) == 11
     for a, v, _, _ in blocks:
-        assert np.shares_memory(v, ens.values)
-        assert np.array_equal(v, ens.values[:, a:a + len(v)].swapaxes(0, 1))
+        assert np.shares_memory(v, ens.values) and v.flags.c_contiguous
+        assert np.array_equal(v, ens.values[:, a:a + len(v)].transpose(1, 2, 0))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
@@ -499,7 +536,7 @@ def test_weighted_gap_bits_do_not_depend_on_the_layout(monkeypatch, m):
 
 def test_weighted_norm_of_an_iterate_difference_is_the_solvers_distance():
     # tau = 0, so the solver's weight e^{-gamma (t - tau)} is weighted_norm's;
-    # three modes, so the squares are added by einsum
+    # three modes, so each sample's squares take two adds in mode order
     B = 0.05 * (np.ones((3, 3)) - np.eye(3))
     p = build_problem([1.0, -1.0, -2.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
                       zeta=-0.5, nonlinearity=linear_nonlinearity(B),
@@ -564,13 +601,15 @@ def test_maps_write_into_a_given_output_bit_for_bit(side):
     xi = ProcessEnsemble(grid, lp._initial_guess(p, grid, np.array([anchor] * 2), side))
     step = lp_backward_map if side == "unstable" else lp_forward_map
     fresh = step(p, xi, anchor, cfg).values
-    spare = np.full((1001, 2, 4), np.nan).swapaxes(0, 1)
+    spare = np.full((1001, 4, 2), np.nan).transpose(2, 0, 1)
     got = step(p, xi, anchor, cfg, out=spare).values
     assert np.shares_memory(got, spare) and got.tobytes() == fresh.tobytes()
     with pytest.raises(ConfigError, match="its own input"):
         step(p, xi, anchor, cfg, out=xi.values)
     with pytest.raises(ConfigError, match="node-major"):
         step(p, xi, anchor, cfg, out=np.empty((2, 1001, 4)))
+    with pytest.raises(ConfigError, match="node-major"):
+        step(p, xi, anchor, cfg, out=np.empty((1001, 2, 4)).swapaxes(0, 1))
 
 
 def test_solves_reuse_the_dead_iterates_storage(monkeypatch):
@@ -604,8 +643,9 @@ def test_screened_masks_equal_the_full_pass():
             x[6, 1] = x[6, 0]             # first two samples agree, the rest vary
             x[8, 1:, 0] = x[8, 0, 0]      # one coordinate deterministic, another not
         full = ~np.all(x == x[:, :1], axis=(1, 2))
+        blocks = np.ascontiguousarray(x.swapaxes(1, 2))     # (node, mode, sample)
         for among in [np.ones(9, dtype=bool), full, ~full, np.arange(9) % 2 == 0]:
-            assert np.array_equal(lp._varying_nodes(x, among), among & full)
+            assert np.array_equal(lp._varying_nodes(blocks, among), among & full)
 
 
 def all_to_all_problem(m, unstable):
@@ -625,11 +665,11 @@ def test_forward_pass_ito_sum_adds_the_nodes_in_order(monkeypatch, m, unstable):
     wiener = sample_wiener(8, grid, p.noise, n)
     vals = integrate_mild(p, np.full(m, 0.1), grid, wiener).values
     monkeypatch.setattr(lp, "_BLOCK_ROWS", 16 * n)   # blocks of 16 nodes
-    ito0 = lp._forward_pass(p, vals, np.zeros((51, n, m)), None, dt, wiener, 0.0)
+    ito0 = lp._forward_pass(p, vals, np.zeros((51, m, n)), None, dt, wiener, 0.0)
     weight = np.exp(-np.outer(np.arange(51) * dt, p.eigenvalues[unstable]))
-    want = np.zeros((n, len(unstable)))
+    want = np.zeros((len(unstable), n))
     for a, v, _, ito in lp._forcing_blocks(p, vals, None, dt, wiener):
-        want += (ito[..., unstable] * weight[a:a + len(v), None, :]).sum(axis=0)
+        want += (ito[:, unstable] * weight[a:a + len(v), :, None]).sum(axis=0)
     assert np.array_equal(ito0, want)
 
 
@@ -644,10 +684,12 @@ def test_forcing_blocks_leave_an_aliased_drift_alone(returned):
                                                                     lipschitz_L1=0.1))
     grid = TimeGrid(-1.0, 1e-2, 100)
     vals = np.ascontiguousarray(0.1 + 0.05 * np.random.default_rng(4).standard_normal(
-        (101, 8, 2))).swapaxes(0, 1)
+        (101, 2, 8))).transpose(2, 0, 1)
     before = vals.copy()
     for a, v, half, _ in lp._forcing_blocks(p, vals, None, 1e-2, None):
-        assert np.array_equal(half, 0.5 * 1e-2 * drift(v.reshape(-1, 2)).reshape(v.shape))
+        rows = v.swapaxes(1, 2)
+        want = 0.5 * 1e-2 * drift(rows.reshape(-1, 2)).reshape(rows.shape)
+        assert np.array_equal(half, want.swapaxes(1, 2))
     assert np.array_equal(vals, before)
 
 
@@ -667,10 +709,10 @@ def test_forcing_blocks_add_boundary_terms_into_an_unaliased_f_only(alias):
     cols = lp.solver_boundary_columns(p)
     vals = 0.1 + 0.05 * np.random.default_rng(6).standard_normal((1, 201, 4))
     for a, v, half, _ in lp._forcing_blocks(p, vals, cols, 1e-2, None):
-        t = fn(v.reshape(-1, 4))
+        t = fn(v.swapaxes(1, 2).reshape(-1, 4))
         fresh = BoundaryTriple(a=t.a.copy(), b=t.b.copy(), f=t.f.copy())
         want = forcing_modes(fresh, cols) * (0.5 * 1e-2)
-        assert half.reshape(want.shape).tobytes() == want.tobytes()
+        assert half.swapaxes(1, 2).reshape(want.shape).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("side", ["unstable", "stable"])
@@ -688,8 +730,8 @@ def test_initial_guess_matches_the_broadcast_formula(side, m, unstable):
     want = np.zeros((101, 40, m))
     want[:, :, idx] = anchor[None, :, :] * semigroup[:, None, :]
     got = lp._initial_guess(p, grid, anchor, side)
-    assert got.swapaxes(0, 1).flags.c_contiguous
-    assert got.swapaxes(0, 1).tobytes() == want.tobytes()
+    assert got.transpose(1, 2, 0).flags.c_contiguous
+    assert got.transpose(1, 2, 0).tobytes() == want.transpose(0, 2, 1).tobytes()
 
 
 # ---------------------------------------------------- gates and certificates

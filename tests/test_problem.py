@@ -242,11 +242,80 @@ def test_diagonal_diffusion_is_the_broadcast_product_bit_for_bit(m):
     s[0] = -0.0
     rows = rng.standard_normal((300, m)) * np.exp(5.0 * rng.standard_normal((300, m)))
     rows[:2, -1] = [-0.0, np.nan]
-    # a node-major block (L, n, m), and the sample-major view the solver's
-    # ensembles are stored as
+    # a (node, sample, mode) block (L, n, m) and its swapped view; the
+    # (node, mode, sample) view the solver hands a model is covered by
+    # test_package_models_keep_a_mode_major_layout
     block = rows.reshape(30, 10, m)
     for v in (rows, block, block.swapaxes(0, 1), rows[0]):
         for noise in (diagonal_linear_noise(s), saturated_noise(s, 2.0)):
             want = (np.clip(v, -2.0, 2.0) if noise.kind == "saturated" else v) * s
             got = noise.diffusion(v)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def mode_major(rows, nodes):
+    """rows (nodes * n, m) as the (nodes, n, m) view of (node, mode, sample)
+    storage, the view the solver hands a model."""
+    block = rows.reshape(nodes, -1, rows.shape[-1])
+    return np.ascontiguousarray(block.swapaxes(1, 2)).swapaxes(1, 2)
+
+
+def is_mode_major(x):
+    return x.swapaxes(-1, -2).flags.c_contiguous and not x.flags.c_contiguous
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_package_models_keep_a_mode_major_layout(m):
+    # elementwise models give their row form's bits; a matrix on the mode
+    # axis is one BLAS product per node, within one ulp of the row form
+    from msmanifold.example_pde import build_example_problem
+
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((6 * 50, m)) * np.exp(rng.standard_normal((300, m)))
+    rows[:2, -1] = [-0.0, 0.0]
+    v = mode_major(rows, 6)
+    assert is_mode_major(v) and np.array_equal(v.reshape(-1, m), rows)
+    s = rng.standard_normal(m)
+    exact = [zero_nonlinearity(m).fn,
+             saturated_polynomial_nonlinearity([0.3, -0.2, 0.1], 1.5).fn,
+             zero_noise(m).diffusion, diagonal_linear_noise(s).diffusion,
+             saturated_noise(s, 1.5).diffusion]
+    for fn in exact:
+        got = fn(v)
+        assert is_mode_major(got)
+        assert got.reshape(-1, m).tobytes() == fn(rows).tobytes()
+    B = rng.standard_normal((m, m))
+    got, want = linear_nonlinearity(B).fn(v), linear_nonlinearity(B).fn(rows)
+    assert is_mode_major(got)
+    assert np.all(np.abs(got.reshape(-1, m) - want) <= np.spacing(np.abs(want)))
+    triple = build_example_problem(m=m, g0=B, g1=s, g2=-s).nonlinearity.fn
+    got, want = triple(v), triple(rows)
+    assert is_mode_major(got.f)
+    assert np.all(np.abs(got.f.reshape(-1, m) - want.f) <= np.spacing(np.abs(want.f)))
+    assert got.a.reshape(-1).tobytes() == want.a.tobytes()
+    assert got.b.reshape(-1).tobytes() == want.b.tobytes()
+
+
+def test_callable_nonlinearity_hands_the_user_contiguous_rows():
+    # whatever layout the solver and the flow call a model with, the user's
+    # function sees C-contiguous (rows, m) arrays
+    from msmanifold import (LPConfig, TimeGrid, integrate_mild, sample_wiener,
+                            stable_graph, unstable_graph)
+
+    seen = []
+
+    def drift(v):
+        assert v.ndim == 2 and v.flags.c_contiguous
+        seen.append(v.shape)
+        return 0.05 * v[:, ::-1]
+
+    p = build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5, zeta=-0.5,
+                      nonlinearity=callable_nonlinearity(drift, m=2, lipschitz_L1=0.05),
+                      noise=diagonal_linear_noise([0.1, 0.1]))
+    cfg = LPConfig(c_zeta=1.0, t_back=6.0, t_fwd=10.0, dt=2.5e-2, n_samples=64, tol=1e-2)
+    assert unstable_graph(p, [0.2], cfg).trace.converged
+    assert stable_graph(p, [0.2], cfg).trace.converged
+    grid = TimeGrid(0.0, 2e-2, 50)
+    ens = integrate_mild(p, np.array([0.2, -0.1]), grid, sample_wiener(3, grid, p.noise, 64))
+    assert np.isfinite(ens.values).all()
+    assert (64, 2) in seen and any(rows > 64 for rows, _ in seen)

@@ -12,10 +12,13 @@ from msmanifold.errors import (
     NonfiniteState,
 )
 from msmanifold import (
+    LPConfig,
     TimeGrid,
     build_problem,
     diagonal_linear_noise,
     integrate_mild,
+    linear_nonlinearity,
+    lp_backward_solve,
     moment_oracle,
     ms_norm,
     resample_future,
@@ -259,14 +262,15 @@ def test_resample_future_preserves_past():
 
 
 def is_node_major(x):
-    """x (n, N, d) is the swapaxes(0, 1) view of C-ordered node-major storage,
-    or of a slice of such storage along the node axis."""
-    return x.swapaxes(0, 1).flags.c_contiguous
+    """x (n, N, d) is the transposed view of C-ordered (node, mode, sample)
+    storage, or of a slice of such storage along the node axis."""
+    return x.transpose(1, 2, 0).flags.c_contiguous
 
 
 def test_ensembles_are_stored_node_major():
-    # every consumer reads node by node: the public sample-major arrays are
-    # swapped views of node-major storage, and a window is a slice of it
+    # every consumer reads node by node, and works per mode on rows of
+    # samples: the public sample-major arrays are transposed views of
+    # (node, mode, sample) storage, and a window is a slice of it
     p = stable_scalar(slope=0.5)
     g = TimeGrid(-0.5, 0.01, 50)
     w = sample_wiener(3, g, unit_noise(), 3000)
@@ -278,7 +282,7 @@ def test_ensembles_are_stored_node_major():
     assert w.values().shape == (3000, 51, 1) and is_node_major(w.values())
     ens = integrate_mild(p, np.array([0.1]), g, w)
     assert ens.values.shape == (3000, 51, 1) and is_node_major(ens.values)
-    assert ens.at(7).flags.c_contiguous
+    assert ens.at(7).T.flags.c_contiguous
 
 
 def test_sample_major_wiener_gives_the_same_bits():
@@ -294,23 +298,43 @@ def test_sample_major_wiener_gives_the_same_bits():
                           resample_future(w, 20, 4).increments)
     assert np.array_equal(integrate_mild(p, np.array([0.1]), g, sm).values,
                           integrate_mild(p, np.array([0.1]), g, w).values)
+    # and so does the solver on its window
+    q = build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5, zeta=-0.5,
+                      nonlinearity=linear_nonlinearity([[0.0, 0.05], [0.05, 0.0]]),
+                      noise=diagonal_linear_noise([0.1, 0.1]))
+    cfg = LPConfig(c_zeta=1.0, t_back=5.0, dt=2.5e-2, n_samples=64, tol=1e-2, seed=5)
+    window = TimeGrid(-5.0, 2.5e-2, 200)
+    drawn = sample_wiener(cfg.seed, window, q.noise, 64)
+    caller = replace(drawn, increments=np.ascontiguousarray(drawn.increments))
+    assert caller.increments.flags.c_contiguous
+    x = 0.3 + 0.05 * np.random.default_rng(8).standard_normal((64, 1))
+    ens_a, trace_a = lp_backward_solve(q, x, cfg, caller)
+    ens_b, trace_b = lp_backward_solve(q, x, cfg, drawn)
+    assert trace_a.converged and ens_a.values.tobytes() == ens_b.values.tobytes()
+    assert trace_a.distances == trace_b.distances
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_node_ms_bits_do_not_depend_on_the_layout(m):
-    # squares summed per sample over the modes, then over the samples in
-    # sample order from +0: the order of a reduction over sample-major
-    # storage, which the solver's certificates were computed with
+    # squares summed per sample over the modes in mode order, ((p0 + p1) +
+    # p2) + ..., then over the samples pairwise, as numpy adds one
+    # contiguous row: the same bits for sample-major, (node, sample, mode)
+    # and (node, mode, sample) storage
     n = 3000
     rng = np.random.default_rng(m)
     sm = rng.standard_normal((n, 37, m)) * np.exp(3.0 * rng.standard_normal((n, 1, 1)))
     nm = np.ascontiguousarray(sm.swapaxes(0, 1))
-    ref = np.zeros(37)
-    for i in range(n):
-        ref += np.einsum("jm,jm->j", sm[i], sm[i])
+    mm = np.ascontiguousarray(sm.transpose(1, 2, 0))
+    ref = np.empty(37)
+    for j in range(37):
+        sq = sm[:, j, 0] * sm[:, j, 0]
+        for k in range(1, m):
+            sq = sq + sm[:, j, k] * sm[:, j, k]
+        ref[j] = np.add.reduce(np.ascontiguousarray(sq))
     ref = np.sqrt(ref / n)
     assert np.array_equal(_node_ms(sm.swapaxes(0, 1)), ref)
     assert np.array_equal(_node_ms(nm), ref)
+    assert np.array_equal(_node_ms(mm.swapaxes(1, 2)), ref)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
