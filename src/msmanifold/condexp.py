@@ -51,9 +51,24 @@ class RegressionBasis:
             rows.extend(combinations_with_replacement(range(len(self.primary_idx)), d))
         return rows
 
+    @cached_property
+    def _n_poly(self) -> int:
+        """The number of monomial rows, the intercept included."""
+        return len(self._exponent_rows())
+
+    @cached_property
+    def _primary_rows(self):
+        """The primary coordinates as an index of a state's coordinate axis:
+        a slice, so their rows are a view, when they are consecutive and
+        increasing; else the index list."""
+        idx = self.primary_idx
+        if idx and idx[0] >= 0 and idx == tuple(range(idx[0], idx[0] + len(idx))):
+            return slice(idx[0], idx[0] + len(idx))
+        return list(idx)
+
     @property
     def size(self) -> int:
-        return (len(self._exponent_rows()) + len(self.linear_idx)
+        return (self._n_poly + len(self.linear_idx)
                 + (self.n_wiener if self.include_wiener else 0))
 
     @cached_property
@@ -70,11 +85,17 @@ class RegressionBasis:
                       out: np.ndarray, shift=None, scale=None) -> None:
         """Write the size feature rows of a feature-major state coords
         (..., n_coords, n_samples) into out (..., size, n_samples), each in
-        place: the intercept, the monomials of the primary coordinates (as
-        (x - shift) / scale when shift and scale (..., n_primary) are
-        given), the linear coordinates, then the Wiener values (...,
-        n_samples, n_wiener). Every product is formed in the order of a
-        left-to-right product over the exponent tuple."""
+        place: the monomial rows (_write_monomials), then the linear and
+        Wiener rows (_write_linear)."""
+        self._write_monomials(coords, out, shift, scale)
+        self._write_linear(coords, wiener, out)
+
+    def _write_monomials(self, coords: np.ndarray, out: np.ndarray, shift=None,
+                         scale=None) -> None:
+        """Rows 0 to _n_poly - 1 of out: the intercept and the monomials of
+        the primary coordinates, as (x - shift) / scale when shift and scale
+        (..., n_primary) are given. Every product is formed in the order of
+        a left-to-right product over the exponent tuple."""
         out[..., 0, :] = 1.0
         if self.degree >= 1:
             for i, c in enumerate(self.primary_idx):
@@ -86,7 +107,12 @@ class RegressionBasis:
                     row /= np.asarray(scale)[..., i, None]
         for r, prefix, last in self._row_plan:
             np.multiply(out[..., prefix, :], out[..., last, :], out=out[..., r, :])
-        n_poly = len(self._exponent_rows())
+
+    def _write_linear(self, coords: np.ndarray, wiener: Optional[np.ndarray],
+                      out: np.ndarray) -> None:
+        """The rows after the monomials: the linear coordinates, then the
+        Wiener values (..., n_samples, n_wiener)."""
+        n_poly = self._n_poly
         for t, c in enumerate(self.linear_idx):
             out[..., n_poly + t, :] = coords[..., c, :]
         if self.include_wiener:
@@ -141,7 +167,7 @@ class RegressionBasis:
         powers = np.arange(self.degree + 1)
         # c[..., i, j, l]: coefficient of x^j in ((x - shift_i) / scale_i)^l
         c = binom * (-shift) ** np.maximum(powers[None, :] - powers[:, None], 0) / scale ** powers
-        n_poly = len(self._exponent_rows())
+        n_poly = self._n_poly
         t = np.zeros(shift.shape[:-3] + (self.size, self.size))
         t[..., np.arange(n_poly, self.size), np.arange(n_poly, self.size)] = 1.0
         t[..., rows, cols] = np.prod(c[..., np.arange(gammas.shape[1]), gammas, betas], axis=-1)
@@ -157,16 +183,68 @@ def default_basis(p: SpectralProblem, degree: int = 2,
                            n_wiener=p.noise.n_noise_modes if include_wiener else 0)
 
 
+@dataclass(frozen=True)
+class _RawPieces:
+    """What a regression keeps to derive its raw-basis coef and gram_inv:
+    the standardized coefficients bcoef (L, B, k), the ridged standardized
+    Gram gram_r (L, B, B), the column means and inverse spreads (L, B; the
+    spreads are zero for the intercept and for dropped and aliased
+    columns), the primary shift and scale (L, n_primary), and whether the
+    returned coef drops its column axis (squeeze) and keeps its node axis
+    (stacked)."""
+    bcoef: np.ndarray
+    gram_r: np.ndarray
+    mean: np.ndarray
+    inv_sd: np.ndarray
+    shift: np.ndarray
+    scale: np.ndarray
+    squeeze: bool
+    stacked: bool
+
+
 @dataclass(frozen=True, eq=False)
 class CondexpEstimate:
     """A fit; with a leading node axis every array gains it, and each
-    regression diagnostic holds one value (r2: one row) per node."""
+    regression diagnostic holds one value (r2: one row) per node.
+
+    A regression's coef (basis_size, k) and gram_inv (B, B), post-ridge,
+    are on the raw basis. A map reads only the fit and its diagnostics, so
+    both are derived on first read from the pieces the fit holds (_raw),
+    with the same bits whenever they are read. An estimate without a
+    regression (_raw None) has an empty coef and no gram_inv."""
     fitted: np.ndarray              # (n_samples, k)
-    coef: np.ndarray                # (basis_size, k)
     basis: Optional[RegressionBasis]
-    gram_inv: Optional[np.ndarray]  # (B, B), post-ridge
     resid_var: Optional[np.ndarray]  # (k,)
     diagnostics: dict = field(default_factory=dict)
+    _raw: Optional[_RawPieces] = field(default=None, repr=False)
+
+    @cached_property
+    def _t_map(self) -> np.ndarray:
+        """T (L, B, B) taking standardized coefficients to raw-basis ones:
+        to centred-basis ones (zero rows and columns for dropped and aliased
+        columns), then raw_map."""
+        raw = self._raw
+        t_map = raw.inv_sd[:, None, :] * np.eye(self.basis.size)
+        t_map[:, 0, :] = -raw.mean * raw.inv_sd
+        t_map[:, 0, 0] = 1.0
+        return self.basis.raw_map(raw.shift, raw.scale) @ t_map
+
+    @cached_property
+    def coef(self) -> np.ndarray:
+        if self._raw is None:
+            return np.zeros((0,) + self.fitted.shape[1:])
+        coef = self._t_map @ self._raw.bcoef
+        if self._raw.squeeze:
+            coef = coef[..., 0]
+        return coef if self._raw.stacked else coef[0]
+
+    @cached_property
+    def gram_inv(self) -> Optional[np.ndarray]:
+        if self._raw is None:
+            return None
+        t_map = self._t_map
+        gram_inv = t_map @ np.linalg.inv(self._raw.gram_r) @ np.swapaxes(t_map, -1, -2)
+        return gram_inv if self._raw.stacked else gram_inv[0]
 
     def coef_se(self) -> np.ndarray:
         """Standard errors of the coefficients, shaped like coef."""
@@ -208,7 +286,7 @@ def _on_primary_graph(r: np.ndarray, keep: np.ndarray, basis: RegressionBasis,
     leading block of R over the intercept, primary and linear columns is
     their own QR's R, so every linear column's residual off the features
     lies below the features' rows of that block."""
-    n_poly = len(basis._exponent_rows())
+    n_poly = basis._n_poly
     lin = slice(n_poly, n_poly + len(basis.linear_idx))
     on_graph = np.zeros_like(keep)
     if keep[:, lin].any():
@@ -244,6 +322,29 @@ def _as_targets(target, stacked: bool) -> tuple:
     return y, squeeze
 
 
+_SUM_LIMIT = 0.5 * np.finfo(float).max
+
+
+def _constant_monomials(coords: np.ndarray, prim: np.ndarray, basis: RegressionBasis,
+                        n: int) -> Optional[np.ndarray]:
+    """The monomial rows 1 to _n_poly - 1 of a stack coords whose primary
+    rows prim all equal their sample 0 (==) on every node, (L, _n_poly - 1)
+    from sample 0; None for any other stack. Such rows are constant, so
+    standardizing would drop every one of them. A dropped column's mean
+    enters only gram_inv and coef, through the sign of -mean * 0, and the
+    mean of n equal values has their sign unless they are zero (a sum of
+    zeros is +0) or their sum overflows: stacks with such a row take the
+    general route."""
+    if np.any(prim[..., 1:2] != prim[..., :1]) or not np.all(prim == prim[..., :1]):
+        return None
+    rows = np.empty((len(coords), basis._n_poly, 1))
+    basis._write_monomials(coords[..., :1], rows)
+    size = np.abs(rows[:, 1:, 0])
+    if not np.all((size > 0.0) & (size * n < _SUM_LIMIT)):
+        return None
+    return rows[:, 1:, 0]
+
+
 def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
                  wiener_at_t: Optional[np.ndarray] = None) -> CondexpEstimate:
     """Project target onto the basis evaluated at the conditioning state.
@@ -255,6 +356,13 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     normal-equation factorization. Ridge of RIDGE_SCALE * trace(G)/B is
     always added and reported; the design condition number is checked
     before the ridge. A refused stack names the first refused node.
+
+    A call computes the fit, its residual variance and the diagnostics;
+    coef and gram_inv are derived from the fit on first read (see
+    CondexpEstimate). A stack whose primary coordinates all equal their
+    sample 0 exactly has constant monomial rows, which standardizing would
+    drop: it writes them as the pads at once (_constant_monomials), and
+    every value it returns has the bits of the general route.
     """
     state = np.asarray(state_at_t, dtype=float)
     if state.ndim not in (2, 3):
@@ -274,17 +382,36 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     # monomials: raw powers of a coordinate that barely varies about a
     # nonzero mean are nearly collinear, and the polynomial span is the same.
     # The state and the designs are feature-major, (L, m, n) and (L, B, n),
-    # so every reduction runs along the contiguous sample axis.
+    # so every reduction runs along the contiguous sample axis, and the
+    # moments of all primary rows are one reduction each.
     coords = np.ascontiguousarray(np.swapaxes(state, -1, -2))
-    shift, spread = np.empty((2, n_nodes, len(basis.primary_idx)))
-    for i, c in enumerate(basis.primary_idx):     # rows of coords, not a copy
-        shift[:, i], spread[:, i] = coords[:, c].mean(axis=-1), coords[:, c].std(axis=-1)
-    varies = _varies(shift, spread)
-    shift = np.where(varies, shift, 0.0)
-    scale = np.where(varies, spread, 1.0)
-    z = np.zeros((n_nodes, b_size, n + b_size))
+    n_poly = basis._n_poly
+    prim = coords[:, basis._primary_rows]
+    const = _constant_monomials(coords, prim, basis, n)
+    if const is None:
+        shift = prim.mean(axis=-1, keepdims=True)
+        spread = prim.std(axis=-1, mean=shift)
+        shift = shift[..., 0]
+        varies = _varies(shift, spread)
+        shift = np.where(varies, shift, 0.0)
+        scale = np.where(varies, spread, 1.0)
+    else:
+        shift = np.zeros((n_nodes, len(basis.primary_idx)))
+        scale = np.ones_like(shift)
+    del prim            # a copy unless the primary rows are one run
+    z = np.empty((n_nodes, b_size, n + b_size))
+    z[..., n:] = 0.0
     phi = z[..., :n]
-    basis._write_design(coords, wiener_at_t, phi, shift, scale)
+    mean, sd = np.empty((2, n_nodes, b_size))
+    mean[:, 0], sd[:, 0] = 1.0, 0.0     # the intercept row, all ones
+    if const is None:
+        basis._write_design(coords, wiener_at_t, phi, shift, scale)
+        lo = 1
+    else:
+        phi[:, 0] = 1.0
+        basis._write_linear(coords, wiener_at_t, phi)
+        mean[:, 1:n_poly], sd[:, 1:n_poly] = const, 0.0
+        lo = n_poly
 
     # Standardize, folding numerically constant columns into the intercept
     # (row 0): a coordinate that does not vary across the ensemble carries
@@ -292,15 +419,16 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     # unstable features degenerate exactly this way.  The conditioning check
     # then measures true collinearity, not scale disparity.  Dropped columns
     # stay in the stack as pads (see _drop), so nodes with different masks
-    # share one solve.
-    mean = phi.mean(axis=-1)
-    phi -= mean[..., None]
-    sd = np.sqrt(_sum_squares(phi) / n)
+    # share one solve.  The intercept and exactly constant monomial rows are
+    # never centred or scaled: they are dropped or set apart either way.
+    rows = phi[:, lo:]
+    mean[:, lo:] = rows.mean(axis=-1)
+    rows -= mean[:, lo:, None]
+    sd[:, lo:] = np.sqrt(_sum_squares(rows) / n)
     keep = _varies(mean, sd)
     keep[:, 0] = False
     inv_sd = np.divide(1.0, sd, out=np.zeros_like(sd), where=keep)
-    phi *= inv_sd[..., None]
-    phi[:, 0] = 1.0
+    rows *= inv_sd[:, lo:, None]
     dropped = ~keep
     dropped[:, 0] = False
     _drop(z, dropped)
@@ -352,20 +480,9 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     ridge = RIDGE_SCALE * np.trace(gram, axis1=1, axis2=2) / b_size
     gram_r = gram + ridge[:, None, None] * np.eye(b_size)
     bcoef = np.linalg.solve(gram_r, rhs)
-    gram_inv_std = np.linalg.inv(gram_r)
     normal_resid = (np.linalg.norm(gram_r @ bcoef - rhs, axis=(1, 2))
                     / np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2))))
-
-    # map back to the raw basis: T takes standardized coefficients to
-    # centred-basis ones (zero rows and columns for dropped columns),
-    # raw_map those to raw ones
     inv_sd[~keep] = 0.0     # aliased columns
-    t_map = inv_sd[:, None, :] * np.eye(b_size)
-    t_map[:, 0, :] = -mean * inv_sd
-    t_map[:, 0, 0] = 1.0
-    t_map = basis.raw_map(shift, scale) @ t_map
-    coef = t_map @ bcoef
-    gram_inv = t_map @ gram_inv_std @ np.swapaxes(t_map, -1, -2)
 
     fitted = np.swapaxes(bcoef, -1, -2) @ phi             # (L, k, n)
     # (L, k, n), like fitted; for k = 1 the caller's own array, never
@@ -384,14 +501,15 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
                    "normal_resid": normal_resid}
     fitted = np.swapaxes(fitted, -1, -2)
     if squeeze:
-        fitted, coef = fitted[..., 0], coef[..., 0]
+        fitted = fitted[..., 0]
     resid_var = rss / dof[:, None]
     if not stacked:
-        fitted, coef, gram_inv, resid_var = fitted[0], coef[0], gram_inv[0], resid_var[0]
+        fitted, resid_var = fitted[0], resid_var[0]
         diagnostics = {key: val[0].tolist() for key, val in diagnostics.items()}
     return CondexpEstimate(
-        fitted=fitted, coef=coef, basis=basis, gram_inv=gram_inv, resid_var=resid_var,
-        diagnostics={"n_samples": n, "basis_size": b_size, **diagnostics})
+        fitted=fitted, basis=basis, resid_var=resid_var,
+        diagnostics={"n_samples": n, "basis_size": b_size, **diagnostics},
+        _raw=_RawPieces(bcoef, gram_r, mean, inv_sd, shift, scale, squeeze, stacked))
 
 
 def condexp_anchor(x, state_at_t, basis: RegressionBasis,
@@ -410,8 +528,7 @@ def condexp_anchor(x, state_at_t, basis: RegressionBasis,
     if deterministic:
         row = arr if arr.ndim == 1 else arr[0]
         fitted = np.broadcast_to(row, (n,) + row.shape).copy()
-        return CondexpEstimate(fitted=fitted, coef=np.zeros((0,) + row.shape),
-                               basis=None, gram_inv=None, resid_var=None,
+        return CondexpEstimate(fitted=fitted, basis=None, resid_var=None,
                                diagnostics={"deterministic": True, "n_samples": n})
     return condexp_lsmc(arr, state_at_t, basis, wiener_at_t)
 

@@ -226,23 +226,27 @@ def _varying_nodes(x: np.ndarray, among: np.ndarray) -> np.ndarray:
 
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
                      wvals: Optional[np.ndarray], grid: TimeGrid, a: int,
-                     agg: dict) -> np.ndarray:
-    """E[target_j|F_{t_j}] in place for the nodes j = a, a+1, ... of a
-    (node, mode, sample) block: target (L, k, n), state (L, m, n), and
-    wvals (L, d, n) the Wiener values when the basis takes them. Exact
-    short-circuits, tested as node masks: a deterministic target is its own
-    conditional expectation; a deterministic conditioning state reduces the
-    regression to the plain mean, _row_sum of each sample row over n. The
-    remaining nodes are one stacked regression, handed to condexp_lsmc as
-    (L, n, k) views whose feature-major copies are free."""
+                     agg: dict, out: np.ndarray) -> None:
+    """E[target_j|F_{t_j}] into out (L, k, n), which may be target itself,
+    for the nodes j = a, a+1, ... of a (node, mode, sample) block: target
+    (L, k, n), state (L, m, n), and wvals (L, d, n) the Wiener values when
+    the basis takes them. Exact short-circuits, tested as node masks: a
+    deterministic target is its own conditional expectation; a
+    deterministic conditioning state reduces the regression to the plain
+    mean, _row_sum of each sample row over n. The remaining nodes are one
+    stacked regression, handed to condexp_lsmc as (L, n, k) views whose
+    feature-major copies are free; its fits are written straight into
+    out."""
     varies = _varying_nodes(target, np.ones(len(target), dtype=bool))
+    if out is not target and not varies.all():
+        out[~varies] = target[~varies]
     mean_nodes = varies & ~_varying_nodes(state, varies)
     if mean_nodes.any():
         agg["mean_fits"] = agg.get("mean_fits", 0) + int(mean_nodes.sum())
-        target[mean_nodes] = (_row_sum(target[mean_nodes]) / target.shape[2])[..., None]
+        out[mean_nodes] = (_row_sum(target[mean_nodes]) / target.shape[2])[..., None]
     nodes = np.flatnonzero(varies & ~mean_nodes)
     if nodes.size == 0:
-        return target
+        return
     sel = slice(None) if nodes.size == len(target) else nodes   # a slice copies nothing
     try:
         est = condexp_lsmc(target[sel].swapaxes(1, 2), state[sel].swapaxes(1, 2), basis,
@@ -255,8 +259,7 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
     agg["n_regressions"] = agg.get("n_regressions", 0) + int(nodes.size)
     agg["max_cond"] = max(agg.get("max_cond", 0.0), float(diag["cond"].max()))
     agg["min_r2"] = min(agg.get("min_r2", 1.0), float(diag["r2"].min()))
-    target[sel] = est.fitted.swapaxes(1, 2)
-    return target
+    out[sel] = est.fitted.swapaxes(1, 2)
 
 
 def _apart(x, v: np.ndarray) -> bool:
@@ -527,16 +530,28 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, grid.dt, noise, start):
         hi = min(len(v), N - a)  # the anchor node N is set apart
         target = drift[:hi]
+        # the block's unstable rows of the iterate, where the parked drift
+        # is spent: a view when they are one run; an index array would give
+        # a copy, so then they are target, assigned at the end
+        dest = out[a:a + hi, u] if isinstance(u, slice) else target
         if unstable:
-            pulled = anchor_rows * pull[a:a + hi, :, None]
+            # a deterministic anchor's rows are one row: pulled back as
+            # (hi, k, 1) and broadcast
+            pulled = (anchor_rows[:, :1] if x_det else anchor_rows) * pull[a:a + hi, :, None]
             if not x_det:
                 np.subtract(pulled, target, out=target)
-        fit = _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg)
+        # the fits go straight into dest where they are its values, and
+        # through target where one more operation writes dest (never in
+        # place on dest: numpy 2.4's in-place negative misreads a view whose
+        # stride is 8 elements)
+        fit = dest if unstable and not x_det else target
+        _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg, fit)
         if not unstable:
-            np.negative(fit, out=fit)
+            np.negative(fit, out=dest)
         elif x_det:   # E[x|F_t] = x: only the drift integral was regressed
-            np.subtract(pulled, fit, out=fit)
-        out[a:a + hi, u] = fit
+            np.subtract(pulled, fit, out=dest)
+        if dest is target:
+            out[a:a + hi, u] = dest
         if hi < len(v):
             # the backward map returns x itself at tau (E[x|F_tau] = x);
             # beyond tau + T_fwd lies the forward map's reported truncation tail

@@ -359,7 +359,8 @@ def scan_layout(x: np.ndarray) -> np.ndarray:
 def linear_scan(x: np.ndarray, decay, carry=None, reverse: bool = False) -> np.ndarray:
     """y_j = decay * y_{j-1} + x_j in place along axis 0 of x (y_{j+1} when
     reverse), from ``carry`` (zero when None) just outside the first node.
-    Wide nodes are swept one by one; narrow ones take doubling passes
+    Wide nodes are swept one by one, each one product into a buffer laid
+    out like a node, and one add; narrow ones take doubling passes
     (Hillis-Steele) whose coefficients are powers of ``decay``, each pass
     one product into a buffer laid out like x, and one add (scan_layout
     gives the layout each runs fastest on)."""
@@ -367,8 +368,10 @@ def linear_scan(x: np.ndarray, decay, carry=None, reverse: bool = False) -> np.n
     if carry is not None:
         y[0] += decay * carry
     if _sweeps(x):
+        term = np.empty(y.shape[1:], dtype=np.result_type(decay, y))
         for j in range(1, len(y)):
-            y[j] += decay * y[j - 1]
+            np.multiply(decay, y[j - 1], out=term)
+            y[j] += term
     else:
         term = np.empty_like(y)
         shift = 1

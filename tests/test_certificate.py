@@ -6,6 +6,7 @@ draws its noise once. A deterministic anchor's one-sample zero-noise
 presolve runs its own maps on one sample, apart from the ensemble's: it is
 the whole solve of a zero-noise request, and the first guess of a noisy
 one."""
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from msmanifold import (
     lp_forward_solve,
     ms_norm,
     sample_wiener,
+    saturated_noise,
     stable_graph,
     unstable_graph,
     zero_noise,
@@ -330,3 +332,98 @@ def test_invariance_draws_once_and_equals_three_draws(monkeypatch, side):
     monkeypatch.setattr(lp, "sample_wiener", counting_draw)
     assert invariance_residual(p, [0.15], cfg, t0, side) == want
     assert len(draws) == 1
+
+
+# ------------------------------------------- every sample against a recursion
+
+def triangular(radius):
+    """wide_invariance's problem: F_u reads nothing and F_s only u, so a
+    deterministic anchor's fixed point is known sample by sample. Linear
+    noise with slopes 0.1, clamped at ``radius`` when one is given."""
+    noise = (diagonal_linear_noise([0.1, 0.1]) if radius is None
+             else saturated_noise([0.1, 0.1], radius))
+    return build_problem([1.0, -2.0], [0], alpha=1.0, beta=-1.0, gamma=0.5, zeta=-0.5,
+                         nonlinearity=linear_nonlinearity([[0.0, 0.0], [0.1, 0.0]]),
+                         noise=noise)
+
+
+def stable_recursion(side, x, dt, dw, radius):
+    """The stable coordinate at every node of the side's window, (n, N+1),
+    for the problem of ``triangular`` on increments dw (n, N), by the maps'
+    rule written out node by node:
+    z <- e^{lam_s dt}(z + dt F_s(t_j)/2 + sigma_s(z) dW_j) + dt F_s(t_{j+1})/2
+    with F_s = 0.1 u. On the unstable side u(t_j) = x e^{lam_u (t_j - tau)}
+    and z starts from 0 at tau - T; on the stable side F_u = 0 gives u = 0,
+    and z starts from the anchor at tau. Also returns the recursion's mean
+    and, for linear noise, its variance V_{j+1} = e^{2 lam_s dt}(V_j + s^2
+    dt (V_j + mu_j^2)), both (N+1,)."""
+    n, N = dw.shape
+    lam_u, lam_s, s = 1.0, -2.0, 0.1
+    if side == "unstable":
+        force = 0.1 * x * np.exp(lam_u * (np.arange(N + 1) - N) * dt)
+        z0 = 0.0
+    else:
+        force, z0 = np.zeros(N + 1), x
+    z = np.empty((n, N + 1))
+    mu, var = np.empty(N + 1), np.empty(N + 1)
+    z[:, 0], mu[0], var[0] = z0, z0, 0.0
+    decay = math.exp(lam_s * dt)
+    for j in range(N):
+        state = z[:, j] if radius is None else np.clip(z[:, j], -radius, radius)
+        z[:, j + 1] = (decay * (z[:, j] + 0.5 * dt * force[j] + s * state * dw[:, j])
+                       + 0.5 * dt * force[j + 1])
+        mu[j + 1] = decay * (mu[j] + 0.5 * dt * force[j]) + 0.5 * dt * force[j + 1]
+        var[j + 1] = decay ** 2 * (var[j] + s ** 2 * dt * (var[j] + mu[j] ** 2))
+    return z, mu, var
+
+
+def sample_misses(h, z, var, tol):
+    """What samples h (n,) of a graph's stable coordinate get wrong against
+    the recursion's z (n,): a sample farther than 4 tol from its own, and,
+    when var is given, a sample variance more than 4 standard errors from
+    it."""
+    misses = []
+    worst = float(np.max(np.abs(h - z)))
+    if worst > 4.0 * tol:
+        misses.append(f"a sample misses the recursion by {worst:.3e}")
+    if var is not None:
+        dev = h - h.mean()
+        se = math.sqrt(max(np.mean(dev ** 4) - np.mean(dev ** 2) ** 2, 0.0) / len(h))
+        z_score = abs(float(np.var(h)) - var) / se if se > 0 else math.inf
+        if z_score > 4.0:
+            misses.append(f"sample variance {z_score:.1f} standard errors off")
+    return misses
+
+
+@pytest.mark.parametrize("radius", [None, 2e-3], ids=["linear", "saturated"])
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_every_sample_of_the_graph_follows_the_exact_recursion(side, radius):
+    # wide_invariance's settings at tol 1e-8; that tol needs force=True,
+    # because the a-priori truncation check refuses it at this horizon
+    # (its bound is far above the tail the solve actually cuts)
+    p = triangular(radius)
+    n, x = 8192, 0.1
+    cfg = LPConfig(c_zeta=0.5, t_back=4.5, t_fwd=4.5, dt=2.5e-2, tol=1e-8, n_samples=n,
+                   seed=11, force=True)
+    graph, path = solved_graph(side, p, [x], cfg)
+    wiener = sample_wiener(cfg.seed, lp._solver_grid(cfg, side), p.noise, n)
+    z, mu, var = stable_recursion(side, x, cfg.dt, wiener.increments[..., 1], radius)
+    # the path, in mean square at every node, as the certificate bounds it
+    stable = path.values[..., 1]                    # (n, N+1)
+    assert np.max(np.sqrt(np.mean((stable - z) ** 2, axis=0))) <= cfg.tol
+    # the graph: the stable coordinate at tau, or u = 0 at tau while the
+    # stable coordinate reaches the window's end
+    h = graph.h_value[:, 0]
+    end = stable[:, -1]
+    if side == "unstable":
+        assert h.tobytes() == end.tobytes()
+    else:
+        assert np.max(np.abs(h)) <= 4.0 * cfg.tol
+    linear = radius is None
+    assert not sample_misses(end, z[:, -1], var[-1] if linear else None, cfg.tol)
+    assert abs(float(end.mean()) - mu[-1]) <= 4.0 * float(end.std()) / math.sqrt(n)
+    # every sample replaced by the sample mean: the mean is right, the
+    # samples are not, and with linear noise neither is the variance
+    flat = np.full_like(end, end.mean())
+    misses = sample_misses(flat, z[:, -1], var[-1] if linear else None, cfg.tol)
+    assert len(misses) == (2 if linear else 1), misses

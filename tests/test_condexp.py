@@ -469,3 +469,77 @@ def test_stacked_refusal_names_the_node():
     with pytest.raises(IllConditionedDesign) as single:
         condexp_lsmc(target[2], state[2], basis)
     assert single.value.node is None and single.value.cond > 1e12
+
+
+def constant_primary_stack(n=400, seed=31, include_wiener=False):
+    """Four nodes whose primary coordinates (u0, u1) are exactly the same
+    on every sample, each node at its own values, with two linear
+    coordinates (s0, s1): plain nodes, one whose s1 duplicates s0 up to an
+    affine map (an aliased linear column, folded through the QR), and one
+    whose u1 is negative, so the sign of a dropped column's mean shows in
+    coef and gram_inv."""
+    rng = np.random.default_rng(seed)
+    state = np.empty((4, n, 4))
+    state[..., :2] = np.array([[0.3, 1.7], [-0.2, 0.05], [2.5, -0.4], [1e-3, -3.0]])[:, None]
+    state[..., 2:] = rng.standard_normal((4, n, 2))
+    state[1, :, 3] = 2.0 * state[1, :, 2] + 1.0
+    s0, s1 = state[..., 2], state[..., 3]
+    target = np.stack([1.0 + s0 - 0.5 * s1 ** 2, np.sin(s0) * s1], axis=-1)
+    target = target + 0.1 * rng.standard_normal(target.shape)
+    wiener = rng.standard_normal((4, n, 2)) if include_wiener else None
+    basis = RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=(2, 3),
+                            include_wiener=include_wiener, n_wiener=2 if include_wiener else 0)
+    return target, state, wiener, basis
+
+
+def estimate_bits(est, j):
+    """The bytes of node j of every value a stacked estimate returns."""
+    d = est.diagnostics
+    values = {key: d[key][j] for key in ("cond", "r2", "rank", "n_folded", "n_aliased",
+                                         "ridge")}
+    values.update(fitted=est.fitted[j], resid_var=est.resid_var[j], coef=est.coef[j],
+                  gram_inv=est.gram_inv[j])
+    return {key: np.asarray(val).tobytes() for key, val in values.items()}
+
+
+@pytest.mark.parametrize("include_wiener", [False, True])
+def test_a_nodes_fit_does_not_depend_on_its_stacks_route(monkeypatch, include_wiener):
+    # a stack whose primary coordinates are all exactly constant writes its
+    # monomial rows as pads at once; one more node whose primaries vary
+    # sends the whole stack down the general route, which builds,
+    # standardizes and then drops the same rows: every value of a shared
+    # node keeps its bits, zeros' signs included
+    from msmanifold import condexp
+
+    routes = []
+    real = condexp._constant_monomials
+
+    def spy(*args):
+        const = real(*args)
+        routes.append(const is not None)
+        return const
+
+    monkeypatch.setattr(condexp, "_constant_monomials", spy)
+    target, state, wiener, basis = constant_primary_stack(include_wiener=include_wiener)
+    rng = np.random.default_rng(4)
+    varied = (np.concatenate([target, target[:1]]),
+              np.concatenate([state, rng.standard_normal(state[:1].shape)]),
+              None if wiener is None else np.concatenate([wiener, wiener[:1]]))
+    constant = condexp_lsmc(target, state, basis, wiener)
+    general = condexp_lsmc(*varied[:2], basis, varied[2])
+    assert routes == [True, False]
+    assert constant.diagnostics["n_aliased"].tolist() == [0, 1, 0, 0]
+    assert constant.diagnostics["n_folded"].tolist() == [5, 5, 5, 5]
+    for j in range(4):
+        assert estimate_bits(constant, j) == estimate_bits(general, j), j
+
+
+def test_coef_and_gram_inv_keep_their_bits_in_any_order_of_reads():
+    target, state, wiener, basis = mixed_stack(include_wiener=True)
+    first, second = (condexp_lsmc(target, state, basis, wiener) for _ in range(2))
+    coef, gram_inv = first.coef, first.gram_inv
+    fitted = second.fitted
+    assert second.gram_inv.tobytes() == gram_inv.tobytes()
+    assert second.coef.tobytes() == coef.tobytes()
+    assert first.fitted.tobytes() == fitted.tobytes()
+    assert first.coef is coef and first.gram_inv is gram_inv

@@ -407,12 +407,11 @@ def test_conditional_fit_refusal_names_grid_node_and_time():
     rng = np.random.default_rng(7)
     state = rng.standard_normal((4, 200, 3))
     state[2, :, 2] = state[2, :, 0] + state[2, :, 1]
-    target = rng.standard_normal((4, 200, 1))
+    target = np.ascontiguousarray(rng.standard_normal((4, 200, 1)).swapaxes(1, 2))
     basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))
     with pytest.raises(IllConditionedDesign) as info:
-        lp._conditional_fit(np.ascontiguousarray(target.swapaxes(1, 2)),
-                            np.ascontiguousarray(state.swapaxes(1, 2)), basis, None,
-                            TimeGrid(-1.0, 1e-2, 100), 5, {})
+        lp._conditional_fit(target, np.ascontiguousarray(state.swapaxes(1, 2)), basis, None,
+                            TimeGrid(-1.0, 1e-2, 100), 5, {}, target)
     assert info.value.node == 7
     assert info.value.cond > info.value.limit
     assert "grid node 7 (t = -0.93)" in str(info.value)
@@ -474,10 +473,12 @@ def test_maps_are_node_major_and_ignore_the_input_layout(side):
 
 @pytest.mark.parametrize("side", ["unstable", "stable"])
 def test_maps_take_mode_blocks_that_are_not_one_run(side):
-    # unstable mode 1 between stable modes 0 and 2: the blocks are index
-    # arrays, not slices, and the map equals the one on the problem with
-    # its modes reordered to [1, 0, 2] bit for bit (every model is
-    # elementwise and the regression columns keep their order)
+    # unstable mode 1 between stable modes 0 and 2, and the unstable modes
+    # [0, 2] of four: the blocks are index arrays, not slices, and the map
+    # equals the one on the problem with its modes reordered so that each
+    # block is one run, bit for bit (every model is elementwise and the
+    # regression columns keep their order); with two unstable modes a fit
+    # written through an index array would land in a copy
     from msmanifold import saturated_polynomial_nonlinearity
 
     def problem(eigs, unstable, slopes):
@@ -485,21 +486,52 @@ def test_maps_take_mode_blocks_that_are_not_one_run(side):
                              nonlinearity=saturated_polynomial_nonlinearity([0.02, 0.02], 1.0),
                              noise=diagonal_linear_noise(slopes))
 
-    order = [1, 0, 2]
-    inner = problem([-1.0, 1.0, -2.0], [1], [0.05, 0.1, 0.15])
-    first = problem([1.0, -1.0, -2.0], [0], [0.1, 0.05, 0.15])
     n, N = 64, 100
     cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
     grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, N)
-    rng = np.random.default_rng(3)
-    vals = 0.1 + 0.05 * rng.standard_normal((n, N + 1, 3))
-    drawn = sample_wiener(5, grid, inner.noise, n)
-    permuted = replace(drawn, increments=drawn.increments[..., order])
-    x = 0.3 + 0.1 * rng.standard_normal((n, 1 if side == "unstable" else 2))
     step = lp_backward_map if side == "unstable" else lp_forward_map
-    a = step(inner, ProcessEnsemble(grid, vals), x, cfg, drawn).values
-    b = step(first, ProcessEnsemble(grid, vals[..., order]), x, cfg, permuted).values
-    assert a[..., order].tobytes() == b.tobytes()
+    # (eigenvalues, unstable modes, slopes, the order that makes each block one run)
+    for eigs, unstable, slopes, order in (
+            ([-1.0, 1.0, -2.0], [1], [0.05, 0.1, 0.15], [1, 0, 2]),
+            ([1.0, -1.0, 1.5, -2.0], [0, 2], [0.1, 0.05, 0.12, 0.15], [0, 2, 1, 3])):
+        m = len(eigs)
+        inner = problem(eigs, unstable, slopes)
+        first = problem([eigs[i] for i in order], sorted(order.index(i) for i in unstable),
+                        [slopes[i] for i in order])
+        rng = np.random.default_rng(3)
+        vals = 0.1 + 0.05 * rng.standard_normal((n, N + 1, m))
+        drawn = sample_wiener(5, grid, inner.noise, n)
+        permuted = replace(drawn, increments=drawn.increments[..., order])
+        k = len(unstable) if side == "unstable" else m - len(unstable)
+        x = 0.3 + 0.1 * rng.standard_normal((n, k))
+        a = step(inner, ProcessEnsemble(grid, vals), x, cfg, drawn)
+        b = step(first, ProcessEnsemble(grid, vals[..., order]), x, cfg, permuted)
+        assert a.meta["regression"]["n_regressions"] == N, m
+        assert a.values[..., order].tobytes() == b.values.tobytes(), m
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_a_one_sample_map_equals_each_sample_of_a_two_sample_map(side):
+    # eight modes and one sample: a node's unstable row lies 8 elements from
+    # the next node's, the stride at which numpy 2.4's in-place negative
+    # reads the wrong elements; the maps write the fits and their signs
+    # into the iterate without it (every model is elementwise, so the bits
+    # do not depend on the sample count)
+    from msmanifold import saturated_polynomial_nonlinearity
+
+    m, N = 8, 100
+    p = build_problem([1.0] + [-1.0 - i for i in range(m - 1)], [0], alpha=1.0, beta=-1.0,
+                      gamma=0.5, zeta=-0.5,
+                      nonlinearity=saturated_polynomial_nonlinearity([0.02, 0.02], 1.0),
+                      noise=zero_noise(m))
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=1)
+    grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, N)
+    vals = 0.1 + 0.05 * np.random.default_rng(8).standard_normal((1, N + 1, m))
+    x = [0.3] if side == "unstable" else [0.1] * (m - 1)
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    one = step(p, ProcessEnsemble(grid, vals), x, cfg).values
+    two = step(p, ProcessEnsemble(grid, np.repeat(vals, 2, axis=0)), x, cfg).values
+    assert one[0].tobytes() == two[0].tobytes() == two[1].tobytes()
 
 
 def test_forcing_blocks_are_views_of_node_major_storage(monkeypatch):
