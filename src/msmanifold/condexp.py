@@ -1,5 +1,9 @@
 """Conditional expectations E[.|F_t]: the martingale-zero rule for Ito
-integrals and least-squares Monte Carlo regression for everything else."""
+integrals and least-squares Monte Carlo regression for everything else.
+
+The regression conditions on the state at t alone: at the fixed point the
+mild solution is Markov, so E[.|F_t] of a functional of the path after t
+is a function of the state at t."""
 from __future__ import annotations
 
 import math
@@ -25,23 +29,18 @@ def _varies(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegressionBasis:
-    """Polynomial features of the conditioning coordinates.
+    """Polynomial features of the conditioning state.
 
     Primary coordinates enter with all monomials of total degree <= degree
-    (cross terms included); linear coordinates enter at degree 1 only; Wiener
-    values at the conditioning time enter linearly when include_wiener is set.
+    (cross terms included); linear coordinates enter at degree 1 only.
     """
     degree: int = 2
     primary_idx: tuple = ()
     linear_idx: tuple = ()
-    include_wiener: bool = False
-    n_wiener: int = 0
 
     def __post_init__(self):
         if self.degree < 0:
             raise ConfigError("degree must be >= 0")
-        if self.include_wiener and self.n_wiener < 1:
-            raise ConfigError("include_wiener needs n_wiener >= 1")
         object.__setattr__(self, "primary_idx", tuple(int(i) for i in self.primary_idx))
         object.__setattr__(self, "linear_idx", tuple(int(i) for i in self.linear_idx))
 
@@ -68,8 +67,7 @@ class RegressionBasis:
 
     @property
     def size(self) -> int:
-        return (self._n_poly + len(self.linear_idx)
-                + (self.n_wiener if self.include_wiener else 0))
+        return self._n_poly + len(self.linear_idx)
 
     @cached_property
     def _row_plan(self) -> tuple:
@@ -81,14 +79,14 @@ class RegressionBasis:
         return tuple((r, index[row[:-1]], index[row[-1:]])
                      for r, row in enumerate(rows) if len(row) >= 2)
 
-    def _write_design(self, coords: np.ndarray, wiener: Optional[np.ndarray],
-                      out: np.ndarray, shift=None, scale=None) -> None:
+    def _write_design(self, coords: np.ndarray, out: np.ndarray, shift=None,
+                      scale=None) -> None:
         """Write the size feature rows of a feature-major state coords
         (..., n_coords, n_samples) into out (..., size, n_samples), each in
-        place: the monomial rows (_write_monomials), then the linear and
-        Wiener rows (_write_linear)."""
+        place: the monomial rows (_write_monomials), then the linear rows
+        (_write_linear)."""
         self._write_monomials(coords, out, shift, scale)
-        self._write_linear(coords, wiener, out)
+        self._write_linear(coords, out)
 
     def _write_monomials(self, coords: np.ndarray, out: np.ndarray, shift=None,
                          scale=None) -> None:
@@ -108,35 +106,21 @@ class RegressionBasis:
         for r, prefix, last in self._row_plan:
             np.multiply(out[..., prefix, :], out[..., last, :], out=out[..., r, :])
 
-    def _write_linear(self, coords: np.ndarray, wiener: Optional[np.ndarray],
-                      out: np.ndarray) -> None:
-        """The rows after the monomials: the linear coordinates, then the
-        Wiener values (..., n_samples, n_wiener)."""
+    def _write_linear(self, coords: np.ndarray, out: np.ndarray) -> None:
+        """The rows after the monomials: the linear coordinates."""
         n_poly = self._n_poly
         for t, c in enumerate(self.linear_idx):
             out[..., n_poly + t, :] = coords[..., c, :]
-        if self.include_wiener:
-            if wiener is None:
-                raise ConfigError("basis includes Wiener values but none were passed")
-            wiener = np.asarray(wiener, dtype=float)
-            want = coords.shape[:-2] + coords.shape[-1:] + (self.n_wiener,)
-            if wiener.shape != want:
-                raise ConfigError(f"wiener values shape {wiener.shape} != {want}")
-            first = n_poly + len(self.linear_idx)
-            for j in range(self.n_wiener):
-                out[..., first + j, :] = wiener[..., j]
 
-    def design(self, state: np.ndarray, wiener: Optional[np.ndarray] = None,
-               shift=None, scale=None) -> np.ndarray:
+    def design(self, state: np.ndarray, shift=None, scale=None) -> np.ndarray:
         """The size feature columns of a state (..., n_samples, n_coords),
         (..., n_samples, size), a view of feature-major storage; see
-        ``_write_design`` for the rows, the Wiener values and shift and
-        scale."""
+        ``_write_design`` for the rows and shift and scale."""
         state = np.asarray(state, dtype=float)
         if state.ndim < 2:
             raise ConfigError("conditioning state must be (..., n_samples, n_coords)")
         out = np.empty(state.shape[:-2] + (self.size, state.shape[-2]))
-        self._write_design(np.swapaxes(state, -1, -2), wiener, out, shift, scale)
+        self._write_design(np.swapaxes(state, -1, -2), out, shift, scale)
         return np.swapaxes(out, -1, -2)
 
     @cached_property
@@ -174,13 +158,10 @@ class RegressionBasis:
         return t
 
 
-def default_basis(p: SpectralProblem, degree: int = 2,
-                  include_wiener: bool = False) -> RegressionBasis:
+def default_basis(p: SpectralProblem, degree: int = 2) -> RegressionBasis:
     return RegressionBasis(degree=degree,
                            primary_idx=tuple(p.unstable_modes),
-                           linear_idx=tuple(p.stable_modes),
-                           include_wiener=include_wiener,
-                           n_wiener=p.noise.n_noise_modes if include_wiener else 0)
+                           linear_idx=tuple(p.stable_modes))
 
 
 @dataclass(frozen=True)
@@ -283,14 +264,12 @@ def _on_primary_graph(r: np.ndarray, keep: np.ndarray, basis: RegressionBasis,
     """Which kept linear coordinates (columns of keep) have a multiple
     correlation with the intercept and the primary features that reaches
     ALIAS_CORR, given the R factors (L, B, B) of the n-sample designs. The
-    leading block of R over the intercept, primary and linear columns is
-    their own QR's R, so every linear column's residual off the features
-    lies below the features' rows of that block."""
-    n_poly = basis._n_poly
-    lin = slice(n_poly, n_poly + len(basis.linear_idx))
+    linear columns come last, so every linear column's residual off the
+    features lies below the features' rows of R."""
+    lin = slice(basis._n_poly, None)
     on_graph = np.zeros_like(keep)
     if keep[:, lin].any():
-        below = r[:, n_poly:lin.stop, lin]
+        below = r[:, lin, lin]
         unexplained = np.einsum("lij,lij->lj", below, below) / n
         on_graph[:, lin] = keep[:, lin] & (unexplained <= 1.0 - ALIAS_CORR ** 2)
     return on_graph
@@ -345,17 +324,16 @@ def _constant_monomials(coords: np.ndarray, prim: np.ndarray, basis: RegressionB
     return rows[:, 1:, 0]
 
 
-def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
-                 wiener_at_t: Optional[np.ndarray] = None) -> CondexpEstimate:
+def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     """Project target onto the basis evaluated at the conditioning state.
 
     A state (n_samples, n_coords) is one regression. A state (L, n_samples,
-    n_coords), with target (L, n_samples[, k]) and Wiener values (L,
-    n_samples, d), is L regressions solved as one stacked problem: the
-    single regression is the case L = 1. Multi-column targets share one
-    normal-equation factorization. Ridge of RIDGE_SCALE * trace(G)/B is
-    always added and reported; the design condition number is checked
-    before the ridge. A refused stack names the first refused node.
+    n_coords), with target (L, n_samples[, k]), is L regressions solved as
+    one stacked problem: the single regression is the case L = 1.
+    Multi-column targets share one normal-equation factorization. Ridge of
+    RIDGE_SCALE * trace(G)/B is always added and reported; the design
+    condition number is checked before the ridge. A refused stack names
+    the first refused node.
 
     A call computes the fit, its residual variance and the diagnostics;
     coef and gram_inv are derived from the fit on first read (see
@@ -372,7 +350,6 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     y, squeeze = _as_targets(target, stacked)
     if not stacked:
         state, y = state[None], y[None]
-        wiener_at_t = None if wiener_at_t is None else np.asarray(wiener_at_t)[None]
     n_nodes, n = y.shape[:2]
     b_size = basis.size
     if n <= 3 * b_size:
@@ -405,11 +382,11 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
     mean, sd = np.empty((2, n_nodes, b_size))
     mean[:, 0], sd[:, 0] = 1.0, 0.0     # the intercept row, all ones
     if const is None:
-        basis._write_design(coords, wiener_at_t, phi, shift, scale)
+        basis._write_design(coords, phi, shift, scale)
         lo = 1
     else:
         phi[:, 0] = 1.0
-        basis._write_linear(coords, wiener_at_t, phi)
+        basis._write_linear(coords, phi)
         mean[:, 1:n_poly], sd[:, 1:n_poly] = const, 0.0
         lo = n_poly
 
@@ -512,13 +489,12 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis,
         _raw=_RawPieces(bcoef, gram_r, mean, inv_sd, shift, scale, squeeze, stacked))
 
 
-def condexp_anchor(x, state_at_t, basis: RegressionBasis,
-                   wiener_at_t: Optional[np.ndarray] = None) -> CondexpEstimate:
+def condexp_anchor(x, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     """E[x|F_t] for an anchor value x: deterministic anchors pass through
-    unchanged, random anchors go through the regression. A 1-D x is one
-    deterministic row, the same on every sample; per-sample anchors are
-    (n, k), so a 1-D x as long as the state's n samples is refused with
-    ConfigError rather than read as one row of length n."""
+    unchanged, random anchors go through the regression on the state at t.
+    A 1-D x is one deterministic row, the same on every sample; per-sample
+    anchors are (n, k), so a 1-D x as long as the state's n samples is
+    refused with ConfigError rather than read as one row of length n."""
     arr = np.asarray(x, dtype=float)
     n = np.asarray(state_at_t).shape[0]
     if arr.ndim == 1 and len(arr) == n:
@@ -530,7 +506,7 @@ def condexp_anchor(x, state_at_t, basis: RegressionBasis,
         fitted = np.broadcast_to(row, (n,) + row.shape).copy()
         return CondexpEstimate(fitted=fitted, basis=None, resid_var=None,
                                diagnostics={"deterministic": True, "n_samples": n})
-    return condexp_lsmc(arr, state_at_t, basis, wiener_at_t)
+    return condexp_lsmc(arr, state_at_t, basis)
 
 
 def condexp_ito_zero(increment_sums, window: tuple) -> tuple:

@@ -49,8 +49,8 @@ _SOLVER_KEYS = tuple(f.name for f in fields(LPConfig)
                      if f.name not in ("c_zeta_source", "force"))
 
 # Every run key with its default: the front end's own keys and its default
-# for c_zeta, which LPConfig requires, then LPConfig's field defaults. A
-# bool, int or float default also fixes its key's JSON type.
+# for c_zeta, which LPConfig requires, then LPConfig's field defaults. An
+# int or float default also fixes its key's JSON type.
 _RUN_DEFAULTS = {"side": "unstable", "anchor": None, "t0": 1.0, "c_zeta": 0.5,
                  **{f.name: f.default for f in fields(LPConfig)
                     if f.name in _SOLVER_KEYS and f.default is not MISSING}}
@@ -101,10 +101,8 @@ def _number(value, where: str) -> float:
 
 def _run_value(key: str, value, default):
     """A run value of the JSON type of its default; a number comes back as
-    a float, and must be finite. Booleans pass only for a boolean default."""
-    if isinstance(default, bool):
-        _require(isinstance(value, bool), f"run.{key} must be true or false")
-    elif isinstance(default, int):
+    a float, and must be finite. No boolean passes for a number."""
+    if isinstance(default, int):
         _require(isinstance(value, int) and not isinstance(value, bool),
                  f"run.{key} must be an integer")
     elif isinstance(default, float):

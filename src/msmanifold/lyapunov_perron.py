@@ -67,7 +67,6 @@ class LPConfig:
     max_iter: int = 50
     c_zeta_source: str = "user"
     basis_degree: int = 2
-    include_wiener: bool = False
     force: bool = False
     slack: float = DEFAULT_SLACK
 
@@ -88,7 +87,7 @@ class LPConfig:
                 raise ConfigError(f"{name} must be {need}, got {value!r}")
 
     def basis_for(self, p: SpectralProblem) -> RegressionBasis:
-        return default_basis(p, self.basis_degree, self.include_wiener)
+        return default_basis(p, self.basis_degree)
 
 
 @dataclass
@@ -225,18 +224,17 @@ def _varying_nodes(x: np.ndarray, among: np.ndarray) -> np.ndarray:
 
 
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
-                     wvals: Optional[np.ndarray], grid: TimeGrid, a: int,
-                     agg: dict, out: np.ndarray) -> None:
+                     grid: TimeGrid, a: int, agg: dict, out: np.ndarray) -> None:
     """E[target_j|F_{t_j}] into out (L, k, n), which may be target itself,
     for the nodes j = a, a+1, ... of a (node, mode, sample) block: target
-    (L, k, n), state (L, m, n), and wvals (L, d, n) the Wiener values when
-    the basis takes them. Exact short-circuits, tested as node masks: a
-    deterministic target is its own conditional expectation; a
-    deterministic conditioning state reduces the regression to the plain
-    mean, _row_sum of each sample row over n. The remaining nodes are one
-    stacked regression, handed to condexp_lsmc as (L, n, k) views whose
-    feature-major copies are free; its fits are written straight into
-    out."""
+    (L, k, n) regressed on the state (L, m, n) at the same node, since at
+    the fixed point the mild solution is Markov. Exact short-circuits,
+    tested as node masks: a deterministic target is its own conditional
+    expectation; a deterministic conditioning state reduces the regression
+    to the plain mean, _row_sum of each sample row over n. The remaining
+    nodes are one stacked regression, handed to condexp_lsmc as (L, n, k)
+    views whose feature-major copies are free; its fits are written
+    straight into out."""
     varies = _varying_nodes(target, np.ones(len(target), dtype=bool))
     if out is not target and not varies.all():
         out[~varies] = target[~varies]
@@ -249,8 +247,7 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
         return
     sel = slice(None) if nodes.size == len(target) else nodes   # a slice copies nothing
     try:
-        est = condexp_lsmc(target[sel].swapaxes(1, 2), state[sel].swapaxes(1, 2), basis,
-                           None if wvals is None else wvals[sel].swapaxes(1, 2))
+        est = condexp_lsmc(target[sel].swapaxes(1, 2), state[sel].swapaxes(1, 2), basis)
     except IllConditionedDesign as exc:
         j = a + int(nodes[exc.node])
         raise IllConditionedDesign(f"grid node {j} (t = {grid.times[j]:.6g}): {exc}",
@@ -401,18 +398,6 @@ def _driving_noise(p: SpectralProblem, wiener: Optional[WienerEnsemble], grid: T
     return wiener
 
 
-def _wiener_values(wiener, basis: RegressionBasis):
-    """W at the grid nodes, (n, N+1, d), when the basis takes Wiener values."""
-    if wiener is None or not basis.include_wiener:
-        return None
-    return wiener.values()
-
-
-def _nodes(wvals: Optional[np.ndarray], a: int, b: int) -> Optional[np.ndarray]:
-    """The (node, mode, sample) block [a, b) of per-sample node values."""
-    return None if wvals is None else _by_node(wvals)[a:b]
-
-
 def _side_layout(p: SpectralProblem, grid: TimeGrid, side: str) -> tuple:
     """(anchor block, value block, anchor node) of a side's window: its end
     for the unstable graph, its start for the stable one."""
@@ -522,7 +507,6 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     cols = solver_boundary_columns(p)
     N = grid.n_steps
     pull = _semigroup(p, grid, u_idx, N) if unstable else None
-    wvals = _wiener_values(wiener, basis)
     out = _map_output(xi, m, out)
     agg: dict = {}
     start = 0.0 if unstable else anchor_rows
@@ -545,7 +529,7 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
         # place on dest: numpy 2.4's in-place negative misreads a view whose
         # stride is 8 elements)
         fit = dest if unstable and not x_det else target
-        _conditional_fit(target, v[:hi], basis, _nodes(wvals, a, a + hi), grid, a, agg, fit)
+        _conditional_fit(target, v[:hi], basis, grid, a, agg, fit)
         if not unstable:
             np.negative(fit, out=dest)
         elif x_det:   # E[x|F_t] = x: only the drift integral was regressed

@@ -235,7 +235,9 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
     The error is monotone when it grows with dt and falls with the others.
     A sweep whose errors are not all positive and finite, such as an
     n_samples sweep without noise, has no slope and is refused with
-    ConfigError.
+    ConfigError; so is a dt sweep whose errors all lie within the
+    reference's rounding budget, its step count times eps times its
+    observable, as they do when the exponential step is exact.
     """
     if values is not None and len(tuple(values)) < 3:
         raise ConfigError("a refinement sweep needs at least 3 values")
@@ -256,6 +258,7 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
         wie_ref = st.sample_wiener(cfg.seed, grid_ref, p.noise,
                                    max(2, cfg.n_samples))
         ref = st.integrate_mild(p, u0, grid_ref, wie_ref).values[:, -1, :]
+        budget = steps_ref * np.finfo(float).eps * st.ms_norm(ref)
         for dt, steps in zip(vals, sweep):
             ratio = st._span_steps(dt, dt_ref, "dt")
             grid = st.TimeGrid(t_start=0.0, dt=dt, n_steps=steps)
@@ -268,6 +271,10 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
             end = st.integrate_mild(p, u0, grid, wie).values[:, -1, :]
             err.append(st.ms_norm(end - ref))
             obs.append(st.ms_norm(end))
+        if all(e <= budget for e in err):
+            raise ConfigError(f"the dt sweep's errors {err} all lie within the reference's "
+                              f"rounding budget {budget:.3g} ({steps_ref} steps x eps x "
+                              "observable), so it measures no discretization error")
     elif parameter == "n_samples":
         vals = tuple(values) if values is not None else (400, 1600, 6400)
         vals = tuple(sorted(int(v) for v in vals))

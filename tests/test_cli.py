@@ -456,6 +456,35 @@ def test_refine_refuses_a_sweep_without_error(tmp_path, capsys):
         _write_json(str(tmp_path / "nan.json"), {"slope": float("nan")})
 
 
+def test_refine_dt_refuses_a_sweep_at_rounding_level(tmp_path, capsys):
+    # the example has no forcing, so its exponential step is exact: the
+    # errors (about 3e-12) are rounding, and once gave slope -0.011
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    out = tmp_path / "ref"
+    assert main(["refine", "dt", "--config", str(emitted / "example_problem.json"),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "dt sweep's errors [" in err and "rounding budget" in err
+    assert not (out / "refine_dt.json").exists()
+
+
+def test_refine_dt_on_the_forced_example_has_a_positive_slope(tmp_path):
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    cfg = json.loads((emitted / "example_problem.json").read_text())
+    m = len(cfg["problem"]["eigenvalues"])
+    cfg["problem"]["nonlinearity"].update(
+        g0_matrix=[[0.02 * (i == j) for j in range(m)] for i in range(m)],
+        g1_coefficients=[0.05] * m, g2_coefficients=[0.05] * m)
+    out = tmp_path / "ref"
+    assert main(["refine", "dt", "--config", write_cfg(tmp_path / "forced.json", cfg),
+                 "--out", str(out)]) == 0
+    study = json.loads((out / "refine_dt.json").read_text())["study"]
+    assert study["slope"] > 0.5 and study["monotone"]
+    assert min(row[2] for row in study["rows"]) > 1e-3
+
+
 def test_refine_subcommand(tmp_path):
     cfgp = write_cfg(tmp_path / "cfg.json", solve_cfg())
     out = tmp_path / "ref"
@@ -495,6 +524,21 @@ def test_example_output_with_retired_boundary_keys_is_refused(tmp_path, capsys, 
     old = write_cfg(tmp_path / "old.json", cfg)
     assert main(["resolvent-study", "--config", old, "--out", str(tmp_path / "s")]) == 4
     assert f"unknown boundary keys: ['{retired}']" in capsys.readouterr().err
+
+
+def test_example_output_with_the_retired_include_wiener_key_is_refused(tmp_path, capsys):
+    # every example-pde file written while the key existed carries it as false
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    cfg = json.loads((emitted / "example_problem.json").read_text())
+    assert "include_wiener" not in cfg["run"]
+    cfg["run"]["include_wiener"] = False
+    old = write_cfg(tmp_path / "old.json", cfg)
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert main(["solve-unstable", "--config", old, "--out", str(out)]) == 4
+    assert "unknown run keys: ['include_wiener']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ladder_rung_at_or_below_the_operator_shift_is_a_config_error(tmp_path, capsys):

@@ -56,8 +56,6 @@ def test_default_basis_shape_for_two_mode_problem():
 def test_basis_rejects_bad_parameters():
     with pytest.raises(ConfigError):
         RegressionBasis(degree=-1)
-    with pytest.raises(ConfigError):
-        RegressionBasis(include_wiener=True, n_wiener=0)
 
 
 def test_in_span_target_recovered_exactly():
@@ -212,7 +210,7 @@ def test_raw_map_takes_shifted_columns_to_raw_ones():
     assert np.max(np.abs(shifted - basis.design(state) @ basis.raw_map(shift, scale))) < 1e-11
 
 
-def stacked_columns(basis, state, wiener=None, shift=None, scale=None):
+def stacked_columns(basis, state, shift=None, scale=None):
     """The design as a stack of separately formed columns, each monomial a
     left-to-right product over its exponent tuple."""
     coords = np.swapaxes(state, -1, -2)
@@ -227,28 +225,33 @@ def stacked_columns(basis, state, wiener=None, shift=None, scale=None):
             c = c * prim[..., i, :]
         cols.append(c)
     cols.extend(coords[..., i, :] for i in basis.linear_idx)
-    if basis.include_wiener:
-        cols.extend(wiener[..., j] for j in range(basis.n_wiener))
     return np.stack(cols, axis=-1)
 
 
+def widened(state, linear_idx, wide, rng):
+    """With wide, the state gains two standard normal coordinates that
+    enter the basis linearly, after its own linear ones."""
+    if not wide:
+        return state, linear_idx
+    extra = rng.standard_normal(state.shape[:-1] + (2,))
+    m = state.shape[-1]
+    return np.concatenate([state, extra], axis=-1), linear_idx + (m, m + 1)
+
+
 @pytest.mark.parametrize("shifted", [False, True])
-@pytest.mark.parametrize("include_wiener", [False, True])
-def test_design_rows_equal_the_stacked_columns(include_wiener, shifted):
+@pytest.mark.parametrize("wide", [False, True])
+def test_design_rows_equal_the_stacked_columns(wide, shifted):
     rng = np.random.default_rng(27)
     state = rng.standard_normal((3, 200, 4)) * [0.5, 2.0, 1.0, 3.0] + [0.3, -1.0, 0.0, 2.0]
-    wiener = rng.standard_normal((3, 200, 2)) if include_wiener else None
+    state, linear_idx = widened(state, (1,), wide, rng)
     shift = rng.standard_normal((3, 3)) if shifted else None
     scale = rng.uniform(0.5, 2.0, (3, 3)) if shifted else None
     for degree in (0, 1, 2, 4):
-        basis = RegressionBasis(degree=degree, primary_idx=(3, 0, 2),
-                                linear_idx=(1,), include_wiener=include_wiener,
-                                n_wiener=2 if include_wiener else 0)
-        want = stacked_columns(basis, state, wiener, shift, scale)
-        assert basis.design(state, wiener, shift, scale).tobytes() == want.tobytes()
+        basis = RegressionBasis(degree=degree, primary_idx=(3, 0, 2), linear_idx=linear_idx)
+        want = stacked_columns(basis, state, shift, scale)
+        assert basis.design(state, shift, scale).tobytes() == want.tobytes()
         one = (None, None) if shift is None else (shift[1], scale[1])
-        assert np.array_equal(basis.design(state[1], None if wiener is None else wiener[1], *one),
-                              want[1])
+        assert np.array_equal(basis.design(state[1], *one), want[1])
 
 
 def test_lsmc_rejects_underdetermined_designs():
@@ -358,12 +361,13 @@ def test_ito_zero_guards():
 
 # ------------------------------------------------------------ stacked nodes
 
-def mixed_stack(n=400, seed=30, k=2, include_wiener=False):
+def mixed_stack(n=400, seed=30, k=2, wide=False):
     """Five nodes of (u0, u1, s) ensembles whose designs take every path of
     the solve: a plain node, a numerically constant coordinate (fold), a
     linear coordinate on a graph over the primary ones (alias), a design
     conditioned between the eigenvalue and the SVD routes' switch and the
-    refusal limit, and a duplicated primary coordinate (alias)."""
+    refusal limit, and a duplicated primary coordinate (alias); with wide,
+    two more linear coordinates (widened)."""
     rng = np.random.default_rng(seed)
     state = rng.standard_normal((5, n, 3))
     state[1, :, 0] = 2.0 + 1e-14 * rng.standard_normal(n)
@@ -374,23 +378,21 @@ def mixed_stack(n=400, seed=30, k=2, include_wiener=False):
     x0, x1 = state[..., 0], state[..., 1]
     target = np.stack([1.0 + x0 - x1 ** 2, np.sin(x0) * x1], axis=-1)[..., :k]
     target = target + 0.1 * rng.standard_normal(target.shape)
-    wiener = rng.standard_normal((5, n, 2)) if include_wiener else None
-    basis = RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=(2,),
-                            include_wiener=include_wiener, n_wiener=2 if include_wiener else 0)
-    return target, state, wiener, basis
+    state, linear_idx = widened(state, (2,), wide, rng)
+    return target, state, RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=linear_idx)
 
 
-@pytest.mark.parametrize("include_wiener", [False, True])
+@pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("k", [1, 2])
-def test_stacked_nodes_equal_one_node_calls(include_wiener, k):
-    target, state, wiener, basis = mixed_stack(k=k, include_wiener=include_wiener)
-    stacked = condexp_lsmc(target, state, basis, wiener)
+def test_stacked_nodes_equal_one_node_calls(wide, k):
+    target, state, basis = mixed_stack(k=k, wide=wide)
+    stacked = condexp_lsmc(target, state, basis)
     d = stacked.diagnostics
     assert d["n_folded"].tolist() == [0, 2, 0, 0, 0]     # u0 and u0^2
     assert d["n_aliased"].tolist() == [0, 1, 1, 0, 3]    # u0*u1 ~ u1; s; u1, u0*u1, u1^2
     assert 1e7 < d["cond"][3] <= 1e12
     for j in range(5):
-        one = condexp_lsmc(target[j], state[j], basis, None if wiener is None else wiener[j])
+        one = condexp_lsmc(target[j], state[j], basis)
         scale = np.max(np.abs(one.fitted))
         assert np.max(np.abs(stacked.fitted[j] - one.fitted)) <= 1e-12 * scale
         assert stacked.diagnostics["cond"][j] == pytest.approx(one.diagnostics["cond"], rel=1e-9)
@@ -400,30 +402,26 @@ def test_stacked_nodes_equal_one_node_calls(include_wiener, k):
         assert np.allclose(stacked.diagnostics["r2"][j], one.diagnostics["r2"], rtol=1e-12)
 
 
-@pytest.mark.parametrize("include_wiener", [False, True])
-def test_folded_nodes_reuse_the_condition_qr(monkeypatch, include_wiener):
-    # the alias check reads the leading block of the R factor that _cond
-    # took: the same fold as a fresh QR of the intercept, primary and
-    # linear columns alone, bit for bit downstream
+@pytest.mark.parametrize("wide", [False, True])
+def test_folded_nodes_reuse_the_condition_qr(monkeypatch, wide):
+    # the alias check reads the R factor that _cond took: the same fold as
+    # a fresh QR of the design, bit for bit downstream
     from msmanifold import condexp
 
-    target, state, wiener, basis = mixed_stack(include_wiener=include_wiener)
-    reused = condexp_lsmc(target, state, basis, wiener)
+    target, state, basis = mixed_stack(wide=wide)
+    reused = condexp_lsmc(target, state, basis)
     real = condexp._cond
-    stop = len(basis._exponent_rows()) + len(basis.linear_idx)
     qrs = []
 
     def fresh_second_qr(gram, z):
         eigs, cond, slow, r = real(gram, z)
         if slow.size:
-            lead = np.linalg.qr(np.swapaxes(z[slow, :stop], -1, -2), mode="r")
+            r = np.linalg.qr(np.swapaxes(z[slow], -1, -2), mode="r")
             qrs.append(len(slow))
-            r = np.zeros_like(r)
-            r[:, :stop, :stop] = lead
         return eigs, cond, slow, r
 
     monkeypatch.setattr(condexp, "_cond", fresh_second_qr)
-    fresh = condexp_lsmc(target, state, basis, wiener)
+    fresh = condexp_lsmc(target, state, basis)
     assert qrs and reused.diagnostics["n_aliased"].tolist() == [0, 1, 1, 0, 3]
     for key in ("n_aliased", "n_folded", "cond", "rank"):
         assert reused.diagnostics[key].tobytes() == fresh.diagnostics[key].tobytes(), key
@@ -448,7 +446,7 @@ def test_stacked_fit_matches_naive_least_squares(k):
 
 
 def test_stacked_one_column_target_squeezes_like_a_single_call():
-    target, state, _, basis = mixed_stack(k=1)
+    target, state, basis = mixed_stack(k=1)
     est = condexp_lsmc(target[..., 0], state, basis)
     assert est.fitted.shape == target.shape[:2]
     assert est.coef.shape == (5, basis.size)
@@ -457,7 +455,7 @@ def test_stacked_one_column_target_squeezes_like_a_single_call():
 
 
 def test_stacked_refusal_names_the_node():
-    target, state, _, basis = mixed_stack()
+    target, state, basis = mixed_stack()
     state[2, :, 2] = state[2, :, 0] + state[2, :, 1]
     basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))   # three-way collinear at node 2
     with pytest.raises(IllConditionedDesign) as info:
@@ -471,13 +469,13 @@ def test_stacked_refusal_names_the_node():
     assert single.value.node is None and single.value.cond > 1e12
 
 
-def constant_primary_stack(n=400, seed=31, include_wiener=False):
+def constant_primary_stack(n=400, seed=31, wide=False):
     """Four nodes whose primary coordinates (u0, u1) are exactly the same
     on every sample, each node at its own values, with two linear
     coordinates (s0, s1): plain nodes, one whose s1 duplicates s0 up to an
     affine map (an aliased linear column, folded through the QR), and one
     whose u1 is negative, so the sign of a dropped column's mean shows in
-    coef and gram_inv."""
+    coef and gram_inv; with wide, two more linear coordinates (widened)."""
     rng = np.random.default_rng(seed)
     state = np.empty((4, n, 4))
     state[..., :2] = np.array([[0.3, 1.7], [-0.2, 0.05], [2.5, -0.4], [1e-3, -3.0]])[:, None]
@@ -486,10 +484,8 @@ def constant_primary_stack(n=400, seed=31, include_wiener=False):
     s0, s1 = state[..., 2], state[..., 3]
     target = np.stack([1.0 + s0 - 0.5 * s1 ** 2, np.sin(s0) * s1], axis=-1)
     target = target + 0.1 * rng.standard_normal(target.shape)
-    wiener = rng.standard_normal((4, n, 2)) if include_wiener else None
-    basis = RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=(2, 3),
-                            include_wiener=include_wiener, n_wiener=2 if include_wiener else 0)
-    return target, state, wiener, basis
+    state, linear_idx = widened(state, (2, 3), wide, rng)
+    return target, state, RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=linear_idx)
 
 
 def estimate_bits(est, j):
@@ -502,8 +498,8 @@ def estimate_bits(est, j):
     return {key: np.asarray(val).tobytes() for key, val in values.items()}
 
 
-@pytest.mark.parametrize("include_wiener", [False, True])
-def test_a_nodes_fit_does_not_depend_on_its_stacks_route(monkeypatch, include_wiener):
+@pytest.mark.parametrize("wide", [False, True])
+def test_a_nodes_fit_does_not_depend_on_its_stacks_route(monkeypatch, wide):
     # a stack whose primary coordinates are all exactly constant writes its
     # monomial rows as pads at once; one more node whose primaries vary
     # sends the whole stack down the general route, which builds,
@@ -520,13 +516,12 @@ def test_a_nodes_fit_does_not_depend_on_its_stacks_route(monkeypatch, include_wi
         return const
 
     monkeypatch.setattr(condexp, "_constant_monomials", spy)
-    target, state, wiener, basis = constant_primary_stack(include_wiener=include_wiener)
+    target, state, basis = constant_primary_stack(wide=wide)
     rng = np.random.default_rng(4)
     varied = (np.concatenate([target, target[:1]]),
-              np.concatenate([state, rng.standard_normal(state[:1].shape)]),
-              None if wiener is None else np.concatenate([wiener, wiener[:1]]))
-    constant = condexp_lsmc(target, state, basis, wiener)
-    general = condexp_lsmc(*varied[:2], basis, varied[2])
+              np.concatenate([state, rng.standard_normal(state[:1].shape)]))
+    constant = condexp_lsmc(target, state, basis)
+    general = condexp_lsmc(*varied, basis)
     assert routes == [True, False]
     assert constant.diagnostics["n_aliased"].tolist() == [0, 1, 0, 0]
     assert constant.diagnostics["n_folded"].tolist() == [5, 5, 5, 5]
@@ -535,8 +530,8 @@ def test_a_nodes_fit_does_not_depend_on_its_stacks_route(monkeypatch, include_wi
 
 
 def test_coef_and_gram_inv_keep_their_bits_in_any_order_of_reads():
-    target, state, wiener, basis = mixed_stack(include_wiener=True)
-    first, second = (condexp_lsmc(target, state, basis, wiener) for _ in range(2))
+    target, state, basis = mixed_stack(wide=True)
+    first, second = (condexp_lsmc(target, state, basis) for _ in range(2))
     coef, gram_inv = first.coef, first.gram_inv
     fitted = second.fitted
     assert second.gram_inv.tobytes() == gram_inv.tobytes()

@@ -114,7 +114,6 @@ def test_validate_refuses_the_retired_rate_and_basis_keys(key, value):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("include_wiener", "no"), ("include_wiener", 1), ("include_wiener", None),
     ("n_samples", True), ("basis_degree", False), ("seed", 2.0),
     ("tol", True), ("dt", False), ("c_zeta", "0.5"), ("t0", None),
     ("t_back", float("inf")), ("tol", float("nan"))])

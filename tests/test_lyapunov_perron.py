@@ -231,14 +231,6 @@ def test_regression_diagnostics_aggregated():
     assert reg["min_r2"] <= 1.0
 
 
-def test_include_wiener_basis_smoke():
-    p = stochastic_one_way()
-    cfg = LPConfig(c_zeta=1.0, t_back=10.0, dt=1e-2, tol=1e-4, max_iter=30,
-                   n_samples=128, seed=3, include_wiener=True)
-    g = unstable_graph(p, [0.2], cfg)
-    assert g.trace.converged
-
-
 # ------------------------------------------------------------ time blocks
 
 def counted_drift(p):
@@ -358,13 +350,12 @@ def two_way_noisy():
                          noise=diagonal_linear_noise([0.1, 0.1]))
 
 
-@pytest.mark.parametrize("include_wiener", [False, True])
-def test_random_anchor_is_one_regression_per_time_block(monkeypatch, include_wiener):
+def test_random_anchor_is_one_regression_per_time_block(monkeypatch):
     # E[x pull - drift | F_t] = E[x pull | F_t] - E[drift | F_t]: one target,
     # one stacked regression per block, the same map as two regressions
     p = two_way_noisy()
     n, N = 64, 100
-    cfg = LPConfig(c_zeta=1.0, t_back=1.0, dt=1e-2, n_samples=n, include_wiener=include_wiener)
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, dt=1e-2, n_samples=n)
     grid = TimeGrid(-1.0, 1e-2, N)
     wiener = sample_wiener(3, grid, p.noise, n)
     rng = np.random.default_rng(5)
@@ -387,20 +378,9 @@ def test_random_anchor_is_one_regression_per_time_block(monkeypatch, include_wie
     for a, v, drift, _ in lp._map_blocks(p, xi.values, np.zeros((N + 1, 2, n)),
                                          lp.solver_boundary_columns(p), 1e-2, wiener):
         for i in range(min(len(v), N - a)):
-            w = wiener.value_at(a + i) if include_wiener else None
-            ref[:, a + i] = (condexp_anchor(x * pull[a + i], v[i].T, basis, w).fitted
-                             - condexp_lsmc(drift[i].T, v[i].T, basis, w).fitted)[:, 0]
+            ref[:, a + i] = (condexp_anchor(x * pull[a + i], v[i].T, basis).fitted
+                             - condexp_lsmc(drift[i].T, v[i].T, basis).fitted)[:, 0]
     assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
-
-
-def test_stacked_wiener_values_equal_value_at():
-    p = two_way_noisy()
-    wiener = sample_wiener(4, TimeGrid(-0.5, 1e-2, 100), p.noise, 16)
-    basis = RegressionBasis(primary_idx=(0,), include_wiener=True, n_wiener=2)
-    block = lp._nodes(lp._wiener_values(wiener, basis), 45, 55)   # straddles W(0) = 0
-    assert block.shape == (10, 2, 16)
-    for i in range(10):
-        assert np.allclose(block[i].T, wiener.value_at(45 + i), rtol=0.0, atol=1e-15)
 
 
 def test_conditional_fit_refusal_names_grid_node_and_time():
@@ -410,7 +390,7 @@ def test_conditional_fit_refusal_names_grid_node_and_time():
     target = np.ascontiguousarray(rng.standard_normal((4, 200, 1)).swapaxes(1, 2))
     basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))
     with pytest.raises(IllConditionedDesign) as info:
-        lp._conditional_fit(target, np.ascontiguousarray(state.swapaxes(1, 2)), basis, None,
+        lp._conditional_fit(target, np.ascontiguousarray(state.swapaxes(1, 2)), basis,
                             TimeGrid(-1.0, 1e-2, 100), 5, {}, target)
     assert info.value.node == 7
     assert info.value.cond > info.value.limit
@@ -451,8 +431,7 @@ def test_maps_are_node_major_and_ignore_the_input_layout(side):
     # does) give the same bits
     p = two_way_noisy()
     n = 64
-    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n,
-                   include_wiener=True)
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
     grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, 100)
     wiener = sample_wiener(3, grid, p.noise, n)
     rng = np.random.default_rng(2)

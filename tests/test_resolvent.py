@@ -509,3 +509,14 @@ def test_delta_table_rho_is_nan_when_no_node_qualifies():
     assert math.isnan(table.rho(0.0))
     # 2 (1 - e^{-t}) <= 0.2  <=>  t <= 0.10536
     assert table.rho(0.2) == pytest.approx(0.10536, abs=dt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "b", "f"])
+def test_a_caller_built_boundary_triple_with_a_nonfinite_entry_is_refused(name, bad):
+    fields = {"a": np.ones(3), "b": np.zeros(3), "f": np.zeros((3, 2))}
+    fields[name] = fields[name].copy()
+    fields[name].flat[-1] = bad
+    with pytest.raises(ConfigError, match=f"boundary triple field {name} not finite"):
+        BoundaryTriple(**fields)
+    BoundaryTriple(**{**fields, name: np.zeros_like(fields[name])})
