@@ -214,8 +214,7 @@ def _solving_request(args, subcommand: str, side: Optional[str] = None):
 
 
 def _solve(args, side: str) -> int:
-    from .lyapunov_perron import (lipschitz_bound, stable_graph,
-                                  unstable_graph)
+    from .lyapunov_perron import stable_graph, unstable_graph
 
     _, p, lpcfg, anchor, manifest, marks = _solving_request(args, f"solve-{side}", side)
     solver = unstable_graph if side == "unstable" else stable_graph
@@ -233,7 +232,7 @@ def _solve(args, side: str) -> int:
                ["t"] + [f"mean_mode_{k}" for k in range(p.n_modes)] + ["ms_norm"],
                graph.path)
 
-    bound = lipschitz_bound(p, lpcfg, side)
+    bound = graph.trace.gap.lipschitz_bound(side)
     payload = {
         "config_hash": manifest.config_hash,
         "trace": graph.trace.as_dict(),

@@ -100,8 +100,7 @@ def boundary_flux_nonlinearity(m: int, g0=None, g1=None, g2=None,
 
     def fn(v):
         v = np.asarray(v, dtype=float)
-        return BoundaryTriple(f=f0(v), a=np.asarray(f1(v), dtype=float),
-                              b=np.asarray(f2(v), dtype=float))
+        return BoundaryTriple._unchecked(f=f0(v), a=f1(v), b=f2(v))
 
     params = {"m": m}
     if not (callable(g0) or callable(g1) or callable(g2)):

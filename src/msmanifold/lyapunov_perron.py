@@ -378,12 +378,6 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
         yield a, np.ascontiguousarray(nodes[a:a + length]), z, ito0
 
 
-def _check_gap(p: SpectralProblem, cfg: LPConfig, side: str) -> GapReport:
-    gap = gap_report_for(p, cfg)
-    gap.require(side, cfg.force)
-    return gap
-
-
 def _driving_noise(p: SpectralProblem, wiener: Optional[WienerEnsemble], grid: TimeGrid,
                    n: int) -> Optional[WienerEnsemble]:
     """The Wiener ensemble a map or solve integrates against: ``wiener``,
@@ -432,37 +426,6 @@ def _spread(values: np.ndarray, n: int) -> np.ndarray:
     return _by_sample(np.repeat(_by_node(values), n, axis=2))
 
 
-def _one_sample_solve(side: str, p: SpectralProblem, anchor: np.ndarray,
-                      cfg: LPConfig) -> tuple:
-    """The zero-noise solve of a deterministic anchor, (n, k) identical
-    rows, on one sample. Under zero noise it is the solve itself, with both
-    certificates. Under nonzero noise it is the presolve, on the problem
-    with its noise set to zero: zero noise only lowers eta, delta and the
-    truncation tail, so it refuses nothing the noisy solve accepts, and
-    only its path is kept, so it runs no residual map. Returns (ensemble,
-    trace)."""
-    certify = p.noise.is_zero
-    if not certify:
-        p = replace(p, noise=zero_noise(p.n_modes, p.noise.n_noise_modes))
-    return _lp_solve(side, p, anchor[0], replace(cfg, n_samples=1), None, certify=certify)
-
-
-def _first_guess(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
-                 x_det: bool, cfg: LPConfig) -> np.ndarray:
-    """x_0 of a solve, sample-major. A deterministic anchor under nonzero
-    noise starts from the converged zero-noise fixed point, copied to every
-    sample; its path draws no noise, so it is adapted. Random anchors, and a
-    presolve that does not converge, start from the semigroup guess."""
-    if x_det and not p.noise.is_zero:
-        try:
-            ens, trace = _one_sample_solve(side, p, anchor, cfg)
-            if trace.converged:
-                return _spread(ens.values, len(anchor))
-        except NonfiniteState:
-            pass
-    return _initial_guess(p, grid, anchor, side)
-
-
 def _map_output(xi: ProcessEnsemble, m: int, out: Optional[np.ndarray]) -> np.ndarray:
     """(node, mode, sample) storage (N+1, m, n) for a map's result: ``out``,
     the sample-major view of such storage as every map output is, or a new
@@ -489,7 +452,6 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     zeros. Each block is checked for finiteness once its fits are written,
     while it is in cache; only a failing map searches the whole path for
     its earliest non-finite node and sample."""
-    _check_gap(p, cfg, side)
     grid = xi.grid
     unstable = side == "unstable"
     anchor_idx, _, node = _side_layout(p, grid, side)
@@ -567,12 +529,13 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     once); a deterministic anchor passes through unregressed. The Ito term
     is zero (martingale) and its raw-mean diagnostic lands in meta.
 
-    The map checks the gap condition (refused unless cfg.force), regresses
-    on cfg's basis, and needs ``wiener``, sampled on xi's grid for xi's
-    samples, under nonzero noise (GridMismatch otherwise). The result's
-    values are ``out`` when given: (n, N+1, m) values of another ensemble,
-    stored (node, mode, sample) as the package stores them, which the map
-    overwrites.
+    The map is the operator, applied past the gap too: only the fixed-point
+    iteration needs the contraction, and the solve checks it once per
+    request. The map regresses on cfg's basis, and needs ``wiener``, sampled
+    on xi's grid for xi's samples, under nonzero noise (GridMismatch
+    otherwise). The result's values are ``out`` when given: (n, N+1, m)
+    values of another ensemble, stored (node, mode, sample) as the package
+    stores them, which the map overwrites.
     """
     return _lp_map("unstable", p, xi, x, cfg, wiener, out)
 
@@ -586,8 +549,8 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     convolution and Ito quadrature over [tau, t]. Reverse pass, unstable
     block: minus the regression of the per-sample drift integral over
     [t, tau + T_fwd]; the sigma term is zero by the martingale property
-    (diagnostic in meta). Gap check, basis, noise and ``out`` as in
-    lp_backward_map.
+    (diagnostic in meta). Like lp_backward_map it applies the operator
+    past the gap too; basis, noise and ``out`` as there.
     """
     return _lp_map("stable", p, xi, x, cfg, wiener, out)
 
@@ -634,52 +597,27 @@ def _not_converged(side: str, trace: FixedPointTrace, cfg: LPConfig,
                            max_iter=cfg.max_iter)
 
 
-def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
-              wiener: Optional[WienerEnsemble], certify: bool = True) -> tuple:
-    """Iterate the side's map from the first guess. A fixed point gets
-    both certificates from one more map, the residual map: the weighted
-    residual over the window, and the consistency gap, the ms-norm of the
-    value block at the anchor node; without ``certify`` that map is not
-    run. Returns (ensemble, trace). The unstable side lets NonfiniteState
-    propagate; the stable side records it as trace.regression["aborted"]
-    and returns unconverged. Each map after the first writes into the
-    storage of the iterate that the last distance made dead, the first
-    guess included, so the iteration holds two paths.
-
-    A deterministic anchor (_normalize_anchor's flag) under zero noise has
-    identical sample paths: it is solved on one sample, and the path is
-    copied to the n requested samples. Its certificates are the one-sample
-    solve's, which equal the n-sample ones (the ms-norm of n identical rows
-    is the one row's); ito_check still reports n samples. Under nonzero
-    noise the same one-sample solve, with the noise set to zero and no
-    residual map, gives x_0 (see _first_guess)."""
-    gap = _check_gap(p, cfg, side)
-    grid = _solver_grid(cfg, side)
-    anchor_idx, value_idx, node = _side_layout(p, grid, side)
-    n = _n_samples(x, cfg)
-    anchor, x_det = _normalize_anchor(x, anchor_idx, p.n_modes, n)
-    tail = _truncation_check(p, cfg, gap, ms_norm(anchor), side)
-    if x_det and p.noise.is_zero and n > 1:
-        ens, trace = _one_sample_solve(side, p, anchor, cfg)
-        if "n_samples" in trace.ito_check:
-            trace.ito_check["n_samples"] = n
-        return replace(ens, values=_spread(ens.values, n)), trace
-    if wiener is None and not p.noise.is_zero:
-        wiener = sample_wiener(cfg.seed, grid, p.noise, n)
-    wiener = _driving_noise(p, wiener, grid, n)
-
-    def step(ens: ProcessEnsemble, spare: Optional[np.ndarray]) -> ProcessEnsemble:
-        # looked up on every call, so a rebound map name is the one iterated
-        lp_map = lp_backward_map if side == "unstable" else lp_forward_map
-        return lp_map(p, ens, x, cfg, wiener, out=spare)
-
-    cur = ProcessEnsemble(grid=grid, values=_first_guess(side, p, grid, anchor, x_det, cfg))
-    trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
+def _fixed_point(side: str, p: SpectralProblem, x, cfg: LPConfig,
+                 wiener: Optional[WienerEnsemble], grid: TimeGrid, guess: np.ndarray,
+                 trace: FixedPointTrace, certify: bool = True) -> ProcessEnsemble:
+    """Iterate the side's map from ``guess`` into ``trace``, checking
+    nothing, and return the last iterate. A fixed point gets both
+    certificates from one more map, the residual map, when ``certify``:
+    the weighted residual over the window, and the consistency gap, the
+    ms-norm of the value block at the anchor node. The unstable side lets
+    NonfiniteState propagate; the stable side records it as
+    trace.regression["aborted"] and returns unconverged. Each map after the
+    first writes into the storage of the last dead iterate, the first guess
+    included, so the iteration holds two paths."""
+    _, value_idx, node = _side_layout(p, grid, side)
+    # looked up when the iteration starts, so a rebound map name is the one iterated
+    lp_map = lp_backward_map if side == "unstable" else lp_forward_map
+    cur = ProcessEnsemble(grid=grid, values=guess)
     times = grid.times
     spare = None    # the storage of the last dead iterate, the next map's output
     try:
         for _ in range(cfg.max_iter):
-            nxt = step(cur, spare)
+            nxt = lp_map(p, cur, x, cfg, wiener, out=spare)
             d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, p.gamma)
             if trace.distances and trace.distances[-1] > 0:
                 trace.ratios.append(d / trace.distances[-1])
@@ -697,11 +635,63 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     if not trace.regression:
         trace.regression = cur.meta.get("regression", {})
     if trace.converged and certify:
-        again = step(cur, spare)
+        again = lp_map(p, cur, x, cfg, wiener, out=spare)
         trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, p.gamma)
         trace.consistency_gap = ms_norm(cur.values[:, node, value_idx]
                                         - again.values[:, node, value_idx])
-    return cur, trace
+    return cur
+
+
+def _one_sample_solve(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
+                      cfg: LPConfig, trace: FixedPointTrace) -> ProcessEnsemble:
+    """The zero-noise fixed point of a deterministic anchor, (n, k)
+    identical rows, iterated on one sample into ``trace`` and copied to the
+    n samples, whose certificates it equals; ito_check reports n. Under
+    zero noise it is the request's own iteration; under nonzero noise the
+    presolve, with the noise set to zero and no residual map. It re-enters
+    none of the solve's checks: zero noise only lowers eta, delta and the
+    truncation tail."""
+    certify = p.noise.is_zero
+    if not certify:
+        p = replace(p, noise=zero_noise(p.n_modes, p.noise.n_noise_modes))
+    guess = _initial_guess(p, grid, anchor[:1], side)
+    ens = _fixed_point(side, p, anchor[0], cfg, None, grid, guess, trace, certify)
+    if "n_samples" in trace.ito_check:
+        trace.ito_check["n_samples"] = len(anchor)
+    return replace(ens, values=_spread(ens.values, len(anchor)))
+
+
+def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
+              wiener: Optional[WienerEnsemble]) -> tuple:
+    """One request: its checks, each once (the gap, refused past it unless
+    cfg.force; the window; the anchor; the truncation tail; the driving
+    noise), then one fixed-point iteration, whose maps repeat none of them.
+    Returns (ensemble, trace). A deterministic anchor under zero noise has
+    identical sample paths, so it is solved on one sample; under nonzero
+    noise that solve's adapted path is the first guess (_one_sample_solve).
+    Random anchors, and a presolve that overflows or does not converge,
+    start from the semigroup guess."""
+    gap = gap_report_for(p, cfg)
+    gap.require(side, cfg.force)
+    grid = _solver_grid(cfg, side)
+    n = _n_samples(x, cfg)
+    anchor, x_det = _normalize_anchor(x, _side_layout(p, grid, side)[0], p.n_modes, n)
+    one_row = x_det and p.noise.is_zero
+    tail = _truncation_check(p, cfg, gap, ms_norm(anchor[:1] if one_row else anchor), side)
+    trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
+    if one_row:
+        return _one_sample_solve(side, p, grid, anchor, cfg, trace), trace
+    if wiener is None and not p.noise.is_zero:
+        wiener = sample_wiener(cfg.seed, grid, p.noise, n)
+    wiener = _driving_noise(p, wiener, grid, n)
+    presolve = FixedPointTrace(tol=cfg.tol)
+    try:
+        if x_det:
+            path = _one_sample_solve(side, p, grid, anchor, cfg, presolve)
+    except NonfiniteState:
+        pass
+    guess = path.values if presolve.converged else _initial_guess(p, grid, anchor, side)
+    return _fixed_point(side, p, x, cfg, wiener, grid, guess, trace), trace
 
 
 def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig,
@@ -774,16 +764,8 @@ def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:
 
 
 def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
-    """The gap's Lipschitz bound of the side's graph map; inf when the side's
-    contraction is >= 1, where the gap bounds nothing."""
-    gap = gap_report_for(p, cfg)
-    _, contraction, passes = gap.verdict(side)
-    if not passes:
-        return float("inf")
-    t = gap.terms
-    if side == "unstable":
-        return (t["conv_L1"] + t["conv_L2"]) / (1.0 - contraction)
-    return p.bound_K * (t["drift_weighted"] + t["sqrt_term"]) / (1.0 - contraction)
+    """The gap's Lipschitz bound of the side's graph map: GapReport.lipschitz_bound."""
+    return gap_report_for(p, cfg).lipschitz_bound(side)
 
 
 def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
@@ -791,8 +773,9 @@ def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
     """Empirical Lipschitz ratio of the graph map over anchor pairs, checked
     against the theoretical bound with multiplicative slack; never passes
     without a finite bound."""
-    _check_gap(p, cfg, side)
-    bound = lipschitz_bound(p, cfg, side)
+    gap = gap_report_for(p, cfg)
+    gap.require(side, cfg.force)
+    bound = gap.lipschitz_bound(side)
     cache: dict = {}
 
     def graph_of(anchor):
@@ -825,7 +808,7 @@ def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
     The noise is drawn once, over the union of both graphs' windows and the
     flow's, and each of the three gets its own window of that draw. The
     side and its gap are checked before any noise is drawn."""
-    _check_gap(p, cfg, side)
+    gap_report_for(p, cfg).require(side, cfg.force)
     steps = _span_steps(t0, cfg.dt, "t0")
     grid = _solver_grid(cfg, side)
     N = grid.n_steps

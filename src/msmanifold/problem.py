@@ -401,6 +401,15 @@ class GapReport:
             raise GapViolation(f"{side} gap condition fails: {name} = {value:.4f} >= 1")
         return passes
 
+    def lipschitz_bound(self, side: str) -> float:
+        """The Lipschitz bound of the side's graph map; inf when the side's
+        contraction is >= 1, where the gap bounds nothing."""
+        _, contraction, passes = self.verdict(side)
+        t = self.terms
+        lip = (t["conv_L1"] + t["conv_L2"] if side == "unstable"
+               else t["K"] * (t["drift_weighted"] + t["sqrt_term"]))
+        return lip / (1.0 - contraction) if passes else float("inf")
+
     def as_dict(self) -> dict:
         return {
             "eta": self.eta, "delta": self.delta,

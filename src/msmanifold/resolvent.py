@@ -97,6 +97,15 @@ class BoundaryTriple:
             if not np.all(np.isfinite(v)):
                 raise ConfigError(f"boundary triple field {name} not finite")
 
+    @classmethod
+    def _unchecked(cls, a, b, f) -> "BoundaryTriple":
+        """A triple of the package's own flux model, without the finiteness
+        check: a map checks each output block (NonfiniteState)."""
+        triple = object.__new__(cls)
+        for name, v in (("a", a), ("b", b), ("f", f)):
+            object.__setattr__(triple, name, np.asarray(v, dtype=float))
+        return triple
+
 
 @dataclass(frozen=True, eq=False)
 class DeltaTable:

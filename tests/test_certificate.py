@@ -7,6 +7,7 @@ presolve runs its own maps on one sample, apart from the ensemble's: it is
 the whole solve of a zero-noise request, and the first guess of a noisy
 one."""
 import math
+import sys
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from msmanifold import (
     build_problem,
     condexp_lsmc,
     diagonal_linear_noise,
+    gap_report,
     integrate_mild,
     invariance_residual,
     linear_nonlinearity,
@@ -138,6 +140,38 @@ def test_graph_draws_the_noise_once_and_runs_one_residual_map(monkeypatch, side,
     assert sizes.count(N_SAMPLES) == g.trace.iterations + 1
     assert sizes.count(1) == one_sample
     assert len(sizes) == g.trace.iterations + 1 + one_sample
+
+
+def counted(monkeypatch, fn):
+    """The calls of ``fn``, wrapped at every module binding of the package."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "msmanifold" or name.startswith("msmanifold.")):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("noise", ["noisy", "quiet"])
+@pytest.mark.parametrize("anchor", ["deterministic", "random"])
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_a_graph_checks_its_request_once(monkeypatch, side, anchor, noise):
+    # the solve builds the gap report and bounds the truncation tail; its
+    # maps, one-sample presolve and residual map check neither again
+    p = two_way_noisy()
+    if noise == "quiet":
+        p = replace(p, noise=zero_noise(p.n_modes))
+    reports = counted(monkeypatch, gap_report)
+    tails = counted(monkeypatch, lp._truncation_check)
+    g = SIDES[side][0](p, anchors()[anchor], config())
+    assert g.trace.converged and g.trace.gap is not None
+    assert (len(reports), len(tails)) == (1, 1)
 
 
 @pytest.mark.parametrize("anchor", ["deterministic", "random"])
@@ -286,12 +320,12 @@ def test_failed_presolve_falls_back_to_the_cold_start(monkeypatch, side, failure
     p, cfg, x = two_way_noisy(), config(), [0.3]
     presolve = lp._one_sample_solve
 
-    def failing(side, p, anchor, cfg):
+    def failing(side, p, grid, anchor, cfg, trace):
         if failure == "nonfinite":
             raise NonfiniteState("presolve overflowed")
-        ens, trace = presolve(side, p, anchor, replace(cfg, max_iter=1))
+        ens = presolve(side, p, grid, anchor, replace(cfg, max_iter=1), trace)
         assert not trace.converged
-        return ens, trace
+        return ens
 
     monkeypatch.setattr(lp, "_one_sample_solve", failing)
     _, path = solved_graph(side, p, x, cfg)

@@ -20,6 +20,7 @@ from msmanifold import (
     ProcessEnsemble,
     RegressionBasis,
     TimeGrid,
+    build_example_problem,
     build_problem,
     callable_nonlinearity,
     condexp_anchor,
@@ -398,9 +399,8 @@ def test_conditional_fit_refusal_names_grid_node_and_time():
 
 
 @pytest.mark.parametrize("side", ["unstable", "stable"])
-def test_maps_are_identical_across_worker_counts(monkeypatch, side):
-    # 3000 samples: three sample chunks for the Wiener draw; regressions
-    # use no threads
+def test_maps_are_identical_across_runs(side):
+    # 3000 samples: three sample chunks for the Wiener draw
     p = two_way_noisy()
     n = 3000
     cfg = LPConfig(c_zeta=1.0, t_back=0.2, t_fwd=0.2, dt=1e-2, n_samples=n)
@@ -410,8 +410,7 @@ def test_maps_are_identical_across_worker_counts(monkeypatch, side):
     x = 0.3 + 0.1 * rng.standard_normal((n, 1))
     step = lp_backward_map if side == "unstable" else lp_forward_map
     runs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("MSMANIFOLD_WORKERS", workers)
+    for _ in range(2):
         wiener = sample_wiener(6, grid, p.noise, n)
         runs.append(step(p, xi, x, cfg, wiener))
     assert np.array_equal(runs[0].values, runs[1].values)
@@ -843,6 +842,27 @@ def test_nonfinite_map_names_the_first_node_its_time_and_sample(step, start, dir
     assert f"grid node 40 (t = {grid.times[40]:.6g}), sample 2" in str(info.value)
 
 
+@pytest.mark.parametrize("step, side, direction", [(lp_backward_map, "unstable", "backward"),
+                                                   (lp_forward_map, "stable", "forward")])
+def test_an_overflowing_flux_drift_is_the_maps_nonfinite_state(step, side, direction):
+    # the example's own flux model builds its triple unchecked, so a finite
+    # state whose drift overflows is refused where the map checks its
+    # output, naming the node, not as a ConfigError of the triple
+    m = 4
+    p = build_example_problem(m=m, g0=10.0 * np.eye(m), g1=0.05 * np.ones(m),
+                              g2=0.05 * np.ones(m))
+    cfg = LPConfig(c_zeta=0.5, t_back=1.0, t_fwd=1.0, dt=1e-2, force=True)
+    grid = lp._solver_grid(cfg, side)
+    vals = np.zeros((2, grid.n_nodes, m))
+    vals[:, 30, 1] = 1e308
+    x = [0.1] if side == "unstable" else [0.0] * (m - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonfiniteState, match=f"{direction} map") as info:
+            step(p, ProcessEnsemble(grid, vals), x, cfg)
+    assert (info.value.step, info.value.sample) == (30, 0)
+    assert f"grid node 30 (t = {grid.times[30]:.6g}), sample 0" in str(info.value)
+
+
 def test_lipschitz_certificate_on_linear_problem():
     p = one_way()
     cfg = cfg_back()
@@ -912,6 +932,32 @@ def test_no_lipschitz_bound_past_the_gap():
     assert cert.theoretical == math.inf
     assert cert.empirical == pytest.approx(0.1 / 3.0, abs=1e-6)
     assert not cert.passed
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_a_map_applies_the_operator_past_the_gap(side):
+    # eta = 9.1 and delta = 9.2: only the iteration needs the contraction,
+    # so the solve refuses the request and the map is the same operator
+    # with or without force
+    B = np.array([[0.0, 3.0], [3.0, 0.0]])
+    p = build_problem([1.0, -1.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
+                      zeta=-0.5, nonlinearity=linear_nonlinearity(B),
+                      noise=diagonal_linear_noise([0.1, 0.1]))
+    n = 32
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
+    assert not lp.gap_report_for(p, cfg).verdict(side)[2]
+    grid = lp._solver_grid(cfg, side)
+    wiener = sample_wiener(4, grid, p.noise, n)
+    rng = np.random.default_rng(8)
+    xi = ProcessEnsemble(grid, 0.1 + 0.05 * rng.standard_normal((n, grid.n_nodes, 2)))
+    x = 0.3 + 0.1 * rng.standard_normal((n, 1))
+    step, solve = ((lp_backward_map, lp_backward_solve) if side == "unstable"
+                   else (lp_forward_map, lp_forward_solve))
+    free = step(p, xi, x, cfg, wiener)
+    forced = step(p, xi, x, replace(cfg, force=True), wiener)
+    assert free.values.tobytes() == forced.values.tobytes()
+    with pytest.raises(GapViolation, match=f"{side} gap condition fails"):
+        solve(p, x, cfg)
 
 
 @pytest.mark.parametrize("eps, slope", [(0.1, 0.1), (0.07, 0.0), (0.013, 0.21), (0.0, 0.3)])

@@ -144,15 +144,6 @@ def test_wiener_windows_are_coupled_across_grids():
     assert np.array_equal(fwd.increments, big.window(70, 100).increments)
 
 
-def test_wiener_worker_count_invariance(monkeypatch):
-    g = TimeGrid(0.0, 1e-3, 50)
-    monkeypatch.setenv("MSMANIFOLD_WORKERS", "1")
-    w1 = sample_wiener(9, g, unit_noise(2), 3000)
-    monkeypatch.setenv("MSMANIFOLD_WORKERS", "4")
-    w4 = sample_wiener(9, g, unit_noise(2), 3000)
-    assert np.array_equal(w1.increments, w4.increments)
-
-
 def reference_increments(seed, step0, n_steps, n, d):
     """The stream drawn whole: every RNG block of _BLOCK lattice steps per
     chunk of _CHUNK samples, keyed by (seed, chunk, block)."""
