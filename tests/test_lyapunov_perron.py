@@ -863,6 +863,95 @@ def test_an_overflowing_flux_drift_is_the_maps_nonfinite_state(step, side, direc
     assert f"grid node 30 (t = {grid.times[30]:.6g}), sample 0" in str(info.value)
 
 
+def numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+def lsmc_shaped_inputs(side, n=1024):
+    # the lsmc_unstable benchmark's problem on a short window: a random
+    # anchor and an iterate one map away from the semigroup guess, so
+    # every node regresses
+    p = all_to_all_problem(4, [0, 1])
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=2e-2, tol=1e-4, n_samples=n)
+    grid = lp._solver_grid(cfg, side)
+    wiener = sample_wiener(3, grid, p.noise, n)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 2))
+    idx = np.arange(2) if side == "unstable" else np.arange(2, 4)
+    anchor, _ = lp._normalize_anchor(x, idx, 4, n)
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    xi = step(p, ProcessEnsemble(grid, lp._initial_guess(p, grid, anchor, side)),
+              x, cfg, wiener)
+    return p, cfg, xi, x, wiener, step
+
+
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_maps_and_regressions_keep_their_bits_under_any_ufunc_buffer(side):
+    # a full-ensemble map lowers numpy's buffer to its sample rows; no bit
+    # may depend on the buffer the caller runs with, and the caller's
+    # buffer and error handling are restored
+    p, cfg, xi, x, wiener, step = lsmc_shaped_inputs(side)
+    nodes = st._by_node(xi.values)[:16]
+    basis = cfg.basis_for(p)
+    results = []
+    for size in (8192, 1024, 64):
+        with np.errstate(over="ignore"):
+            np.setbufsize(size)
+            before = numpy_state()
+            out = step(p, xi, x, cfg, wiener).values
+            fit = condexp_lsmc(nodes[:, :2].swapaxes(1, 2), nodes.swapaxes(1, 2), basis)
+            assert numpy_state() == before
+        results.append((out.tobytes(), fit.fitted.tobytes()))
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_a_map_runs_with_the_sample_row_buffer_and_the_callers_error_handling():
+    # the drift sees the buffer lowered to the 1024-sample rows, and the
+    # caller's np.errstate; a one-sample map keeps numpy's default buffer
+    seen = []
+
+    def drift(v):
+        seen.append((np.getbufsize(), np.geterr()["over"]))
+        return 0.03 * v
+
+    p, cfg, xi, x, wiener, _ = lsmc_shaped_inputs("unstable")
+    p = replace(p, nonlinearity=callable_nonlinearity(drift, m=4, lipschitz_L1=0.12))
+    default = np.getbufsize()
+    with np.errstate(over="ignore"):
+        lp_backward_map(p, xi, x, cfg, wiener)
+    assert seen and set(seen) == {(min(default, 1024), "ignore")}
+    seen.clear()
+    one = ProcessEnsemble(xi.grid, xi.values[:1])
+    lp_backward_map(replace(p, noise=zero_noise(4)), one, x[0], cfg)
+    assert seen and set(seen) == {(default, "warn")}
+
+
+def test_numpy_state_is_restored_after_certified_and_refused_solves():
+    p = all_to_all_problem(4, [0, 1])
+    cfg = LPConfig(c_zeta=1.0, t_back=10.5, dt=5e-2, tol=1e-4, n_samples=256, seed=2)
+    with np.errstate(over="ignore"):
+        np.setbufsize(4096)
+        before = numpy_state()
+        graph = unstable_graph(p, np.array([0.3, -0.2]), cfg)
+        assert graph.trace.converged and numpy_state() == before
+        with pytest.raises(GapViolation):
+            lp_forward_solve(saturated_mixing_problem(), [0.05],
+                             LPConfig(c_zeta=1.0, t_fwd=6.0, dt=1e-2, tol=1e-6))
+        assert numpy_state() == before
+    # a map of 128 samples that overflows runs under the caller's
+    # errstate (a RuntimeWarning is a test error here) and is refused as
+    # the map's NonfiniteState, after which the state is the caller's
+    vals = np.zeros((128, 101, 2))
+    vals[2, 40:, 1] = 0.5
+    ens = ProcessEnsemble(TimeGrid(-1.0, 1e-2, 100), vals)
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, dt=1e-2, force=True)
+    with np.errstate(invalid="ignore"):
+        before = numpy_state()
+        with pytest.raises(NonfiniteState, match="backward map") as info:
+            lp_backward_map(overflowing_problem(), ens, [0.3], cfg)
+        assert numpy_state() == before
+    assert (info.value.step, info.value.sample) == (40, 2)
+
+
 def test_lipschitz_certificate_on_linear_problem():
     p = one_way()
     cfg = cfg_back()

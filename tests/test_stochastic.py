@@ -480,3 +480,33 @@ def test_weighted_norm_directions():
     assert weighted_norm(ens, 1.0, "forward") == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ConfigError):
         weighted_norm(ens, 1.0, "sideways")
+
+
+# ------------------------------------------------------------- ufunc buffer
+
+@pytest.mark.parametrize("n", [1, 2, 15, 64, 127, 128, 625, 1000, 1024, 8192, 20000])
+@pytest.mark.parametrize("caller", [8192, 1024, 64])
+def test_sample_buffer_lowers_the_buffer_to_a_valid_size_and_restores_it(n, caller):
+    # numpy takes only multiples of 16; the buffer is never raised, and
+    # below the floor it is left as it is
+    with np.errstate(over="ignore"):
+        np.setbufsize(caller)
+        before = np.getbufsize(), np.geterr()
+        with stochastic._sample_buffer(n):
+            inside = np.getbufsize()
+            assert np.geterr() == before[1]
+        assert (np.getbufsize(), np.geterr()) == before
+    assert inside <= caller and inside % 16 == 0
+    if n < stochastic._MIN_BUFFER_ROWS:
+        assert inside == caller
+    else:
+        assert inside == min(caller, n - n % 16)
+
+
+def test_sample_buffer_restores_the_callers_state_on_an_exception():
+    before = np.getbufsize(), np.geterr()
+    with pytest.raises(NonfiniteState):
+        with stochastic._sample_buffer(1024):
+            assert np.getbufsize() == min(before[0], 1024)
+            raise NonfiniteState("inside")
+    assert (np.getbufsize(), np.geterr()) == before
