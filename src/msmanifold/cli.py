@@ -175,7 +175,7 @@ def _write_gap_report(manifest: _Manifest, gap: dict) -> None:
     _write_json(path, {"config_hash": manifest.config_hash, "gap_report": gap})
 
 
-def _request(args, subcommand: str, side: Optional[str] = None):
+def _request(args, subcommand: str, side: Optional[str] = None, force=False):
     """The start of every subcommand that reads a run block: the run block
     (its side set to ``side`` when given), problem, solver settings and
     manifest."""
@@ -184,7 +184,7 @@ def _request(args, subcommand: str, side: Optional[str] = None):
     if side is not None:
         run["side"] = side
     p = problem_from_config(cfg)
-    lpcfg = lp_config_from_run(run, force=args.force)
+    lpcfg = lp_config_from_run(run, force=force)
     return run, p, lpcfg, _Manifest(args, subcommand, cfg, run["seed"])
 
 
@@ -198,7 +198,7 @@ def _solving_request(args, subcommand: str, side: Optional[str] = None):
     entries."""
     from .lyapunov_perron import gap_report_for
 
-    run, p, lpcfg, manifest = _request(args, subcommand, side)
+    run, p, lpcfg, manifest = _request(args, subcommand, side, args.force)
     anchor = anchor_from_run(run, p)
     gap = gap_report_for(p, lpcfg)
     try:
@@ -320,34 +320,13 @@ def _cmd_example_pde(args) -> int:
     from .example_pde import build_example_problem
 
     cfg = _prepare(args, need_config=False)
-    kwargs = {"m": 4}
-    run = _overridden_run({}, args)
-    if cfg is not None:
-        prob = cfg["problem"]
-        if prob["kind"] != "neumann-flux-example":
+    if cfg is None:
+        p, run = build_example_problem(), _overridden_run({}, args)
+    else:
+        if cfg["problem"]["kind"] != "neumann-flux-example":
             raise ConfigError("example-pde needs a neumann-flux-example "
                               "problem block (or no --config at all)")
-        kwargs["m"] = len(prob["eigenvalues"])
-        nl = prob["nonlinearity"]
-        if nl["kind"] == "boundary-linear":
-            for src, dst in (("g0_matrix", "g0"), ("g1_coefficients", "g1"),
-                             ("g2_coefficients", "g2")):
-                if nl.get(src) is not None:
-                    kwargs[dst] = np.asarray(nl[src], dtype=float)
-        elif nl["kind"] != "zero":
-            raise ConfigError("example-pde forcing must be boundary-linear "
-                              "or zero")
-        rates = prob["rates"]
-        kwargs.update(alpha=rates["alpha"], beta=rates["beta"],
-                      gamma=rates["gamma"], zeta=rates["zeta"],
-                      bound_K=rates.get("bound_K", 1.0))
-        if prob["noise"]["kind"] != "zero":
-            from .config import _noise_from
-
-            kwargs["noise"] = _noise_from(prob["noise"], kwargs["m"])
-        run = dict(cfg["run"])
-
-    p = build_example_problem(**kwargs)
+        p, run = problem_from_config(cfg), cfg["run"]
     out_cfg = example_problem_config(p, run=run)
     manifest = _Manifest(args, "example-pde", out_cfg, out_cfg["run"]["seed"])
     path, = manifest.claim("example_problem.json")
@@ -355,7 +334,7 @@ def _cmd_example_pde(args) -> int:
         fh.write(canonical_json(out_cfg))
         fh.write("\n")
     manifest.write()
-    print(f"example problem with m={kwargs['m']} modes written to {path}")
+    print(f"example problem with m={p.n_modes} modes written to {path}")
     print("eigenvalues: " + ", ".join(_fmt(v) for v in p.eigenvalues))
     return EXIT_OK
 
@@ -385,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Mean-square invariant manifold toolkit")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    def common(sp):
+    def common(sp, force=False):
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
         sp.add_argument("--seed", type=int, metavar="N",
                         help="override run.seed")
@@ -395,20 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override run.dt")
         sp.add_argument("--out", metavar="DIR", default="msmanifold_out",
                         help="output directory (default: msmanifold_out)")
-        sp.add_argument("--force", action="store_true",
-                        help="run even if the gap condition fails "
-                             "(results marked uncertified)")
+        if force:
+            sp.add_argument("--force", action="store_true",
+                            help="run even if the gap condition fails "
+                                 "(results marked uncertified)")
 
     common(sub.add_parser("check-gap", help="evaluate the gap condition"))
     common(sub.add_parser("solve-unstable",
                           help="solve the backward fixed point and emit the "
-                               "unstable graph"))
+                               "unstable graph"), force=True)
     common(sub.add_parser("solve-stable",
                           help="solve the forward fixed point and emit the "
-                               "stable graph"))
+                               "stable graph"), force=True)
     common(sub.add_parser("invariance-test",
                           help="push the graph through the flow and measure "
-                               "the return defect"))
+                               "the return defect"), force=True)
     common(sub.add_parser("resolvent-study",
                           help="regularization defect and boundary-column "
                                "ladder tables"))

@@ -367,11 +367,12 @@ def anchor_from_run(run: dict, p: SpectralProblem) -> np.ndarray:
 
 def example_problem_config(p: SpectralProblem, run: Optional[dict] = None) -> dict:
     """Emit the fully explicit config for a problem built by
-    build_example_problem, frozen limit columns included."""
+    build_example_problem or read from an example config, frozen limit
+    columns included; a zero nonlinearity as {"kind": "zero"}."""
     nl = p.nonlinearity
-    if not nl.returns_boundary:
+    if nl.kind != "zero" and not nl.returns_boundary:
         raise ConfigError("not a boundary-forced example problem")
-    params = nl.params.get("config")
+    params = {"kind": "zero"} if nl.kind == "zero" else nl.params.get("config")
     if params is None:
         raise ConfigError("nonlinearity does not carry its config form; "
                           "build it from linear coefficient arrays")
@@ -400,7 +401,7 @@ def example_problem_config(p: SpectralProblem, run: Optional[dict] = None) -> di
                       "zeta": p.zeta, "bound_K": p.bound_K},
             "nonlinearity": params,
             "noise": noise_cfg,
-            "boundary": {
+            "boundary": None if p.boundary_regularizer is None else {
                 "operator_shift": p.meta["operator_shift"],
                 "ladder": list(p.meta["ladder"]),
                 "regularizer": jsonable(p.boundary_regularizer),

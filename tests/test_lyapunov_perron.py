@@ -1091,6 +1091,22 @@ def test_invariance_residual_validates_t0():
         invariance_residual(p, [0.3], cfg_back(), t0=0.0003)
 
 
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_zero_noise_invariance_residual_is_second_order_in_dt(side):
+    # the flow integrates by the maps' own quadrature rule, so the residual
+    # measures the graph, not the gap between two integrators: it is small
+    # and falls as dt^2 on the forced example
+    p = flux_problem()
+    anchor = np.full(1 if side == "unstable" else 3, 0.1)
+    residuals = [invariance_residual(p, anchor,
+                                     LPConfig(c_zeta=0.5, t_back=8.5, t_fwd=8.5, dt=dt,
+                                              tol=1e-7, n_samples=2),
+                                     t0=1.0, side=side)
+                 for dt in (1e-2, 5e-3)]
+    assert residuals[0] <= 1e-4, residuals
+    assert residuals[0] >= 3.0 * residuals[1], residuals
+
+
 # ------------------------------------------------------------- config guards
 
 def test_config_rejects_nonpositive_shapes():
