@@ -28,18 +28,13 @@ from . import __version__
 from .config import (canonical_json, config_hash, example_problem_config,
                      anchor_from_run, jsonable, lp_config_from_run,
                      problem_from_config, read_config_json, validate_config)
-from .errors import (ConfigError, ConsistencyFailure, GapViolation,
-                     LadderNotConverged, MaxIterExceeded, MsManifoldError,
-                     NonfiniteState, TruncationTooShort)
+from .errors import ConfigError, GapViolation, MsManifoldError
 from .oracles import refinement_study
 
 EXIT_OK = 0
 EXIT_GAP = 2
 EXIT_NOCONV = 3
 EXIT_CONFIG = 4
-
-_NONCONV = (MaxIterExceeded, TruncationTooShort, NonfiniteState,
-            ConsistencyFailure, LadderNotConverged)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,10 +336,21 @@ def _cmd_example_pde(args) -> int:
 
 def _cmd_refine(args) -> int:
     run, p, lpcfg, manifest = _request(args, "refine")
-    anchor = run.get("anchor")
-    study = refinement_study(
-        p, lpcfg, args.parameter,
-        x=None if anchor is None else np.asarray(anchor, dtype=float))
+    x = None
+    if run["anchor"] is not None:
+        # read as the solves read it: its side's block coordinates
+        anchor = anchor_from_run(run, p)
+        unstable = run["side"] == "unstable"
+        if args.parameter == "T_back":
+            if not unstable:
+                raise ConfigError("refine T_back sweeps the backward graph's oracle, "
+                                  "which needs an unstable-side run anchor")
+            x = anchor
+        else:
+            # the flow starts from the anchor, the other block zero
+            x = np.zeros(p.n_modes)
+            x[p.unstable_modes if unstable else p.stable_modes] = anchor
+    study = refinement_study(p, lpcfg, args.parameter, x=x)
     csv_path, json_path = manifest.claim(f"refine_{args.parameter}.csv",
                                          f"refine_{args.parameter}.json")
     _write_csv(csv_path, [args.parameter, "observable", "error"],
@@ -432,9 +438,6 @@ def main(argv=None) -> int:
     except GapViolation as exc:
         print(f"gap violation: {exc}; rerun with --force to ignore", file=sys.stderr)
         return EXIT_GAP
-    except _NONCONV as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
     except MsManifoldError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NOCONV

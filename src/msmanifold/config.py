@@ -20,9 +20,9 @@ import numpy as np
 from .errors import ConfigError
 from .lyapunov_perron import LPConfig, _is_finite_number
 from .problem import (NoiseModel, NonlinearityModel, SpectralProblem,
-                      build_problem, diagonal_linear_noise, linear_nonlinearity,
-                      saturated_polynomial_nonlinearity, saturated_noise,
-                      zero_noise, zero_nonlinearity)
+                      _normalize_anchor, build_problem, diagonal_linear_noise,
+                      linear_nonlinearity, saturated_polynomial_nonlinearity,
+                      saturated_noise, zero_noise, zero_nonlinearity)
 
 __all__ = [
     "SCHEMA",
@@ -353,16 +353,14 @@ def lp_config_from_run(run: dict, force: bool = False) -> LPConfig:
 
 
 def anchor_from_run(run: dict, p: SpectralProblem) -> np.ndarray:
-    side = run["side"]
-    width = len(p.unstable_modes) if side == "unstable" else len(p.stable_modes)
+    """The run block's anchor in its side's block coordinates, read by the
+    solves' rule (problem._normalize_anchor); 0.1 in each block mode when
+    the run sets none."""
+    idx = p.unstable_modes if run["side"] == "unstable" else p.stable_modes
     anchor = run.get("anchor")
     if anchor is None:
-        return np.full(width, 0.1)
-    anchor = np.asarray(anchor, dtype=float)
-    if anchor.size not in (width, p.n_modes):
-        raise ConfigError(f"anchor must have {width} (or {p.n_modes}) entries, "
-                          f"got {anchor.size}")
-    return anchor
+        return np.full(len(idx), 0.1)
+    return _normalize_anchor(anchor, idx, p.n_modes, 1)[0][0]
 
 
 def example_problem_config(p: SpectralProblem, run: Optional[dict] = None) -> dict:

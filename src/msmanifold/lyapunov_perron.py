@@ -28,8 +28,8 @@ import numpy as np
 from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc, default_basis
 from .errors import (ConfigError, ConsistencyFailure, GridMismatch, IllConditionedDesign,
                      MaxIterExceeded, NonfiniteState, TruncationTooShort)
-from .problem import GapReport, SpectralProblem, gap_report, zero_noise
-from .resolvent import BoundaryTriple, forcing_modes, linear_scan, scan_layout
+from .problem import GapReport, SpectralProblem, _normalize_anchor, gap_report, zero_noise
+from .resolvent import BoundaryTriple, forcing_modes, scan_layout, trapezoid_scan
 from .stochastic import (_LATTICE_RTOL, ProcessEnsemble, TimeGrid, WienerEnsemble,
                          _by_node, _by_sample, _path_moments, _row_sum, _sample_buffer,
                          _span_steps, _weighted_gap, integrate_mild, ms_norm, sample_wiener,
@@ -163,29 +163,6 @@ def _block_indices(p: SpectralProblem) -> tuple:
             np.asarray(p.stable_modes, dtype=int))
 
 
-def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
-    """Anchor as (n, len(idx)) plus deterministic flag. Full-width vectors are
-    accepted when the complementary block is exactly zero."""
-    arr = np.asarray(x, dtype=float)
-    k = len(idx)
-    if arr.ndim not in (1, 2):
-        raise ConfigError("anchor must be a vector or (n_samples, k) array")
-    if arr.ndim == 2 and arr.shape[0] != n_samples:
-        raise ConfigError(f"anchor rows {arr.shape[0]} != n_samples {n_samples}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"anchor has a non-finite entry {float(arr[~np.isfinite(arr)][0])!r}")
-    if arr.shape[-1] == m and m != k:
-        if np.any(np.delete(arr, idx, axis=-1) != 0.0):
-            raise ConfigError("anchor has nonzero components outside its block")
-        arr = arr[..., idx]
-    if arr.shape[-1] != k:
-        what = "length" if arr.ndim == 1 else "width"
-        raise ConfigError(f"anchor {what} {arr.shape[-1]} != block size {k}")
-    if arr.ndim == 1:
-        return np.tile(arr, (n_samples, 1)), True
-    return np.array(arr, dtype=float), bool(arr.shape[0] == 1 or np.all(arr == arr[0:1]))
-
-
 # Time blocks hold _BLOCK_ROWS sample rows, and never fewer than
 # _MIN_BLOCK_NODES nodes. A map holds one block's drift, diffusion, Ito
 # increments and stable scan in its forward pass, and one block's unstable
@@ -306,13 +283,10 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
         yield a, v, half, ito
 
 
-# Both sides scan the trapezoid rule y_j = decay * (y_{j-1} + h_{j-1}) + h_j
-# (y_{j+1}, h_{j+1} on the unstable side), h the half-step drift, as z = y + h:
-# z_j = decay * z_{j-1} + 2 h_j needs no drift from a neighbouring block. Only
-# the drift is subtracted again, never a noise increment, so the integrals over
-# a deterministic state stay exactly deterministic. Blocks are (node, mode,
-# sample): a mode subset is a set of sample rows, and each per-mode factor
-# (decay, Ito weight, semigroup) broadcasts along them.
+# Both sides scan the exponential trapezoid rule (trapezoid_scan), forward on
+# the stable side and in reverse on the unstable one, h the half-step drift.
+# Blocks are (node, mode, sample): a mode subset is a set of sample rows, and
+# each per-mode factor (decay, Ito weight, semigroup) broadcasts along them.
 # Zero noise adds no increments: adding zero ones would only turn a -0 in z
 # into +0, and z - h is +0 at such a node either way.
 
@@ -344,11 +318,7 @@ def _forward_pass(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
             if carry is not None:
                 z[0] += dw_prev
             dw_prev = dw[-1]
-        if carry is None:
-            z[0] = h[0] + start
-        linear_scan(z, decay, carry)
-        carry = z[-1].copy()
-        z -= h
+        carry = trapezoid_scan(z, h, decay, carry, start)
         out[rows, s] = z
     return ito0
 
@@ -370,11 +340,7 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
     for a in reversed(range(0, len(out), length)):
         h = scan_layout(out[a:a + length, u])
         z = h + h
-        if carry is None:
-            z[-1] = h[-1]               # the window end: an empty integral
-        linear_scan(z, decay, carry, reverse=True)
-        carry = z[0].copy()
-        z -= h
+        carry = trapezoid_scan(z, h, decay, carry, reverse=True)
         yield a, np.ascontiguousarray(nodes[a:a + length]), z, ito0
 
 

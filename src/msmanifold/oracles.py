@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, MaxIterExceeded, NoSeparation
-from .problem import SpectralProblem
+from .problem import SpectralProblem, _normalize_anchor
 
 __all__ = [
     "RefinementStudy",
@@ -159,11 +159,9 @@ def deterministic_lp_oracle(p: SpectralProblem, x, cfg) -> np.ndarray:
     """
     if not p.noise.is_zero:
         raise ConfigError("deterministic oracle requires zero noise")
-    x = np.asarray(x, dtype=float).reshape(-1)
     u_idx = np.asarray(p.unstable_modes, dtype=int)
     s_idx = np.asarray(p.stable_modes, dtype=int)
-    if x.size != u_idx.size:
-        raise ConfigError(f"anchor needs {u_idx.size} unstable coordinates")
+    x = _normalize_anchor(x, u_idx, p.n_modes, 1)[0][0]
     from .stochastic import _span_steps
 
     n = _span_steps(cfg.t_back, cfg.dt, "t_back", at_least=2)
@@ -230,8 +228,12 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
     dt and n_samples drive the mild integrator (imported lazily; the
     closed-form oracles above never touch it), T_back drives the dense
     quadrature oracle, and lambda measures the regularization defect on
-    a smooth coefficient vector.  Slopes are log-log except for T_back,
-    whose truncation error is exponential and reported on a semilog fit.
+    a smooth coefficient vector over the problem's own ladder
+    (problem_ladder) unless ``values`` are given.  ``x`` is the flow's
+    start, m entries, for dt and n_samples, and the unstable anchor for
+    T_back; 0.1 in each of those modes when None.  Slopes are log-log
+    except for T_back, whose truncation error is exponential and reported
+    on a semilog fit.
     The error is monotone when it grows with dt and falls with the others.
     A sweep whose errors are not all positive and finite, such as an
     n_samples sweep without noise, has no slope and is refused with
@@ -300,7 +302,7 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
     elif parameter == "lambda":
         from . import resolvent as rez
 
-        vals = tuple(values) if values is not None else rez.DEFAULT_LADDER
+        vals = tuple(values) if values is not None else rez.problem_ladder(p)
         vals = tuple(sorted(float(v) for v in vals))
         m = p.eigenvalues.size
         g = 1.0 / (1.0 + np.arange(m, dtype=float) ** 2)

@@ -372,6 +372,32 @@ def project(p: SpectralProblem, v: np.ndarray, side: str) -> np.ndarray:
     return np.asarray(v) * p.block_mask(side)
 
 
+def _normalize_anchor(x, idx: np.ndarray, m: int, n_samples: int) -> tuple:
+    """The one rule for what an anchor may be, read by the solves and maps,
+    the run block's anchor (config.anchor_from_run) and the dense oracle.
+    Returns the anchor as (n, len(idx)), block idx's coordinates, plus a
+    deterministic flag. A vector or (n_samples, k) rows; full-width ones
+    (m entries) are accepted when the complementary block is exactly zero."""
+    arr = np.asarray(x, dtype=float)
+    k = len(idx)
+    if arr.ndim not in (1, 2):
+        raise ConfigError("anchor must be a vector or (n_samples, k) array")
+    if arr.ndim == 2 and arr.shape[0] != n_samples:
+        raise ConfigError(f"anchor rows {arr.shape[0]} != n_samples {n_samples}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"anchor has a non-finite entry {float(arr[~np.isfinite(arr)][0])!r}")
+    if arr.shape[-1] == m and m != k:
+        if np.any(np.delete(arr, idx, axis=-1) != 0.0):
+            raise ConfigError("anchor has nonzero components outside its block")
+        arr = arr[..., idx]
+    if arr.shape[-1] != k:
+        what = "length" if arr.ndim == 1 else "width"
+        raise ConfigError(f"anchor {what} {arr.shape[-1]} != block size {k}")
+    if arr.ndim == 1:
+        return np.tile(arr, (n_samples, 1)), True
+    return np.array(arr, dtype=float), bool(arr.shape[0] == 1 or np.all(arr == arr[0:1]))
+
+
 @dataclass(frozen=True)
 class GapReport:
     eta: float

@@ -391,6 +391,29 @@ def linear_scan(x: np.ndarray, decay, carry=None, reverse: bool = False) -> np.n
     return x
 
 
+def trapezoid_scan(z: np.ndarray, h: np.ndarray, decay, carry=None, start=None,
+                   reverse: bool = False) -> np.ndarray:
+    """The exponential trapezoid rule y_j = decay * (y_{j-1} + h_{j-1}) + h_j
+    (y_{j+1}, h_{j+1} when reverse) over a block of nodes, axis 0 of z and
+    h, h the half-step forcing dt f_j / 2. It is scanned as z = y + h:
+    z_j = decay * z_{j-1} + 2 h_j (linear_scan) needs no forcing from a
+    neighbouring block, only ``carry``, the z its last scanned node left.
+
+    On entry z holds 2 h plus whatever else the caller scans, such as Ito
+    increments; only h is subtracted again, never those, so integrals over
+    a deterministic state stay exactly deterministic. Without ``carry`` the
+    block starts the window: its edge node (the first, or the last when
+    reverse) is set to h, plus ``start`` when given, the value y starts
+    from. On return z holds y. Returns the next block's carry."""
+    edge, last = (-1, 0) if reverse else (0, -1)
+    if carry is None:
+        z[edge] = h[edge] if start is None else h[edge] + start
+    linear_scan(z, decay, carry, reverse)
+    carry = z[last].copy()
+    z -= h
+    return carry
+
+
 def _grid_dt_nsteps(grid) -> tuple:
     if hasattr(grid, "dt") and hasattr(grid, "n_steps"):
         return float(grid.dt), int(grid.n_steps)
@@ -400,9 +423,8 @@ def _grid_dt_nsteps(grid) -> tuple:
 
 def convolve_diamond(p: SpectralProblem, forcing, grid, block: str = "full") -> np.ndarray:
     """(S <> f)(t) = lim_lambda int_0^t T(t-s) lambda R_lambda(A) f(s) ds on
-    the grid, by trapezoidal quadrature and the semigroup recurrence
-
-        I_{j+1} = T(dt) (I_j + dt/2 f_j) + dt/2 f_{j+1}.
+    the grid, by the exponential trapezoid rule that the maps' stable scan
+    applies (trapezoid_scan), from I_0 = 0.
 
     ``forcing`` holds node values: array (..., n_steps+1, m), or a
     BoundaryTriple with a,b of shape (..., n_steps+1) and f of shape
@@ -418,9 +440,8 @@ def convolve_diamond(p: SpectralProblem, forcing, grid, block: str = "full") -> 
     decay = np.where(mask, np.exp(p.eigenvalues * dt), 0.0)
     half = 0.5 * dt * mask * g
     out = half + half
-    out[..., 0, :] = half[..., 0, :]
-    linear_scan(np.moveaxis(out, -2, 0), decay)
-    return out - half
+    trapezoid_scan(np.moveaxis(out, -2, 0), np.moveaxis(half, -2, 0), decay)
+    return out
 
 
 def c_kappa(eps: float, rho_eps: float, vartheta: float, kappa: float) -> float:

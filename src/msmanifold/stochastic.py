@@ -289,7 +289,8 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
     that carry boundary data are mapped into modes with the lambda ->
     infinity regularizer columns; mode-local values pass through. The state
     is kept as one (mode, sample) slab; drift and diffusion see its (n, m)
-    view.
+    view. u0 is one state (m,), shared by the samples, or (n, m) rows; any
+    other shape is refused with GridMismatch.
     """
     m = p.n_modes
     if wiener is None:
@@ -302,7 +303,7 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
             raise GridMismatch(f"noise has {wiener.n_noise_modes} channels, problem has {m} modes")
         n = wiener.n_samples
     u0 = np.asarray(u0, dtype=float)
-    if u0.ndim == 1:
+    if u0.shape == (m,):
         u0 = np.broadcast_to(u0, (n, m))
     if u0.shape != (n, m):
         raise GridMismatch(f"u0 shape {u0.shape} incompatible with ({n}, {m})")

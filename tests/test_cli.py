@@ -7,6 +7,7 @@ from msmanifold.cli import _write_json, main
 from msmanifold.config import (SCHEMA, anchor_from_run, config_hash, lp_config_from_run,
                                problem_from_config, validate_config)
 from msmanifold.lyapunov_perron import lp_backward_solve, stable_graph
+from msmanifold.oracles import refinement_study
 
 
 def write_cfg(path, cfg):
@@ -540,6 +541,64 @@ def test_refine_subcommand(tmp_path):
     assert -1.2 <= payload["study"]["slope"] <= -0.8
     rows = (out / "refine_lambda.csv").read_bytes().split(b"\r\n")
     assert rows[0] == b"lambda,observable,error"
+
+
+def test_refine_lambda_sweeps_the_problems_own_ladder(tmp_path):
+    # the example pins five rungs; refine lambda sweeps them, as the
+    # resolvent study does, not the three of the default ladder
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    cfgp = str(emitted / "example_problem.json")
+    assert main(["refine", "lambda", "--config", cfgp, "--out", str(tmp_path / "ref")]) == 0
+    assert main(["resolvent-study", "--config", cfgp, "--out", str(tmp_path / "rs")]) == 0
+    refine_rows = (tmp_path / "ref" / "refine_lambda.csv").read_bytes().split(b"\r\n")[1:]
+    study_rows = (tmp_path / "rs" / "resolvent_study.csv").read_bytes().split(b"\r\n")[1:]
+    assert len(refine_rows) == 6 and refine_rows == study_rows
+
+
+def two_unstable_cfg(run_extra):
+    # eigenvalues [1.5, 1, -1, -2], unstable modes [0, 1], all-to-all coupling
+    m = 4
+    cfg = solve_cfg({"t_fwd": 1.0, "n_samples": 32, **run_extra})
+    cfg["problem"].update(
+        eigenvalues=[1.5, 1.0, -1.0, -2.0], unstable_modes=[0, 1],
+        nonlinearity={"kind": "linear", "matrix": [[0.03] * m] * m},
+        noise={"kind": "diagonal_linear", "slopes": [0.1] * m})
+    return cfg
+
+
+@pytest.mark.parametrize("parameter", ["dt", "n_samples"])
+def test_refine_starts_the_flow_from_the_run_anchor_in_its_block(tmp_path, parameter):
+    # a two-entry unstable anchor on four modes: the flow starts from
+    # [0.1, 0.2, 0, 0], where numpy once failed to broadcast it
+    cfg = two_unstable_cfg({"anchor": [0.1, 0.2]})
+    out = tmp_path / "ref"
+    assert main(["refine", parameter, "--config", write_cfg(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+    study = json.loads((out / f"refine_{parameter}.json").read_text())["study"]
+    valid = validate_config(cfg)
+    want = refinement_study(problem_from_config(valid), lp_config_from_run(valid["run"]),
+                            parameter, x=[0.1, 0.2, 0.0, 0.0])
+    assert study["rows"] == [list(r) for r in want.rows] and len(want.rows) == 3
+
+
+def test_refine_T_back_reads_the_run_anchor_as_the_solve_does(tmp_path, capsys):
+    # a full-width unstable anchor with a zero stable block is the solve's
+    # [0.1]; a stable-side anchor is no unstable one, and is refused
+    cfg = solve_cfg({"t_back": 8.0, "tol": 1e-8, "anchor": [0.3, 0.0]})
+    cfg["problem"]["noise"] = {"kind": "zero"}
+    out = tmp_path / "ref"
+    assert main(["refine", "T_back", "--config", write_cfg(tmp_path / "u.json", cfg),
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "refine_T_back.json").read_text())["study"]["rows"]
+    cfg["run"].update(anchor=[0.3])
+    assert main(["refine", "T_back", "--config", write_cfg(tmp_path / "u1.json", cfg),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "refine_T_back.json").read_text())["study"]["rows"] == rows
+    cfg["run"].update(side="stable")
+    assert main(["refine", "T_back", "--config", write_cfg(tmp_path / "s.json", cfg),
+                 "--out", str(tmp_path / "s")]) == 4
+    assert "unstable-side run anchor" in capsys.readouterr().err
 
 
 def test_resolvent_study_on_example_problem(tmp_path):

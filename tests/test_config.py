@@ -296,6 +296,19 @@ def test_anchor_from_run_defaults_and_checks():
         anchor_from_run(bad, p)
 
 
+
+def test_anchor_from_run_reads_the_anchor_by_the_solves_rule():
+    # a full-width run anchor passes only with its other block zero, and
+    # is returned in its side's block coordinates, as a solve reads it
+    out = validate_config(minimal_cfg(run={"c_zeta": 1.0, "anchor": [0.1, 0.5]}))
+    p = problem_from_config(out)
+    with pytest.raises(ConfigError, match="nonzero components outside its block"):
+        anchor_from_run(out["run"], p)
+    out["run"]["anchor"] = [0.1, 0.0]
+    assert np.array_equal(anchor_from_run(out["run"], p), [0.1])
+    out["run"].update(side="stable", anchor=[0.0, 0.3])
+    assert np.array_equal(anchor_from_run(out["run"], p), [0.3])
+
 # ------------------------------------------------------------ example export
 
 def test_example_problem_config_roundtrip(example_problem):

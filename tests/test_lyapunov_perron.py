@@ -25,6 +25,7 @@ from msmanifold import (
     callable_nonlinearity,
     condexp_anchor,
     condexp_lsmc,
+    convolve_diamond,
     diagonal_linear_noise,
     integrate_mild,
     invariance_residual,
@@ -43,6 +44,7 @@ from msmanifold import (
     zero_noise,
     zero_nonlinearity,
 )
+from msmanifold.problem import _normalize_anchor
 
 
 def decoupled(lam=(1.0, -1.0), noise=None):
@@ -516,6 +518,37 @@ def test_a_one_sample_map_equals_each_sample_of_a_two_sample_map(side):
     assert one[0].tobytes() == two[0].tobytes() == two[1].tobytes()
 
 
+def saturated_three_mode():
+    from msmanifold import saturated_polynomial_nonlinearity
+
+    return build_problem([1.0, -1.0, -2.5], [0], alpha=1.0, beta=-1.0, gamma=0.5, zeta=-0.5,
+                         nonlinearity=saturated_polynomial_nonlinearity([0.02, 0.02], 1.0),
+                         noise=zero_noise(3))
+
+
+@pytest.mark.parametrize("problem, dt", [
+    (saturated_three_mode, 1e-2),
+    (saturated_three_mode, 1e-3),
+    (lambda: replace(all_to_all_problem(4, [0, 1]), noise=zero_noise(4)), 1e-2),
+    (lambda: build_example_problem(m=4, g0=0.02 * np.eye(4), g1=[0.05] * 4, g2=[0.05] * 4),
+     1e-2),
+])
+def test_forward_map_stable_block_is_convolve_diamond_bit_for_bit(problem, dt):
+    # one zero-noise sample from a zero anchor: the stable block is the
+    # regularized convolution of the drift along the path, by the very scan
+    # delta(t) is tabulated with (a node holds fewer than 128 entries, so
+    # both take doubling passes)
+    p = problem()
+    N = int(round(2.0 / dt))
+    vals = 0.1 + 0.05 * np.random.default_rng(4).standard_normal((1, N + 1, p.n_modes))
+    cfg = LPConfig(c_zeta=1.0, t_fwd=N * dt, dt=dt, n_samples=1)
+    got = lp_forward_map(p, ProcessEnsemble(TimeGrid(0.0, dt, N), vals),
+                         np.zeros(len(p.stable_modes)), cfg).values
+    want = convolve_diamond(p, p.nonlinearity.fn(vals), (dt, N), "stable")
+    s = p.stable_modes
+    assert np.ascontiguousarray(got[..., s]).tobytes() == want[..., s].tobytes()
+
+
 def test_forcing_blocks_are_views_of_node_major_storage(monkeypatch):
     p = two_way_noisy()
     n = 64
@@ -881,7 +914,7 @@ def lsmc_shaped_inputs(side, n=1024):
     wiener = sample_wiener(3, grid, p.noise, n)
     x = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 2))
     idx = np.arange(2) if side == "unstable" else np.arange(2, 4)
-    anchor, _ = lp._normalize_anchor(x, idx, 4, n)
+    anchor, _ = _normalize_anchor(x, idx, 4, n)
     step = lp_backward_map if side == "unstable" else lp_forward_map
     xi = step(p, ProcessEnsemble(grid, lp._initial_guess(p, grid, anchor, side)),
               x, cfg, wiener)

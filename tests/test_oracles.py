@@ -142,6 +142,20 @@ def test_quadrature_oracle_cubic_closed_form_and_solver_agreement():
     assert abs(g.h_value[0, 0] - h[0]) < 1e-8
 
 
+def test_quadrature_oracle_reads_the_anchor_by_the_solves_rule():
+    # four modes, one unstable: a full-width anchor is accepted when its
+    # stable block is zero, with the bits of the block anchor, and refused
+    # otherwise with the solve's own message
+    p = build_problem([1.0, -1.0, -1.5, -2.0], [0], alpha=1.0, beta=-1.0, gamma=0.5,
+                      zeta=-0.5, nonlinearity=linear_nonlinearity(np.full((4, 4), 0.03)),
+                      noise=zero_noise(4))
+    cfg = LPConfig(c_zeta=1.0, t_back=16.0, dt=1e-2, tol=1e-6)
+    h = deterministic_lp_oracle(p, [0.1], cfg)
+    assert deterministic_lp_oracle(p, [0.1, 0.0, 0.0, 0.0], cfg).tobytes() == h.tobytes()
+    for refuse in (deterministic_lp_oracle, unstable_graph):
+        with pytest.raises(ConfigError, match="^anchor has nonzero components outside its block$"):
+            refuse(p, [0.1, 0.5, 0.0, 0.0], cfg)
+
 def test_quadrature_oracle_agrees_with_solver_linear():
     p = problem((1.0, -2.0), B=np.array([[0.0, 0.0], [0.1, 0.0]]), zeta=-1.5)
     cfg = LPConfig(c_zeta=1.0, t_back=12.0, dt=2e-3, tol=1e-9, max_iter=60)

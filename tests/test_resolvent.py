@@ -29,8 +29,8 @@ from msmanifold import (
 from msmanifold.example_pde import (EXAMPLE_LADDER, OPERATOR_SHIFT,
                                     boundary_flux_nonlinearity, build_example_problem,
                                     endpoint_values, example_eigenvalues)
-from msmanifold.resolvent import (_neville_at_infinity, boundary_ladder, hille_yosida_data,
-                                  linear_scan)
+from msmanifold.resolvent import (_neville_at_infinity, _sweeps, boundary_ladder,
+                                  hille_yosida_data, linear_scan, scan_layout, trapezoid_scan)
 
 PI = math.pi
 
@@ -440,6 +440,46 @@ def test_linear_scan_zero_width_and_length():
     for shape in ((5, 3, 0), (0, 3, 2)):
         x = np.zeros(shape)
         assert linear_scan(x, np.ones(shape[-1])) is x
+
+
+def _naive_trapezoid(h, extra, decay, start, reverse):
+    # y_j = decay * (y_{j-1} + h_{j-1}) + h_j + extra_j node by node (j + 1
+    # when reverse), from y = start at the window's edge node
+    order = range(len(h) - 1, -1, -1) if reverse else range(len(h))
+    y = np.empty_like(h)
+    prev = None
+    for j in order:
+        y[j] = start if prev is None else decay * (y[prev] + h[prev]) + h[j] + extra[j]
+        prev = j
+    return y
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n, length, block", [
+    (2, 1000, 300),       # narrow nodes: doubling passes, on lanes (scan_layout)
+    (64, 50, 16),         # wide nodes: node-by-node sweep
+])
+def test_trapezoid_scan_matches_the_rule_node_by_node(n, length, block, reverse):
+    rng = np.random.default_rng(n + length)
+    h, extra = rng.standard_normal((2, length, n, SCAN_DECAYS.size))
+    start = rng.standard_normal((n, SCAN_DECAYS.size))
+    ref = _naive_trapezoid(h, extra, SCAN_DECAYS, start, reverse)
+    # blocks whose length does not divide the window, carried in scan order,
+    # each laid out as the maps lay theirs out; the edge node's extra term
+    # is dropped, as a window starts from ``start`` alone
+    starts = range(0, length, block)
+    y = np.empty_like(h)
+    carry = None
+    for a in (reversed(starts) if reverse else starts):
+        b = min(a + block, length)
+        hb = scan_layout(h[a:b].copy())
+        assert _sweeps(hb) == (n == 64)
+        z = hb + hb + extra[a:b]
+        carry = trapezoid_scan(z, hb, SCAN_DECAYS, carry, start, reverse)
+        # the carry is the z = y + h of the last node scanned
+        assert np.allclose(carry, z[0] + hb[0] if reverse else z[-1] + hb[-1], rtol=1e-13, atol=0)
+        y[a:b] = z
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_convolve_diamond_respects_delta_bound(example_problem):

@@ -510,3 +510,18 @@ def test_sample_buffer_restores_the_callers_state_on_an_exception():
             assert np.getbufsize() == min(before[0], 1024)
             raise NonfiniteState("inside")
     assert (np.getbufsize(), np.geterr()) == before
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_integrator_refuses_a_state_of_the_wrong_length(noisy):
+    # one state for every sample must have one entry per mode: a block
+    # anchor is not spread over the modes
+    m = 4
+    p = build_problem([1.5, 1.0, -1.0, -2.0], [0, 1], alpha=1.0, beta=-1.0, gamma=0.5,
+                      zeta=-0.5, nonlinearity=linear_nonlinearity(np.full((m, m), 0.03)),
+                      noise=diagonal_linear_noise([0.1] * m) if noisy else zero_noise(m))
+    g = TimeGrid(0.0, 0.01, 10)
+    w = sample_wiener(1, g, p.noise, 8) if noisy else None
+    for u0 in ([0.1], [0.1, 0.2]):
+        with pytest.raises(GridMismatch, match="u0 shape"):
+            integrate_mild(p, u0, g, w)
