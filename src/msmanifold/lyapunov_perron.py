@@ -200,6 +200,55 @@ def _varying_nodes(x: np.ndarray, among: np.ndarray) -> np.ndarray:
     return varies
 
 
+@dataclass(frozen=True, eq=False)
+class FrozenFeatures:
+    """The regression state of every map of a solve after it is set: one
+    iterate, frozen, so each node's regression subspace stays the same
+    from map to map (FrozenFeatures.of). The mode columns that vary across
+    the samples at some node are stored float32, (N+1, k_v, n) node-major;
+    each other column is one float64 row per node, (N+1, k_c). A map reads
+    them as float64 blocks (block). They share no memory with the iterate
+    they were frozen from."""
+    varying_modes: tuple
+    varying: np.ndarray             # (N+1, k_v, n) float32
+    constant_modes: tuple
+    constant: np.ndarray            # (N+1, k_c) float64
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "FrozenFeatures":
+        """The features of an iterate's sample-major values (n, N+1, m),
+        copied a column at a time, so no float64 temporary spans the path."""
+        nodes = _by_node(values)
+        n_nodes, m, n = nodes.shape
+        every = np.ones(n_nodes, dtype=bool)
+        varies = [bool(_varying_nodes(nodes[:, k:k + 1], every).any()) for k in range(m)]
+        vary = tuple(k for k in range(m) if varies[k])
+        const = tuple(k for k in range(m) if not varies[k])
+        varying = np.empty((n_nodes, len(vary), n), dtype=np.float32)
+        for i, k in enumerate(vary):
+            varying[:, i] = nodes[:, k]
+        constant = np.empty((n_nodes, len(const)))
+        for i, k in enumerate(const):
+            constant[:, i] = nodes[:, k, 0]
+        return cls(vary, varying, const, constant)
+
+    @property
+    def shape(self) -> tuple:
+        """(n_samples, n_nodes, m), the shape of the iterate's values."""
+        n_nodes, _, n = self.varying.shape
+        return n, n_nodes, len(self.varying_modes) + len(self.constant_modes)
+
+    def block(self, a: int, b: int) -> np.ndarray:
+        """The state at nodes a to b - 1 as a float64 (node, mode, sample)
+        block (b - a, m, n)."""
+        n = self.shape[0]
+        out = np.empty((b - a, self.shape[2], n))
+        out[:, _mode_rows(np.asarray(self.varying_modes, dtype=int))] = self.varying[a:b]
+        for i, k in enumerate(self.constant_modes):
+            out[:, k] = self.constant[a:b, i, None]
+        return out
+
+
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
                      grid: TimeGrid, a: int, agg: dict, out: np.ndarray) -> None:
     """E[target_j|F_{t_j}] into out (L, k, n), which may be target itself,
@@ -279,7 +328,9 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
         ito = np.empty_like(half) if steps == len(v) else np.zeros_like(half)
         if steps:
             amp = p.noise.diffusion(rows[:steps]).swapaxes(1, 2)
-            np.multiply(amp, np.ascontiguousarray(increments[a:a + steps]), out=ito[:steps])
+            dw = ito[:steps]
+            dw[...] = increments[a:a + steps]   # float64, exactly; no mixed-type product
+            np.multiply(amp, dw, out=dw)
         yield a, v, half, ito
 
 
@@ -410,14 +461,16 @@ def _map_output(xi: ProcessEnsemble, m: int, out: Optional[np.ndarray]) -> np.nd
 
 
 def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
-            wiener: Optional[WienerEnsemble], out: Optional[np.ndarray]) -> ProcessEnsemble:
+            wiener: Optional[WienerEnsemble], out: Optional[np.ndarray],
+            features: Optional[FrozenFeatures] = None) -> ProcessEnsemble:
     """One application of the side's map; see lp_backward_map and
     lp_forward_map. The sides differ in the anchor block and node, in the
     start of the stable scan (zero, or the anchor) and in the unstable fit.
     The forward pass writes every entry of the output, so it needs no
     zeros. Each block is checked for finiteness once its fits are written,
     while it is in cache; only a failing map searches the whole path for
-    its earliest non-finite node and sample.
+    its earliest non-finite node and sample. The fits regress on
+    ``features``' blocks when given, else on xi's.
 
     The blocks run with numpy's ufunc buffer lowered to the length of a
     sample row (_sample_buffer, keyed on xi's n_samples; one-sample and
@@ -447,6 +500,9 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     cols = solver_boundary_columns(p)
     N = grid.n_steps
     pull = _semigroup(p, grid, u_idx, N) if unstable else None
+    if features is not None and features.shape != xi.values.shape:
+        raise GridMismatch(f"features of shape {features.shape} for paths of shape "
+                           f"{xi.values.shape}")
     out = _map_output(xi, m, out)
     agg: dict = {}
     start = 0.0 if unstable else anchor_rows
@@ -470,7 +526,8 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
             # place on dest: numpy 2.4's in-place negative misreads a view
             # whose stride is 8 elements)
             fit = dest if unstable and not x_det else target
-            _conditional_fit(target, v[:hi], basis, grid, a, agg, fit)
+            state = v[:hi] if features is None else features.block(a, a + hi)
+            _conditional_fit(target, state, basis, grid, a, agg, fit)
             if not unstable:
                 np.negative(fit, out=dest)
             elif x_det:   # E[x|F_t] = x: only the drift integral was regressed
@@ -483,7 +540,11 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
                 # truncation tail
                 out[N, u] = anchor_rows if unstable else 0.0
             finite = finite and bool(np.isfinite(out[a:a + len(v)]).all())
-    _, ito_diag = condexp_ito_zero(ito0.T, (grid.t_start, grid.t_end))
+    if noise is None:   # the Ito sums are zeros: condexp_ito_zero's verdict on them
+        ito_diag = {"window": (float(grid.t_start), float(grid.t_end)), "raw_mean": 0.0,
+                    "band": 0.0, "ok": True, "n_samples": n}
+    else:
+        _, ito_diag = condexp_ito_zero(ito0.T, (grid.t_start, grid.t_end))
     if not finite:
         bad = ~np.isfinite(out).all(axis=1)     # (N+1, n)
         node = int(np.argmax(bad.any(axis=1)))
@@ -498,7 +559,8 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
 
 def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
                     wiener: Optional[WienerEnsemble] = None, *,
-                    out: Optional[np.ndarray] = None) -> ProcessEnsemble:
+                    out: Optional[np.ndarray] = None,
+                    features: Optional[FrozenFeatures] = None) -> ProcessEnsemble:
     """One application of the backward map on the window [tau - T_back, tau].
 
     The forward pass over the time blocks gives the stable block at t: the
@@ -515,14 +577,17 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     on xi's grid for xi's samples, under nonzero noise (GridMismatch
     otherwise). The result's values are ``out`` when given: (n, N+1, m)
     values of another ensemble, stored (node, mode, sample) as the package
-    stores them, which the map overwrites.
+    stores them, which the map overwrites. Every fit regresses on the state
+    at its node: xi's, or, when given, that of ``features``, a solve's
+    FrozenFeatures of xi's shape (GridMismatch otherwise).
     """
-    return _lp_map("unstable", p, xi, x, cfg, wiener, out)
+    return _lp_map("unstable", p, xi, x, cfg, wiener, out, features)
 
 
 def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
                    wiener: Optional[WienerEnsemble] = None, *,
-                   out: Optional[np.ndarray] = None) -> ProcessEnsemble:
+                   out: Optional[np.ndarray] = None,
+                   features: Optional[FrozenFeatures] = None) -> ProcessEnsemble:
     """One application of the forward map on [tau, tau + T_fwd].
 
     Forward pass, stable block: pushed-forward anchor plus truncated
@@ -530,9 +595,9 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     block: minus the regression of the per-sample drift integral over
     [t, tau + T_fwd]; the sigma term is zero by the martingale property
     (diagnostic in meta). Like lp_backward_map it applies the operator
-    past the gap too; basis, noise and ``out`` as there.
+    past the gap too; basis, noise, ``out`` and ``features`` as there.
     """
-    return _lp_map("stable", p, xi, x, cfg, wiener, out)
+    return _lp_map("stable", p, xi, x, cfg, wiener, out, features)
 
 
 def _truncation_check(p, cfg, gap, xnorm: float, side: str) -> float:
@@ -579,7 +644,8 @@ def _not_converged(side: str, trace: FixedPointTrace, cfg: LPConfig,
 
 def _fixed_point(side: str, p: SpectralProblem, x, cfg: LPConfig,
                  wiener: Optional[WienerEnsemble], grid: TimeGrid, guess: np.ndarray,
-                 trace: FixedPointTrace, certify: bool = True) -> ProcessEnsemble:
+                 trace: FixedPointTrace, certify: bool = True,
+                 guess_varies: bool = False) -> ProcessEnsemble:
     """Iterate the side's map from ``guess`` into ``trace``, checking
     nothing, and return the last iterate. A fixed point gets both
     certificates from one more map, the residual map, when ``certify``:
@@ -588,16 +654,25 @@ def _fixed_point(side: str, p: SpectralProblem, x, cfg: LPConfig,
     NonfiniteState propagate; the stable side records it as
     trace.regression["aborted"] and returns unconverged. Each map after the
     first writes into the storage of the last dead iterate, the first guess
-    included, so the iteration holds two paths."""
+    included, so the iteration holds two paths.
+
+    The first iterate that varies across the samples is frozen
+    (FrozenFeatures) as the regression state of every later map, the
+    residual map included: ``guess`` when ``guess_varies``, else the first
+    map's output. A fixed map then projects each node on one subspace. A
+    one-sample iteration regresses nothing and freezes nothing."""
     _, value_idx, node = _side_layout(p, grid, side)
     # looked up when the iteration starts, so a rebound map name is the one iterated
     lp_map = lp_backward_map if side == "unstable" else lp_forward_map
     cur = ProcessEnsemble(grid=grid, values=guess)
     times = grid.times
     spare = None    # the storage of the last dead iterate, the next map's output
+    features = FrozenFeatures.of(guess) if guess_varies else None
     try:
         for _ in range(cfg.max_iter):
-            nxt = lp_map(p, cur, x, cfg, wiener, out=spare)
+            nxt = lp_map(p, cur, x, cfg, wiener, out=spare, features=features)
+            if features is None and cur.n_samples > 1:
+                features = FrozenFeatures.of(nxt.values)
             d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, p.gamma)
             if trace.distances and trace.distances[-1] > 0:
                 trace.ratios.append(d / trace.distances[-1])
@@ -615,7 +690,7 @@ def _fixed_point(side: str, p: SpectralProblem, x, cfg: LPConfig,
     if not trace.regression:
         trace.regression = cur.meta.get("regression", {})
     if trace.converged and certify:
-        again = lp_map(p, cur, x, cfg, wiener, out=spare)
+        again = lp_map(p, cur, x, cfg, wiener, out=spare, features=features)
         trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, p.gamma)
         trace.consistency_gap = ms_norm(cur.values[:, node, value_idx]
                                         - again.values[:, node, value_idx])
@@ -671,7 +746,8 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     except NonfiniteState:
         pass
     guess = path.values if presolve.converged else _initial_guess(p, grid, anchor, side)
-    return _fixed_point(side, p, x, cfg, wiener, grid, guess, trace), trace
+    return _fixed_point(side, p, x, cfg, wiener, grid, guess, trace,
+                        guess_varies=not x_det), trace
 
 
 def lp_backward_solve(p: SpectralProblem, x, cfg: LPConfig,

@@ -266,7 +266,8 @@ def refinement_study(p: SpectralProblem, cfg, parameter: str,
             grid = st.TimeGrid(t_start=0.0, dt=dt, n_steps=steps)
             # coarse increments are sums of the fine ones: coupled paths
             inc = wie_ref.increments[:, :steps * ratio, :]
-            inc = inc.reshape(inc.shape[0], steps, ratio, inc.shape[2]).sum(axis=2)
+            inc = inc.reshape(inc.shape[0], steps, ratio, inc.shape[2])
+            inc = inc.sum(axis=2, dtype=float)      # float32 draws, summed in float64
             wie = st.WienerEnsemble(grid=grid, seed=wie_ref.seed,
                                     increments=inc, weights=wie_ref.weights,
                                     step0=0)

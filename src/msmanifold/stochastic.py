@@ -138,8 +138,10 @@ def _fill_standard_increments(out: np.ndarray, seed, step0: int, scale) -> None:
     generator is keyed by (seed, c, b) and draws (step, sample, mode) in C
     order, so any window on the same lattice sees the same numbers. Each
     block is one generator call from its first row up to the window's last
-    step: rows before the window are dropped, and no row after it is
-    drawn. The draw is written mode by mode into out's sample rows.
+    step, into one buffer the whole fill reuses: rows before the window are
+    dropped, and no row after it is drawn. The draw is written mode by mode
+    into out's sample rows, each product formed in float64 and rounded to
+    out's dtype when stored (float32 for the package's own draws).
 
     A scale whose entries all have the same bits is applied as that one
     number, which gives the same products without a broadcast over the
@@ -152,12 +154,14 @@ def _fill_standard_increments(out: np.ndarray, seed, step0: int, scale) -> None:
         scale = scale[0]
     else:
         scale = scale[:, None]
+    buf = np.empty(_BLOCK * min(n, _CHUNK) * d)
 
     def fill(a, b):
         for blk in range(step0 // _BLOCK, (end - 1) // _BLOCK + 1):
             r = blk * _BLOCK
             lo, hi = max(r, step0), min(end, r + _BLOCK)
-            raw = _block_generator(seed, a // _CHUNK, blk).standard_normal((hi - r, b - a, d))
+            raw = buf[:(hi - r) * (b - a) * d].reshape(hi - r, b - a, d)
+            _block_generator(seed, a // _CHUNK, blk).standard_normal(out=raw)
             np.multiply(raw[lo - r:].transpose(0, 2, 1), scale,
                         out=out[lo - step0:hi - step0, :, a:b])
 
@@ -169,8 +173,10 @@ class WienerEnsemble:
     """Sampled Q-Wiener increments on a grid, anchored at W(0) = 0.
 
     ``increments`` is sample-major, (n_samples, n_steps, d); for an ensemble
-    drawn here it is the transposed view of (step, mode, sample) storage,
-    so ``_by_node(increments)[a:b]`` is a block of steps without a copy."""
+    drawn here it is the transposed view of float32 (step, mode, sample)
+    storage, so ``_by_node(increments)[a:b]`` is a block of steps without a
+    copy. Every consumer computes with the increments in float64: products
+    with float64 operands promote, and sums pass dtype=float."""
     grid: TimeGrid
     seed: object
     increments: np.ndarray          # (n_samples, n_steps, d), already q-scaled
@@ -200,7 +206,7 @@ class WienerEnsemble:
         grid covers it, else at the first node."""
         n, n_steps, d = self.increments.shape
         w = np.zeros((n_steps + 1, d, n))
-        np.cumsum(_by_node(self.increments), axis=0, out=w[1:])
+        np.cumsum(_by_node(self.increments), axis=0, dtype=float, out=w[1:])
         if self.step0 <= 0 <= self.step0 + n_steps:
             z = -self.step0
             w -= w[z:z + 1]
@@ -216,11 +222,13 @@ class WienerEnsemble:
         if lo == hi:
             return np.zeros((n, d))
         # summed in step order, so the bits do not depend on the storage
-        seg = np.cumsum(_by_node(self.increments)[lo:hi], axis=0)[-1].T
+        seg = np.cumsum(_by_node(self.increments)[lo:hi], axis=0, dtype=float)[-1].T
         return seg if node > anchor else -seg
 
 
 def sample_wiener(seed, grid: TimeGrid, noise: NoiseModel, n_samples: int) -> WienerEnsemble:
+    """The q-scaled increments of ``noise`` on ``grid`` for n_samples samples,
+    stored float32: the stream's float64 products, rounded when stored."""
     if n_samples < 2:
         raise ConfigError("n_samples must be >= 2")
     d = noise.n_noise_modes
@@ -230,17 +238,18 @@ def sample_wiener(seed, grid: TimeGrid, noise: NoiseModel, n_samples: int) -> Wi
     if q.shape != (d,):
         raise ConfigError(f"covariance weights shape {q.shape} != ({d},)")
     step0 = grid.step0
-    inc = np.empty((grid.n_steps, d, n_samples))
+    inc = np.empty((grid.n_steps, d, n_samples), dtype=np.float32)
     _fill_standard_increments(inc, seed, step0, np.sqrt(q * grid.dt))
     return WienerEnsemble(grid=grid, seed=seed, increments=_by_sample(inc),
                           weights=q, step0=step0)
 
 
 def resample_future(w: WienerEnsemble, node: int, new_seed) -> WienerEnsemble:
-    """Replace all increments at steps >= node with draws from new_seed."""
+    """Replace all increments at steps >= node with draws from new_seed,
+    stored float32 as sample_wiener stores them."""
     if not (0 <= node <= w.grid.n_steps):
         raise GridMismatch(f"node {node} outside grid")
-    inc = np.empty((w.grid.n_steps, w.n_noise_modes, w.n_samples))
+    inc = np.empty((w.grid.n_steps, w.n_noise_modes, w.n_samples), dtype=np.float32)
     inc[:node] = _by_node(w.increments)[:node]
     _fill_standard_increments(inc[node:], new_seed, w.step0 + node,
                               np.sqrt(w.weights * w.grid.dt))

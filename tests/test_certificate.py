@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import msmanifold.lyapunov_perron as lp
-from msmanifold.errors import ConsistencyFailure, MaxIterExceeded, NonfiniteState
+from msmanifold.errors import ConsistencyFailure, GridMismatch, MaxIterExceeded, NonfiniteState
 from msmanifold import (
     LPConfig,
     ProcessEnsemble,
@@ -174,18 +174,98 @@ def test_a_graph_checks_its_request_once(monkeypatch, side, anchor, noise):
     assert (len(reports), len(tails)) == (1, 1)
 
 
+def spied_features(monkeypatch, side):
+    """The features each full-ensemble map of the side is given, in call
+    order, recorded at the map's module binding."""
+    _, map_name, step = SIDES[side]
+    given = []
+
+    def spying(*args, **kwargs):
+        if args[1].n_samples == N_SAMPLES:
+            given.append(kwargs.get("features"))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(lp, map_name, spying)
+    return given
+
+
 @pytest.mark.parametrize("anchor", ["deterministic", "random"])
 @pytest.mark.parametrize("side", ["unstable", "stable"])
-def test_consistency_gap_is_the_residual_maps_anchor_node(side, anchor):
+def test_consistency_gap_is_the_residual_maps_anchor_node(monkeypatch, side, anchor):
     step = SIDES[side][2]
     p, cfg, x = two_way_noisy(), config(), anchors()[anchor]
+    given = spied_features(monkeypatch, side)
     g, path = solved_graph(side, p, x, cfg)
     grid = path.grid
     wiener = sample_wiener(cfg.seed, grid, p.noise, g.n_samples)
-    again = step(p, path, x, cfg, wiener).values
+    # the residual map regresses on the solve's frozen features
+    again = step(p, path, x, cfg, wiener, features=given[-1]).values
     node = grid.n_steps if side == "unstable" else 0
     assert g.consistency_gap == ms_norm(g.h_value - again[:, node, g.value_idx])
     assert 0.0 < g.consistency_gap <= g.trace.residual <= cfg.tol
+
+
+@pytest.mark.parametrize("anchor", ["deterministic", "random"])
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_a_solve_regresses_every_map_on_one_frozen_iterate(monkeypatch, side, anchor):
+    # the first iterate that varies across the samples is frozen once: a
+    # random anchor's guess, else the first map's output, where the noise
+    # has entered the stable modes and the fitted ones are still constant.
+    # Every later map, the residual map included, gets that one object; it
+    # shares no memory with any iterate and holds the varying columns as
+    # float32, each constant column as one float64 row per node
+    _, map_name, step = SIDES[side]
+    p, cfg, x = two_way_noisy(), config(), anchors()[anchor]
+    given, iterates, first = [], [], []
+
+    def spying(p, xi, *args, **kwargs):
+        result = step(p, xi, *args, **kwargs)
+        if xi.n_samples == N_SAMPLES:
+            given.append(kwargs.get("features"))
+            iterates.extend([xi.values, result.values])
+            if not first:
+                first.extend([np.array(xi.values), np.array(result.values)])
+        return result
+
+    monkeypatch.setattr(lp, map_name, spying)
+    g = SIDES[side][0](p, x, cfg)
+    assert len(given) == g.trace.iterations + 1
+    frozen = given[-1]
+    assert isinstance(frozen, lp.FrozenFeatures)
+    set_at = 0 if anchor == "random" else 1
+    assert given[:set_at] == [None] * set_at
+    assert all(f is frozen for f in given[set_at:])
+    for held in (frozen.varying, frozen.constant):
+        assert not any(np.shares_memory(held, it) for it in iterates)
+
+    source = first[set_at]        # (n, N+1, m): the guess or the first output
+    vary = tuple(g.anchor_idx) if anchor == "random" else tuple(p.stable_modes)
+    const = tuple(k for k in range(p.n_modes) if k not in vary)
+    for k in range(p.n_modes):
+        assert np.all(source[:, :, k] == source[:1, :, k]) == (k in const)
+    assert (frozen.varying_modes, frozen.constant_modes) == (vary, const)
+    n_nodes = source.shape[1]
+    assert frozen.varying.dtype == np.float32
+    assert frozen.varying.shape == (n_nodes, len(vary), N_SAMPLES)
+    assert np.array_equal(frozen.varying,
+                          source[:, :, list(vary)].transpose(1, 2, 0).astype(np.float32))
+    assert frozen.constant.dtype == np.float64 and frozen.constant.shape == (n_nodes, len(const))
+    assert np.array_equal(frozen.constant, source[0][:, list(const)])
+    # a map reads them as float64 (node, mode, sample) blocks
+    block = frozen.block(3, 7)
+    assert block.dtype == np.float64 and block.shape == (4, p.n_modes, N_SAMPLES)
+    assert np.array_equal(block[:, list(vary)], frozen.varying[3:7])
+    assert np.all(block[:, list(const)] == frozen.constant[3:7, :, None])
+
+
+def test_a_map_refuses_features_of_another_shape():
+    p, cfg, x = two_way_noisy(), config(), anchors()["random"]
+    grid = lp._solver_grid(cfg, "unstable")
+    guess = lp._initial_guess(p, grid, x, "unstable")
+    wiener = sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES)
+    half = lp.FrozenFeatures.of(guess[:N_SAMPLES // 2])
+    with pytest.raises(GridMismatch, match="features of shape"):
+        lp_backward_map(p, ProcessEnsemble(grid, guess), x, cfg, wiener, features=half)
 
 
 def test_consistency_failure_names_side_time_node_and_limit(monkeypatch):
@@ -230,12 +310,17 @@ def test_nonconvergence_names_side_distance_and_limits(side):
 def hand_run(side, p, x, cfg, guess, wiener=None, maps=None):
     """The public maps iterated from ``guess`` (n, N+1, m) as the solver's
     loop runs them: until a distance is at most tol, or ``maps`` times.
+    The first iterate that varies across the samples, the guess or the
+    first map's output, is frozen as the features of every later map.
     Returns the last iterate."""
     step = SIDES[side][2]
     grid = lp._solver_grid(cfg, side)
     cur = ProcessEnsemble(grid=grid, values=guess)
+    features = lp.FrozenFeatures.of(guess) if np.any(guess != guess[:1]) else None
     for _ in range(cfg.max_iter if maps is None else maps):
-        nxt = step(p, cur, x, cfg, wiener)
+        nxt = step(p, cur, x, cfg, wiener, features=features)
+        if features is None and cur.n_samples > 1:
+            features = lp.FrozenFeatures.of(nxt.values)
         d = lp._weighted_gap(cur.values, nxt.values, grid.times, cfg.tau, p.gamma)
         cur = nxt
         if maps is None and d <= cfg.tol:

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from msmanifold import build_example_problem, condexp_ito_zero
 from msmanifold.cli import _write_json, main
-from msmanifold.config import (SCHEMA, anchor_from_run, config_hash, lp_config_from_run,
-                               problem_from_config, validate_config)
+from msmanifold.config import (SCHEMA, anchor_from_run, config_hash, example_problem_config,
+                               lp_config_from_run, problem_from_config, validate_config)
 from msmanifold.lyapunov_perron import lp_backward_solve, stable_graph
 from msmanifold.oracles import refinement_study
 
@@ -252,6 +253,28 @@ def test_solve_stable_writes_the_graphs_path_summary(tmp_path):
     assert graph.path.shape == (2001, 4)
     assert np.array_equal(np.column_stack([traj[name] for name in traj.dtype.names]),
                           graph.path)
+
+
+@pytest.mark.parametrize("command, window", [("solve-unstable", [-6.0, 0.0]),
+                                             ("solve-stable", [0.0, 6.0])])
+def test_a_zero_noise_solve_writes_the_zero_ito_sums_verdict(tmp_path, command, window):
+    # the forced example without noise, as the pde_flux workload solves it:
+    # its maps add no Ito sums, and trace.json carries the verdict
+    # condexp_ito_zero gives on all-zero sums over the window
+    m = 4
+    p = build_example_problem(m=m, g0=0.02 * np.eye(m), g1=0.05 * np.ones(m),
+                              g2=0.05 * np.ones(m))
+    cfg = example_problem_config(p, run={"dt": 1e-2, "t_back": 6.0, "t_fwd": 6.0,
+                                         "tol": 1e-6, "c_zeta": 0.5})
+    out = tmp_path / "run"
+    assert main([command, "--config", write_cfg(tmp_path / "cfg.json", cfg),
+                 "--out", str(out)]) == 0
+    ito = json.loads((out / "trace.json").read_text())["trace"]["ito_check"]
+    n = cfg["run"].get("n_samples", 2)
+    zeros = np.zeros((n, len(p.unstable_modes)))
+    assert ito == json.loads(json.dumps(condexp_ito_zero(zeros, window)[1]))
+    assert ito == {"window": window, "raw_mean": 0.0, "band": 0.0, "ok": True,
+                   "n_samples": n}
 
 
 def test_solve_hashes_its_config_once(tmp_path, monkeypatch):

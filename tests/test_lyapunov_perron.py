@@ -665,10 +665,10 @@ def test_solves_reuse_the_dead_iterates_storage(monkeypatch):
     cfg = LPConfig(c_zeta=0.5, t_back=6.0, dt=1e-2, n_samples=1, tol=1e-6)
     outs, inputs = [], []
 
-    def recording(p, xi, x, cfg, wiener=None, *, out=None):
+    def recording(p, xi, x, cfg, wiener=None, *, out=None, features=None):
         inputs.append(xi.values)
         outs.append(out)
-        return lp._lp_map("unstable", p, xi, x, cfg, wiener, out)
+        return lp._lp_map("unstable", p, xi, x, cfg, wiener, out, features)
 
     monkeypatch.setattr(lp, "lp_backward_map", recording)
     ens, trace = lp.lp_backward_solve(p, [0.2], cfg)

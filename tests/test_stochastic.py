@@ -159,6 +159,11 @@ def reference_increments(seed, step0, n_steps, n, d):
     return out
 
 
+def stored(increments):
+    """Float64 increments as a draw stores them: each rounded to float32."""
+    return increments.astype(np.float32)
+
+
 STREAM_WINDOWS = {
     "ends_at_block_edge": (7, TimeGrid(-4.5, 2.5e-2, 180), 64, 1),
     "straddles_zero": (-3, TimeGrid(-0.5, 0.01, 100), 64, 2),
@@ -175,25 +180,28 @@ def test_wiener_stream_matches_whole_block_draws(window):
     seed, grid, n, d = STREAM_WINDOWS[window]
     scale = np.sqrt(np.ones(d) * grid.dt)
     w = sample_wiener(seed, grid, unit_noise(d), n)
-    assert np.array_equal(w.increments,
-                          reference_increments(seed, grid.step0, grid.n_steps, n, d) * scale)
+    want = stored(reference_increments(seed, grid.step0, grid.n_steps, n, d) * scale)
+    assert np.array_equal(w.increments, want)
     node = grid.n_steps // 3
-    fresh = reference_increments(seed + 100, grid.step0, grid.n_steps, n, d) * scale
+    fresh = stored(reference_increments(seed + 100, grid.step0, grid.n_steps, n, d) * scale)
     w2 = resample_future(w, node, seed + 100)
     assert np.array_equal(w2.increments[:, :node], w.increments[:, :node])
     assert np.array_equal(w2.increments[:, node:], fresh[:, node:])
 
 
 def test_wiener_increments_are_scaled_while_drawn():
-    # one float64 product sqrt(q dt) * normal per element, zero weights too
+    # one float64 product sqrt(q dt) * normal per element, zero weights too,
+    # rounded to float32 when stored
     g = TimeGrid(-0.37, 0.01, 50)
     q = np.array([0.3, 2.0, 0.0])
     scale = np.sqrt(q * g.dt)
     w = sample_wiener(6, g, diagonal_linear_noise(np.ones(3), q), 1100)
+    assert w.increments.dtype == np.float32
     assert np.array_equal(w.increments,
-                          reference_increments(6, g.step0, g.n_steps, 1100, 3) * scale)
+                          stored(reference_increments(6, g.step0, g.n_steps, 1100, 3) * scale))
     w2 = resample_future(w, 20, 60)
-    fresh = reference_increments(60, g.step0, g.n_steps, 1100, 3) * scale
+    assert w2.increments.dtype == np.float32
+    fresh = stored(reference_increments(60, g.step0, g.n_steps, 1100, 3) * scale)
     assert np.array_equal(w2.increments[:, 20:], fresh[:, 20:])
 
 
@@ -204,10 +212,10 @@ def test_equal_noise_scales_give_the_vector_scales_bits(q):
     g = TimeGrid(-0.37, 0.01, 50)
     scale = np.sqrt(np.array(q) * g.dt)
     w = sample_wiener(6, g, diagonal_linear_noise(np.ones(3), q), 1100)
-    want = reference_increments(6, g.step0, g.n_steps, 1100, 3) * scale
+    want = stored(reference_increments(6, g.step0, g.n_steps, 1100, 3) * scale)
     assert w.increments.tobytes() == want.tobytes()
     w2 = resample_future(w, 20, 60)
-    fresh = reference_increments(60, g.step0, g.n_steps, 1100, 3) * scale
+    fresh = stored(reference_increments(60, g.step0, g.n_steps, 1100, 3) * scale)
     assert w2.increments[:, 20:].tobytes() == fresh[:, 20:].tobytes()
 
 
@@ -221,9 +229,9 @@ def test_wiener_draw_generates_only_the_blocks_of_its_window(monkeypatch):
         def __init__(self, seed, chunk, blk):
             self.g, self.key = real(seed, chunk, blk), (chunk, blk)
 
-        def standard_normal(self, size):
-            rows[self.key] = rows.get(self.key, 0) + size[0]
-            return self.g.standard_normal(size)
+        def standard_normal(self, size=None, out=None):
+            rows[self.key] = rows.get(self.key, 0) + (size if out is None else out.shape)[0]
+            return self.g.standard_normal(size, out=out)
 
     def check(n_steps, last):
         assert {c for c, _ in rows} == {0, 1}
@@ -240,8 +248,8 @@ def test_wiener_draw_generates_only_the_blocks_of_its_window(monkeypatch):
     check(200, 19)
     resample_future(w, 180, 8)
     check(20, 19)
-    assert np.array_equal(w.increments,
-                          reference_increments(7, g.step0, g.n_steps, 2048, 1) * np.sqrt(g.dt))
+    assert np.array_equal(w.increments, stored(reference_increments(7, g.step0, g.n_steps,
+                                                                    2048, 1) * np.sqrt(g.dt)))
 
 
 def test_resample_future_preserves_past():
