@@ -83,16 +83,9 @@ class RegressionBasis:
                       scale=None) -> None:
         """Write the size feature rows of a feature-major state coords
         (..., n_coords, n_samples) into out (..., size, n_samples), each in
-        place: the monomial rows (_write_monomials), then the linear rows
-        (_write_linear)."""
-        self._write_monomials(coords, out, shift, scale)
-        self._write_linear(coords, out)
-
-    def _write_monomials(self, coords: np.ndarray, out: np.ndarray, shift=None,
-                         scale=None) -> None:
-        """Rows 0 to _n_poly - 1 of out: the intercept and the monomials of
-        the primary coordinates, as (x - shift) / scale when shift and scale
-        (..., n_primary) are given. Every product is formed in the order of
+        place: the intercept, the monomials of the primary coordinates, as
+        (x - shift) / scale when shift and scale (..., n_primary) are given,
+        then the linear coordinates. Every product is formed in the order of
         a left-to-right product over the exponent tuple."""
         out[..., 0, :] = 1.0
         if self.degree >= 1:
@@ -105,9 +98,6 @@ class RegressionBasis:
                     row /= np.asarray(scale)[..., i, None]
         for r, prefix, last in self._row_plan:
             np.multiply(out[..., prefix, :], out[..., last, :], out=out[..., r, :])
-
-    def _write_linear(self, coords: np.ndarray, out: np.ndarray) -> None:
-        """The rows after the monomials: the linear coordinates."""
         n_poly = self._n_poly
         for t, c in enumerate(self.linear_idx):
             out[..., n_poly + t, :] = coords[..., c, :]
@@ -285,29 +275,6 @@ def _as_targets(target, stacked: bool) -> tuple:
     return y, squeeze
 
 
-_SUM_LIMIT = 0.5 * np.finfo(float).max
-
-
-def _constant_monomials(coords: np.ndarray, prim: np.ndarray, basis: RegressionBasis,
-                        n: int) -> Optional[np.ndarray]:
-    """The monomial rows 1 to _n_poly - 1 of a stack coords whose primary
-    rows prim all equal their sample 0 (==) on every node, (L, _n_poly - 1)
-    from sample 0; None for any other stack. Such rows are constant, so
-    standardizing would drop every one of them. A dropped column's mean
-    enters only gram_inv and coef, through the sign of -mean * 0, and the
-    mean of n equal values has their sign unless they are zero (a sum of
-    zeros is +0) or their sum overflows: stacks with such a row take the
-    general route."""
-    if np.any(prim[..., 1:2] != prim[..., :1]) or not np.all(prim == prim[..., :1]):
-        return None
-    rows = np.empty((len(coords), basis._n_poly, 1))
-    basis._write_monomials(coords[..., :1], rows)
-    size = np.abs(rows[:, 1:, 0])
-    if not np.all((size > 0.0) & (size * n < _SUM_LIMIT)):
-        return None
-    return rows[:, 1:, 0]
-
-
 def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     """Project target onto the basis evaluated at the conditioning state.
 
@@ -316,7 +283,11 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     one stacked problem: the single regression is the case L = 1.
     Multi-column targets share one normal-equation factorization. Ridge of
     RIDGE_SCALE * trace(G)/B is always added and reported; the design
-    condition number is checked before the ridge. A node past COND_LIMIT
+    condition number is checked before the ridge. A column that does not
+    vary across the samples at a node spans only the intercept there: it
+    is folded into it (n_folded counts them), and the fit is unchanged. A
+    solve's maps leave out the modes that are so at every node before they
+    call (lyapunov_perron.FrozenFeatures). A node past COND_LIMIT
     drops each column whose unexplained fraction off the columns before it
     is at most 1 - ALIAS_CORR^2 (n_aliased counts them), and the fit is
     unchanged. A design still past COND_LIMIT then raises
@@ -326,10 +297,7 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
 
     A call computes the fit, its residual variance and the diagnostics;
     coef and gram_inv are derived from the fit on first read (see
-    CondexpEstimate). A stack whose primary coordinates all equal their
-    sample 0 exactly has constant monomial rows, which standardizing would
-    drop: it writes them as the pads at once (_constant_monomials), and
-    every value it returns has the bits of the general route.
+    CondexpEstimate).
     """
     state = np.asarray(state_at_t, dtype=float)
     if state.ndim not in (2, 3):
@@ -351,33 +319,20 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     # so every reduction runs along the contiguous sample axis, and the
     # moments of all primary rows are one reduction each.
     coords = np.ascontiguousarray(np.swapaxes(state, -1, -2))
-    n_poly = basis._n_poly
     prim = coords[:, basis._primary_rows]
-    const = _constant_monomials(coords, prim, basis, n)
-    if const is None:
-        shift = prim.mean(axis=-1, keepdims=True)
-        spread = prim.std(axis=-1, mean=shift)
-        shift = shift[..., 0]
-        varies = _varies(shift, spread)
-        shift = np.where(varies, shift, 0.0)
-        scale = np.where(varies, spread, 1.0)
-    else:
-        shift = np.zeros((n_nodes, len(basis.primary_idx)))
-        scale = np.ones_like(shift)
+    shift = prim.mean(axis=-1, keepdims=True)
+    spread = prim.std(axis=-1, mean=shift)
+    shift = shift[..., 0]
+    varies = _varies(shift, spread)
+    shift = np.where(varies, shift, 0.0)
+    scale = np.where(varies, spread, 1.0)
     del prim            # a copy unless the primary rows are one run
     z = np.empty((n_nodes, b_size, n + b_size))
     z[..., n:] = 0.0
     phi = z[..., :n]
     mean, sd = np.empty((2, n_nodes, b_size))
     mean[:, 0], sd[:, 0] = 1.0, 0.0     # the intercept row, all ones
-    if const is None:
-        basis._write_design(coords, phi, shift, scale)
-        lo = 1
-    else:
-        phi[:, 0] = 1.0
-        basis._write_linear(coords, phi)
-        mean[:, 1:n_poly], sd[:, 1:n_poly] = const, 0.0
-        lo = n_poly
+    basis._write_design(coords, phi, shift, scale)
 
     # Standardize, folding numerically constant columns into the intercept
     # (row 0): a coordinate that does not vary across the ensemble carries
@@ -385,16 +340,15 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     # unstable features degenerate exactly this way.  The conditioning check
     # then measures true collinearity, not scale disparity.  Dropped columns
     # stay in the stack as pads (see _drop), so nodes with different masks
-    # share one solve.  The intercept and exactly constant monomial rows are
-    # never centred or scaled: they are dropped or set apart either way.
-    rows = phi[:, lo:]
-    mean[:, lo:] = rows.mean(axis=-1)
-    rows -= mean[:, lo:, None]
-    sd[:, lo:] = np.sqrt(_sum_squares(rows) / n)
+    # share one solve.  The intercept is never centred or scaled.
+    rows = phi[:, 1:]
+    mean[:, 1:] = rows.mean(axis=-1)
+    rows -= mean[:, 1:, None]
+    sd[:, 1:] = np.sqrt(_sum_squares(rows) / n)
     keep = _varies(mean, sd)
     keep[:, 0] = False
     inv_sd = np.divide(1.0, sd, out=np.zeros_like(sd), where=keep)
-    rows *= inv_sd[:, lo:, None]
+    rows *= inv_sd[:, 1:, None]
     dropped = ~keep
     dropped[:, 0] = False
     _drop(z, dropped)
@@ -505,9 +459,10 @@ def condexp_ito_zero(increment_sums, window: tuple) -> tuple:
         raise ConfigError(f"window [{t0}, {t1}] is reversed")
     arr = np.asarray(increment_sums, dtype=float)
     zeros = np.zeros_like(arr)
-    if t1 == t0 or arr.size == 0:
-        return zeros, {"window": (t0, t1), "raw_mean": 0.0, "band": 0.0, "ok": True}
     n = arr.shape[0]
+    if t1 == t0 or arr.size == 0:
+        return zeros, {"window": (t0, t1), "raw_mean": 0.0, "band": 0.0, "ok": True,
+                       "n_samples": n}
     raw_mean = float(np.max(np.abs(arr.mean(axis=0))))
     sd = float(np.max(arr.std(axis=0)))
     band = 4.0 * sd / np.sqrt(n)

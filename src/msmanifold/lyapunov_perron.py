@@ -204,15 +204,15 @@ def _varying_nodes(x: np.ndarray, among: np.ndarray) -> np.ndarray:
 class FrozenFeatures:
     """The regression state of every map of a solve after it is set: one
     iterate, frozen, so each node's regression subspace stays the same
-    from map to map (FrozenFeatures.of). The mode columns that vary across
-    the samples at some node are stored float32, (N+1, k_v, n) node-major;
-    each other column is one float64 row per node, (N+1, k_c). A map reads
-    them as float64 blocks (block). They share no memory with the iterate
-    they were frozen from."""
+    from map to map (FrozenFeatures.of). Only the mode columns that vary
+    across the samples at some node are kept, float32, (N+1, k_v, n)
+    node-major: a column that is the same on every sample at every node
+    spans only the intercept. A map reads them as float64 blocks (block)
+    and regresses on its basis restricted to them (basis). They share no
+    memory with the iterate they were frozen from."""
     varying_modes: tuple
     varying: np.ndarray             # (N+1, k_v, n) float32
-    constant_modes: tuple
-    constant: np.ndarray            # (N+1, k_c) float64
+    shape: tuple                    # (n_samples, n_nodes, m) of the iterate's values
 
     @classmethod
     def of(cls, values: np.ndarray) -> "FrozenFeatures":
@@ -221,46 +221,39 @@ class FrozenFeatures:
         nodes = _by_node(values)
         n_nodes, m, n = nodes.shape
         every = np.ones(n_nodes, dtype=bool)
-        varies = [bool(_varying_nodes(nodes[:, k:k + 1], every).any()) for k in range(m)]
-        vary = tuple(k for k in range(m) if varies[k])
-        const = tuple(k for k in range(m) if not varies[k])
+        vary = tuple(k for k in range(m) if _varying_nodes(nodes[:, k:k + 1], every).any())
         varying = np.empty((n_nodes, len(vary), n), dtype=np.float32)
         for i, k in enumerate(vary):
             varying[:, i] = nodes[:, k]
-        constant = np.empty((n_nodes, len(const)))
-        for i, k in enumerate(const):
-            constant[:, i] = nodes[:, k, 0]
-        return cls(vary, varying, const, constant)
+        return cls(vary, varying, values.shape)
 
-    @property
-    def shape(self) -> tuple:
-        """(n_samples, n_nodes, m), the shape of the iterate's values."""
-        n_nodes, _, n = self.varying.shape
-        return n, n_nodes, len(self.varying_modes) + len(self.constant_modes)
+    def basis(self, full: RegressionBasis) -> RegressionBasis:
+        """``full``, a basis of the iterate's modes, restricted to the kept
+        columns and indexed by their place in a block: its primary and
+        linear modes that vary, in its order."""
+        at = {k: i for i, k in enumerate(self.varying_modes)}
+        return RegressionBasis(degree=full.degree,
+                               primary_idx=tuple(at[k] for k in full.primary_idx if k in at),
+                               linear_idx=tuple(at[k] for k in full.linear_idx if k in at))
 
     def block(self, a: int, b: int) -> np.ndarray:
-        """The state at nodes a to b - 1 as a float64 (node, mode, sample)
-        block (b - a, m, n)."""
-        n = self.shape[0]
-        out = np.empty((b - a, self.shape[2], n))
-        out[:, _mode_rows(np.asarray(self.varying_modes, dtype=int))] = self.varying[a:b]
-        for i, k in enumerate(self.constant_modes):
-            out[:, k] = self.constant[a:b, i, None]
-        return out
+        """The kept columns at nodes a to b - 1 as a float64 (node, column,
+        sample) block (b - a, k_v, n)."""
+        return self.varying[a:b].astype(float)
 
 
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
                      grid: TimeGrid, a: int, agg: dict, out: np.ndarray) -> None:
     """E[target_j|F_{t_j}] into out (L, k, n), which may be target itself,
     for the nodes j = a, a+1, ... of a (node, mode, sample) block: target
-    (L, k, n) regressed on the state (L, m, n) at the same node, since at
-    the fixed point the mild solution is Markov. Exact short-circuits,
-    tested as node masks: a deterministic target is its own conditional
-    expectation; a deterministic conditioning state reduces the regression
-    to the plain mean, _row_sum of each sample row over n. The remaining
-    nodes are one stacked regression, handed to condexp_lsmc as (L, n, k)
-    views whose feature-major copies are free; its fits are written
-    straight into out."""
+    (L, k, n) regressed on the basis of the state (L, c, n) at the same
+    node, since at the fixed point the mild solution is Markov. Exact
+    short-circuits, tested as node masks: a deterministic target is its own
+    conditional expectation; a deterministic conditioning state reduces the
+    regression to the plain mean, _row_sum of each sample row over n. The
+    remaining nodes are one stacked regression, handed to condexp_lsmc as
+    (L, n, k) views whose feature-major copies are free; its fits are
+    written straight into out, and agg records the basis size."""
     varies = _varying_nodes(target, np.ones(len(target), dtype=bool))
     if out is not target and not varies.all():
         out[~varies] = target[~varies]
@@ -280,6 +273,7 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
                                    node=j, cond=exc.cond, limit=exc.limit) from exc
     diag = est.diagnostics
     agg["n_regressions"] = agg.get("n_regressions", 0) + int(nodes.size)
+    agg["basis_size"] = diag["basis_size"]
     agg["max_cond"] = max(agg.get("max_cond", 0.0), float(diag["cond"].max()))
     agg["min_r2"] = min(agg.get("min_r2", 1.0), float(diag["r2"].min()))
     out[sel] = est.fitted.swapaxes(1, 2)
@@ -469,8 +463,9 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     The forward pass writes every entry of the output, so it needs no
     zeros. Each block is checked for finiteness once its fits are written,
     while it is in cache; only a failing map searches the whole path for
-    its earliest non-finite node and sample. The fits regress on
-    ``features``' blocks when given, else on xi's.
+    its earliest non-finite node and sample. The fits regress on xi's
+    blocks with cfg's basis, or, given ``features``, on its blocks with
+    that basis restricted to its columns (FrozenFeatures.basis).
 
     The blocks run with numpy's ufunc buffer lowered to the length of a
     sample row (_sample_buffer, keyed on xi's n_samples; one-sample and
@@ -500,9 +495,11 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     cols = solver_boundary_columns(p)
     N = grid.n_steps
     pull = _semigroup(p, grid, u_idx, N) if unstable else None
-    if features is not None and features.shape != xi.values.shape:
-        raise GridMismatch(f"features of shape {features.shape} for paths of shape "
-                           f"{xi.values.shape}")
+    if features is not None:
+        if features.shape != xi.values.shape:
+            raise GridMismatch(f"features of shape {features.shape} for paths of shape "
+                               f"{xi.values.shape}")
+        basis = features.basis(basis)
     out = _map_output(xi, m, out)
     agg: dict = {}
     start = 0.0 if unstable else anchor_rows
@@ -579,7 +576,8 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     values of another ensemble, stored (node, mode, sample) as the package
     stores them, which the map overwrites. Every fit regresses on the state
     at its node: xi's, or, when given, that of ``features``, a solve's
-    FrozenFeatures of xi's shape (GridMismatch otherwise).
+    FrozenFeatures of xi's shape (GridMismatch otherwise), which hold only
+    the columns that vary and so give the basis: cfg's restricted to them.
     """
     return _lp_map("unstable", p, xi, x, cfg, wiener, out, features)
 

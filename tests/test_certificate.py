@@ -213,7 +213,7 @@ def test_a_solve_regresses_every_map_on_one_frozen_iterate(monkeypatch, side, an
     # has entered the stable modes and the fitted ones are still constant.
     # Every later map, the residual map included, gets that one object; it
     # shares no memory with any iterate and holds the varying columns as
-    # float32, each constant column as one float64 row per node
+    # float32 and no constant column, which spans only the intercept
     _, map_name, step = SIDES[side]
     p, cfg, x = two_way_noisy(), config(), anchors()[anchor]
     given, iterates, first = [], [], []
@@ -235,27 +235,64 @@ def test_a_solve_regresses_every_map_on_one_frozen_iterate(monkeypatch, side, an
     set_at = 0 if anchor == "random" else 1
     assert given[:set_at] == [None] * set_at
     assert all(f is frozen for f in given[set_at:])
-    for held in (frozen.varying, frozen.constant):
-        assert not any(np.shares_memory(held, it) for it in iterates)
+    assert not any(np.shares_memory(frozen.varying, it) for it in iterates)
 
     source = first[set_at]        # (n, N+1, m): the guess or the first output
     vary = tuple(g.anchor_idx) if anchor == "random" else tuple(p.stable_modes)
     const = tuple(k for k in range(p.n_modes) if k not in vary)
     for k in range(p.n_modes):
         assert np.all(source[:, :, k] == source[:1, :, k]) == (k in const)
-    assert (frozen.varying_modes, frozen.constant_modes) == (vary, const)
+    assert frozen.varying_modes == vary and frozen.shape == source.shape
+    assert [f.name for f in fields(frozen)] == ["varying_modes", "varying", "shape"]
     n_nodes = source.shape[1]
     assert frozen.varying.dtype == np.float32
     assert frozen.varying.shape == (n_nodes, len(vary), N_SAMPLES)
     assert np.array_equal(frozen.varying,
                           source[:, :, list(vary)].transpose(1, 2, 0).astype(np.float32))
-    assert frozen.constant.dtype == np.float64 and frozen.constant.shape == (n_nodes, len(const))
-    assert np.array_equal(frozen.constant, source[0][:, list(const)])
-    # a map reads them as float64 (node, mode, sample) blocks
+    # a map reads them as float64 (node, column, sample) blocks, and
+    # regresses on its basis restricted to them
     block = frozen.block(3, 7)
-    assert block.dtype == np.float64 and block.shape == (4, p.n_modes, N_SAMPLES)
-    assert np.array_equal(block[:, list(vary)], frozen.varying[3:7])
-    assert np.all(block[:, list(const)] == frozen.constant[3:7, :, None])
+    assert block.dtype == np.float64 and block.shape == (4, len(vary), N_SAMPLES)
+    assert np.array_equal(block, frozen.varying[3:7])
+    basis = frozen.basis(cfg.basis_for(p))
+    primary = vary == tuple(p.unstable_modes)
+    assert (basis.primary_idx, basis.linear_idx) == (((0,), ()) if primary else ((), (0,)))
+
+
+def two_unstable_noisy():
+    return build_problem([1.5, 1.0, -1.0, -2.0], [0, 1], alpha=1.0, beta=-1.0, gamma=0.5,
+                         zeta=-0.5, nonlinearity=linear_nonlinearity(0.03 * np.ones((4, 4))),
+                         noise=diagonal_linear_noise([0.1] * 4))
+
+
+def test_a_column_constant_at_every_node_leaves_the_frozen_basis(monkeypatch):
+    # a per-sample anchor whose first coordinate is the same on every
+    # sample: the frozen guess varies in the second unstable mode alone, so
+    # the solve's maps regress on one primary, whose monomials span what
+    # the full basis spans on the same state
+    p, cfg = two_unstable_noisy(), config()
+    rng = np.random.default_rng(8)
+    x = np.column_stack([np.full(N_SAMPLES, 0.1), 0.1 + 0.02 * rng.standard_normal(N_SAMPLES)])
+    given = spied_features(monkeypatch, "unstable")
+    g = unstable_graph(p, x, cfg)
+    frozen = given[0]
+    assert all(f is frozen for f in given) and frozen.varying_modes == (1,)
+    basis = frozen.basis(cfg.basis_for(p))
+    assert (basis.primary_idx, basis.linear_idx, basis.size) == ((0,), (), 3)
+    assert g.trace.regression["basis_size"] == 3
+    # one map from a guess already in float32, so the frozen state and the
+    # guess are the same numbers: the map without features regresses on the
+    # full basis of the guess
+    grid = lp._solver_grid(cfg, "unstable")
+    guess = lp._initial_guess(p, grid, x, "unstable").astype(np.float32).astype(float)
+    xi = ProcessEnsemble(grid, guess)
+    wiener = sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES)
+    restricted = lp_backward_map(p, xi, x, cfg, wiener, features=lp.FrozenFeatures.of(guess))
+    full = lp_backward_map(p, xi, x, cfg, wiener)
+    fits = full.meta["regression"], restricted.meta["regression"]
+    assert (fits[0]["basis_size"], fits[1]["basis_size"]) == (8, 3)
+    assert fits[0]["n_regressions"] == fits[1]["n_regressions"] > 0
+    assert np.max(np.abs(full.values - restricted.values)) <= 1e-12
 
 
 def test_a_map_refuses_features_of_another_shape():

@@ -358,6 +358,10 @@ def test_ito_zero_degenerate_window():
     zeros, diag = condexp_ito_zero(np.ones(10), (0.5, 0.5))
     assert np.all(zeros == 0.0)
     assert diag["ok"] and diag["raw_mean"] == 0.0
+    assert diag["n_samples"] == 10
+    # no integrand: an empty sum per sample
+    _, diag = condexp_ito_zero(np.ones((10, 0)), (0.0, 1.0))
+    assert diag["ok"] and diag["n_samples"] == 10
 
 
 def test_ito_zero_guards():
@@ -538,9 +542,8 @@ def constant_primary_stack(n=400, seed=31, wide=False):
     """Four nodes whose primary coordinates (u0, u1) are exactly the same
     on every sample, each node at its own values, with two linear
     coordinates (s0, s1): plain nodes, one whose s1 duplicates s0 up to an
-    affine map (an aliased linear column, folded through the QR), and one
-    whose u1 is negative, so the sign of a dropped column's mean shows in
-    coef and gram_inv; with wide, two more linear coordinates (widened)."""
+    affine map (an aliased linear column, folded through the QR); with
+    wide, two more linear coordinates (widened)."""
     rng = np.random.default_rng(seed)
     state = np.empty((4, n, 4))
     state[..., :2] = np.array([[0.3, 1.7], [-0.2, 0.05], [2.5, -0.4], [1e-3, -3.0]])[:, None]
@@ -553,45 +556,22 @@ def constant_primary_stack(n=400, seed=31, wide=False):
     return target, state, RegressionBasis(degree=2, primary_idx=(0, 1), linear_idx=linear_idx)
 
 
-def estimate_bits(est, j):
-    """The bytes of node j of every value a stacked estimate returns."""
-    d = est.diagnostics
-    values = {key: d[key][j] for key in ("cond", "r2", "rank", "n_folded", "n_aliased",
-                                         "ridge")}
-    values.update(fitted=est.fitted[j], resid_var=est.resid_var[j], coef=est.coef[j],
-                  gram_inv=est.gram_inv[j])
-    return {key: np.asarray(val).tobytes() for key, val in values.items()}
-
-
 @pytest.mark.parametrize("wide", [False, True])
-def test_a_nodes_fit_does_not_depend_on_its_stacks_route(monkeypatch, wide):
-    # a stack whose primary coordinates are all exactly constant writes its
-    # monomial rows as pads at once; one more node whose primaries vary
-    # sends the whole stack down the general route, which builds,
-    # standardizes and then drops the same rows: every value of a shared
-    # node keeps its bits, zeros' signs included
-    from msmanifold import condexp
-
-    routes = []
-    real = condexp._constant_monomials
-
-    def spy(*args):
-        const = real(*args)
-        routes.append(const is not None)
-        return const
-
-    monkeypatch.setattr(condexp, "_constant_monomials", spy)
+def test_constant_primaries_span_only_the_intercept(wide):
+    # standardizing drops every monomial of primary coordinates that are the
+    # same on every sample, so the full basis fits what the basis without
+    # them fits: the same projection, up to the rounding of a larger solve,
+    # and the same aliased linear column
     target, state, basis = constant_primary_stack(wide=wide)
-    rng = np.random.default_rng(4)
-    varied = (np.concatenate([target, target[:1]]),
-              np.concatenate([state, rng.standard_normal(state[:1].shape)]))
-    constant = condexp_lsmc(target, state, basis)
-    general = condexp_lsmc(*varied, basis)
-    assert routes == [True, False]
-    assert constant.diagnostics["n_aliased"].tolist() == [0, 1, 0, 0]
-    assert constant.diagnostics["n_folded"].tolist() == [5, 5, 5, 5]
-    for j in range(4):
-        assert estimate_bits(constant, j) == estimate_bits(general, j), j
+    linear = RegressionBasis(degree=2, primary_idx=(), linear_idx=basis.linear_idx)
+    full, restricted = condexp_lsmc(target, state, basis), condexp_lsmc(target, state, linear)
+    assert full.diagnostics["n_folded"].tolist() == [5, 5, 5, 5]
+    assert restricted.diagnostics["n_folded"].tolist() == [0, 0, 0, 0]
+    assert full.diagnostics["n_aliased"].tolist() == [0, 1, 0, 0]
+    assert restricted.diagnostics["n_aliased"].tolist() == [0, 1, 0, 0]
+    for a, b in ((full.fitted, restricted.fitted), (full.resid_var, restricted.resid_var),
+                 (full.diagnostics["r2"], restricted.diagnostics["r2"])):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_coef_and_gram_inv_keep_their_bits_in_any_order_of_reads():

@@ -135,6 +135,20 @@ def test_all_stable_problem_has_empty_graph_value():
     assert g.trace.converged
 
 
+def test_a_solve_without_unstable_modes_reports_its_ito_samples():
+    # no unstable mode leaves no Ito sum to check; the noisy solve's verdict
+    # still counts its samples, as the zero-noise one of the same problem does
+    def problem(noise):
+        return build_problem([-1.0, -2.0], [], alpha=1.0, beta=-1.0, gamma=0.0,
+                             zeta=-0.5, nonlinearity=zero_nonlinearity(2), noise=noise)
+
+    cfg = LPConfig(c_zeta=1.0, t_fwd=3.0, dt=1e-2, tol=1e-8, n_samples=64, force=True)
+    noisy = stable_graph(problem(diagonal_linear_noise([0.1, 0.1])), [0.2, -0.1], cfg)
+    quiet = stable_graph(problem(zero_noise(2)), [0.2, -0.1], cfg)
+    assert noisy.trace.ito_check["n_samples"] == 64
+    assert noisy.trace.ito_check == quiet.trace.ito_check
+
+
 # ------------------------------------------------------------ linear coupling
 
 def test_one_way_coupling_matches_sylvester_slope():
@@ -230,6 +244,8 @@ def test_regression_diagnostics_aggregated():
     g = unstable_graph(p, [0.3], cfg)
     reg = g.trace.regression
     assert reg and reg["n_regressions"] > 0
+    # the frozen first map's output varies in the stable mode alone
+    assert reg["basis_size"] == 2
     assert reg["max_cond"] < 1e12
     assert reg["min_r2"] <= 1.0
 
