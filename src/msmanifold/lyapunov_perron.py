@@ -15,6 +15,12 @@ zero noise every sample path is the same, so the solve runs on one sample
 and copies the path to the requested samples. With noise, the solve starts
 from that zero-noise fixed point instead of the semigroup guess: the
 mean-square graph is a perturbation of it of the order of the noise.
+
+A solve with more than one sample stores its iterates float32 when the
+floor that this rounding puts under its distances is at most tol/100
+(_iterate_dtype), else float64. The maps read every block as float64 and
+compute in float64, and the certificates are float64 sums of what is
+stored.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from .errors import (ConfigError, ConsistencyFailure, GridMismatch, IllCondition
 from .problem import GapReport, SpectralProblem, _normalize_anchor, gap_report, zero_noise
 from .resolvent import BoundaryTriple, forcing_modes, scan_layout, trapezoid_scan
 from .stochastic import (_LATTICE_RTOL, ProcessEnsemble, TimeGrid, WienerEnsemble,
-                         _by_node, _by_sample, _path_moments, _row_sum, _sample_buffer,
+                         _by_node, _by_sample, _node_ms, _path_moments, _row_sum, _sample_buffer,
                          _span_steps, _weighted_gap, integrate_mild, ms_norm, sample_wiener,
                          solver_boundary_columns)
 
@@ -287,13 +293,13 @@ def _apart(x, v: np.ndarray) -> bool:
 
 def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
                     wiener: Optional[WienerEnsemble]):
-    """Forward time blocks of vals as contiguous (node, mode, sample) blocks
-    v (L, m, n), views of the package's storage (copies of any other
-    layout), with the half-step drift and the Ito increment leaving each
-    node, both (L, m, n) and contiguous; drift and diffusion see a block as
-    its (L, n, m) view. No increment leaves the last grid node; without
-    ``wiener`` there are none, and ito is None. Yields (a, v, half, ito), a
-    the first node.
+    """Forward time blocks of vals as contiguous float64 (node, mode,
+    sample) blocks v (L, m, n), views of the package's float64 storage
+    (copies of its float32 storage and of any other layout), with the
+    half-step drift and the Ito increment leaving each node, both (L, m, n)
+    and contiguous; drift and diffusion see a block as its (L, n, m) view.
+    No increment leaves the last grid node; without ``wiener`` there are
+    none, and ito is None. Yields (a, v, half, ito), a the first node.
 
     The drift is mapped into modes and halved in place when it may be
     written (_apart): a boundary triple's f takes its boundary terms unless
@@ -303,7 +309,7 @@ def _forcing_blocks(p: SpectralProblem, vals: np.ndarray, cols, dt: float,
     length = _block_len(n)
     increments = None if wiener is None else _by_node(wiener.increments)
     for a in range(0, n_nodes, length):
-        v = np.ascontiguousarray(nodes[a:a + length])
+        v = np.ascontiguousarray(nodes[a:a + length], dtype=float)
         rows = v.swapaxes(1, 2)
         value = p.nonlinearity.fn(rows)
         own_f = isinstance(value, BoundaryTriple) and _apart(value.f, v) \
@@ -340,10 +346,11 @@ def _forward_pass(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
     """A map's forward pass over the time blocks of vals into out (N+1, m,
     n): the stable block, T(t_j - t_0) start plus the trapezoid convolution
     of the stable drift and the Ito quadrature of the stable noise over
-    [t_0, t_j], and the unstable half-step drift, parked in out[:, u].
-    ``start`` is 0 or (k_s, n). Returns the one use of the unstable noise,
-    sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j, (k_u, n), added in node
-    order."""
+    [t_0, t_j], and the unstable half-step drift, parked in out[:, u]. The
+    scan runs in float64, its carry too; each block is rounded to out's
+    dtype as it is written. ``start`` is 0 or (k_s, n). Returns the one
+    use of the unstable noise, sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j,
+    (k_u, n), added in node order."""
     s, u = _mode_rows(p.stable_modes), _mode_rows(p.unstable_modes)
     decay = np.exp(p.eigenvalues[p.stable_modes] * dt)[:, None]
     ito0 = np.zeros((len(p.unstable_modes), out.shape[2]))
@@ -372,10 +379,14 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
                 dt: float, wiener: Optional[WienerEnsemble], start=0.0):
     """A map's two passes: the forward pass, then a reverse pass that scans
     the parked drift and yields, last block first, (a, v, drift, ito0): the
-    first node, the contiguous (node, mode, sample) block v (L, m, n) of
-    vals, the unstable drift's trapezoid convolution over [t_j, t_end], (L,
-    k_u, n), and the forward pass's Ito sum. The caller overwrites the
-    parked drift with its fits, and the anchor node."""
+    first node, the (node, mode, sample) view v (L, m, n) of vals' block,
+    in vals' layout and float type, the unstable drift's float64 trapezoid
+    convolution over [t_j, t_end], (L, k_u, n), and the forward pass's Ito
+    sum. The parked drift is read back as float64; in float32 storage it
+    was rounded to float32 between the passes, a relative error of at most
+    2^-24 in each half-step drift, the rounding the stored iterate takes
+    anyway. The caller overwrites the parked drift with its fits, and the
+    anchor node."""
     ito0 = _forward_pass(p, vals, out, cols, dt, wiener, start)
     u = _mode_rows(p.unstable_modes)
     decay = np.exp(-p.eigenvalues[p.unstable_modes] * dt)[:, None]
@@ -383,10 +394,10 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
     length = _block_len(out.shape[2])
     carry = None
     for a in reversed(range(0, len(out), length)):
-        h = scan_layout(out[a:a + length, u])
+        h = scan_layout(np.asarray(out[a:a + length, u], dtype=float))
         z = h + h
         carry = trapezoid_scan(z, h, decay, carry, reverse=True)
-        yield a, np.ascontiguousarray(nodes[a:a + length]), z, ito0
+        yield a, nodes[a:a + length], z, ito0
 
 
 def _driving_noise(p: SpectralProblem, wiener: Optional[WienerEnsemble], grid: TimeGrid,
@@ -418,37 +429,44 @@ def _semigroup(p: SpectralProblem, grid: TimeGrid, idx: np.ndarray, node: int) -
 
 
 def _initial_guess(p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
-                   side: str) -> np.ndarray:
+                   side: str, dtype=float) -> np.ndarray:
     """The anchor moved across the window by the semigroup: pulled back on
     the unstable side, pushed forward on the stable one. Sample-major view
-    of (node, mode, sample) storage: each block mode's rows are the anchor
-    times that mode's semigroup factor, and the other modes are +0."""
+    of (node, mode, sample) storage of ``dtype`` (float64 or float32): each
+    block mode's rows are the anchor times that mode's semigroup factor,
+    computed in float64 and rounded once to dtype, and the other modes are
+    +0."""
     idx, _, node = _side_layout(p, grid, side)
-    out = np.zeros((grid.n_nodes, p.n_modes, anchor.shape[0]))
+    out = np.zeros((grid.n_nodes, p.n_modes, anchor.shape[0]), dtype=dtype)
     sg = _semigroup(p, grid, idx, node)
     for i, mode in enumerate(idx):
         np.multiply(sg[:, i, None], anchor[:, i], out=out[:, mode])
     return _by_sample(out)
 
 
-def _spread(values: np.ndarray, n: int) -> np.ndarray:
+def _spread(values: np.ndarray, n: int, dtype=float) -> np.ndarray:
     """A one-sample path (1, N+1, m) copied to n samples: sample-major view
-    of (node, mode, sample) storage, as every map output is."""
-    return _by_sample(np.repeat(_by_node(values), n, axis=2))
+    of (node, mode, sample) storage of ``dtype``, as every map output is."""
+    nodes = _by_node(values)
+    out = np.empty(nodes.shape[:2] + (n,), dtype=dtype)
+    out[...] = nodes
+    return _by_sample(out)
 
 
 def _map_output(xi: ProcessEnsemble, m: int, out: Optional[np.ndarray]) -> np.ndarray:
     """(node, mode, sample) storage (N+1, m, n) for a map's result: ``out``,
-    the sample-major view of such storage as every map output is, or a new
-    array when it is None. It must not be xi's own."""
+    the sample-major view of float64 or float32 such storage as every map
+    output is, or, when it is None, a new array of xi's dtype when that is
+    float32, else float64. It must not be xi's own."""
     shape = (xi.grid.n_nodes, m, xi.n_samples)
     if out is None:
-        return np.empty(shape)
+        return np.empty(shape, dtype=np.float32 if xi.values.dtype == np.float32 else float)
     nodes = _by_node(out)
-    if nodes.shape != shape or nodes.dtype != float or not nodes.flags.c_contiguous \
-            or not nodes.flags.writeable:
-        raise ConfigError(f"map output must be a writable float view of node-major "
-                          f"(node, mode, sample) storage, of shape {shape[2], shape[0], m}")
+    if nodes.shape != shape or nodes.dtype not in (np.float64, np.float32) \
+            or not nodes.flags.c_contiguous or not nodes.flags.writeable:
+        raise ConfigError(f"map output must be a writable float64 or float32 view of "
+                          f"node-major (node, mode, sample) storage, of shape "
+                          f"{shape[2], shape[0], m}")
     if np.may_share_memory(nodes, xi.values):
         raise ConfigError("a map cannot write over its own input")
     return nodes
@@ -523,7 +541,8 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
             # place on dest: numpy 2.4's in-place negative misreads a view
             # whose stride is 8 elements)
             fit = dest if unstable and not x_det else target
-            state = v[:hi] if features is None else features.block(a, a + hi)
+            state = (np.ascontiguousarray(v[:hi], dtype=float) if features is None
+                     else features.block(a, a + hi))
             _conditional_fit(target, state, basis, grid, a, agg, fit)
             if not unstable:
                 np.negative(fit, out=dest)
@@ -574,7 +593,11 @@ def lp_backward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     on xi's grid for xi's samples, under nonzero noise (GridMismatch
     otherwise). The result's values are ``out`` when given: (n, N+1, m)
     values of another ensemble, stored (node, mode, sample) as the package
-    stores them, which the map overwrites. Every fit regresses on the state
+    stores them, float64 or float32, which the map overwrites; else a new
+    array of xi's dtype when that is float32, and float64 otherwise. The
+    map reads xi block by block as float64, computes in float64 and rounds
+    each block to the output's dtype as it writes it, so float64 input
+    with no ``out`` gives a float64 result. Every fit regresses on the state
     at its node: xi's, or, when given, that of ``features``, a solve's
     FrozenFeatures of xi's shape (GridMismatch otherwise), which hold only
     the columns that vary and so give the basis: cfg's restricted to them.
@@ -593,7 +616,9 @@ def lp_forward_map(p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig,
     block: minus the regression of the per-sample drift integral over
     [t, tau + T_fwd]; the sigma term is zero by the martingale property
     (diagnostic in meta). Like lp_backward_map it applies the operator
-    past the gap too; basis, noise, ``out`` and ``features`` as there.
+    past the gap too; basis, noise, ``out`` (float64 or float32; without
+    it the result takes xi's dtype when that is float32, else float64) and
+    ``features`` as there.
     """
     return _lp_map("stable", p, xi, x, cfg, wiener, out, features)
 
@@ -652,13 +677,18 @@ def _fixed_point(side: str, p: SpectralProblem, x, cfg: LPConfig,
     NonfiniteState propagate; the stable side records it as
     trace.regression["aborted"] and returns unconverged. Each map after the
     first writes into the storage of the last dead iterate, the first guess
-    included, so the iteration holds two paths.
+    included, so the iteration holds two paths, each in the guess's dtype
+    (float32 or float64; see _iterate_dtype), and the certificates are
+    computed from them in float64.
 
     The first iterate that varies across the samples is frozen
     (FrozenFeatures) as the regression state of every later map, the
     residual map included: ``guess`` when ``guess_varies``, else the first
-    map's output. A fixed map then projects each node on one subspace. A
-    one-sample iteration regresses nothing and freezes nothing."""
+    map output that varies in some mode. Until then each map regresses on
+    its own input, which is the same on every sample, so its fits are the
+    exact plain means. A fixed map then projects each node on one
+    subspace. A one-sample iteration regresses nothing and freezes
+    nothing."""
     _, value_idx, node = _side_layout(p, grid, side)
     # looked up when the iteration starts, so a rebound map name is the one iterated
     lp_map = lp_backward_map if side == "unstable" else lp_forward_map
@@ -670,7 +700,8 @@ def _fixed_point(side: str, p: SpectralProblem, x, cfg: LPConfig,
         for _ in range(cfg.max_iter):
             nxt = lp_map(p, cur, x, cfg, wiener, out=spare, features=features)
             if features is None and cur.n_samples > 1:
-                features = FrozenFeatures.of(nxt.values)
+                frozen = FrozenFeatures.of(nxt.values)
+                features = frozen if frozen.varying_modes else None
             d = _weighted_gap(cur.values, nxt.values, times, cfg.tau, p.gamma)
             if trace.distances and trace.distances[-1] > 0:
                 trace.ratios.append(d / trace.distances[-1])
@@ -690,20 +721,21 @@ def _fixed_point(side: str, p: SpectralProblem, x, cfg: LPConfig,
     if trace.converged and certify:
         again = lp_map(p, cur, x, cfg, wiener, out=spare, features=features)
         trace.residual = _weighted_gap(cur.values, again.values, times, cfg.tau, p.gamma)
-        trace.consistency_gap = ms_norm(cur.values[:, node, value_idx]
-                                        - again.values[:, node, value_idx])
+        trace.consistency_gap = float(_node_ms(cur.values[None, :, node, value_idx],
+                                               again.values[None, :, node, value_idx])[0])
     return cur
 
 
 def _one_sample_solve(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.ndarray,
                       cfg: LPConfig, trace: FixedPointTrace) -> ProcessEnsemble:
     """The zero-noise fixed point of a deterministic anchor, (n, k)
-    identical rows, iterated on one sample into ``trace`` and copied to the
-    n samples, whose certificates it equals; ito_check reports n. Under
-    zero noise it is the request's own iteration; under nonzero noise the
-    presolve, with the noise set to zero and no residual map. It re-enters
-    none of the solve's checks: zero noise only lowers eta, delta and the
-    truncation tail."""
+    identical rows, iterated on one sample into ``trace``: a one-sample
+    float64 path, which _spread copies to the n samples, whose
+    certificates it equals; ito_check reports n. Under zero noise it is
+    the request's own iteration; under nonzero noise the presolve, with
+    the noise set to zero and no residual map. It re-enters none of the
+    solve's checks: zero noise only lowers eta, delta and the truncation
+    tail."""
     certify = p.noise.is_zero
     if not certify:
         p = replace(p, noise=zero_noise(p.n_modes, p.noise.n_noise_modes))
@@ -711,7 +743,41 @@ def _one_sample_solve(side: str, p: SpectralProblem, grid: TimeGrid, anchor: np.
     ens = _fixed_point(side, p, anchor[0], cfg, None, grid, guess, trace, certify)
     if "n_samples" in trace.ito_check:
         trace.ito_check["n_samples"] = len(anchor)
-    return replace(ens, values=_spread(ens.values, len(anchor)))
+    return ens
+
+
+# Unit roundoff of float32: rounding to nearest moves a number by at most
+# this fraction of itself.
+_F32_ROUNDOFF = 2.0 ** -24
+
+
+def _iterate_dtype(n: int, size: float, c: float, tol: float):
+    """The storage of the iterates of a solve of n samples whose first
+    guess has weighted norm ``size`` (S), under the contraction c of its
+    side (gap.verdict(side)[1]): float32 when n > 1 and the floor that
+    float32 rounding puts under its distances, 2 u S / (1 - c), is at most
+    tol/100, else float64. Every map computes in float64 either way; only
+    what it stores is rounded.
+
+    The floor. Each stored iterate is fl(x_k), x_k = Phi(fl(x_{k-1})) the
+    map's float64 output. Rounding to nearest moves every entry by at most
+    u = 2^-24 of itself, so ||fl(y) - y|| <= u ||y|| in the solver's
+    weighted norm (a sup over the nodes of weighted ms-norms, each
+    monotone in the entries' magnitudes). With M a bound of the iterates'
+    norms, the distance d_k = ||fl(x_k) - fl(x_{k-1})|| obeys
+
+        d_k <= ||x_k - x_{k-1}|| + u (||x_k|| + ||x_{k-1}||)
+            <= c d_{k-1} + 2 u M,
+
+    so it settles at no more than 2 u M / (1 - c), and the residual map
+    adds at most u M more to the residual. M is taken as S, the first
+    guess's weighted norm: the iterates stay within d_1 / (1 - c) of it,
+    and the factor 100 between the floor and tol covers that. No floor
+    stands under a one-sample solve, which stays float64, nor under c >= 1
+    (a forced solve past the gap)."""
+    if n == 1 or not c < 1.0:
+        return float
+    return np.float32 if 2.0 * _F32_ROUNDOFF * size / (1.0 - c) <= tol / 100.0 else float
 
 
 def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
@@ -723,7 +789,8 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     identical sample paths, so it is solved on one sample; under nonzero
     noise that solve's adapted path is the first guess (_one_sample_solve).
     Random anchors, and a presolve that overflows or does not converge,
-    start from the semigroup guess."""
+    start from the semigroup guess. The guess, and so every iterate, is
+    stored in _iterate_dtype's dtype."""
     gap = gap_report_for(p, cfg)
     gap.require(side, cfg.force)
     grid = _solver_grid(cfg, side)
@@ -733,7 +800,8 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     tail = _truncation_check(p, cfg, gap, ms_norm(anchor[:1] if one_row else anchor), side)
     trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
     if one_row:
-        return _one_sample_solve(side, p, grid, anchor, cfg, trace), trace
+        ens = _one_sample_solve(side, p, grid, anchor, cfg, trace)
+        return replace(ens, values=_spread(ens.values, n)), trace
     if wiener is None and not p.noise.is_zero:
         wiener = sample_wiener(cfg.seed, grid, p.noise, n)
     wiener = _driving_noise(p, wiener, grid, n)
@@ -743,7 +811,18 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
             path = _one_sample_solve(side, p, grid, anchor, cfg, presolve)
     except NonfiniteState:
         pass
-    guess = path.values if presolve.converged else _initial_guess(p, grid, anchor, side)
+    # S is read off a one-sample path of the first guess's weighted norm:
+    # the presolve's path, or the semigroup guess of the anchor's root mean
+    # square row (each node's mean square is the sum over the block modes of
+    # the factor squared times the mode's mean square, as for the guess)
+    if presolve.converged:
+        one = path.values
+    else:
+        one = _initial_guess(p, grid, np.sqrt(np.mean(anchor * anchor, axis=0))[None], side)
+    size = _weighted_gap(one, None, grid.times, cfg.tau, p.gamma)
+    dtype = _iterate_dtype(n, size, gap.verdict(side)[1], cfg.tol)
+    guess = (_spread(one, n, dtype) if presolve.converged
+             else _initial_guess(p, grid, anchor, side, dtype))
     return _fixed_point(side, p, x, cfg, wiener, grid, guess, trace,
                         guess_varies=not x_det), trace
 
@@ -769,12 +848,15 @@ def lp_forward_solve(p: SpectralProblem, x, cfg: LPConfig,
     return ens, trace, trace.converged
 
 
-def _graph(side: str, p: SpectralProblem, ens: ProcessEnsemble, trace: FixedPointTrace,
+def _graph(side: str, p: SpectralProblem, x, ens: ProcessEnsemble, trace: FixedPointTrace,
            tau: float) -> ManifoldGraph:
-    """The graph at the anchor node of a certified fixed point; refused when
-    the residual map moves its value by more than 2*tol. Its path summary
-    holds every stride-th node of the window, a few thousand rows at most,
-    so no array of the graph grows with both the samples and the nodes."""
+    """The graph at the anchor node of a certified fixed point of the
+    request anchored at x; refused when the residual map moves its value by
+    more than 2*tol. Its anchor is the request's, normalized
+    (_normalize_anchor), never the stored and perhaps rounded anchor node;
+    its value is the stored value block as float64. Its path summary holds
+    every stride-th node of the window, a few thousand rows at most, so no
+    array of the graph grows with both the samples and the nodes."""
     anchor_idx, value_idx, node = _side_layout(p, ens.grid, side)
     limit = 2.0 * trace.tol
     if trace.consistency_gap > limit:
@@ -783,8 +865,9 @@ def _graph(side: str, p: SpectralProblem, ens: ProcessEnsemble, trace: FixedPoin
             f"at anchor node {node} by {trace.consistency_gap:.3e} > 2*tol = {limit:.3e}",
             gap=trace.consistency_gap, limit=limit)
     stride = max(1, ens.grid.n_nodes // 2000)
-    return ManifoldGraph(side=side, tau=tau, anchor=np.array(ens.values[:, node, anchor_idx]),
-                         h_value=np.array(ens.values[:, node, value_idx]),
+    anchor = _normalize_anchor(x, anchor_idx, p.n_modes, ens.n_samples)[0]
+    return ManifoldGraph(side=side, tau=tau, anchor=anchor,
+                         h_value=np.array(ens.values[:, node, value_idx], dtype=float),
                          anchor_idx=anchor_idx, value_idx=value_idx,
                          path=_path_moments(ens.values[:, ::stride], ens.grid.times[::stride]),
                          trace=trace, consistency_gap=trace.consistency_gap)
@@ -796,7 +879,7 @@ def unstable_graph(p: SpectralProblem, x, cfg: LPConfig,
     gap is the stable block of the residual map at tau, measured against
     h(x, tau); it is bounded by trace.residual."""
     ens, trace = lp_backward_solve(p, x, cfg, wiener)
-    return _graph("unstable", p, ens, trace, cfg.tau)
+    return _graph("unstable", p, x, ens, trace, cfg.tau)
 
 
 def stable_graph(p: SpectralProblem, x, cfg: LPConfig,
@@ -809,7 +892,7 @@ def stable_graph(p: SpectralProblem, x, cfg: LPConfig,
     if not membership:
         raise _not_converged("stable", trace, cfg,
                              "anchor is not in the stable set: no fixed point")
-    return _graph("stable", p, ens, trace, cfg.tau)
+    return _graph("stable", p, x, ens, trace, cfg.tau)
 
 
 def _graph_for_side(p, x, cfg, side: str, wiener=None) -> ManifoldGraph:

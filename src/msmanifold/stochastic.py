@@ -349,10 +349,11 @@ def integrate_mild(p: SpectralProblem, u0: np.ndarray, grid: TimeGrid,
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """Sum along the last axis, the samples: numpy's pairwise add.reduce over
-    each contiguous row (of a fresh copy when the rows are strided), then
-    +0, so a sum of -0 is +0. The bits do not depend on where x lives."""
-    if x.strides[-1] != x.itemsize:
-        x = np.ascontiguousarray(x)
+    each contiguous float64 row (of a fresh float64 copy when the rows are
+    strided or float32), then +0, so a sum of -0 is +0. The bits do not
+    depend on where x lives, nor on numpy's buffer size."""
+    if x.dtype != float or x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x, dtype=float)
     return np.add.reduce(x, axis=-1) + 0.0
 
 
@@ -394,8 +395,10 @@ def _sample_sum(x: np.ndarray) -> np.ndarray:
 
 def _node_ms(v: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
     """ms_norm at each node of a block v (L, n, m), or of v - w, whatever
-    their layout. The differences and their squares are written mode-major,
-    (m, L, n), and added over the modes in mode order, ((p0 + p1) + p2) +
+    their layout and float types. The differences and their squares are
+    computed in float64 (float32 operands are widened first, so a
+    difference of two float32 paths is exact) and written mode-major, (m,
+    L, n), then added over the modes in mode order, ((p0 + p1) + p2) +
     ..., one (L, n) add at a time, into the sample rows that _row_sum adds
     (with no modes it gives the zeros)."""
     L, n, m = v.shape
@@ -403,9 +406,9 @@ def _node_ms(v: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
         return np.zeros(L)
     sq = np.empty((m, L, n))
     if w is None:
-        np.multiply(v, v, out=sq.transpose(1, 2, 0))
+        np.multiply(v, v, out=sq.transpose(1, 2, 0), dtype=float)
     else:
-        np.subtract(v, w, out=sq.transpose(1, 2, 0))
+        np.subtract(v, w, out=sq.transpose(1, 2, 0), dtype=float)
         np.multiply(sq, sq, out=sq)
     for k in range(1, m):
         sq[0] += sq[k]

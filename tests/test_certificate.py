@@ -74,7 +74,7 @@ def solved_graph(side, p, x, cfg):
     else:
         ens, trace, membership = lp_forward_solve(p, x, cfg)
         assert membership
-    return lp._graph(side, p, ens, trace, cfg.tau), ens
+    return lp._graph(side, p, x, ens, trace, cfg.tau), ens
 
 
 def held_arrays(obj):
@@ -347,8 +347,9 @@ def test_nonconvergence_names_side_distance_and_limits(side):
 def hand_run(side, p, x, cfg, guess, wiener=None, maps=None):
     """The public maps iterated from ``guess`` (n, N+1, m) as the solver's
     loop runs them: until a distance is at most tol, or ``maps`` times.
-    The first iterate that varies across the samples, the guess or the
-    first map's output, is frozen as the features of every later map.
+    The first iterate that varies across the samples, the guess or a map's
+    output, is frozen as the features of every later map; until then each
+    map regresses on its own input. The maps store in the guess's dtype.
     Returns the last iterate."""
     step = SIDES[side][2]
     grid = lp._solver_grid(cfg, side)
@@ -356,7 +357,7 @@ def hand_run(side, p, x, cfg, guess, wiener=None, maps=None):
     features = lp.FrozenFeatures.of(guess) if np.any(guess != guess[:1]) else None
     for _ in range(cfg.max_iter if maps is None else maps):
         nxt = step(p, cur, x, cfg, wiener, features=features)
-        if features is None and cur.n_samples > 1:
+        if features is None and np.any(nxt.values != nxt.values[:1]):
             features = lp.FrozenFeatures.of(nxt.values)
         d = lp._weighted_gap(cur.values, nxt.values, grid.times, cfg.tau, p.gamma)
         cur = nxt
@@ -365,9 +366,9 @@ def hand_run(side, p, x, cfg, guess, wiener=None, maps=None):
     return cur
 
 
-def semigroup_guess(side, p, x, cfg, n):
+def semigroup_guess(side, p, x, cfg, n, dtype=float):
     grid = lp._solver_grid(cfg, side)
-    return lp._initial_guess(p, grid, np.tile(np.asarray(x, dtype=float), (n, 1)), side)
+    return lp._initial_guess(p, grid, np.tile(np.asarray(x, dtype=float), (n, 1)), side, dtype)
 
 
 def flux_problem():
@@ -452,9 +453,69 @@ def test_failed_presolve_falls_back_to_the_cold_start(monkeypatch, side, failure
     monkeypatch.setattr(lp, "_one_sample_solve", failing)
     _, path = solved_graph(side, p, x, cfg)
     grid = path.grid
-    cold = hand_run(side, p, x, cfg, semigroup_guess(side, p, x, cfg, N_SAMPLES),
-                    sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES))
+    # the hand run stores its iterates as the solve does
+    guess = semigroup_guess(side, p, x, cfg, N_SAMPLES, path.values.dtype)
+    cold = hand_run(side, p, x, cfg, guess, sample_wiener(cfg.seed, grid, p.noise, N_SAMPLES))
     assert np.array_equal(path.values, cold.values)
+
+
+def test_failed_presolve_still_regresses(monkeypatch):
+    # under diagonal linear noise the semigroup guess's stable block is 0,
+    # so the first map's output is the same on every sample; the solve
+    # freezes the first output that varies, and its maps regress on it
+    def failing(side, p, grid, anchor, cfg, trace):
+        raise NonfiniteState("presolve overflowed")
+
+    monkeypatch.setattr(lp, "_one_sample_solve", failing)
+    g = unstable_graph(two_way_noisy(), [0.3], config())
+    assert g.trace.regression["n_regressions"] > 0
+    assert g.trace.residual <= g.trace.tol
+
+
+def test_iterates_are_float32_only_where_their_rounding_floor_is_far_below_tol():
+    # at tol 1e-4 the floor 2 u S / (1 - c), S about 0.1, is near 1e-8,
+    # below tol/100, for a deterministic and a random anchor; at tol 1e-8
+    # it is not, and a one-sample (zero-noise) solve keeps float64 at any
+    # tol; the graph's anchor is the request's, never a rounded node
+    p, cfg = two_way_noisy(), replace(config(), t_back=25.0)
+    rows = 0.1 + 0.02 * np.random.default_rng(8).standard_normal((N_SAMPLES, 1))
+    quiet = replace(p, noise=zero_noise(2))
+    for problem, x, tol, want in ((p, [0.1], 1e-4, np.float32), (p, rows, 1e-4, np.float32),
+                                  (p, [0.1], 1e-8, np.float64), (quiet, [0.1], 1e-4, np.float64)):
+        graph, path = solved_graph("unstable", problem, x, replace(cfg, tol=tol))
+        assert path.values.dtype == want, (x, tol)
+        anchor = np.broadcast_to(np.asarray(x, dtype=float), (N_SAMPLES, 1))
+        assert graph.anchor.dtype == np.float64 and graph.anchor.tobytes() == anchor.tobytes()
+        assert graph.h_value.dtype == np.float64
+
+
+def test_float32_iterates_agree_with_float64_ones_on_the_same_noise(monkeypatch):
+    # the lsmc_unstable problem on fewer samples and nodes, its iterates
+    # stored each way: both graphs certify, each route repeats its bits,
+    # and they differ by less than the rounding floor plus tol
+    p = build_problem([1.5, 1.0, -1.0, -2.0], [0, 1], alpha=1.0, beta=-1.0, gamma=0.5,
+                      zeta=-0.5, nonlinearity=linear_nonlinearity(np.full((4, 4), 0.03)),
+                      noise=diagonal_linear_noise([0.1] * 4))
+    cfg = LPConfig(c_zeta=1.0, t_back=12.0, dt=5e-2, tol=1e-4, n_samples=128, seed=3)
+    x = [0.6, -0.4]
+    graphs = {}
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(lp, "_iterate_dtype", lambda *args: dtype)
+        runs = [solved_graph("unstable", p, x, cfg) for _ in range(2)]
+        for g, path in runs:
+            assert path.values.dtype == dtype
+            assert g.trace.residual <= cfg.tol and g.consistency_gap <= 2.0 * cfg.tol
+            assert g.trace.ito_check["ok"]
+        (a, path_a), (b, path_b) = runs
+        assert a.h_value.tobytes() == b.h_value.tobytes()
+        assert path_a.values.tobytes() == path_b.values.tobytes()
+        assert a.trace.distances == b.trace.distances
+        graphs[dtype] = (a, path_a)
+    g64, path64 = graphs[np.float64]
+    c = lp.gap_report_for(p, cfg).verdict("unstable")[1]
+    size = lp._weighted_gap(path64.values, None, path64.grid.times, cfg.tau, p.gamma)
+    floor = 2.0 * 2.0 ** -24 * size / (1.0 - c)
+    assert 0.0 < ms_norm(graphs[np.float32][0].h_value - g64.h_value) <= floor + cfg.tol
 
 
 def three_draw_residual(p, x, cfg, t0, side):

@@ -227,9 +227,10 @@ def test_solve_trajectory_holds_the_fixed_points_strided_moments(tmp_path):
     p = problem_from_config(cfg)
     ens, _ = lp_backward_solve(p, anchor_from_run(cfg["run"], p), lp_config_from_run(cfg["run"]))
     assert np.array_equal(traj["t"], ens.grid.times[::2])
-    # each node's sample sums pairwise over one contiguous row, and the
-    # squares added mode by mode first: the orders of the written path
-    path = ens.values[:, ::2]
+    # each node's sample sums pairwise over one contiguous float64 row, and
+    # the squares added mode by mode first: the orders of the written path
+    # (the solve stores its path float32 at this tol, and the sums widen it)
+    path = ens.values[:, ::2].astype(float)
     total = np.add.reduce(np.ascontiguousarray(path.transpose(1, 2, 0)), axis=-1)
     sq = path[..., 0] ** 2 + path[..., 1] ** 2
     sq_total = np.add.reduce(np.ascontiguousarray(sq.T), axis=-1)

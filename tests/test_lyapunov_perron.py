@@ -675,6 +675,34 @@ def test_maps_write_into_a_given_output_bit_for_bit(side):
         step(p, xi, anchor, cfg, out=np.empty((1001, 2, 4)).swapaxes(0, 1))
 
 
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_maps_store_float32_or_float64_and_compute_in_float64(side):
+    # float64 input without out gives float64, float32 input float32; a
+    # float32 out holds the same float64 work rounded as it is written: the
+    # stable scan bit for bit, the unstable fits up to the parked drift's
+    # float32 rounding
+    p = two_way_noisy()
+    n, N = 64, 100
+    cfg = LPConfig(c_zeta=1.0, t_back=1.0, t_fwd=1.0, dt=1e-2, n_samples=n)
+    grid = TimeGrid(-1.0 if side == "unstable" else 0.0, 1e-2, N)
+    wiener = sample_wiener(3, grid, p.noise, n)
+    x = 0.3 + 0.1 * np.random.default_rng(2).standard_normal((n, 1))
+    step = lp_backward_map if side == "unstable" else lp_forward_map
+    xi = ProcessEnsemble(grid, lp._initial_guess(p, grid, x, side))
+    wide = step(p, xi, x, cfg, wiener).values
+    assert wide.dtype == np.float64
+    spare = np.empty((N + 1, 2, n), dtype=np.float32).transpose(2, 0, 1)
+    narrow = step(p, xi, x, cfg, wiener, out=spare).values
+    assert narrow.dtype == np.float32 and np.shares_memory(narrow, spare)
+    s = p.stable_modes
+    assert np.array_equal(narrow[..., s], wide[..., s].astype(np.float32))
+    assert np.max(np.abs(narrow - wide)) <= 1e-6 * np.max(np.abs(wide))
+    xi32 = ProcessEnsemble(grid, lp._initial_guess(p, grid, x, side, np.float32))
+    assert step(p, xi32, x, cfg, wiener).values.dtype == np.float32
+    with pytest.raises(ConfigError, match="float64 or float32"):
+        step(p, xi, x, cfg, wiener, out=np.empty((N + 1, 2, n), np.float16).transpose(2, 0, 1))
+
+
 def test_solves_reuse_the_dead_iterates_storage(monkeypatch):
     # every map after the first writes over the iterate two steps back
     p = flux_problem()
