@@ -811,10 +811,11 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
             path = _one_sample_solve(side, p, grid, anchor, cfg, presolve)
     except NonfiniteState:
         pass
-    # S is read off a one-sample path of the first guess's weighted norm:
-    # the presolve's path, or the semigroup guess of the anchor's root mean
-    # square row (each node's mean square is the sum over the block modes of
-    # the factor squared times the mode's mean square, as for the guess)
+    # S, the first guess's weighted norm, is read off a one-sample path with
+    # the guess's node ms-norms, so no float64 guess is built to decide: the
+    # presolve's path, or the semigroup guess of the anchor's root-mean-square
+    # row (at each node both mean squares are the sum over the block modes of
+    # the factor squared times the mode's mean square)
     if presolve.converged:
         one = path.values
     else:
