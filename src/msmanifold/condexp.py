@@ -22,6 +22,15 @@ RIDGE_SCALE = 1e-10
 ALIAS_CORR = 1.0 - 1e-10    # multiple correlation with earlier columns that drops a column
 
 
+def _index_rows(idx):
+    """Indices of an axis as an index of it: a slice, so their rows are a
+    view, when they are consecutive and increasing; else the index array."""
+    idx = np.asarray(idx, dtype=int)
+    if len(idx) and idx[0] >= 0 and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _varies(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """Which columns vary beyond rounding across the ensemble."""
     return sd > 1e-12 * np.maximum(np.abs(mean), 1.0)
@@ -54,16 +63,6 @@ class RegressionBasis:
     def _n_poly(self) -> int:
         """The number of monomial rows, the intercept included."""
         return len(self._exponent_rows())
-
-    @cached_property
-    def _primary_rows(self):
-        """The primary coordinates as an index of a state's coordinate axis:
-        a slice, so their rows are a view, when they are consecutive and
-        increasing; else the index list."""
-        idx = self.primary_idx
-        if idx and idx[0] >= 0 and idx == tuple(range(idx[0], idx[0] + len(idx))):
-            return slice(idx[0], idx[0] + len(idx))
-        return list(idx)
 
     @property
     def size(self) -> int:
@@ -319,7 +318,7 @@ def condexp_lsmc(target, state_at_t, basis: RegressionBasis) -> CondexpEstimate:
     # so every reduction runs along the contiguous sample axis, and the
     # moments of all primary rows are one reduction each.
     coords = np.ascontiguousarray(np.swapaxes(state, -1, -2))
-    prim = coords[:, basis._primary_rows]
+    prim = coords[:, _index_rows(basis.primary_idx)]
     shift = prim.mean(axis=-1, keepdims=True)
     spread = prim.std(axis=-1, mean=shift)
     shift = shift[..., 0]

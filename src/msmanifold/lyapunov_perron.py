@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .condexp import RegressionBasis, condexp_ito_zero, condexp_lsmc, default_basis
+from .condexp import RegressionBasis, _index_rows, condexp_ito_zero, condexp_lsmc, default_basis
 from .errors import (ConfigError, ConsistencyFailure, GridMismatch, IllConditionedDesign,
                      MaxIterExceeded, NonfiniteState, TruncationTooShort)
 from .problem import GapReport, SpectralProblem, _normalize_anchor, gap_report, zero_noise
@@ -41,7 +41,8 @@ from .stochastic import (_LATTICE_RTOL, ProcessEnsemble, TimeGrid, WienerEnsembl
                          _span_steps, _weighted_gap, integrate_mild, ms_norm, sample_wiener,
                          solver_boundary_columns)
 
-DEFAULT_SLACK = 0.25
+BASIS_DEGREE = 2          # of every solve's regression basis and the invariance projection
+LIPSCHITZ_SLACK = 0.25    # lipschitz_certify's multiplicative slack over the gap's bound
 
 
 def _is_finite_number(value) -> bool:
@@ -56,8 +57,8 @@ def _is_finite_number(value) -> bool:
 
 @dataclass(frozen=True)
 class LPConfig:
-    """Solver configuration. The dichotomy rates gamma and zeta are not
-    settings: every solve reads the problem's own p.gamma and p.zeta.
+    """Solver configuration. Not settings: the dichotomy rates (every solve
+    reads p.gamma and p.zeta), BASIS_DEGREE and LIPSCHITZ_SLACK.
 
     A config file's run block sets every field but c_zeta_source and force.
     Its defaults are these field defaults, plus 0.5 for c_zeta, which has
@@ -72,9 +73,7 @@ class LPConfig:
     tol: float = 1e-6
     max_iter: int = 50
     c_zeta_source: str = "user"
-    basis_degree: int = 2
     force: bool = False
-    slack: float = DEFAULT_SLACK
 
     def __post_init__(self):
         """The one check of a config, when it is built: finite float fields,
@@ -93,7 +92,7 @@ class LPConfig:
                 raise ConfigError(f"{name} must be {need}, got {value!r}")
 
     def basis_for(self, p: SpectralProblem) -> RegressionBasis:
-        return default_basis(p, self.basis_degree)
+        return default_basis(p, BASIS_DEGREE)
 
 
 @dataclass
@@ -186,14 +185,6 @@ def _block_len(n_samples: int) -> int:
     return max(_MIN_BLOCK_NODES, _BLOCK_ROWS // n_samples)
 
 
-def _mode_rows(idx: np.ndarray):
-    """A sorted mode subset as an index of the mode axis: a slice, so its
-    rows are a view, when the modes are consecutive; else the index array."""
-    if len(idx) and idx[-1] - idx[0] + 1 == len(idx):
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 def _varying_nodes(x: np.ndarray, among: np.ndarray) -> np.ndarray:
     """Which of the nodes ``among`` (a mask) of a block x (L, k, n) differ
     across the samples. A node whose first two samples differ varies; only
@@ -249,24 +240,22 @@ class FrozenFeatures:
 
 
 def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBasis,
-                     grid: TimeGrid, a: int, agg: dict, out: np.ndarray) -> None:
-    """E[target_j|F_{t_j}] into out (L, k, n), which may be target itself,
-    for the nodes j = a, a+1, ... of a (node, mode, sample) block: target
-    (L, k, n) regressed on the basis of the state (L, c, n) at the same
-    node, since at the fixed point the mild solution is Markov. Exact
-    short-circuits, tested as node masks: a deterministic target is its own
-    conditional expectation; a deterministic conditioning state reduces the
-    regression to the plain mean, _row_sum of each sample row over n. The
-    remaining nodes are one stacked regression, handed to condexp_lsmc as
-    (L, n, k) views whose feature-major copies are free; its fits are
-    written straight into out, and agg records the basis size."""
+                     grid: TimeGrid, a: int, agg: dict) -> None:
+    """E[target_j|F_{t_j}] in place of target, a float64 (node, mode,
+    sample) block (L, k, n) of the nodes j = a, a+1, ...: target regressed
+    on the basis of the state (L, c, n) at the same node, since at the
+    fixed point the mild solution is Markov. Exact short-circuits, tested
+    as node masks: a deterministic target is its own conditional
+    expectation; a deterministic conditioning state reduces the regression
+    to the plain mean, _row_sum of each sample row over n. The remaining
+    nodes are one stacked regression, handed to condexp_lsmc as (L, n, k)
+    views whose feature-major copies are free; its fits are written back
+    into target, and agg records the basis size."""
     varies = _varying_nodes(target, np.ones(len(target), dtype=bool))
-    if out is not target and not varies.all():
-        out[~varies] = target[~varies]
     mean_nodes = varies & ~_varying_nodes(state, varies)
     if mean_nodes.any():
         agg["mean_fits"] = agg.get("mean_fits", 0) + int(mean_nodes.sum())
-        out[mean_nodes] = (_row_sum(target[mean_nodes]) / target.shape[2])[..., None]
+        target[mean_nodes] = (_row_sum(target[mean_nodes]) / target.shape[2])[..., None]
     nodes = np.flatnonzero(varies & ~mean_nodes)
     if nodes.size == 0:
         return
@@ -282,7 +271,7 @@ def _conditional_fit(target: np.ndarray, state: np.ndarray, basis: RegressionBas
     agg["basis_size"] = diag["basis_size"]
     agg["max_cond"] = max(agg.get("max_cond", 0.0), float(diag["cond"].max()))
     agg["min_r2"] = min(agg.get("min_r2", 1.0), float(diag["r2"].min()))
-    out[sel] = est.fitted.swapaxes(1, 2)
+    target[sel] = est.fitted.swapaxes(1, 2)
 
 
 def _apart(x, v: np.ndarray) -> bool:
@@ -351,7 +340,7 @@ def _forward_pass(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
     dtype as it is written. ``start`` is 0 or (k_s, n). Returns the one
     use of the unstable noise, sum_j e^{-lambda_u j dt} sigma_u(x_j) dW_j,
     (k_u, n), added in node order."""
-    s, u = _mode_rows(p.stable_modes), _mode_rows(p.unstable_modes)
+    s, u = _index_rows(p.stable_modes), _index_rows(p.unstable_modes)
     decay = np.exp(p.eigenvalues[p.stable_modes] * dt)[:, None]
     ito0 = np.zeros((len(p.unstable_modes), out.shape[2]))
     if wiener is not None:
@@ -388,7 +377,7 @@ def _map_blocks(p: SpectralProblem, vals: np.ndarray, out: np.ndarray, cols,
     anyway. The caller overwrites the parked drift with its fits, and the
     anchor node."""
     ito0 = _forward_pass(p, vals, out, cols, dt, wiener, start)
-    u = _mode_rows(p.unstable_modes)
+    u = _index_rows(p.unstable_modes)
     decay = np.exp(-p.eigenvalues[p.unstable_modes] * dt)[:, None]
     nodes = _by_node(vals)
     length = _block_len(out.shape[2])
@@ -479,11 +468,14 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
     lp_forward_map. The sides differ in the anchor block and node, in the
     start of the stable scan (zero, or the anchor) and in the unstable fit.
     The forward pass writes every entry of the output, so it needs no
-    zeros. Each block is checked for finiteness once its fits are written,
-    while it is in cache; only a failing map searches the whole path for
-    its earliest non-finite node and sample. The fits regress on xi's
-    blocks with cfg's basis, or, given ``features``, on its blocks with
-    that basis restricted to its columns (FrozenFeatures.basis).
+    zeros. Each block's unstable fits, and then their subtraction from the
+    pulled-back anchor or their negation, run in place in float64, and one
+    assignment writes them, rounded once. Each block is checked for
+    finiteness once its fits are written, while it is in cache; only a
+    failing map searches the whole path for its earliest non-finite node
+    and sample. The fits regress on xi's blocks with cfg's basis, or,
+    given ``features``, on its blocks with that basis restricted to its
+    columns (FrozenFeatures.basis).
 
     The blocks run with numpy's ufunc buffer lowered to the length of a
     sample row (_sample_buffer, keyed on xi's n_samples; one-sample and
@@ -505,7 +497,7 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
         raise ConfigError(f"grid {at} at {edge}, config anchors at {cfg.tau}")
     n, m = xi.n_samples, p.n_modes
     u_idx = _block_indices(p)[0]
-    u = _mode_rows(u_idx)
+    u = _index_rows(u_idx)
     anchor, x_det = _normalize_anchor(x, anchor_idx, m, n)
     anchor_rows = anchor.T
     noise = _driving_noise(p, wiener, grid, n)
@@ -526,30 +518,20 @@ def _lp_map(side: str, p: SpectralProblem, xi: ProcessEnsemble, x, cfg: LPConfig
         for a, v, drift, ito0 in _map_blocks(p, xi.values, out, cols, grid.dt, noise, start):
             hi = min(len(v), N - a)  # the anchor node N is set apart
             target = drift[:hi]
-            # the block's unstable rows of the iterate, where the parked
-            # drift is spent: a view when they are one run; an index array
-            # would give a copy, so then they are target, assigned at the end
-            dest = out[a:a + hi, u] if isinstance(u, slice) else target
             if unstable:
                 # a deterministic anchor's rows are one row: pulled back as
                 # (hi, k, 1) and broadcast
                 pulled = (anchor_rows[:, :1] if x_det else anchor_rows) * pull[a:a + hi, :, None]
                 if not x_det:
                     np.subtract(pulled, target, out=target)
-            # the fits go straight into dest where they are its values, and
-            # through target where one more operation writes dest (never in
-            # place on dest: numpy 2.4's in-place negative misreads a view
-            # whose stride is 8 elements)
-            fit = dest if unstable and not x_det else target
             state = (np.ascontiguousarray(v[:hi], dtype=float) if features is None
                      else features.block(a, a + hi))
-            _conditional_fit(target, state, basis, grid, a, agg, fit)
+            _conditional_fit(target, state, basis, grid, a, agg)
             if not unstable:
-                np.negative(fit, out=dest)
+                np.negative(target, out=target)
             elif x_det:   # E[x|F_t] = x: only the drift integral was regressed
-                np.subtract(pulled, fit, out=dest)
-            if dest is target:
-                out[a:a + hi, u] = dest
+                np.subtract(pulled, target, out=target)
+            out[a:a + hi, u] = target
             if hi < len(v):
                 # the backward map returns x itself at tau (E[x|F_tau] = x);
                 # beyond tau + T_fwd lies the forward map's reported
@@ -772,9 +754,12 @@ def _iterate_dtype(n: int, size: float, c: float, tol: float):
     so it settles at no more than 2 u M / (1 - c), and the residual map
     adds at most u M more to the residual. M is taken as S, the first
     guess's weighted norm: the iterates stay within d_1 / (1 - c) of it,
-    and the factor 100 between the floor and tol covers that. No floor
-    stands under a one-sample solve, which stays float64, nor under c >= 1
-    (a forced solve past the gap)."""
+    and the factor 100 between the floor and tol covers that. For the
+    semigroup guess S is ms_norm(anchor), up to rounding: its factor
+    e^{(lambda_i - gamma)(t - tau)} is 1 at the anchor node and below 1
+    elsewhere (lambda_i > gamma at t <= tau, lambda_i < gamma at t >= tau).
+    No floor stands under a one-sample solve, which stays float64, nor
+    under c >= 1 (a forced solve past the gap)."""
     if n == 1 or not c < 1.0:
         return float
     return np.float32 if 2.0 * _F32_ROUNDOFF * size / (1.0 - c) <= tol / 100.0 else float
@@ -797,7 +782,8 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
     n = _n_samples(x, cfg)
     anchor, x_det = _normalize_anchor(x, _side_layout(p, grid, side)[0], p.n_modes, n)
     one_row = x_det and p.noise.is_zero
-    tail = _truncation_check(p, cfg, gap, ms_norm(anchor[:1] if one_row else anchor), side)
+    xnorm = ms_norm(anchor[:1] if one_row else anchor)
+    tail = _truncation_check(p, cfg, gap, xnorm, side)
     trace = FixedPointTrace(tol=cfg.tol, gap=gap, tail_bound=tail)
     if one_row:
         ens = _one_sample_solve(side, p, grid, anchor, cfg, trace)
@@ -811,18 +797,10 @@ def _lp_solve(side: str, p: SpectralProblem, x, cfg: LPConfig,
             path = _one_sample_solve(side, p, grid, anchor, cfg, presolve)
     except NonfiniteState:
         pass
-    # S, the first guess's weighted norm, is read off a one-sample path with
-    # the guess's node ms-norms, so no float64 guess is built to decide: the
-    # presolve's path, or the semigroup guess of the anchor's root-mean-square
-    # row (at each node both mean squares are the sum over the block modes of
-    # the factor squared times the mode's mean square)
-    if presolve.converged:
-        one = path.values
-    else:
-        one = _initial_guess(p, grid, np.sqrt(np.mean(anchor * anchor, axis=0))[None], side)
-    size = _weighted_gap(one, None, grid.times, cfg.tau, p.gamma)
+    size = (_weighted_gap(path.values, None, grid.times, cfg.tau, p.gamma)
+            if presolve.converged else xnorm)
     dtype = _iterate_dtype(n, size, gap.verdict(side)[1], cfg.tol)
-    guess = (_spread(one, n, dtype) if presolve.converged
+    guess = (_spread(path.values, n, dtype) if presolve.converged
              else _initial_guess(p, grid, anchor, side, dtype))
     return _fixed_point(side, p, x, cfg, wiener, grid, guess, trace,
                         guess_varies=not x_det), trace
@@ -909,8 +887,8 @@ def lipschitz_bound(p: SpectralProblem, cfg: LPConfig, side: str) -> float:
 def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
                       anchor_pairs: Sequence) -> LipschitzCertificate:
     """Empirical Lipschitz ratio of the graph map over anchor pairs, checked
-    against the theoretical bound with multiplicative slack; never passes
-    without a finite bound."""
+    against the theoretical bound with the multiplicative slack
+    LIPSCHITZ_SLACK; never passes without a finite bound."""
     gap = gap_report_for(p, cfg)
     gap.require(side, cfg.force)
     bound = gap.lipschitz_bound(side)
@@ -933,8 +911,8 @@ def lipschitz_certify(p: SpectralProblem, cfg: LPConfig, side: str,
     return LipschitzCertificate(side=side, theoretical=float(bound),
                                 empirical=float(empirical),
                                 passed=bool(np.isfinite(bound)
-                                            and empirical <= bound * (1.0 + cfg.slack)),
-                                slack=cfg.slack, ratios=tuple(ratios))
+                                            and empirical <= bound * (1.0 + LIPSCHITZ_SLACK)),
+                                slack=LIPSCHITZ_SLACK, ratios=tuple(ratios))
 
 
 def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
@@ -974,7 +952,7 @@ def invariance_residual(p: SpectralProblem, x, cfg: LPConfig, t0: float,
         # fluctuation around it that no dt or sample refinement removes.
         # Project the pathwise defect onto the anchor coordinates so the
         # residual measures the conditional-mean mismatch instead.
-        b = RegressionBasis(degree=cfg.basis_degree,
+        b = RegressionBasis(degree=BASIS_DEGREE,
                             primary_idx=tuple(range(anchor2.shape[1])))
         defect = condexp_lsmc(defect, anchor2, b).fitted
     return float(ms_norm(defect))

@@ -212,20 +212,6 @@ def _diag_noise_L2(slopes: np.ndarray, q: np.ndarray) -> float:
     return float(np.max(np.abs(slopes) * np.sqrt(q))) if slopes.size else 0.0
 
 
-def _per_mode_product(v, s: np.ndarray) -> np.ndarray:
-    """v * s for v (..., m) and slopes s (m,), one multiply per mode, in
-    v's layout: on rows stored mode-last the broadcast product would run an
-    inner loop of only m elements. Each element is the same one product,
-    so the bits are those of v * s; other shapes take v * s itself."""
-    v = np.asarray(v)
-    if s.ndim != 1 or v.ndim == 0 or v.shape[-1] != s.size:
-        return v * s
-    out = np.empty_like(v, dtype=np.result_type(v, s))
-    for k in range(s.size):
-        np.multiply(v[..., k], s[k], out=out[..., k])
-    return out
-
-
 def diagonal_linear_noise(slopes, covariance_weights=None) -> NoiseModel:
     s = np.asarray(slopes, dtype=float)
     q = np.ones_like(s) if covariance_weights is None else np.asarray(covariance_weights, dtype=float)
@@ -235,7 +221,7 @@ def diagonal_linear_noise(slopes, covariance_weights=None) -> NoiseModel:
         raise ConfigError("covariance weights must be nonnegative")
 
     def fn(v):
-        return _per_mode_product(v, s)
+        return v * s
 
     return NoiseModel(kind="diagonal-linear", lipschitz_L2=_diag_noise_L2(s, q),
                       n_noise_modes=s.size, covariance_weights=q, fn=fn,
@@ -252,7 +238,7 @@ def saturated_noise(slopes, radius: float, covariance_weights=None) -> NoiseMode
         raise ConfigError("bad covariance weights")
 
     def fn(v):
-        return _per_mode_product(_clamp(v, radius), s)
+        return _clamp(v, radius) * s
 
     return NoiseModel(kind="saturated", lipschitz_L2=_diag_noise_L2(s, q),
                       n_noise_modes=s.size, covariance_weights=q, fn=fn,
@@ -457,16 +443,22 @@ def gap_terms(K: float, L1: float, L2: float, alpha_minus_gamma: float,
             "conv_L2": K * L2 * c_zeta}
 
 
+def _eta_of(t: dict) -> float:
+    return t["drift_weighted"] + t["conv_L1"] + t["conv_L2"]
+
+
+def _delta_of(t: dict) -> float:
+    return t["drift_weighted"] + t["sqrt_term"] + t["conv_L1"] + t["conv_L2"]
+
+
 def gap_eta(K: float, L1: float, L2: float, alpha_minus_gamma: float,
             c_zeta: float) -> float:
-    t = gap_terms(K, L1, L2, alpha_minus_gamma, c_zeta)
-    return t["drift_weighted"] + t["conv_L1"] + t["conv_L2"]
+    return _eta_of(gap_terms(K, L1, L2, alpha_minus_gamma, c_zeta))
 
 
 def gap_delta(K: float, L1: float, L2: float, alpha_minus_gamma: float,
               c_zeta: float) -> float:
-    t = gap_terms(K, L1, L2, alpha_minus_gamma, c_zeta)
-    return t["drift_weighted"] + t["sqrt_term"] + t["conv_L1"] + t["conv_L2"]
+    return _delta_of(gap_terms(K, L1, L2, alpha_minus_gamma, c_zeta))
 
 
 def gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str = "user") -> GapReport:
@@ -479,8 +471,7 @@ def gap_report(p: SpectralProblem, c_zeta: float, c_zeta_source: str = "user") -
     ag = p.alpha - p.gamma
     terms = {"K": K, "L1": L1, "L2": L2, "alpha_minus_gamma": ag,
              **gap_terms(K, L1, L2, ag, c_zeta)}
-    eta = gap_eta(K, L1, L2, ag, c_zeta)
-    delta = gap_delta(K, L1, L2, ag, c_zeta)
+    eta, delta = _eta_of(terms), _delta_of(terms)
     return GapReport(eta=float(eta), delta=float(delta), c_zeta=c_zeta,
                      c_zeta_source=c_zeta_source,
                      pass_unstable=bool(eta < 1.0), pass_stable=bool(delta < 1.0),

@@ -136,11 +136,16 @@ def _boundary_response(r: float, x: np.ndarray, which: str) -> np.ndarray:
     return (np.exp(-r * (1.0 - x)) + np.exp(-r * (1.0 + x))) / denom
 
 
-def _green_matrix(r: float, x: np.ndarray) -> np.ndarray:
+# Rows of the Green kernel per block of resolvent_boundary's quadrature, so
+# its temporaries grow with n_x, not n_x^2.
+_GREEN_ROWS = 256
+
+
+def _green_matrix(r: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Neumann Green kernel G(x,y) = cosh(r min)cosh(r(1-max))/(r sinh r)
-    in decaying-exponential form; shape (n_x, n_x)."""
-    lo = np.minimum.outer(x, x)
-    hi = np.maximum.outer(x, x)
+    in decaying-exponential form; shape (len(x), len(y))."""
+    lo = np.minimum.outer(x, y)
+    hi = np.maximum.outer(x, y)
     denom = 2.0 * r * (1.0 - np.exp(-2.0 * r))
     return (np.exp(-r * (hi - lo)) + np.exp(-r * (2.0 - hi - lo))
             + np.exp(-r * (hi + lo)) + np.exp(-r * (2.0 + lo - hi))) / denom
@@ -170,8 +175,11 @@ def resolvent_boundary(lam: float, *, a: float = 0.0, b: float = 0.0, f=None,
         fx = f(x) if callable(f) else np.asarray(f, dtype=float)
         if fx.shape != x.shape:
             raise ConfigError("interior forcing must be sampled on the x-grid")
-        G = _green_matrix(r, x)
-        phi = phi + np.trapezoid(G * fx, x, axis=1)
+        quad = np.empty_like(x)     # the dense rule's bits, a block of rows at a time
+        for i in range(0, len(x), _GREEN_ROWS):
+            rows = slice(i, i + _GREEN_ROWS)
+            quad[rows] = np.trapezoid(_green_matrix(r, x[rows], x) * fx, x, axis=1)
+        phi = phi + quad
     else:
         fx = np.zeros_like(x)
 

@@ -489,6 +489,48 @@ def test_iterates_are_float32_only_where_their_rounding_floor_is_far_below_tol()
         assert graph.h_value.dtype == np.float64
 
 
+def lsmc_problem():
+    """The lsmc_unstable problem: 2-D unstable and stable blocks."""
+    return build_problem([1.5, 1.0, -1.0, -2.0], [0, 1], alpha=1.0, beta=-1.0, gamma=0.5,
+                         zeta=-0.5, nonlinearity=linear_nonlinearity(np.full((4, 4), 0.03)),
+                         noise=diagonal_linear_noise([0.1] * 4))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.7])
+@pytest.mark.parametrize("side", ["unstable", "stable"])
+def test_the_semigroup_guess_has_the_weighted_norm_of_its_anchor(side, tau):
+    # the solve reads S off the anchor: each mode's weighted factor
+    # e^{(lambda_i - gamma)(t - tau)} is 1 at the anchor node and below 1
+    # at every other one, on both sides
+    p = lsmc_problem()
+    cfg = LPConfig(c_zeta=1.0, tau=tau, t_back=12.0, t_fwd=12.0, dt=2e-2, n_samples=N_SAMPLES)
+    grid = lp._solver_grid(cfg, side)
+    rng = np.random.default_rng(4)
+    for anchor in (np.tile([0.6, -0.4], (N_SAMPLES, 1)),
+                   rng.uniform(-1.0, 1.0, (N_SAMPLES, 2))):
+        guess = lp._initial_guess(p, grid, anchor, side)
+        size = lp._weighted_gap(guess, None, grid.times, cfg.tau, p.gamma)
+        assert size == pytest.approx(ms_norm(anchor), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("failure", ["nonfinite", "unconverged"])
+def test_a_failed_presolve_picks_the_storage_from_the_anchors_norm(monkeypatch, failure):
+    # S = ms_norm(anchor), about 0.3: float32 at tol 1e-4, float64 at 1e-8
+    presolve = lp._one_sample_solve
+
+    def failing(side, p, grid, anchor, cfg, trace):
+        if failure == "nonfinite":
+            raise NonfiniteState("presolve overflowed")
+        return presolve(side, p, grid, anchor, replace(cfg, max_iter=1), trace)
+
+    monkeypatch.setattr(lp, "_one_sample_solve", failing)
+    cfg = replace(config(), t_back=25.0)
+    for tol, want in ((1e-4, np.float32), (1e-8, np.float64)):
+        graph, path = solved_graph("unstable", two_way_noisy(), [0.3], replace(cfg, tol=tol))
+        assert path.values.dtype == want, tol
+        assert graph.trace.residual <= tol
+
+
 def test_float32_iterates_agree_with_float64_ones_on_the_same_noise(monkeypatch):
     # the lsmc_unstable problem on fewer samples and nodes, its iterates
     # stored each way: both graphs certify, each route repeats its bits,
@@ -531,7 +573,7 @@ def three_draw_residual(p, x, cfg, t0, side):
     anchor2 = end[:, g1.anchor_idx]
     g2 = graph_of(p, anchor2, replace(cfg, tau=cfg.tau + steps * cfg.dt,
                                       n_samples=g1.n_samples))
-    basis = RegressionBasis(degree=cfg.basis_degree,
+    basis = RegressionBasis(degree=lp.BASIS_DEGREE,
                             primary_idx=tuple(range(anchor2.shape[1])))
     return ms_norm(condexp_lsmc(end[:, g1.value_idx] - g2.h_value, anchor2, basis).fitted)
 

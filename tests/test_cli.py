@@ -671,6 +671,28 @@ def test_example_output_with_the_retired_include_wiener_key_is_refused(tmp_path,
     assert not out.exists()
 
 
+RUN_KEYS = {"side", "anchor", "t0", "c_zeta", "tau", "t_back", "t_fwd", "dt", "n_samples",
+            "seed", "tol", "max_iter"}
+
+
+@pytest.mark.parametrize("key, value", [("slack", 0.25), ("basis_degree", 2)])
+def test_example_output_with_a_retired_constant_key_is_refused(tmp_path, capsys, key, value):
+    # the basis degree and the Lipschitz slack are constants: example-pde
+    # writes neither key, and a file written while they were settings
+    # carries both at these values
+    emitted = tmp_path / "pde"
+    assert main(["example-pde", "--out", str(emitted)]) == 0
+    cfg = json.loads((emitted / "example_problem.json").read_text())
+    assert set(cfg["run"]) == RUN_KEYS
+    cfg["run"][key] = value
+    old = write_cfg(tmp_path / "old.json", cfg)
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert main(["solve-unstable", "--config", old, "--out", str(out)]) == 4
+    assert f"unknown run keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ladder_rung_at_or_below_the_operator_shift_is_a_config_error(tmp_path, capsys):
     emitted = tmp_path / "pde"
     assert main(["example-pde", "--out", str(emitted)]) == 0

@@ -114,7 +114,7 @@ def test_validate_refuses_the_retired_rate_and_basis_keys(key, value):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("n_samples", True), ("basis_degree", False), ("seed", 2.0),
+    ("n_samples", True), ("seed", 2.0),
     ("tol", True), ("dt", False), ("c_zeta", "0.5"), ("t0", None),
     ("t_back", float("inf")), ("tol", float("nan"))])
 def test_validate_checks_the_json_type_of_each_run_value(key, value):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ def test_conditional_fit_refusal_names_grid_node_and_time(monkeypatch):
     basis = RegressionBasis(degree=1, primary_idx=(0, 1, 2))
     with pytest.raises(IllConditionedDesign) as info:
         lp._conditional_fit(target, np.ascontiguousarray(state.swapaxes(1, 2)), basis,
-                            TimeGrid(-1.0, 1e-2, 100), 5, {}, target)
+                            TimeGrid(-1.0, 1e-2, 100), 5, {})
     assert info.value.node == 7
     assert info.value.cond > info.value.limit
     assert "grid node 7 (t = -0.93)" in str(info.value)
@@ -1045,6 +1046,26 @@ def test_lipschitz_certificate_on_linear_problem():
     assert cert.theoretical == pytest.approx(0.1 / 0.7, rel=1e-12)
     assert cert.theoretical == pytest.approx(lipschitz_bound(p, cfg, "unstable"))
     assert cert.passed
+
+
+def test_lipschitz_certificate_allows_a_quarter_over_the_bound(monkeypatch):
+    # a bound of 0.5 and linear graphs h = slope * x, so every ratio is the
+    # slope: 1.25 times the bound passes, anything above it fails
+    class Gap:
+        def require(self, side, force):
+            pass
+
+        def lipschitz_bound(self, side):
+            return 0.5
+
+    monkeypatch.setattr(lp, "gap_report_for", lambda p, cfg: Gap())
+    pairs = [([0.0], [1.0]), ([0.5], [-0.5])]
+    for slope, passed in ((0.625, True), (0.625 * (1.0 + 1e-12), False)):
+        monkeypatch.setattr(lp, "_graph_for_side", lambda p, x, cfg, side: SimpleNamespace(
+            anchor=np.array([x]), h_value=slope * np.array([x])))
+        cert = lipschitz_certify(one_way(), cfg_back(), "unstable", pairs)
+        assert cert.empirical == slope and cert.theoretical == 0.5
+        assert cert.passed is passed and cert.slack == lp.LIPSCHITZ_SLACK == 0.25
 
 
 def test_lipschitz_certificate_tells_anchor_shapes_apart():

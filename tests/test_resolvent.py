@@ -81,6 +81,23 @@ def test_resolvent_boundary_interior_residual_small():
     assert diag["bc_residual"] < 1e-5
 
 
+@pytest.mark.parametrize("n_x, lam", [(5, 2.0), (601, 1.0), (513, 30.0)])
+def test_resolvent_boundary_quadrature_in_row_blocks_is_the_dense_one(n_x, lam):
+    # the Green kernel in blocks of rows gives the bits of the dense
+    # n_x x n_x kernel and its trapezoid rule
+    a, b, f = 0.3, -0.2, lambda s: np.cos(3.0 * s) + s * s
+    x, phi, _ = resolvent_boundary(lam, a=a, b=b, f=f, n_x=n_x)
+    r = np.sqrt(lam)
+    lo, hi = np.minimum.outer(x, x), np.maximum.outer(x, x)
+    G = (np.exp(-r * (hi - lo)) + np.exp(-r * (2.0 - hi - lo)) + np.exp(-r * (hi + lo))
+         + np.exp(-r * (2.0 + lo - hi))) / (2.0 * r * (1.0 - np.exp(-2.0 * r)))
+    denom = r * (1.0 - np.exp(-2.0 * r))
+    left = (np.exp(-r * x) + np.exp(-r * (2.0 - x))) / denom
+    right = (np.exp(-r * (1.0 - x)) + np.exp(-r * (1.0 + x))) / denom
+    dense = a * left + b * right + np.trapezoid(G * f(x), x, axis=1)
+    assert phi.tobytes() == dense.tobytes()
+
+
 def test_resolvent_boundary_rejects_nonpositive_lambda():
     with pytest.raises(NonpositiveLambda):
         resolvent_boundary(0.0, a=1.0)
